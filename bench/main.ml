@@ -591,91 +591,14 @@ let kernels () =
       let fault_events_s =
         float_of_int (events1 - events0) /. Float.max 1e-9 fault_cpt_s
       in
-      (* FFR-sharded fault simulation over 2 and 4 domains; the merged
-         partition must be bit-identical to the sequential walk (on
-         this box the wall-clock gain tracks the core count — a
-         single-core runner reports ~1x, which is honest) *)
-      let sharded_fault domains =
-        Par.Domain_pool.with_pool ~domains (fun pool ->
-            (* threshold 0: the metric means "the sharded walk", so the
-               min-work bypass must not quietly turn it sequential on
-               the small circuits *)
-            let (det, _), s =
-              time (fun () ->
-                  Atpg.Fault_simulation.split ~machine:m_cpt ~pool
-                    ~par_threshold:0 c ~faults ~vectors)
-            in
-            if det <> cpt_detected then
-              failwith
-                (Printf.sprintf "%s: sharded fault-sim (d=%d) mismatch" name
-                   domains);
-            s)
-      in
-      let fault_d2_s = sharded_fault 2 in
-      let fault_d4_s = sharded_fault 4 in
-      (* PPSFP with fault dropping vs the literal per-pattern walk it
-         replaces: one vector at a time through the CPT machine with
-         manual dropping — the cost every caller that cannot batch
-         (fitness loops, incremental searches) used to pay — and, as
-         the honest in-family comparison, one 64-per-word CPT run over
-         the same vector list. Both must land on the same partition. *)
-      let ppsfp_vectors =
-        Atpg.Pattern_gen.random_vectors ~seed:7
-          ~count:(if fast then 64 else 256)
-          c
-      in
-      let m_ppsfp =
-        Atpg.Fault_simulation.make ~engine:Atpg.Fault_simulation.Ppsfp c
-      in
-      let (pp_detected, pp_undetected), fault_ppsfp_s =
-        time (fun () ->
-            Atpg.Fault_simulation.split ~machine:m_ppsfp c ~faults
-              ~vectors:ppsfp_vectors)
-      in
-      let per_pattern_walk () =
-        (* the seed's inner loop: every fault resimulated against every
-           pattern, one pattern at a time — no batching and no dropping,
-           which are exactly the optimisations under measurement *)
-        let detected = Hashtbl.create 1024 in
-        List.iter
-          (fun v ->
-            let det, _ =
-              Atpg.Fault_simulation.split ~machine:m_cpt c ~faults
-                ~vectors:[ v ]
-            in
-            List.iter (fun f -> Hashtbl.replace detected f ()) det)
-          ppsfp_vectors;
-        List.filter (fun f -> not (Hashtbl.mem detected f)) faults
-      in
-      let pp_undet_ref, fault_per_pattern_s = time per_pattern_walk in
-      if pp_undet_ref <> pp_undetected then
-        failwith (name ^ ": ppsfp/per-pattern undetected mismatch");
-      let (cpt_wide_det, _), fault_cpt_wide_s =
-        time (fun () ->
-            Atpg.Fault_simulation.split ~machine:m_cpt c ~faults
-              ~vectors:ppsfp_vectors)
-      in
-      if cpt_wide_det <> pp_detected then
-        failwith (name ^ ": ppsfp/cpt detection mismatch");
-      let ppsfp_speedup =
-        fault_per_pattern_s /. Float.max 1e-9 fault_ppsfp_s
-      in
-      let ppsfp_vs_cpt_speedup =
-        fault_cpt_wide_s /. Float.max 1e-9 fault_ppsfp_s
-      in
-      Format.printf
-        "%-8s ppsfp %7.3fs vs per-pattern cpt %7.3fs (%5.1fx) vs batched cpt \
-         %7.3fs (%5.1fx) over %d vectors@."
-        name fault_ppsfp_s fault_per_pattern_s ppsfp_speedup fault_cpt_wide_s
-        ppsfp_vs_cpt_speedup (List.length ppsfp_vectors);
       let speedup = scalar_s /. Float.max 1e-9 packed_s in
       Format.printf
         "%-8s compile %7.4fs | shift sim: packed %8.4fs vs scalar %8.4fs \
          (%5.1fx) | W4 %8.4fs W8 %8.4fs | fault sim: cpt %7.3fs vs cone \
-         %7.3fs (%5.1fx, %.2e ev/s, %d/%d detected) | d2 %7.3fs d4 %7.3fs@."
+         %7.3fs (%5.1fx, %.2e ev/s, %d/%d detected)@."
         name compile_s packed_s scalar_s speedup packed_w4_s packed_w8_s
         fault_cpt_s fault_cone_s fault_speedup fault_events_s
-        (List.length detected) (List.length faults) fault_d2_s fault_d4_s;
+        (List.length detected) (List.length faults);
       kernels_json :=
         ( name,
           Telemetry.Json.Obj
@@ -688,7 +611,6 @@ let kernels () =
                 Telemetry.Json.Int packed.Scan.Scan_sim.total_toggles );
               ("compile_s", Telemetry.Json.Float compile_s);
               ("packed_width", Telemetry.Json.Int 8);
-              ("domains", Telemetry.Json.Int 4);
               ("packed_shift_s", Telemetry.Json.Float packed_s);
               ("packed_shift_w4_s", Telemetry.Json.Float packed_w4_s);
               ("packed_shift_w8_s", Telemetry.Json.Float packed_w8_s);
@@ -710,29 +632,10 @@ let kernels () =
               ("fault_sim_cpt_s", Telemetry.Json.Float fault_cpt_s);
               ("fault_sim_speedup", Telemetry.Json.Float fault_speedup);
               ("fault_sim_events_s", Telemetry.Json.Float fault_events_s);
-              ("fault_sim_d2_s", Telemetry.Json.Float fault_d2_s);
-              ("fault_sim_d4_s", Telemetry.Json.Float fault_d4_s);
-              ( "fault_sim_par_d2_speedup",
-                Telemetry.Json.Float (fault_cpt_s /. Float.max 1e-9 fault_d2_s)
-              );
-              ( "fault_sim_par_d4_speedup",
-                Telemetry.Json.Float (fault_cpt_s /. Float.max 1e-9 fault_d4_s)
-              );
               ("fault_sim_pattern_p50_s", Telemetry.Json.Float pattern_p50);
               ("fault_sim_pattern_p99_s", Telemetry.Json.Float pattern_p99);
               ("faults", Telemetry.Json.Int (List.length faults));
               ("faults_detected", Telemetry.Json.Int (List.length detected));
-              ( "ppsfp_vectors",
-                Telemetry.Json.Int (List.length ppsfp_vectors) );
-              ( "fault_sim_per_pattern_s",
-                Telemetry.Json.Float fault_per_pattern_s );
-              ("fault_sim_ppsfp_s", Telemetry.Json.Float fault_ppsfp_s);
-              ("fault_sim_cpt_wide_s", Telemetry.Json.Float fault_cpt_wide_s);
-              ("fault_sim_ppsfp_speedup", Telemetry.Json.Float ppsfp_speedup);
-              ( "fault_sim_ppsfp_vs_cpt_speedup",
-                Telemetry.Json.Float ppsfp_vs_cpt_speedup );
-              ( "ppsfp_faults_detected",
-                Telemetry.Json.Int (List.length pp_detected) );
             ] )
         :: !kernels_json)
     kernel_circuits;
@@ -756,53 +659,9 @@ let kernels () =
       Format.printf "%-8s engines agree (%d/%d detected)@." name
         (List.length cpt) (List.length faults))
     (List.filter (fun n -> not (List.mem n kernel_circuits)) table1_circuits);
-  (* the acceptance matrix: PPSFP per-(fault, pattern) detection must
-     be bit-identical to the Cone golden reference on every Table I
-     circuit of this run, for every machine width, every domain count,
-     and with fault dropping both on and off *)
-  section "Kernels: PPSFP golden matrix (width x domains x drop vs Cone)";
-  List.iter
-    (fun name ->
-      let module Fs = Atpg.Fault_simulation in
-      let c = Circuits.by_name name in
-      let vectors = Atpg.Pattern_gen.random_vectors ~seed:7 ~count:20 c in
-      let faults = Atpg.Fault.collapsed_faults c in
-      let m_cone = Fs.make ~engine:Fs.Cone c in
-      let mx_cone = Fs.detection_matrix ~machine:m_cone c ~faults ~vectors in
-      let ref_split = Fs.split ~machine:m_cone c ~faults ~vectors in
-      List.iter
-        (fun w ->
-          let m = Fs.make ~engine:Fs.Ppsfp ~width:w c in
-          List.iter
-            (fun domains ->
-              let mx =
-                if domains = 1 then
-                  Fs.detection_matrix ~machine:m c ~faults ~vectors
-                else
-                  Par.Domain_pool.with_pool ~domains (fun pool ->
-                      Fs.detection_matrix ~machine:m ~pool ~par_threshold:0 c
-                        ~faults ~vectors)
-              in
-              if mx <> mx_cone then
-                failwith
-                  (Printf.sprintf "%s: ppsfp matrix mismatch (w=%d d=%d)" name
-                     w domains))
-            [ 1; 2; 4 ];
-          List.iter
-            (fun drop ->
-              if Fs.split ~machine:m ~drop c ~faults ~vectors <> ref_split then
-                failwith
-                  (Printf.sprintf "%s: ppsfp split mismatch (w=%d drop=%b)"
-                     name w drop))
-            [ true; false ])
-        [ 1; 4; 8 ];
-      Format.printf "%-8s ppsfp = cone, %d faults x %d patterns@." name
-        (List.length faults) (List.length vectors))
-    table1_circuits;
   (* scale tier (non-fast): seeded generated profiles an order of
-     magnitude past Table I, where the PPSFP batch amortisation is the
-     difference between usable and not. CPT runs the same vectors as
-     the reference partition (and the honest in-family baseline). *)
+     magnitude past Table I, timing generation, compilation and CPT
+     fault simulation over 256 vectors *)
   if not fast then begin
     section "Kernels: scale tier (seeded 50k/100k-gate profiles)";
     List.iter
@@ -815,24 +674,17 @@ let kernels () =
           Atpg.Pattern_gen.random_vectors ~seed:7 ~count:256 c
         in
         let faults = Atpg.Fault.collapsed_faults c in
-        let m_ppsfp = Fs.make ~engine:Fs.Ppsfp c in
-        let (pp_det, pp_undet), ppsfp_s =
-          time (fun () -> Fs.split ~machine:m_ppsfp c ~faults ~vectors)
-        in
-        let m_cpt = Fs.make ~engine:Fs.Cpt c in
-        let (cpt_det, cpt_undet), cpt_s =
+        let m_cpt = Fs.make c in
+        let (cpt_det, _), cpt_s =
           time (fun () -> Fs.split ~machine:m_cpt c ~faults ~vectors)
         in
-        if cpt_det <> pp_det || cpt_undet <> pp_undet then
-          failwith (name ^ ": scale-tier ppsfp/cpt partition mismatch");
-        let vs_cpt = cpt_s /. Float.max 1e-9 ppsfp_s in
         Format.printf
           "%-8s %d nodes, %d faults, %d vectors | generate %6.2fs compile \
-           %6.2fs | ppsfp %7.3fs vs cpt %7.3fs (%5.1fx) | %d detected@."
+           %6.2fs | cpt %7.3fs | %d detected@."
           name
           (Netlist.Circuit.node_count c)
           (List.length faults) (List.length vectors) generate_s compile_s
-          ppsfp_s cpt_s vs_cpt (List.length pp_det);
+          cpt_s (List.length cpt_det);
         kernels_json :=
           ( name,
             Telemetry.Json.Obj
@@ -844,13 +696,10 @@ let kernels () =
                 ("vectors", Telemetry.Json.Int (List.length vectors));
                 ("faults", Telemetry.Json.Int (List.length faults));
                 ( "faults_detected",
-                  Telemetry.Json.Int (List.length pp_det) );
+                  Telemetry.Json.Int (List.length cpt_det) );
                 ("generate_s", Telemetry.Json.Float generate_s);
                 ("compile_s", Telemetry.Json.Float compile_s);
-                ("fault_sim_ppsfp_s", Telemetry.Json.Float ppsfp_s);
                 ("fault_sim_cpt_wide_s", Telemetry.Json.Float cpt_s);
-                ( "fault_sim_ppsfp_vs_cpt_speedup",
-                  Telemetry.Json.Float vs_cpt );
               ] )
           :: !kernels_json)
       Circuits.scale_profiles
@@ -1098,7 +947,7 @@ let write_bench_json () =
     let doc =
       Telemetry.Json.Obj
         [
-          ("schema", Telemetry.Json.String "scanpower.bench_kernels/3");
+          ("schema", Telemetry.Json.String "scanpower.bench_kernels/4");
           ("fast", Telemetry.Json.Bool fast);
           ("circuits", Telemetry.Json.Obj (List.rev !kernels_json));
         ]
@@ -1237,10 +1086,6 @@ let () =
   stage "ablation_exact_probabilities" ablation_exact_probabilities;
   stage "ablation_multi_chain" ablation_multi_chain;
   stage "ablation_atpg_engines" ablation_atpg_engines;
-  (* serve before kernels, deliberately: the serve stage forks a
-     daemon, the kernels stage spawns pool domains, and OCaml 5
-     permanently refuses Unix.fork once a domain has ever been created
-     in the process. Fork-based stages must run first. *)
   stage "serve" serve_bench;
   stage "serve_recovery" serve_recovery_bench;
   stage "kernels" kernels;

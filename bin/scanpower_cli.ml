@@ -228,10 +228,10 @@ let observability_cmd =
 (* ---- atpg ---- *)
 
 let atpg_cmd =
-  let run spec seed fault_engine out tele =
+  let run spec seed out tele =
     let* metrics_out = tele in
     let* c = mapped spec in
-    let config = { Atpg.Pattern_gen.default_config with seed; fault_engine } in
+    let config = { Atpg.Pattern_gen.default_config with seed } in
     let outcome = Atpg.Pattern_gen.generate ~config c in
     Format.printf "%a@." Atpg.Pattern_gen.pp_outcome outcome;
     (match out with
@@ -253,30 +253,11 @@ let atpg_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~doc:"Write the test vectors to a file.")
   in
-  let fault_engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("cpt", Atpg.Fault_simulation.Cpt);
-               ("cone", Atpg.Fault_simulation.Cone);
-               ("ppsfp", Atpg.Fault_simulation.Ppsfp);
-             ])
-          Atpg.Fault_simulation.Cpt
-      & info [ "fault-engine" ]
-          ~doc:
-            "Fault-simulation engine: $(b,cpt) (critical path tracing, \
-             default), $(b,ppsfp) (512-pattern parallel single-fault \
-             propagation with fault dropping) or $(b,cone) (full-cone \
-             reference). All three are bit-identical; cone is the slow \
-             golden reference.")
-  in
   Cmd.v
     (Cmd.info "atpg" ~doc:"Generate a compacted stuck-at test set (PODEM).")
     Term.(
       term_result
-        (const run $ circuit_arg $ seed_arg $ fault_engine $ out $ telemetry_term))
+        (const run $ circuit_arg $ seed_arg $ out $ telemetry_term))
 
 (* ---- power ---- *)
 
@@ -545,44 +526,10 @@ let validate_cmd =
           diagnostic (not just the first) and exits 3 if any are errors.")
     Term.(term_result (const run $ specs))
 
-(* ---- parallel execution mode (sweep + serve) ---- *)
-
-let parallel_arg =
-  let mode_conv =
-    let parse s =
-      match Runner.strategy_of_string s with
-      | Some st -> Ok st
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "invalid parallel mode %S (expected domains, processes or auto)"
-               s))
-    in
-    let print fmt st =
-      Format.pp_print_string fmt (Runner.strategy_to_string st)
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt mode_conv Runner.Auto
-    & info [ "parallel" ] ~docv:"MODE"
-        ~env:(Cmd.Env.info "SCANPOWER_PARALLEL")
-        ~doc:
-          "How parallel work executes: $(b,processes) forks one killable \
-           worker per job (crash/timeout isolation, per-worker telemetry); \
-           $(b,domains) fans jobs over in-process worker domains (no fork \
-           cost, shared warm caches, but no per-job timeout and no \
-           per-worker telemetry capture); $(b,auto) picks domains only when \
-           no process-only capability (timeout, telemetry capture, signal \
-           handling, fault injection) is in play. Also honoured from the \
-           environment.")
-
 (* ---- sweep ---- *)
 
 let sweep_cmd =
-  let run names jobs parallel seeds timeout retries backoff deadline no_cache
+  let run names jobs seeds timeout retries backoff deadline no_cache
       cache_dir journal resume out csv progress tele =
     let* metrics_out = tele in
     let names = if names = [] then Circuits.names else names in
@@ -656,7 +603,7 @@ let sweep_cmd =
     let t0 = Unix.gettimeofday () in
     let report =
       Fun.protect ~finally:stop_progress (fun () ->
-          Scanpower.Sweep.run ~jobs ~parallel ~timeout_s:timeout ~retries
+          Scanpower.Sweep.run ~jobs ~timeout_s:timeout ~retries
             ~backoff_s:backoff ~deadline_s:deadline ~handle_signals:true ?cache
             ?journal_path:journal ~resume ~on_event points)
     in
@@ -716,8 +663,7 @@ let sweep_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Parallel workers. 1 runs everything sequentially in-process; \
-             larger values fan jobs out over forked workers or domains \
-             (see $(b,--parallel)).")
+             larger values fan jobs out over forked worker processes.")
   in
   let seeds =
     Arg.(
@@ -823,7 +769,7 @@ let sweep_cmd =
           interrupted batch without redoing completed jobs.")
     Term.(
       term_result
-        (const run $ names $ jobs $ parallel_arg $ seeds $ timeout $ retries
+        (const run $ names $ jobs $ seeds $ timeout $ retries
        $ backoff $ deadline $ no_cache $ cache_dir $ journal $ resume $ out
        $ csv $ progress $ telemetry_term))
 
@@ -910,7 +856,7 @@ let serve_cmd =
   let module Daemon = Scanpower_server.Daemon in
   let module Supervisor = Scanpower_server.Supervisor in
   let run socket registry_capacity max_queue max_request_bytes
-      default_deadline parallel quiet snapshot snapshot_every max_heap_mw
+      default_deadline quiet snapshot snapshot_every max_heap_mw
       supervise restart_budget restart_refill tele =
     let* metrics_out = tele in
     let config =
@@ -920,7 +866,6 @@ let serve_cmd =
         max_queue;
         max_request_bytes;
         default_deadline_s = default_deadline;
-        parallel;
         log = (if quiet then None else Some stdout);
         snapshot_path = snapshot;
         snapshot_every_s = snapshot_every;
@@ -1050,7 +995,7 @@ let serve_cmd =
     Term.(
       term_result
         (const run $ socket_arg $ registry_capacity $ max_queue
-       $ max_request_bytes $ default_deadline $ parallel_arg $ quiet
+       $ max_request_bytes $ default_deadline $ quiet
        $ snapshot $ snapshot_every $ max_heap_mw $ supervise
        $ restart_budget $ restart_refill $ telemetry_term))
 

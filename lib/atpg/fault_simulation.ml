@@ -2,36 +2,21 @@ open Netlist
 
 let word_bits = 64
 
-(* Widest PPSFP batch: 8 words = 512 patterns per pass, matching the
-   W-word interleaved layout of [Compiled.eval_words_wide] (and the
-   cap Sim.Packed_sim uses for the same cache-blocking reason). *)
-let max_batch_words = 8
-
 let m_batches = Telemetry.Counter.make "atpg.fault_sim.batches"
 let m_words = Telemetry.Counter.make "atpg.fault_sim.detection_words"
 let m_ffr_traces = Telemetry.Counter.make "atpg.fault_sim.ffr_traces"
 let m_stem_events = Telemetry.Counter.make "atpg.fault_sim.stem_events"
 let m_early_exits = Telemetry.Counter.make "atpg.fault_sim.early_exits"
 let m_dominator_hits = Telemetry.Counter.make "atpg.fault_sim.dominator_hits"
-let m_ppsfp_events = Telemetry.Counter.make "atpg.fault_sim.ppsfp_events"
 let m_dropped = Telemetry.Counter.make "atpg.fault_sim.dropped_faults"
-let m_par_bypass = Telemetry.Counter.make "atpg.fault_sim.par_bypass"
 
 type engine =
   | Cone  (** full-cone resimulation per fault: the golden reference *)
   | Cpt  (** FFR critical-path tracing + event-driven stem propagation *)
-  | Ppsfp  (** W-word parallel-pattern single-fault propagation *)
 
 type machine = {
   engine : engine;
   comp : Compiled.t;
-  (* words per batch this machine can carry: 1 for Cone/Cpt, 1..8 for
-     Ppsfp. [good]/[faulty] are sized [node_count * width]; a batch of
-     [bw <= width] words is stored with stride [bw] (node [id] word [w]
-     at [id*bw + w]), so a width-1 machine indexes exactly as before. *)
-  width : int;
-  mutable bw : int; (* words in the currently loaded batch *)
-  valid : int64 array; (* per-word valid-pattern masks, length [width] *)
   good : int64 array; (* node id -> packed good values *)
   observables : int array;
   cones : int array option array; (* site node -> topo-sorted cone *)
@@ -48,9 +33,6 @@ type machine = {
   (* Cpt engine state, all validated against [batch] (bumped by every
      batch load) so nothing is cleared between batches *)
   mutable batch : int;
-  (* [obs_w]/[sens] are sized [node_count * width] and indexed with the
-     same stride-[bw] layout as [good]/[faulty]: word [w] of node [id]
-     lives at [id*bw + w]. Width-1 engines index exactly as before. *)
   obs_w : int64 array; (* stem/dominator -> patterns where a flip is observed *)
   obs_stamp : int array;
   sens : int64 array; (* in-FFR line -> patterns sensitized to the stem *)
@@ -68,41 +50,25 @@ let observables c =
   in
   Array.of_list (Array.to_list (Circuit.outputs c) @ dpins)
 
-let resolve_width engine width =
-  match (engine, width) with
-  | (Cone | Cpt), None -> 1
-  | (Cone | Cpt), Some 1 -> 1
-  | (Cone | Cpt), Some _ ->
-    invalid_arg "Fault_simulation: width > 1 requires the Ppsfp engine"
-  | Ppsfp, None -> max_batch_words
-  | Ppsfp, Some w ->
-    if w < 1 || w > max_batch_words then
-      invalid_arg "Fault_simulation: width must be within 1..8"
-    else w
-
-let make ?(engine = Cpt) ?width c =
-  let width = resolve_width engine width in
+let make ?(engine = Cpt) c =
   let n = Circuit.node_count c in
   let comp = Compiled.of_circuit c in
   {
     engine;
     comp;
-    width;
-    bw = 1;
-    valid = Array.make width Int64.minus_one;
-    good = Array.make (n * width) 0L;
+    good = Array.make n 0L;
     observables = observables c;
     cones = Array.make n None;
-    faulty = Array.make (n * width) 0L;
+    faulty = Array.make n 0L;
     faulty_stamp = Array.make n 0;
     stamp = 0;
     cone_mark = Array.make n 0;
     cone_stamp = 0;
     cone_buf = Array.make n 0;
     batch = 0;
-    obs_w = Array.make (n * width) 0L;
+    obs_w = Array.make n 0L;
     obs_stamp = Array.make n 0;
-    sens = Array.make (n * width) 0L;
+    sens = Array.make n 0L;
     sens_stamp = Array.make n 0;
     sched = Array.make n 0;
     buckets = Array.map (fun p -> Array.make p 0) (Compiled.level_population comp);
@@ -110,53 +76,15 @@ let make ?(engine = Cpt) ?width c =
     path_buf = Array.make n 0;
   }
 
-(* A worker-domain replica: shares the immutable compiled form, the
-   packed good words, the valid masks and the observables of [m]; every
-   stamped scratch and per-batch memo is private. Workers only ever
-   read [good]/[valid] — they are written by the batch load on the
-   parent machine before work is published to the pool, whose job
-   handoff orders those writes before any worker read. *)
-let fork_machine m =
-  let n = Compiled.node_count m.comp in
-  {
-    engine = m.engine;
-    comp = m.comp;
-    width = m.width;
-    bw = m.bw;
-    valid = m.valid;
-    good = m.good;
-    observables = m.observables;
-    cones = Array.make n None;
-    faulty = Array.make (n * m.width) 0L;
-    faulty_stamp = Array.make n 0;
-    stamp = 0;
-    cone_mark = Array.make n 0;
-    cone_stamp = 0;
-    cone_buf = Array.make n 0;
-    batch = m.batch;
-    obs_w = Array.make (n * m.width) 0L;
-    obs_stamp = Array.make n 0;
-    sens = Array.make (n * m.width) 0L;
-    sens_stamp = Array.make n 0;
-    sched = Array.make n 0;
-    buckets =
-      Array.map (fun p -> Array.make p 0) (Compiled.level_population m.comp);
-    bucket_len = Array.make (Compiled.max_level m.comp + 1) 0;
-    path_buf = Array.make n 0;
-  }
-
-let with_machine ?engine ?width c f = f (make ?engine ?width c)
+let with_machine ?engine c f = f (make ?engine c)
 let engine m = m.engine
 let circuit m = Compiled.circuit m.comp
-let width m = m.width
 
 (* Pack up to 64 vectors (positional over sources) into the good
-   machine and simulate; returns the valid-pattern mask. Width-1
-   engines only. *)
+   machine and simulate; returns the valid-pattern mask. *)
 let load_good m vectors =
   Telemetry.Counter.inc m_batches;
   m.batch <- m.batch + 1;
-  m.bw <- 1;
   let c = Compiled.circuit m.comp in
   let srcs = Circuit.sources c in
   let count = List.length vectors in
@@ -171,55 +99,8 @@ let load_good m vectors =
       m.good.(id) <- !w)
     srcs;
   Compiled.eval_words m.comp m.good;
-  let mask =
-    if count = word_bits then Int64.minus_one
-    else Int64.sub (Int64.shift_left 1L count) 1L
-  in
-  m.valid.(0) <- mask;
-  mask
-
-(* Pack up to [64 * width] vectors into [bw = ceil(count/64)] words per
-   node (stride [bw], matching [Compiled.eval_words_wide]) and
-   simulate. Only as many words as the batch actually fills are
-   evaluated, so a short final batch costs no more than on a narrower
-   machine. *)
-let load_good_wide m vectors =
-  Telemetry.Counter.inc m_batches;
-  m.batch <- m.batch + 1;
-  let c = Compiled.circuit m.comp in
-  let srcs = Circuit.sources c in
-  let count = List.length vectors in
-  assert (count > 0 && count <= word_bits * m.width);
-  let bw = (count + word_bits - 1) / word_bits in
-  m.bw <- bw;
-  Array.iter
-    (fun id ->
-      for w = 0 to bw - 1 do
-        m.good.((id * bw) + w) <- 0L
-      done)
-    srcs;
-  List.iteri
-    (fun vi vec ->
-      let w = vi lsr 6 and b = vi land 63 in
-      Array.iteri
-        (fun pos id ->
-          if vec.(pos) then
-            m.good.((id * bw) + w) <-
-              Int64.logor m.good.((id * bw) + w) (Int64.shift_left 1L b))
-        srcs)
-    vectors;
-  Compiled.eval_words_wide m.comp ~width:bw m.good;
-  for w = 0 to bw - 1 do
-    let filled = min word_bits (count - (w * word_bits)) in
-    m.valid.(w) <-
-      (if filled = word_bits then Int64.minus_one
-       else Int64.sub (Int64.shift_left 1L filled) 1L)
-  done
-
-let load_batch m vectors =
-  match m.engine with
-  | Cone | Cpt -> ignore (load_good m vectors : int64)
-  | Ppsfp -> load_good_wide m vectors
+  if count = word_bits then Int64.minus_one
+  else Int64.sub (Int64.shift_left 1L count) 1L
 
 (* Structural fanout cone of a node, in topological order. Cones are
    interned per site in a dense array (the former per-site Hashtbl);
@@ -299,57 +180,6 @@ let eval_faulty m stamp id ov_pin ov_word =
     fold_xor_sel m stamp fa lo hi ov_pin ov_word 0L
   else if op = Compiled.op_xnor then
     Int64.lognot (fold_xor_sel m stamp fa lo hi ov_pin ov_word 0L)
-  else invalid_arg "Fault_simulation: source eval"
-
-(* ---- wide (stride-bw) faulty evaluation for the Ppsfp engine ---- *)
-
-let[@inline] selw m stamp bw f w =
-  if m.faulty_stamp.(f) = stamp then m.faulty.((f * bw) + w)
-  else m.good.((f * bw) + w)
-
-let rec fold_and_selw m stamp bw (fa : int array) i hi ov_pin ov_word w acc =
-  if i >= hi then acc
-  else
-    let v = if i = ov_pin then ov_word else selw m stamp bw fa.(i) w in
-    fold_and_selw m stamp bw fa (i + 1) hi ov_pin ov_word w (Int64.logand acc v)
-
-let rec fold_or_selw m stamp bw (fa : int array) i hi ov_pin ov_word w acc =
-  if i >= hi then acc
-  else
-    let v = if i = ov_pin then ov_word else selw m stamp bw fa.(i) w in
-    fold_or_selw m stamp bw fa (i + 1) hi ov_pin ov_word w (Int64.logor acc v)
-
-let rec fold_xor_selw m stamp bw (fa : int array) i hi ov_pin ov_word w acc =
-  if i >= hi then acc
-  else
-    let v = if i = ov_pin then ov_word else selw m stamp bw fa.(i) w in
-    fold_xor_selw m stamp bw fa (i + 1) hi ov_pin ov_word w (Int64.logxor acc v)
-
-(* Word [w] of node [id] under the current batch stride, with the same
-   pin-override convention as {!eval_faulty}. *)
-let eval_faulty_word m stamp bw id ov_pin ov_word w =
-  let fanin_off = Compiled.fanin_off m.comp in
-  let fa = Compiled.fanin m.comp in
-  let lo = fanin_off.(id) and hi = fanin_off.(id + 1) in
-  let op = (Compiled.opcode m.comp).(id) in
-  if op = Compiled.op_and then
-    fold_and_selw m stamp bw fa lo hi ov_pin ov_word w Int64.minus_one
-  else if op = Compiled.op_nand then
-    Int64.lognot
-      (fold_and_selw m stamp bw fa lo hi ov_pin ov_word w Int64.minus_one)
-  else if op = Compiled.op_or then
-    fold_or_selw m stamp bw fa lo hi ov_pin ov_word w 0L
-  else if op = Compiled.op_nor then
-    Int64.lognot (fold_or_selw m stamp bw fa lo hi ov_pin ov_word w 0L)
-  else if op = Compiled.op_not then
-    Int64.lognot
-      (if lo = ov_pin then ov_word else selw m stamp bw fa.(lo) w)
-  else if op = Compiled.op_buf || op = Compiled.op_output then
-    if lo = ov_pin then ov_word else selw m stamp bw fa.(lo) w
-  else if op = Compiled.op_xor then
-    fold_xor_selw m stamp bw fa lo hi ov_pin ov_word w 0L
-  else if op = Compiled.op_xnor then
-    Int64.lognot (fold_xor_selw m stamp bw fa lo hi ov_pin ov_word w 0L)
   else invalid_arg "Fault_simulation: source eval"
 
 (* Full-cone reference: resimulate the fault's entire output cone and
@@ -569,305 +399,15 @@ let fault_detection_word_cpt m mask (f : Fault.t) =
   in
   Int64.logand det mask
 
-(* Wide FFR sensitization: patterns (over all [bw] words) on which a
-   value flip at [site] reaches the stem of its fanout-free region.
-   Same exact single-path composition as {!sensitivity} — inside an
-   FFR every node has exactly one fanout, so flipping [site] flips the
-   stem exactly on the lane-wise AND of the per-gate flip words — but
-   computed over [bw] words at once, memoized per batch in the wide
-   [sens] array. Caller guarantees [site <> stem]. *)
-let sensitivity_w m site stem =
-  if m.sens_stamp.(site) <> m.batch then begin
-    Telemetry.Counter.inc m_ffr_traces;
-    let bw = m.bw in
-    let fanout_off = Compiled.fanout_off m.comp in
-    let fanout = Compiled.fanout m.comp in
-    let buf = m.path_buf in
-    let len = ref 0 in
-    let cur = ref site in
-    while !cur <> stem && m.sens_stamp.(!cur) <> m.batch do
-      buf.(!len) <- !cur;
-      incr len;
-      cur := fanout.(fanout_off.(!cur))
-    done;
-    for i = !len - 1 downto 0 do
-      let nd = buf.(i) in
-      let g = fanout.(fanout_off.(nd)) in
-      m.stamp <- m.stamp + 1;
-      for w = 0 to bw - 1 do
-        m.faulty.((nd * bw) + w) <- Int64.lognot m.good.((nd * bw) + w)
-      done;
-      m.faulty_stamp.(nd) <- m.stamp;
-      for w = 0 to bw - 1 do
-        let local =
-          Int64.logxor
-            (eval_faulty_word m m.stamp bw g (-1) 0L w)
-            m.good.((g * bw) + w)
-        in
-        let up =
-          if g = stem then Int64.minus_one else m.sens.((g * bw) + w)
-        in
-        m.sens.((nd * bw) + w) <- Int64.logand up local
-      done;
-      m.sens_stamp.(nd) <- m.batch
-    done
-  end
-
-(* Word-loop evaluation of one propagation event against the stamped
-   faulty scratch, specialised like [Compiled.eval_words_wide]: the
-   faulty-or-good source test per fanin cannot change mid-node, so it
-   is hoisted out of the word loop, and the dominant 1- and 2-fanin
-   shapes skip the generic per-word fold. Writes the node's [bw]
-   faulty words (the caller stamps it) and returns whether any word
-   differs from the good machine. *)
-let eval_event_words m stamp bw id =
-  let fanin_off = Compiled.fanin_off m.comp in
-  let fa = Compiled.fanin m.comp in
-  let lo = fanin_off.(id) and hi = fanin_off.(id + 1) in
-  let op = (Compiled.opcode m.comp).(id) in
-  let faulty = m.faulty and good = m.good in
-  let dst = id * bw in
-  (if hi - lo = 2 && op >= Compiled.op_and then begin
-     let a = fa.(lo) and b = fa.(lo + 1) in
-     let sa = if m.faulty_stamp.(a) = stamp then faulty else good in
-     let sb = if m.faulty_stamp.(b) = stamp then faulty else good in
-     let ab = a * bw and bb = b * bw in
-     if op = Compiled.op_nand then
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <-
-           Int64.lognot (Int64.logand sa.(ab + w) sb.(bb + w))
-       done
-     else if op = Compiled.op_nor then
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <-
-           Int64.lognot (Int64.logor sa.(ab + w) sb.(bb + w))
-       done
-     else if op = Compiled.op_and then
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <- Int64.logand sa.(ab + w) sb.(bb + w)
-       done
-     else if op = Compiled.op_or then
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <- Int64.logor sa.(ab + w) sb.(bb + w)
-       done
-     else if op = Compiled.op_xor then
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <- Int64.logxor sa.(ab + w) sb.(bb + w)
-       done
-     else
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <-
-           Int64.lognot (Int64.logxor sa.(ab + w) sb.(bb + w))
-       done
-   end
-   else if hi - lo = 1 && op <> Compiled.op_dff then begin
-     let a = fa.(lo) in
-     let sa = if m.faulty_stamp.(a) = stamp then faulty else good in
-     let ab = a * bw in
-     if op = Compiled.op_not then
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <- Int64.lognot sa.(ab + w)
-       done
-     else if op = Compiled.op_buf || op = Compiled.op_output then
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <- sa.(ab + w)
-       done
-     else
-       for w = 0 to bw - 1 do
-         faulty.(dst + w) <- eval_faulty_word m stamp bw id (-1) 0L w
-       done
-   end
-   else
-     for w = 0 to bw - 1 do
-       faulty.(dst + w) <- eval_faulty_word m stamp bw id (-1) 0L w
-     done);
-  let d_any = ref false in
-  for w = 0 to bw - 1 do
-    if faulty.(dst + w) <> good.(dst + w) then d_any := true
-  done;
-  !d_any
-
-(* Wide stem observability: patterns (over all [bw] words) on which a
-   value flip at [start] is observed. The same event-driven level
-   propagation, zero-difference early exit, reachability pruning and
-   frontier-collapse dominator recursion as {!obs_of}, over [bw] words
-   at once; memoized per batch in the wide [obs_w] array, so every
-   fault behind [start] — and, through the dominator recursion, every
-   stem behind a shared reconvergence point — pays for the propagation
-   once. *)
-let rec obs_words m start =
-  if m.obs_stamp.(start) <> m.batch then begin
-    let bw = m.bw in
-    let levels = Compiled.levels m.comp in
-    let fanout_off = Compiled.fanout_off m.comp in
-    let fanout = Compiled.fanout m.comp in
-    let opcode = Compiled.opcode m.comp in
-    let observable = Compiled.observable m.comp in
-    let reaches = Compiled.reaches_observable m.comp in
-    let max_level = Compiled.max_level m.comp in
-    m.stamp <- m.stamp + 1;
-    let stamp = m.stamp in
-    for l = 0 to max_level do
-      m.bucket_len.(l) <- 0
-    done;
-    for w = 0 to bw - 1 do
-      m.faulty.((start * bw) + w) <- Int64.lognot m.good.((start * bw) + w);
-      m.obs_w.((start * bw) + w) <-
-        (if observable.(start) then Int64.minus_one else 0L)
-    done;
-    m.faulty_stamp.(start) <- stamp;
-    let pending = ref 0 in
-    let schedule id =
-      if m.sched.(id) <> stamp then begin
-        m.sched.(id) <- stamp;
-        let l = levels.(id) in
-        m.buckets.(l).(m.bucket_len.(l)) <- id;
-        m.bucket_len.(l) <- m.bucket_len.(l) + 1;
-        incr pending
-      end
-    in
-    for i = fanout_off.(start) to fanout_off.(start + 1) - 1 do
-      let succ = fanout.(i) in
-      if opcode.(succ) <> Compiled.op_dff && reaches.(succ) then schedule succ
-    done;
-    (try
-       for l = levels.(start) + 1 to max_level do
-         let bucket = m.buckets.(l) in
-         for k = 0 to m.bucket_len.(l) - 1 do
-           let id = bucket.(k) in
-           decr pending;
-           Telemetry.Counter.inc m_ppsfp_events;
-           let d_any = eval_event_words m stamp bw id in
-           m.faulty_stamp.(id) <- stamp;
-           if not d_any then begin
-             if !pending = 0 then begin
-               Telemetry.Counter.inc m_early_exits;
-               raise_notrace Resolved
-             end
-           end
-           else begin
-             if observable.(id) then
-               for w = 0 to bw - 1 do
-                 m.obs_w.((start * bw) + w) <-
-                   Int64.logor
-                     m.obs_w.((start * bw) + w)
-                     (Int64.logxor
-                        m.faulty.((id * bw) + w)
-                        m.good.((id * bw) + w))
-               done;
-             let lo = fanout_off.(id) and hi = fanout_off.(id + 1) in
-             if !pending = 0 then begin
-               let has_succ = ref false in
-               for i = lo to hi - 1 do
-                 let succ = fanout.(i) in
-                 if opcode.(succ) <> Compiled.op_dff && reaches.(succ) then
-                   has_succ := true
-               done;
-               if !has_succ then begin
-                 (* frontier collapsed onto [id]: each lane's difference
-                    is exactly its bit of [d], so [id]'s own memoized
-                    observability finishes the propagation *)
-                 if m.obs_stamp.(id) = m.batch then
-                   Telemetry.Counter.inc m_dominator_hits;
-                 let d =
-                   Array.init bw (fun w ->
-                       Int64.logxor
-                         m.faulty.((id * bw) + w)
-                         m.good.((id * bw) + w))
-                 in
-                 obs_words m id;
-                 for w = 0 to bw - 1 do
-                   m.obs_w.((start * bw) + w) <-
-                     Int64.logor
-                       m.obs_w.((start * bw) + w)
-                       (Int64.logand d.(w) m.obs_w.((id * bw) + w))
-                 done;
-                 raise_notrace Resolved
-               end
-             end
-             else
-               for i = lo to hi - 1 do
-                 let succ = fanout.(i) in
-                 if opcode.(succ) <> Compiled.op_dff && reaches.(succ) then
-                   schedule succ
-               done
-           end
-         done
-       done
-     with Resolved -> ());
-    m.obs_stamp.(start) <- m.batch
-  end
-
-(* PPSFP detection: the Cpt factorization — activation at the site,
-   times single-path sensitization to the FFR stem, times the stem's
-   observability — evaluated over all [bw] words of the batch at once.
-   Each factor is exact per lane (an FFR has a unique site-to-stem
-   path; the stem flip's Boolean difference is fault-independent), so
-   the product is bit-identical to the Cone reference, while the
-   expensive event-driven propagation runs once per *stem* per batch
-   instead of once per fault. Writes the [bw] detection words (bit [v]
-   of word [w] = pattern [w*64+v] detects) at [det.(off ..)]. *)
-let fault_detection_words_ppsfp m (f : Fault.t) (det : int64 array) off =
-  let bw = m.bw in
-  for w = 0 to bw - 1 do
-    det.(off + w) <- 0L
-  done;
-  let reaches = Compiled.reaches_observable m.comp in
-  let site = Fault.site_node f in
-  if reaches.(site) then begin
-    let stuck_word = if f.Fault.stuck then Int64.minus_one else 0L in
-    (* activation: patterns where the site's value differs from good *)
-    let any = ref false in
-    (match f.Fault.site with
-    | Fault.Output_line id ->
-      for w = 0 to bw - 1 do
-        let d = Int64.logxor stuck_word m.good.((id * bw) + w) in
-        det.(off + w) <- d;
-        if d <> 0L then any := true
-      done
-    | Fault.Input_pin (gid, pin) ->
-      let ov = (Compiled.fanin_off m.comp).(gid) + pin in
-      m.stamp <- m.stamp + 1;
-      for w = 0 to bw - 1 do
-        let v = eval_faulty_word m m.stamp bw gid ov stuck_word w in
-        let d = Int64.logxor v m.good.((gid * bw) + w) in
-        det.(off + w) <- d;
-        if d <> 0L then any := true
-      done);
-    if !any then begin
-      let stem = (Compiled.ffr_stem m.comp).(site) in
-      if site <> stem then begin
-        sensitivity_w m site stem;
-        any := false;
-        for w = 0 to bw - 1 do
-          let d = Int64.logand det.(off + w) m.sens.((site * bw) + w) in
-          det.(off + w) <- d;
-          if d <> 0L then any := true
-        done
-      end;
-      if !any then begin
-        obs_words m stem;
-        for w = 0 to bw - 1 do
-          det.(off + w) <-
-            Int64.logand det.(off + w) m.obs_w.((stem * bw) + w)
-        done
-      end
-    end;
-    for w = 0 to bw - 1 do
-      det.(off + w) <- Int64.logand det.(off + w) m.valid.(w)
-    done
-  end
-
-(* Detection words of [f] against the currently loaded batch, written
-   at [det.(off .. off + bw - 1)]. *)
-let fault_detection_into m (f : Fault.t) det off =
-  Telemetry.Counter.add m_words m.bw;
+(* Detection word of [f] against the currently loaded batch: bit [v]
+   is set iff valid pattern [v] of [mask] detects the fault. *)
+let fault_detection_word m mask (f : Fault.t) =
+  Telemetry.Counter.inc m_words;
   match m.engine with
-  | Cone -> det.(off) <- fault_detection_word_cone m m.valid.(0) f
-  | Cpt -> det.(off) <- fault_detection_word_cpt m m.valid.(0) f
-  | Ppsfp -> fault_detection_words_ppsfp m f det off
+  | Cone -> fault_detection_word_cone m mask f
+  | Cpt -> fault_detection_word_cpt m mask f
 
-let rec batches n = function
+let rec batches = function
   | [] -> []
   | vectors ->
     let rec take k acc = function
@@ -875,8 +415,8 @@ let rec batches n = function
       | [] -> (List.rev acc, [])
       | v :: rest -> take (k - 1) (v :: acc) rest
     in
-    let batch, rest = take n [] vectors in
-    batch :: batches n rest
+    let batch, rest = take word_bits [] vectors in
+    batch :: batches rest
 
 (* Callers that already hold a machine pass it through; the circuit
    must be the very value the machine was compiled from (the compiled
@@ -891,127 +431,44 @@ let resolve_machine ?machine c =
     m
 
 let h_pattern = Telemetry.Histogram.make "atpg.fault_sim.pattern_s"
-let h_par_batch = Telemetry.Histogram.make "atpg.fault_sim.par_batch_s"
 
-(* ---- domain-sharded detection ---- *)
+(* Indices of the faults not yet detected: the batch-scoped
+   dropped-fault set shrinks this batch over batch. *)
+let live_indices det_flags =
+  let l = ref [] in
+  for i = Array.length det_flags - 1 downto 0 do
+    if not det_flags.(i) then l := i :: !l
+  done;
+  Array.of_list !l
 
-(* Fault indices grouped by the FFR stem of their site (ties broken by
-   original position). Faults behind one stem share the per-batch
-   sensitization climb and the stem's observability word (Cpt) or
-   overlapping propagation cones (Ppsfp), so keeping a stem's faults
-   in consecutive chunks makes that locality land inside one domain
-   instead of being recomputed by several. *)
-let stem_order m fault_arr =
-  let ffr_stem = Compiled.ffr_stem m.comp in
-  let nf = Array.length fault_arr in
-  let order = Array.init nf (fun i -> i) in
-  let stem_of i = ffr_stem.(Fault.site_node fault_arr.(i)) in
-  Array.sort
-    (fun a b ->
-      let c = compare (stem_of a) (stem_of b) in
-      if c <> 0 then c else compare a b)
-    order;
-  order
-
-(* Detection words for every fault of [fault_arr] against the batch
-   currently loaded in [m], fanned out over [pool]. Participant 0 (the
-   caller) evaluates on [m] itself; participant [p] on [workers.(p-1)],
-   a {!fork_machine} replica whose scratch is domain-private. Each
-   fault's [bw] words land in [det] at [bw] times the fault's original
-   index, so the caller's in-order merge is bit-identical to the
-   sequential walk no matter how chunks were scheduled or stolen. *)
-let detection_words_sharded pool m ~workers ~order fault_arr det =
-  let bw = m.bw in
-  Array.iter
-    (fun wm ->
-      wm.batch <- m.batch;
-      wm.bw <- bw)
-    workers;
-  Par.Domain_pool.parallel_for_p pool ~n:(Array.length fault_arr)
-    (fun ~participant i ->
-      let mm = if participant = 0 then m else workers.(participant - 1) in
-      let fi = order.(i) in
-      fault_detection_into mm fault_arr.(fi) det (fi * bw))
-
-(* Below this node count a sharded batch loses more to fork-machine
-   setup and chunk handoff than the per-fault work is worth (BENCH
-   showed d2/d4 speedups < 1 on s344/s1196); the decision is recorded
-   in the [atpg.fault_sim.par_bypass] counter. [~par_threshold:0]
-   forces sharding (tests, calibration). *)
-let default_par_threshold = 1024
-
-let make_workers ?pool ?(par_threshold = default_par_threshold) m =
-  match pool with
-  | Some p when Par.Domain_pool.size p > 1 ->
-    if Compiled.node_count m.comp >= par_threshold then
-      Array.init (Par.Domain_pool.size p - 1) (fun _ -> fork_machine m)
-    else begin
-      Telemetry.Counter.inc m_par_bypass;
-      [||]
-    end
-  | _ -> [||]
-
-(* Indices of the faults still worth simulating. With [drop] this
-   shrinks batch over batch (the batch-scoped dropped-fault set);
-   without it every batch sees the full list. *)
-let live_indices ~drop det_flags nf =
-  if not drop then Array.init nf (fun i -> i)
-  else begin
-    let l = ref [] in
-    for i = nf - 1 downto 0 do
-      if not det_flags.(i) then l := i :: !l
-    done;
-    Array.of_list !l
-  end
-
-let split ?machine ?pool ?par_threshold ?(drop = true) c ~faults ~vectors =
+let split ?machine c ~faults ~vectors =
   if vectors = [] then ([], faults)
   else begin
     let m = resolve_machine ?machine c in
-    let workers = make_workers ?pool ?par_threshold m in
     let fault_all = Array.of_list faults in
     let nf_all = Array.length fault_all in
     let det_flags = Array.make nf_all false in
     List.iter
       (fun batch ->
-        let live = live_indices ~drop det_flags nf_all in
-        if drop then
-          Telemetry.Counter.add m_dropped (nf_all - Array.length live);
-        let nl = Array.length live in
-        if nl > 0 then begin
+        let live = live_indices det_flags in
+        Telemetry.Counter.add m_dropped (nf_all - Array.length live);
+        if Array.length live > 0 then begin
           let t0 = if Telemetry.enabled () then Telemetry.now () else 0.0 in
-          load_batch m batch;
-          let bw = m.bw in
-          let fault_arr = Array.map (fun i -> fault_all.(i)) live in
-          let det_w = Array.make (nl * bw) 0L in
-          (match pool with
-          | Some p when Array.length workers > 0 ->
-            let order = stem_order m fault_arr in
-            detection_words_sharded p m ~workers ~order fault_arr det_w
-          | _ ->
-            Array.iteri
-              (fun k f -> fault_detection_into m f det_w (k * bw))
-              fault_arr);
-          Array.iteri
-            (fun k i ->
-              let any = ref false in
-              for w = 0 to bw - 1 do
-                if det_w.((k * bw) + w) <> 0L then any := true
-              done;
-              if !any then det_flags.(i) <- true)
+          let mask = load_good m batch in
+          Array.iter
+            (fun i ->
+              if fault_detection_word m mask fault_all.(i) <> 0L then
+                det_flags.(i) <- true)
             live;
-          (* a batch is up to 64*W patterns simulated in one pass;
-             report the amortised per-pattern cost, which is the unit
-             the paper's tables are normalised to *)
-          if Telemetry.enabled () then begin
-            let dt = Telemetry.now () -. t0 in
+          (* a batch is up to 64 patterns simulated in one pass; report
+             the amortised per-pattern cost, which is the unit the
+             paper's tables are normalised to *)
+          if Telemetry.enabled () then
             Telemetry.Histogram.observe h_pattern
-              (dt /. float_of_int (max 1 (List.length batch)));
-            if Array.length workers > 0 then
-              Telemetry.Histogram.observe h_par_batch dt
-          end
+              ((Telemetry.now () -. t0)
+              /. float_of_int (max 1 (List.length batch)))
         end)
-      (batches (word_bits * m.width) vectors);
+      (batches vectors);
     let det = ref [] and undet = ref [] in
     for i = nf_all - 1 downto 0 do
       if det_flags.(i) then det := fault_all.(i) :: !det
@@ -1020,19 +477,17 @@ let split ?machine ?pool ?par_threshold ?(drop = true) c ~faults ~vectors =
     (!det, !undet)
   end
 
-let coverage ?machine ?pool ?par_threshold ?drop c ~faults ~vectors =
+let coverage ?machine c ~faults ~vectors =
   match faults with
   | [] -> 1.0
   | _ ->
-    let detected, _ =
-      split ?machine ?pool ?par_threshold ?drop c ~faults ~vectors
-    in
+    let detected, _ = split ?machine c ~faults ~vectors in
     float_of_int (List.length detected) /. float_of_int (List.length faults)
 
-let effective_subset ?machine ?pool ?par_threshold c ~faults ~vectors =
+let effective_subset ?machine c ~faults ~vectors =
   (* Reverse-order static compaction. The serial walk (simulate one
      vector, drop detected faults, repeat) is quadratic; instead the
-     batches are walked from last to first with 64*W-way pattern
+     batches are walked from last to first with 64-way pattern
      parallelism and the greedy selection runs on bitmaps: keep a
      vector iff it detects a fault no later-kept vector detects.
      Walking batches in reverse lets covered faults drop out of every
@@ -1044,91 +499,34 @@ let effective_subset ?machine ?pool ?par_threshold c ~faults ~vectors =
   if n_vec = 0 then []
   else begin
     let m = resolve_machine ?machine c in
-    let workers = make_workers ?pool ?par_threshold m in
     let fault_all = Array.of_list faults in
     let nf_all = Array.length fault_all in
     let covered = Array.make nf_all false in
-    let bsize = word_bits * m.width in
-    let n_batches = (n_vec + bsize - 1) / bsize in
+    let n_batches = (n_vec + word_bits - 1) / word_bits in
     let keep = ref [] in
     for b = n_batches - 1 downto 0 do
-      let lo = b * bsize in
-      let cnt = min bsize (n_vec - lo) in
-      let live = live_indices ~drop:true covered nf_all in
+      let lo = b * word_bits in
+      let cnt = min word_bits (n_vec - lo) in
+      let live = live_indices covered in
       Telemetry.Counter.add m_dropped (nf_all - Array.length live);
-      let nl = Array.length live in
-      if nl > 0 then begin
-        load_batch m (Array.to_list (Array.sub vec_arr lo cnt));
-        let bw = m.bw in
-        let fault_arr = Array.map (fun i -> fault_all.(i)) live in
-        let det_w = Array.make (nl * bw) 0L in
-        (match pool with
-        | Some p when Array.length workers > 0 ->
-          let order = stem_order m fault_arr in
-          detection_words_sharded p m ~workers ~order fault_arr det_w
-        | _ ->
-          Array.iteri
-            (fun k f -> fault_detection_into m f det_w (k * bw))
-            fault_arr);
+      if Array.length live > 0 then begin
+        let mask = load_good m (Array.to_list (Array.sub vec_arr lo cnt)) in
+        let det_w =
+          Array.map (fun i -> fault_detection_word m mask fault_all.(i)) live
+        in
         for v = cnt - 1 downto 0 do
-          let w = v lsr 6 and bit = v land 63 in
-          let test = Int64.shift_left 1L bit in
+          let test = Int64.shift_left 1L v in
           let newly = ref false in
-          for k = 0 to nl - 1 do
-            let i = live.(k) in
-            if
-              (not covered.(i))
-              && Int64.logand det_w.((k * bw) + w) test <> 0L
-            then begin
-              covered.(i) <- true;
-              newly := true
-            end
-          done;
+          Array.iteri
+            (fun k i ->
+              if (not covered.(i)) && Int64.logand det_w.(k) test <> 0L then begin
+                covered.(i) <- true;
+                newly := true
+              end)
+            live;
           if !newly then keep := vec_arr.(lo + v) :: !keep
         done
       end
     done;
     !keep
-  end
-
-let detection_matrix ?machine ?pool ?par_threshold c ~faults ~vectors =
-  let vec_arr = Array.of_list vectors in
-  let n_vec = Array.length vec_arr in
-  let fault_arr = Array.of_list faults in
-  let nf = Array.length fault_arr in
-  let n_words = (n_vec + word_bits - 1) / word_bits in
-  let out = Array.make_matrix nf (max n_words 1) 0L in
-  if n_vec = 0 || nf = 0 then out
-  else begin
-    let m = resolve_machine ?machine c in
-    let workers = make_workers ?pool ?par_threshold m in
-    let order =
-      match pool with
-      | Some _ when Array.length workers > 0 -> stem_order m fault_arr
-      | _ -> [||]
-    in
-    let bsize = word_bits * m.width in
-    let n_batches = (n_vec + bsize - 1) / bsize in
-    for b = 0 to n_batches - 1 do
-      let lo = b * bsize in
-      let cnt = min bsize (n_vec - lo) in
-      load_batch m (Array.to_list (Array.sub vec_arr lo cnt));
-      let bw = m.bw in
-      let det_w = Array.make (nf * bw) 0L in
-      (match pool with
-      | Some p when Array.length workers > 0 ->
-        detection_words_sharded p m ~workers ~order fault_arr det_w
-      | _ ->
-        Array.iteri
-          (fun k f -> fault_detection_into m f det_w (k * bw))
-          fault_arr);
-      (* batch sizes are multiples of 64, so [lo] is word-aligned *)
-      let w0 = lo lsr 6 in
-      for k = 0 to nf - 1 do
-        for w = 0 to bw - 1 do
-          out.(k).(w0 + w) <- det_w.((k * bw) + w)
-        done
-      done
-    done;
-    out
   end

@@ -1,8 +1,8 @@
 (** Pattern-parallel stuck-at fault simulation.
 
-    Patterns are packed into 64-bit words and compared against the
-    good machine at the observable lines (primary outputs and
-    flip-flop D pins). Three engines share the machine:
+    Patterns are packed 64 to a word and compared against the good
+    machine at the observable lines (primary outputs and flip-flop D
+    pins). Two engines share the machine:
 
     - {!Cpt} (default): critical path tracing inside each fanout-free
       region composes activation and sensitization up to the FFR stem
@@ -13,24 +13,19 @@
       for the batch. Exact: bit-identical to the reference.
     - {!Cone}: the full-cone-per-fault reference — re-simulate the
       fault's entire structural output cone and XOR at observables.
-    - {!Ppsfp}: W-word parallel-pattern single-fault propagation —
-      batches of up to [64*W] (W ≤ 8, default 8) patterns share one
-      good-machine evaluation, and each fault's W-word difference is
-      propagated event-driven through its reachable cone with
-      word-wide XOR early exit. Exact, and the engine the fault-drop
-      entry points amortise best on.
+      It is the test oracle for {!Cpt}.
 
-    All entry points accept an optional persistent {!machine} so a
-    caller running many rounds over one circuit (ATPG phases, sweeps)
-    pays for compilation, cone interning, and FFR/dominator tables
-    once. *)
+    Faults detected by one 64-pattern batch are dropped from every
+    later batch. All entry points accept an optional persistent
+    {!machine} so a caller running many rounds over one circuit (ATPG
+    phases, sweeps) pays for compilation, cone interning, and
+    FFR/dominator tables once. *)
 
 open Netlist
 
 type engine =
   | Cone  (** full-cone resimulation per fault: the golden reference *)
   | Cpt  (** FFR critical-path tracing + event-driven stem propagation *)
-  | Ppsfp  (** W-word parallel-pattern single-fault propagation *)
 
 type machine
 (** Persistent per-circuit simulation state: the compiled CSR form,
@@ -38,42 +33,18 @@ type machine
     the engines evaluate against. Reusable across any number of
     vector batches; not thread-safe. *)
 
-val make : ?engine:engine -> ?width:int -> Circuit.t -> machine
+val make : ?engine:engine -> Circuit.t -> machine
 (** Compile [c] and allocate all scratch. [engine] defaults to
-    {!Cpt}. [width] is the number of 64-pattern words per batch:
-    it must be 1 (the default) for {!Cone}/{!Cpt} and may be 1..8 for
-    {!Ppsfp} (default 8, i.e. 512 patterns per pass).
-    @raise Invalid_argument on an engine/width mismatch. *)
+    {!Cpt}. *)
 
-val with_machine :
-  ?engine:engine -> ?width:int -> Circuit.t -> (machine -> 'a) -> 'a
+val with_machine : ?engine:engine -> Circuit.t -> (machine -> 'a) -> 'a
 (** [with_machine c f] applies [f] to a fresh machine for [c]. *)
-
-val fork_machine : machine -> machine
-(** A worker-domain replica: shares the parent's immutable compiled
-    form and its packed good words (read-only in the replica), with
-    private stamped scratch and per-batch memos. The parallel entry
-    points fork one replica per pool participant; exposed for tests
-    and custom drivers. The replica must only be used between the
-    parent's batch loads as the sharded drivers do — it never loads
-    batches itself. *)
 
 val engine : machine -> engine
 val circuit : machine -> Circuit.t
 
-val width : machine -> int
-(** Words per batch: 1 for {!Cone}/{!Cpt} machines. *)
-
-val default_par_threshold : int
-(** Minimum compiled node count before [~pool] sharding engages (the
-    min-work cutoff below which fork-machine setup and chunk handoff
-    outweigh the per-fault work). *)
-
 val split :
   ?machine:machine ->
-  ?pool:Par.Domain_pool.t ->
-  ?par_threshold:int ->
-  ?drop:bool ->
   Circuit.t ->
   faults:Fault.t list ->
   vectors:bool array list ->
@@ -83,29 +54,13 @@ val split :
     [Circuit.sources]); both halves preserve original fault order.
     When [machine] is given it must have been made from this very
     [Circuit.t] value (physical equality — the compiled form is a
-    snapshot); otherwise a fresh machine is built.
-
-    [drop] (default [true]) enables batch-scoped fault dropping:
-    faults detected by an earlier batch are not re-simulated by later
-    ones (the partition is identical either way; dropped counts land
-    in the [atpg.fault_sim.dropped_faults] counter).
-
-    With [pool], each batch's per-fault detection words are sharded
-    over the pool's domains grouped by FFR stem (each domain owns a
-    disjoint contiguous run of stems and evaluates on its own forked
-    machine), then merged in original fault order — the partition is
-    bit-identical to the sequential walk for any domain count. Pools
-    are bypassed (and [atpg.fault_sim.par_bypass] incremented) below
-    [par_threshold] compiled nodes, default
-    {!default_par_threshold}; pass [~par_threshold:0] to force
-    sharding.
+    snapshot); otherwise a fresh machine is built. Faults detected by
+    an earlier batch are not re-simulated by later ones (dropped
+    counts land in the [atpg.fault_sim.dropped_faults] counter).
     @raise Invalid_argument on a machine/circuit mismatch. *)
 
 val coverage :
   ?machine:machine ->
-  ?pool:Par.Domain_pool.t ->
-  ?par_threshold:int ->
-  ?drop:bool ->
   Circuit.t ->
   faults:Fault.t list ->
   vectors:bool array list ->
@@ -114,8 +69,6 @@ val coverage :
 
 val effective_subset :
   ?machine:machine ->
-  ?pool:Par.Domain_pool.t ->
-  ?par_threshold:int ->
   Circuit.t ->
   faults:Fault.t list ->
   vectors:bool array list ->
@@ -125,17 +78,3 @@ val effective_subset :
     that detect at least one fault no later-kept vector detects; the
     result (in original order) detects the same fault set as the full
     list. *)
-
-val detection_matrix :
-  ?machine:machine ->
-  ?pool:Par.Domain_pool.t ->
-  ?par_threshold:int ->
-  Circuit.t ->
-  faults:Fault.t list ->
-  vectors:bool array list ->
-  int64 array array
-(** The full detection matrix, [nf] rows of [ceil(n_vectors/64)]
-    words: bit [v mod 64] of word [v/64] in row [k] is set iff vector
-    [v] detects fault [k]. Computed without fault dropping, and
-    independent of engine, machine width and domain count — the
-    golden-equality vehicle for the engine cross-checks. *)

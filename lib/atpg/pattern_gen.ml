@@ -9,7 +9,6 @@ type config = {
   scoap_guide : bool;
   merge : bool;
   reverse_compact : bool;
-  fault_engine : Fault_simulation.engine;
 }
 
 let default_config =
@@ -22,7 +21,6 @@ let default_config =
     scoap_guide = true;
     merge = true;
     reverse_compact = true;
-    fault_engine = Fault_simulation.Cpt;
   }
 
 let m_vectors = Telemetry.Counter.make "atpg.pattern_gen.vectors"
@@ -60,7 +58,7 @@ let generate ?(config = default_config) c =
   let n_sources = Array.length (Circuit.sources c) in
   (* one machine for all three phases: compiled arrays, cones, and
      FFR/dominator tables are built once per circuit *)
-  let machine = Fault_simulation.make ~engine:config.fault_engine c in
+  let machine = Fault_simulation.make c in
   (* reverse accumulation: appending each batch with [@] walks the
      whole prefix again (quadratic over the run); prepend reversed and
      un-reverse once at the end, preserving the exact order *)

@@ -22,10 +22,6 @@ type config = {
       (** drive PODEM backtrace with SCOAP controllabilities *)
   merge : bool;  (** merge deterministic cubes before filling *)
   reverse_compact : bool;
-  fault_engine : Fault_simulation.engine;
-      (** fault-simulation engine for all three phases (default
-          {!Fault_simulation.Cpt}); both engines are bit-identical, so
-          this only trades speed *)
 }
 
 val default_config : config

@@ -1,17 +1,12 @@
 module Json = Telemetry.Json
 module Errors = Scanpower_errors
 
-(* /2 added the W-word and domain-sharded kernel metrics as new fields
-   beside the /1 ones, and /3 the PPSFP fault-sim and scale-tier
-   fields beside those, so an older baseline pairs metric-for-metric
-   with a newer file: both load, and a bump never manufactures a
-   regression. *)
+(* /4 dropped the PPSFP and domain-sharded fault-sim metrics and the
+   [domains] field that /3 carried, and added nothing, so a /3
+   baseline pairs metric-for-metric with a /4 file. A /3 baseline that
+   still carries the dropped metrics reports them missing: refresh it. *)
 let accepted_schemas =
-  [
-    "scanpower.bench_kernels/1";
-    "scanpower.bench_kernels/2";
-    "scanpower.bench_kernels/3";
-  ]
+  [ "scanpower.bench_kernels/3"; "scanpower.bench_kernels/4" ]
 
 type value = I of int | F of float
 
@@ -88,9 +83,9 @@ type kind = Count | Time | Rate | Config
    wall-clock time, and everything else is an exact count (a structural
    property of the circuit or the algorithm, where any drift means the
    two runs did not compute the same thing). [packed_width] and
-   [domains] are run {e configuration} — how wide the W-word batch and
-   the sharding fan-out were — so a change between files is deliberate,
-   reported but never a regression.
+   [packed_auto_width] are run {e configuration} — how wide the W-word
+   batch was — so a change between files is deliberate, reported but
+   never a regression.
 
    Gate-bearing rates are additionally pinned by name: the serve
    stage's warm-up amortisation contract ([serve_warm_speedup]) rides
@@ -101,8 +96,7 @@ type kind = Count | Time | Rate | Config
 let rate_metrics = [ "serve_warm_speedup" ]
 
 let kind_of_metric name =
-  if name = "packed_width" || name = "domains" || name = "packed_auto_width"
-  then Config
+  if name = "packed_width" || name = "packed_auto_width" then Config
   else if List.mem name rate_metrics then Rate
   else if
     String.ends_with ~suffix:"_speedup" name

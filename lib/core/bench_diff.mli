@@ -10,15 +10,15 @@
       [new > old * (1 + time_threshold)];
     - {e rates} ([_speedup] / [_events_s] suffixes, higher is better)
       regress when [new < old * (1 - rate_threshold)];
-    - {e config} ([packed_width], [domains]) records how the run was
-      set up and never regresses — a change is visible in the table
-      but deliberate by definition.
+    - {e config} ([packed_width], [packed_auto_width]) records how the
+      run was set up and never regresses — a change is visible in the
+      table but deliberate by definition.
 
-    Accepts the [scanpower.bench_kernels/1], [/2] and [/3] schemas and
-    pairs their shared metrics, so an older baseline gates a newer run
-    — the /2 additions (W-word and domain-sharded timings) and /3
-    additions (PPSFP fault-sim and scale-tier fields) simply pass as
-    new metrics.
+    Accepts the [scanpower.bench_kernels/3] and [/4] schemas and pairs
+    their shared metrics, so a /3 baseline gates a /4 run. /4 only
+    dropped metrics (the PPSFP and domain-sharded fault-sim fields and
+    [domains]); a /3 baseline that still carries them reports them
+    missing.
 
     Both thresholds default to [0.5] (±50%), loose enough to absorb
     run-to-run noise on one machine while still catching a 2x
@@ -44,7 +44,7 @@ type kind = Count | Time | Rate | Config
 val kind_of_metric : string -> kind
 (** Suffix convention: [_speedup]/[_events_s] → [Rate], other [_s] →
     [Time], the literal names
-    [packed_width]/[domains]/[packed_auto_width] → [Config] (deliberate
+    [packed_width]/[packed_auto_width] → [Config] (deliberate
     run configuration, never a regression), everything else → [Count].
     Gate-bearing rates are additionally pinned by literal name
     ([serve_warm_speedup]) so the serve stage's amortisation contract

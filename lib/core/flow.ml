@@ -93,13 +93,14 @@ let stat_evictions = ref 0
 let prepare_tick = ref 0
 let prepare_capacity = ref 0
 
-(* The memo is process-global and the Domains runner strategy calls
-   [prepare_cached] from worker domains, so every table access takes
-   this lock (a concurrent Hashtbl resize during a read is memory-safe
-   in OCaml 5 but not value-safe). The expensive [prepare] itself runs
-   outside the lock: two domains racing on the same cold key both
-   compute, and the second insert wins — wasted work, never a wrong
-   result, and no domain ever blocks behind another circuit's ATPG. *)
+(* The memo is process-global state in a library: the program that
+   embeds it may call [prepare_cached] from more than one domain or
+   thread, so every table access takes this lock (a concurrent Hashtbl
+   resize during a read is memory-safe in OCaml 5 but not value-safe).
+   The expensive [prepare] itself runs outside the lock: two callers
+   racing on the same cold key both compute, and the second insert
+   wins — wasted work, never a wrong result, and no caller ever blocks
+   behind another circuit's ATPG. *)
 let prepare_mutex = Mutex.create ()
 
 let with_memo_lock f =
@@ -167,15 +168,11 @@ let prepare_key ?atpg_config c =
     | None -> Atpg.Pattern_gen.default_config
   in
   let cfg_text =
-    Printf.sprintf "%d/%d/%d/%d/%d/%b/%b/%b/%s" cfg.Atpg.Pattern_gen.seed
+    Printf.sprintf "%d/%d/%d/%d/%d/%b/%b/%b" cfg.Atpg.Pattern_gen.seed
       cfg.Atpg.Pattern_gen.random_batches cfg.Atpg.Pattern_gen.stale_batches
       cfg.Atpg.Pattern_gen.backtrack_limit cfg.Atpg.Pattern_gen.podem_budget
       cfg.Atpg.Pattern_gen.scoap_guide cfg.Atpg.Pattern_gen.merge
       cfg.Atpg.Pattern_gen.reverse_compact
-      (match cfg.Atpg.Pattern_gen.fault_engine with
-      | Atpg.Fault_simulation.Cone -> "cone"
-      | Atpg.Fault_simulation.Cpt -> "cpt"
-      | Atpg.Fault_simulation.Ppsfp -> "ppsfp")
   in
   Digest.to_hex
     (Digest.string (Bench_writer.to_string c ^ "\x00" ^ cfg_text))

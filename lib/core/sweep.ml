@@ -248,17 +248,10 @@ let progress_events ~jobs ~total inner =
       emit name job extra);
     inner ev
 
-let run ?(jobs = 1) ?(parallel = Runner.Auto) ?(timeout_s = 0.0)
-    ?(retries = 1) ?(backoff_s = 0.0) ?(deadline_s = 0.0)
-    ?(poison_threshold = 3) ?(handle_signals = false) ?cache ?journal_path
-    ?(resume = false) ?(capture_telemetry = true)
+let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
+    ?(deadline_s = 0.0) ?(poison_threshold = 3) ?(handle_signals = false)
+    ?cache ?journal_path ?(resume = false) ?(capture_telemetry = true)
     ?(on_event = fun (_ : Runner.event) -> ()) points =
-  (* Telemetry capture resets process-global state per worker — only a
-     forked child can do that safely, so an explicit domains request
-     turns capture off rather than silently forking. *)
-  let capture_telemetry =
-    capture_telemetry && parallel <> Runner.Domains
-  in
   let on_event = progress_events ~jobs ~total:(List.length points) on_event in
   let journal =
     match journal_path with
@@ -274,7 +267,7 @@ let run ?(jobs = 1) ?(parallel = Runner.Auto) ?(timeout_s = 0.0)
   let config =
     {
       Runner.default_config with
-      jobs; strategy = parallel; timeout_s; retries; backoff_s; deadline_s;
+      jobs; timeout_s; retries; backoff_s; deadline_s;
       poison_threshold; handle_signals; cache; journal; capture_telemetry;
       on_event;
     }

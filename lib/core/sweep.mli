@@ -57,7 +57,6 @@ val journal_meta : point list -> Telemetry.Json.t
 
 val run :
   ?jobs:int ->
-  ?parallel:Runner.strategy ->
   ?timeout_s:float ->
   ?retries:int ->
   ?backoff_s:float ->
@@ -72,17 +71,10 @@ val run :
   point list ->
   report
 (** Evaluate every point; [results] is in point order. Defaults:
-    [jobs = 1], [parallel = Auto], no timeout, [retries = 1], no
-    backoff, no deadline, [poison_threshold = 3], signals not handled,
-    no cache, no journal, [capture_telemetry = true].
-
-    [parallel] picks how [jobs > 1] points execute: [Processes] forks
-    one child per attempt (crash/timeout isolation, per-worker
-    telemetry); [Domains] fans points over an in-process
-    {!Par.Domain_pool} — cheaper per job, shares the flow's prepare
-    memo, but no per-point timeout, and [capture_telemetry] is forced
-    off; [Auto] resolves per {!Runner.effective_strategy} (with this
-    function's defaults — capture on — that is [Processes]).
+    [jobs = 1], no timeout, [retries = 1], no backoff, no deadline,
+    [poison_threshold = 3], signals not handled, no cache, no journal,
+    [capture_telemetry = true]. With [jobs > 1] every attempt runs in
+    a forked child (crash/timeout isolation, per-worker telemetry).
 
     [journal_path] opens a JSON-lines checkpoint journal (header =
     {!journal_meta}) that records every finished job as it completes;

@@ -1,189 +1,3 @@
-(* Chunked self-scheduling over persistent worker domains.
-
-   One mutex/condition pair publishes jobs to the workers; the hot
-   path — claiming the next index chunk — is a single
-   [Atomic.fetch_and_add], so contention is one cache line per chunk
-   regardless of pool size. The calling domain participates in every
-   job, which is what lets a pool of size 1 degenerate to a plain
-   [for] loop with no cross-domain traffic at all. *)
-
-type job = {
-  n : int;
-  chunk : int;
-  body : participant:int -> int -> unit;
-  cursor : int Atomic.t; (* next unclaimed index *)
-  fair : int; (* chunks per participant under a perfect static split *)
-  steals : int Atomic.t;
-  first_exn : exn option Atomic.t;
-  mutable active : int; (* workers still draining; guarded by the pool mutex *)
-}
-
-type t = {
-  m : Mutex.t;
-  work_ready : Condition.t;
-  work_done : Condition.t;
-  mutable job : job option;
-  mutable generation : int; (* bumped per published job *)
-  mutable stop : bool;
-  mutable workers : unit Domain.t list;
-  n_participants : int;
-  total_steals : int Atomic.t;
-}
-
-let c_steals = Telemetry.Counter.make "par.steal_count"
-let g_domains = Telemetry.Gauge.make "par.domains"
-
-(* OCaml 5's [Unix.fork] refuses to run in any process in which a
-   domain has ever been spawned — even after every domain has been
-   joined. Fork-based strategies therefore have to know whether this
-   process is still fork-clean, and anything that spawns a domain
-   (the pool here, or a bare [Domain.spawn] elsewhere) must leave a
-   permanent mark. *)
 let domains_created = Atomic.make false
 let note_domain_spawn () = Atomic.set domains_created true
 let fork_unavailable () = Atomic.get domains_created
-
-(* Drain chunks off [job.cursor] until it runs past [job.n]. A body
-   exception is parked in [first_exn] and claiming stops — remaining
-   indices of an aborted job are simply never run. *)
-let drain job ~participant =
-  let claimed = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let start = Atomic.fetch_and_add job.cursor job.chunk in
-    if start >= job.n then continue_ := false
-    else begin
-      incr claimed;
-      if !claimed > job.fair then ignore (Atomic.fetch_and_add job.steals 1);
-      let stop = min job.n (start + job.chunk) in
-      (try
-         for i = start to stop - 1 do
-           job.body ~participant i
-         done
-       with e ->
-         ignore (Atomic.compare_and_set job.first_exn None (Some e));
-         continue_ := false)
-    end
-  done
-
-let worker_loop t ~participant =
-  let last_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock t.m;
-    while (not t.stop) && t.generation = !last_gen do
-      Condition.wait t.work_ready t.m
-    done;
-    if t.stop then begin
-      Mutex.unlock t.m;
-      running := false
-    end
-    else begin
-      last_gen := t.generation;
-      let job = t.job in
-      Mutex.unlock t.m;
-      (match job with
-      | Some j ->
-        drain j ~participant;
-        Mutex.lock t.m;
-        j.active <- j.active - 1;
-        if j.active = 0 then Condition.broadcast t.work_done;
-        Mutex.unlock t.m
-      | None -> ())
-    end
-  done
-
-let create ?domains () =
-  let n =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 1 (Domain.recommended_domain_count ())
-  in
-  let t =
-    {
-      m = Mutex.create ();
-      work_ready = Condition.create ();
-      work_done = Condition.create ();
-      job = None;
-      generation = 0;
-      stop = false;
-      workers = [];
-      n_participants = n;
-      total_steals = Atomic.make 0;
-    }
-  in
-  if n > 1 then note_domain_spawn ();
-  t.workers <-
-    List.init (n - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop t ~participant:(i + 1)));
-  Telemetry.Gauge.set g_domains (float_of_int n);
-  t
-
-let size t = t.n_participants
-let steal_count t = Atomic.get t.total_steals
-
-let parallel_for_p t ?chunk ~n body =
-  if n <= 0 then ()
-  else begin
-    let n_chunks_target = t.n_participants * 4 in
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> max 1 ((n + n_chunks_target - 1) / n_chunks_target)
-    in
-    if t.n_participants = 1 || n <= chunk then
-      for i = 0 to n - 1 do
-        body ~participant:0 i
-      done
-    else begin
-      let n_chunks = (n + chunk - 1) / chunk in
-      let job =
-        {
-          n;
-          chunk;
-          body;
-          cursor = Atomic.make 0;
-          fair = max 1 (n_chunks / t.n_participants);
-          steals = Atomic.make 0;
-          first_exn = Atomic.make None;
-          active = t.n_participants - 1;
-        }
-      in
-      Mutex.lock t.m;
-      t.job <- Some job;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.work_ready;
-      Mutex.unlock t.m;
-      (* the caller is a participant too *)
-      drain job ~participant:0;
-      Mutex.lock t.m;
-      while job.active > 0 do
-        Condition.wait t.work_done t.m
-      done;
-      t.job <- None;
-      Mutex.unlock t.m;
-      let s = Atomic.get job.steals in
-      if s > 0 then begin
-        ignore (Atomic.fetch_and_add t.total_steals s);
-        Telemetry.Counter.add c_steals s
-      end;
-      match Atomic.get job.first_exn with
-      | Some e -> raise e
-      | None -> ()
-    end
-  end
-
-let parallel_for t ?chunk ~n body =
-  parallel_for_p t ?chunk ~n (fun ~participant:_ i -> body i)
-
-let shutdown t =
-  Mutex.lock t.m;
-  t.stop <- true;
-  Condition.broadcast t.work_ready;
-  Mutex.unlock t.m;
-  List.iter Domain.join t.workers;
-  t.workers <- []
-
-let with_pool ?domains f =
-  let t = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

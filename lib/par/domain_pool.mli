@@ -1,67 +1,13 @@
-(** Reusable pool of worker domains for data-parallel kernels.
-
-    A pool owns [size - 1] worker domains; the calling domain is the
-    remaining participant, so a pool of size 1 runs everything inline
-    with zero synchronisation. Work is distributed by chunked
-    self-scheduling: an atomic cursor hands out fixed-size index
-    chunks, so a fast participant that exhausts its fair share simply
-    keeps claiming ("stealing") chunks a slower one would otherwise
-    serialise on. Chunks may therefore execute in any order and on any
-    domain — the body must only write state owned by its own indices.
-
-    The pool is reusable ([parallel_for] any number of times) and
-    drainable ([shutdown] joins every worker). Nested [parallel_for]
-    from inside a body is not supported. *)
-
-type t
-
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains - 1] worker domains
-    (clamped to at least 1 participant). Default:
-    [Domain.recommended_domain_count ()]. Sets the [par.domains]
-    telemetry gauge. *)
-
-val size : t -> int
-(** Total participants (worker domains + the calling domain). *)
-
-val parallel_for : t -> ?chunk:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for t ~n body] runs [body i] for every [i] in
-    [0 .. n-1], fanned out over the pool. [chunk] (default: a fair
-    static split, at least 1) is the number of consecutive indices a
-    participant claims per cursor bump. The first exception raised by
-    any body is re-raised in the caller after every participant has
-    drained. With [size t = 1] or [n] below the chunk size this is a
-    plain sequential loop. *)
-
-val parallel_for_p :
-  t -> ?chunk:int -> n:int -> (participant:int -> int -> unit) -> unit
-(** Like {!parallel_for}, but the body also receives the stable
-    participant index running it: [0] is always the calling domain,
-    [1 .. size t - 1] the worker domains. This is how callers give
-    each domain a private machine/scratch without thread-local
-    storage: index an array of [size t] per-participant states. *)
-
-val steal_count : t -> int
-(** Chunks executed by a participant beyond its static fair share,
-    accumulated over the pool's lifetime; mirrored to the
-    [par.steal_count] telemetry counter by the coordinator. *)
-
-val shutdown : t -> unit
-(** Join every worker domain. Idempotent; the pool must not be used
-    afterwards (except for [steal_count]). *)
-
-val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [with_pool f] = create, run [f], always shutdown. *)
+(** The OCaml 5 fork ratchet: [Unix.fork] permanently refuses to run in
+    a process that has ever spawned a domain, even once every domain is
+    joined. The library itself spawns none; this flag lets a program
+    that embeds it record its own spawns, so fork-based code (the
+    daemon supervisor) can fail with a clear error instead of dying at
+    the syscall. *)
 
 val fork_unavailable : unit -> bool
-(** True once any domain has ever been spawned in this process — by a
-    pool here or recorded via {!note_domain_spawn}. OCaml 5's
-    [Unix.fork] permanently refuses to run after the first
-    [Domain.spawn], even once every domain is joined, so fork-based
-    execution strategies must consult this and fall back. The rule of
-    thumb for mixed processes: fork first, spawn domains after. *)
+(** True once {!note_domain_spawn} has been called in this process. *)
 
 val note_domain_spawn : unit -> unit
-(** Record a [Domain.spawn] performed outside this module, so
-    {!fork_unavailable} stays truthful. Call it immediately before any
-    bare spawn. *)
+(** Record that this process spawns a domain, so {!fork_unavailable}
+    stays truthful. Call it immediately before the spawn. *)

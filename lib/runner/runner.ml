@@ -75,23 +75,8 @@ let stats_to_json s =
       ("interrupted", Json.Bool s.interrupted);
     ]
 
-type strategy = Processes | Domains | Auto
-
-let strategy_to_string = function
-  | Processes -> "processes"
-  | Domains -> "domains"
-  | Auto -> "auto"
-
-let strategy_of_string = function
-  | "processes" | "process" | "fork" -> Some Processes
-  | "domains" | "domain" -> Some Domains
-  | "auto" -> Some Auto
-  | _ -> None
-
 type config = {
   jobs : int;
-  strategy : strategy;
-  min_domain_jobs : int;
   timeout_s : float;
   retries : int;
   backoff_s : float;
@@ -108,14 +93,6 @@ type config = {
 let default_config =
   {
     jobs = 1;
-    (* [Processes] and not [Auto]: a bare config promises the same
-       crash isolation it always had — jobs that abort or corrupt the
-       process die in a forked child. Auto is an explicit opt-in. *)
-    strategy = Processes;
-    (* below this many jobs an [Auto] batch is not worth a domain
-       pool: spawn + teardown dominate (fault_sim_par_d2/d4 < 1x on
-       the small circuits). Explicit [Domains] is always honoured. *)
-    min_domain_jobs = 4;
     timeout_s = 0.0;
     retries = 1;
     backoff_s = 0.0;
@@ -128,23 +105,6 @@ let default_config =
     capture_telemetry = false;
     on_event = ignore;
   }
-
-(* [Auto] keeps every capability the process pool uniquely provides:
-   a per-attempt timeout and chaos injection need a killable child,
-   telemetry capture resets process-global state, and signal handling
-   promises that SIGINT reaps in-flight attempts rather than waiting
-   them out. Only a plain batch — no timeout, no capture, no signals,
-   no chaos — runs on shared-memory domains. *)
-let effective_strategy cfg =
-  match cfg.strategy with
-  | Processes -> Processes
-  | Domains -> Domains
-  | Auto ->
-    if
-      cfg.timeout_s > 0.0 || cfg.capture_telemetry || cfg.handle_signals
-      || Fault_inject.active ()
-    then Processes
-    else Domains
 
 (* first 13 hex digits of the MD5 -> uniform-ish float in [0,1) *)
 let hash01 s =
@@ -319,7 +279,6 @@ let mirror_to_telemetry s =
     add "runner.interrupted" 1
 
 let h_job = Telemetry.Histogram.make "runner.job_s"
-let m_min_work_seq = Telemetry.Counter.make "runner.min_work_seq"
 
 let cache_blob value telemetry =
   Json.Obj
@@ -546,75 +505,6 @@ let run ?(config = default_config) job_list =
     drain ()
   in
 
-  (* In-process shared-memory execution: rounds of ready attempts fan
-     out over a domain pool; the coordinator alone touches the cache,
-     the journal, events and the retry queue, so those stay
-     single-domain exactly as in [sequential]. No per-attempt timeout
-     (a domain cannot be killed) and no telemetry capture (it resets
-     process-global state); [Auto] never picks this path when either
-     is requested. *)
-  let domains () =
-    Par.Domain_pool.with_pool ~domains:cfg.jobs @@ fun pool ->
-    let rec round () =
-      if pending_empty () then ()
-      else if !interrupted then flush_unfinished Interrupted []
-      else begin
-        let now = Unix.gettimeofday () in
-        if now > batch_deadline then flush_unfinished Deadline_exceeded []
-        else begin
-          let ready = ref [] in
-          let rec take () =
-            match take_ready now with
-            | Some entry ->
-              ready := entry :: !ready;
-              take ()
-            | None -> ()
-          in
-          take ();
-          match List.rev !ready with
-          | [] ->
-            Unix.sleepf
-              (Float.max 0.001 (Float.min 0.05 (next_wake () -. now)));
-            round ()
-          | ready ->
-            let arr = Array.of_list ready in
-            let nb = Array.length arr in
-            let out = Array.make nb None in
-            Array.iter
-              (fun (i, attempt) ->
-                cfg.on_event (Started { job = jobs.(i); attempt }))
-              arr;
-            (* chunk 1: jobs are coarse, so self-scheduling per job
-               keeps a slow attempt from serialising its chunk-mates *)
-            Par.Domain_pool.parallel_for pool ~chunk:1 ~n:nb (fun k ->
-                let i, attempt = arr.(k) in
-                let t0 = Unix.gettimeofday () in
-                let r =
-                  match jobs.(i).run ~attempt with
-                  | v -> Ok v
-                  | exception e -> Error (Printexc.to_string e)
-                in
-                out.(k) <- Some (Unix.gettimeofday () -. t0, r));
-            Array.iteri
-              (fun k (i, attempt) ->
-                match out.(k) with
-                | Some (dur, Ok value) ->
-                  (* [succeed] times against [started]; reconstruct it
-                     from the worker-measured duration so the barrier
-                     wait is not billed to the job *)
-                  succeed i ~attempt
-                    ~started:(Unix.gettimeofday () -. dur)
-                    value None
-                | Some (_, Error msg) -> fail i ~attempt (Job_error msg)
-                | None -> fail i ~attempt (Job_error "lost attempt"))
-              arr;
-            round ()
-        end
-      end
-    in
-    round ()
-  in
-
   let forked () =
     let running : worker list ref = ref [] in
     let chunk = Bytes.create 65536 in
@@ -640,9 +530,12 @@ let run ?(config = default_config) job_list =
       | 0 ->
         (try Unix.close rfd with Unix.Unix_error _ -> ());
         (* drop the read ends of sibling pipes so a sibling's EOF is
-           seen as soon as that sibling exits *)
+           seen as soon as that sibling exits. A sibling already at
+           EOF has had its descriptor closed, and the number may now
+           belong to this child's own pipe. *)
         List.iter
-          (fun w -> try Unix.close w.fd with Unix.Unix_error _ -> ())
+          (fun w ->
+            if not w.eof then try Unix.close w.fd with Unix.Unix_error _ -> ())
           !running;
         child_main cfg jobs.(i) ~attempt wfd
       | pid ->
@@ -772,24 +665,8 @@ let run ?(config = default_config) job_list =
 
   Fun.protect ~finally:restore_signals (fun () ->
       if pending_empty () then ()
-      else if cfg.jobs <= 1 then sequential ()
-      else
-        match (cfg.strategy, effective_strategy cfg) with
-        | Auto, Domains when n < cfg.min_domain_jobs ->
-          (* min-work cutoff: Auto resolved to domains, but the batch
-             is too small to amortise the pool *)
-          Telemetry.Counter.inc m_min_work_seq;
-          sequential ()
-        | _, Domains -> domains ()
-        | _, (Processes | Auto) ->
-          (* OCaml 5 refuses [Unix.fork] once any domain has ever been
-             spawned in the process, so a fork strategy after a domain
-             run degrades to the sequential path (which honours
-             timeouts-at-completion, capture and signals) rather than
-             dying on the first fork. *)
-          if Sys.unix && not (Par.Domain_pool.fork_unavailable ()) then
-            forked ()
-          else sequential ());
+      else if cfg.jobs <= 1 || not Sys.unix then sequential ()
+      else forked ());
 
   let stats = freeze acc in
   mirror_to_telemetry stats;

@@ -119,43 +119,10 @@ type stats = {
 
 val stats_to_json : stats -> Telemetry.Json.t
 
-type strategy =
-  | Processes
-      (** every attempt in a freshly forked child: full crash/timeout
-          isolation, per-worker telemetry capture, chaos injection *)
-  | Domains
-      (** attempts fan out over an in-process {!Par.Domain_pool}: no
-          fork/pipe/serialisation cost, shared page cache — but no
-          per-attempt timeout (a domain cannot be killed), no telemetry
-          capture, and {e no crash isolation}: a job that aborts the
-          process takes the whole run with it. Exceptions are still
-          contained per job. Spawning a domain also permanently
-          disables [Unix.fork] in the process (an OCaml 5 rule), so
-          any fork-based work must happen first. *)
-  | Auto
-      (** {!Processes} whenever a process-only capability is requested
-          ([timeout_s > 0], [capture_telemetry], [handle_signals], or
-          active fault injection); plain batches run on {!Domains}. *)
-
-val strategy_to_string : strategy -> string
-
-val strategy_of_string : string -> strategy option
-(** Accepts ["processes"]/["process"]/["fork"], ["domains"]/["domain"],
-    ["auto"]. *)
-
 type config = {
-  jobs : int;  (** max concurrent workers; [<= 1] = in-process *)
-  strategy : strategy;
-      (** how [jobs > 1] attempts execute. If forking is impossible
-          (non-Unix, or a domain was already spawned in this process),
-          a {!Processes} choice degrades to the sequential in-process
-          path rather than failing. *)
-  min_domain_jobs : int;
-      (** min-work cutoff for [Auto] only: when [Auto] resolves to
-          {!Domains} but the batch has fewer jobs than this, run
-          sequentially instead (pool spawn/teardown would dominate)
-          and count the decision in [runner.min_work_seq]. An explicit
-          {!Domains} strategy is always honoured. *)
+  jobs : int;
+      (** max concurrent workers; [<= 1] (or a non-Unix host) runs
+          every attempt in-process, sequentially *)
   timeout_s : float;  (** per attempt; [<= 0] = none (forked mode only) *)
   retries : int;  (** extra attempts after the first *)
   backoff_s : float;
@@ -173,16 +140,9 @@ type config = {
 }
 
 val default_config : config
-(** [jobs = 1], [strategy = Processes] (a bare config keeps the crash
-    isolation it always had — [Auto]/[Domains] are explicit opt-ins),
-    [min_domain_jobs = 4], no timeout, [retries = 1], no backoff, no deadline,
+(** [jobs = 1], no timeout, [retries = 1], no backoff, no deadline,
     [poison_threshold = 3], signals not handled, no cache, no journal,
     no capture, events ignored. *)
-
-val effective_strategy : config -> strategy
-(** The strategy [run] will actually use for [jobs > 1]: resolves
-    [Auto] per the heuristic above (never returns [Auto]). Exposed for
-    the CLI/daemon to report their choice and for tests. *)
 
 val retry_delay_s : config -> id:string -> attempt:int -> float
 (** The exact delay inserted before the retry that follows failed

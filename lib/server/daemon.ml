@@ -25,7 +25,6 @@ type config = {
   max_queue : int;
   max_request_bytes : int;
   default_deadline_s : float;
-  parallel : Runner.strategy;
   log : out_channel option;
   snapshot_path : string option;
   snapshot_every_s : float;
@@ -40,7 +39,6 @@ let default_config =
     max_queue = 64;
     max_request_bytes = Protocol.max_line_default;
     default_deadline_s = 0.0;
-    parallel = Runner.Auto;
     log = None;
     snapshot_path = None;
     snapshot_every_s = 0.0;
@@ -519,7 +517,7 @@ let create config =
       config;
       dispatcher =
         Dispatcher.create ~registry_capacity:config.registry_capacity
-          ~parallel:config.parallel ~generation:config.generation ();
+          ~generation:config.generation ();
       listen_fd;
       conns = [];
       queue = Queue.create ();

@@ -38,9 +38,6 @@ type config = {
           newline-less stream cannot grow the buffer without bound *)
   default_deadline_s : float;
       (** applied to requests that carry none; [<= 0] = none *)
-  parallel : Runner.strategy;
-      (** isolated-request execution: fork vs. worker domain — see
-          {!Dispatcher.create} *)
   log : out_channel option;
       (** operational NDJSON log (listening / drained lines) *)
   snapshot_path : string option;
@@ -61,9 +58,8 @@ type config = {
 
 val default_config : config
 (** {!Protocol.default_socket}, capacity 32, queue 64,
-    {!Protocol.max_line_default}, no default deadline,
-    [parallel = Auto], no log, no snapshot, no heap budget,
-    generation 0. *)
+    {!Protocol.max_line_default}, no default deadline, no log, no
+    snapshot, no heap budget, generation 0. *)
 
 val run : ?config:config -> unit -> Telemetry.Json.t
 (** Serve until SIGTERM/SIGINT, then drain and return the final stats

@@ -13,7 +13,6 @@ type idem_entry = { stored : Json.t option; executions : int }
 
 type t = {
   registry : Registry.t;
-  parallel : Runner.strategy;
   generation : int;
   started_at : float;
   idem_table : (string, idem_entry) Hashtbl.t;
@@ -21,15 +20,11 @@ type t = {
   mutable idem_replays : int;
   mutable served : int;
   mutable forked : int;
-  mutable domain_runs : int;
-  mutable fork_fallbacks : int;
 }
 
-let create ?(registry_capacity = 32) ?(parallel = Runner.Auto)
-    ?(generation = 0) () =
+let create ?(registry_capacity = 32) ?(generation = 0) () =
   {
     registry = Registry.create ~capacity:registry_capacity ();
-    parallel;
     generation;
     started_at = Unix.gettimeofday ();
     idem_table = Hashtbl.create 64;
@@ -37,8 +32,6 @@ let create ?(registry_capacity = 32) ?(parallel = Runner.Auto)
     idem_replays = 0;
     served = 0;
     forked = 0;
-    domain_runs = 0;
-    fork_fallbacks = 0;
   }
 
 let registry t = t.registry
@@ -230,14 +223,7 @@ let stats_value t ~extra =
             ("keys", Json.Int (Hashtbl.length t.idem_table));
             ("replays", Json.Int t.idem_replays);
           ]);
-       ("parallel",
-        Json.Obj
-          [
-            ("mode", Json.String (Runner.strategy_to_string t.parallel));
-            ("forked", Json.Int t.forked);
-            ("domain", Json.Int t.domain_runs);
-            ("fork_fallbacks", Json.Int t.fork_fallbacks);
-          ]);
+       ("parallel", Json.Obj [ ("forked", Json.Int t.forked) ]);
        ("registry", Registry.stats_json t.registry);
        ("prepare_registry",
         Json.Obj
@@ -317,75 +303,6 @@ let run_forked ~id ~timeout_s compute =
       (E.make ~code:E.Runtime ~stage:"server.dispatch"
          "runner returned an unexpected result count")
 
-(* Domain isolation: the request computes on a spawned worker domain
-   and the daemon joins it. Cheaper than a fork (no pipe, no JSON
-   round-trip of the result, no copy-on-write teardown) and — unlike a
-   fork, whose registry warm-ups die with the child — any machine the
-   request warms stays resident in the daemon. The join means only one
-   domain mutates the registry at a time, and structured errors cross
-   back as values, not serialised envelopes. What it cannot give is a
-   kill switch: a deadline cannot interrupt a running domain, and a
-   segfault is not contained — which is why [Auto] below reserves this
-   path for small trusted jobs with no deadline. *)
-let run_in_domain compute =
-  Par.Domain_pool.note_domain_spawn ();
-  let d =
-    Domain.spawn (fun () ->
-        match compute () with
-        | v -> Ok v
-        | exception exn -> Error (E.of_exn ~stage:"server.dispatch" exn))
-  in
-  Domain.join d
-
-(* A named circuit at most this many gates is a "small job": its flow
-   runs in milliseconds, so the fork tax dominates the work and domain
-   isolation wins. Above it (s5378, s9234, ...) the work dominates and
-   fork isolation is cheap insurance. *)
-let small_job_gate_limit = 2048
-
-type execution = Exec_inline | Exec_domain | Exec_forked
-
-(* Fork keeps every capability domains lack: a killable worker for
-   deadlines, chaos-site containment, and crash isolation for inline
-   (untrusted) netlist text. [Auto] only picks a domain when none of
-   those are in play and the job is small.
-
-   One process-wide ratchet sits above all of that: OCaml 5 forbids
-   [Unix.fork] in any process that has ever spawned a domain. So the
-   first domain execution permanently commits the daemon to domains —
-   a later fork would die at the syscall, which is strictly worse
-   isolation than running the request on a domain. Such forced
-   re-routes are tallied in [fork_fallbacks] and visible in stats. *)
-let choose_execution t ~deadline_left (req : Protocol.request) =
-  if
-    not
-      (req.Protocol.isolation = Protocol.Fork_isolation
-      && Protocol.needs_circuit req.Protocol.kind)
-  then Exec_inline
-  else
-    let wanted =
-      match t.parallel with
-      | Runner.Processes -> Exec_forked
-      | Runner.Domains -> Exec_domain
-      | Runner.Auto -> (
-        if deadline_left <> None || Runner.Fault_inject.active () then
-          Exec_forked
-        else
-          match req.Protocol.circuit with
-          | Some (Protocol.Named n) -> (
-            match Circuits.find n with
-            | Ok c when Netlist.Circuit.gate_count c <= small_job_gate_limit
-              ->
-              Exec_domain
-            | Ok _ | Error _ -> Exec_forked)
-          | Some (Protocol.Inline _) | None -> Exec_forked)
-    in
-    match wanted with
-    | Exec_forked when Par.Domain_pool.fork_unavailable () ->
-      t.fork_fallbacks <- t.fork_fallbacks + 1;
-      Exec_domain
-    | e -> e
-
 (* ---- entry point ---- *)
 
 let compute t ~extra (req : Protocol.request) =
@@ -412,18 +329,20 @@ let execute t ~extra ~deadline_left (req : Protocol.request) =
     | Some (Protocol.Inline { name; _ }) -> Some name
     | None -> None
   in
-  match choose_execution t ~deadline_left req with
-  | Exec_forked ->
+  (* only a request that names a circuit does work worth isolating;
+     [health]/[stats] always answer from the daemon itself *)
+  if
+    req.Protocol.isolation = Protocol.Fork_isolation
+    && Protocol.needs_circuit req.Protocol.kind
+  then begin
     t.forked <- t.forked + 1;
     run_forked ~id:req.Protocol.id ~timeout_s:deadline_left (fun () ->
         compute t ~extra req)
-  | Exec_domain ->
-    t.domain_runs <- t.domain_runs + 1;
-    run_in_domain (fun () -> compute t ~extra req)
-  | Exec_inline -> (
+  end
+  else
     try Ok (compute t ~extra req)
     with exn ->
-      Error (E.of_exn ~stage:"server.dispatch" ?circuit:circuit_label exn))
+      Error (E.of_exn ~stage:"server.dispatch" ?circuit:circuit_label exn)
 
 let handle t ?(extra = []) ?deadline_left (req : Protocol.request) =
   (* Mid-request SIGKILL chaos: the roll key includes the supervisor

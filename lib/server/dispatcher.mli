@@ -14,27 +14,14 @@ type t
 
 val create :
   ?registry_capacity:int ->
-  ?parallel:Runner.strategy ->
   ?generation:int ->
   unit ->
   t
 (** Fresh dispatcher with an empty registry (default capacity 32).
 
-    [parallel] (default [Auto]) decides how a {!Protocol.Fork_isolation}
-    request executes: [Processes] always forks a killable worker (the
-    historical behaviour); [Domains] runs it on a spawned worker domain
-    — no fork/pipe cost and registry warm-ups survive the request, but
-    a deadline cannot interrupt it and a segfault is not contained;
-    [Auto] picks a domain only for small named circuits
-    ([gate_count <= 2048]) with no deadline and no active fault
-    injection, and forks everything else.
-
-    The first domain execution is a one-way commitment: OCaml 5
-    permanently forbids [Unix.fork] in a process once any domain has
-    been spawned, so from then on requests that would have forked are
-    re-routed to a domain instead (counted as ["fork_fallbacks"]).
-    The choice tally is exposed under ["parallel"] in the [stats]
-    value.
+    A {!Protocol.Fork_isolation} request that names a circuit always
+    runs in a forked, killable worker; the count is exposed as
+    ["parallel"]["forked"] in the [stats] value.
 
     [generation] (default 0) is the supervisor restart generation:
     echoed in [health]/[stats] values and folded into the

@@ -36,22 +36,15 @@ let check_kind_classification () =
   check "compile_s" D.Time;
   check "fault_sim_cpt_s" D.Time;
   check "fault_sim_pattern_p99_s" D.Time;
-  check "fault_sim_d2_s" D.Time;
   check "packed_shift_w8_s" D.Time;
   check "packed_speedup" D.Rate;
   check "packed_w4_speedup" D.Rate;
-  check "fault_sim_par_d2_speedup" D.Rate;
   (* the [_events_s] suffix wins over the bare [_s] time suffix *)
   check "fault_sim_events_s" D.Rate;
-  (* the ppsfp additions follow the suffix convention *)
-  check "fault_sim_ppsfp_s" D.Time;
-  check "fault_sim_ppsfp_speedup" D.Rate;
-  check "ppsfp_faults_detected" D.Count;
   (* gate-bearing rate pinned by literal name, independent of suffix *)
   check "serve_warm_speedup" D.Rate;
   (* run configuration, compared but never gating *)
   check "packed_width" D.Config;
-  check "domains" D.Config;
   check "packed_auto_width" D.Config
 
 let check_identical_is_clean () =
@@ -135,55 +128,47 @@ let write_temp text =
   path
 
 let check_config_change_is_clean () =
-  (* a deliberate re-run at a different width/fan-out must not gate *)
-  let old_m = ("packed_width", D.I 8) :: ("domains", D.I 4) :: base_metrics in
-  let new_m = ("packed_width", D.I 4) :: ("domains", D.I 2) :: base_metrics in
+  (* a deliberate re-run at a different width must not gate *)
+  let old_m =
+    ("packed_width", D.I 8) :: ("packed_auto_width", D.I 3) :: base_metrics
+  in
+  let new_m =
+    ("packed_width", D.I 4) :: ("packed_auto_width", D.I 1) :: base_metrics
+  in
   let r = D.diff (mk [ ("s344", old_m) ]) (mk [ ("s344", new_m) ]) in
   Alcotest.(check bool) "config drift never regresses" false
     (D.has_regression r);
   Alcotest.(check int) "still compared" (List.length new_m) r.D.compared
 
 let check_schema_bump_pairs () =
-  (* a /1 baseline gates a /2 file: shared metrics pair, /2 additions
-     pass *)
-  let p1 =
-    write_temp
-      "{\"schema\":\"scanpower.bench_kernels/1\",\"fast\":true,\
-       \"circuits\":{\"s344\":{\"nodes\":195,\"compile_s\":1.0e-04}}}"
-  in
-  let p2 =
-    write_temp
-      "{\"schema\":\"scanpower.bench_kernels/2\",\"fast\":true,\
-       \"circuits\":{\"s344\":{\"nodes\":195,\"compile_s\":1.1e-04,\
-       \"packed_width\":8,\"domains\":4,\"packed_shift_w4_s\":2.0e-03}}}"
-  in
-  let old_f = D.load p1 and new_f = D.load p2 in
-  Sys.remove p1;
-  Sys.remove p2;
-  let r = D.diff old_f new_f in
-  Alcotest.(check bool) "schema bump alone is clean" false
-    (D.has_regression r);
-  Alcotest.(check int) "shared metrics paired" 2 r.D.compared;
-  (* a /2 baseline gates a /3 file the same way: the ppsfp and scale
-     additions pass as new metrics, shared ones still pair *)
-  let p2' =
-    write_temp
-      "{\"schema\":\"scanpower.bench_kernels/2\",\"fast\":true,\
-       \"circuits\":{\"s344\":{\"nodes\":195,\"compile_s\":1.0e-04}}}"
-  in
+  (* a /3 baseline gates a /4 file: shared metrics pair, and a metric
+     /4 dropped is reported missing rather than silently forgotten *)
   let p3 =
     write_temp
       "{\"schema\":\"scanpower.bench_kernels/3\",\"fast\":true,\
-       \"circuits\":{\"s344\":{\"nodes\":195,\"compile_s\":1.1e-04,\
-       \"fault_sim_ppsfp_s\":3.0e-03,\"fault_sim_ppsfp_speedup\":12.0}}}"
+       \"circuits\":{\"s344\":{\"nodes\":195,\"compile_s\":1.0e-04}}}"
   in
-  let old_f' = D.load p2' and new_f' = D.load p3 in
-  Sys.remove p2';
-  Sys.remove p3;
-  let r' = D.diff old_f' new_f' in
-  Alcotest.(check bool) "/2 baseline gates /3 cleanly" false
-    (D.has_regression r');
-  Alcotest.(check int) "/2-/3 shared metrics paired" 2 r'.D.compared
+  let p3_old =
+    write_temp
+      "{\"schema\":\"scanpower.bench_kernels/3\",\"fast\":true,\
+       \"circuits\":{\"s344\":{\"nodes\":195,\"compile_s\":1.0e-04,\
+       \"fault_sim_ppsfp_s\":3.0e-03}}}"
+  in
+  let p4 =
+    write_temp
+      "{\"schema\":\"scanpower.bench_kernels/4\",\"fast\":true,\
+       \"circuits\":{\"s344\":{\"nodes\":195,\"compile_s\":1.1e-04}}}"
+  in
+  let f3 = D.load p3 and f3_old = D.load p3_old and f4 = D.load p4 in
+  List.iter Sys.remove [ p3; p3_old; p4 ];
+  let r = D.diff f3 f4 in
+  Alcotest.(check bool) "schema bump alone is clean" false
+    (D.has_regression r);
+  Alcotest.(check int) "shared metrics paired" 2 r.D.compared;
+  let r' = D.diff f3_old f4 in
+  Alcotest.(check (list string)) "dropped metric reported missing"
+    [ "fault_sim_ppsfp_s" ]
+    (List.map snd r'.D.only_old_metrics)
 
 (* the serve stage's amortisation contract: a serve_warm_speedup drop
    beyond the rate threshold must gate, through the literal-name pin,
@@ -210,7 +195,7 @@ let check_fast_mismatch_flagged () =
 let check_load_real_shape () =
   let path =
     write_temp
-      "{\"schema\":\"scanpower.bench_kernels/1\",\"fast\":true,\
+      "{\"schema\":\"scanpower.bench_kernels/4\",\"fast\":true,\
        \"circuits\":{\"s344\":{\"nodes\":195,\"compile_s\":3.7e-05,\
        \"skipped\":null}}}"
   in
@@ -237,6 +222,8 @@ let check_load_rejects_bad_input () =
     Sys.remove path
   in
   reject "{\"schema\":\"something_else/9\",\"circuits\":{}}" "parse";
+  (* the /1 and /2 schemas are no longer paired *)
+  reject "{\"schema\":\"scanpower.bench_kernels/2\",\"circuits\":{}}" "parse";
   reject "{\"circuits\":{}}" "parse";
   reject "not json at all" "parse";
   match D.load "/nonexistent/bench.json" with

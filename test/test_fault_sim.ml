@@ -144,81 +144,31 @@ let check_split_agrees tag c ~seed ~n_vectors =
   let vectors = random_vectors rng c n_vectors in
   let m_cone = Fs.make ~engine:Fs.Cone c in
   let m_cpt = Fs.make ~engine:Fs.Cpt c in
-  let m_ppsfp = Fs.make ~engine:Fs.Ppsfp c in
   let det_cone, undet_cone =
     Fs.split ~machine:m_cone c ~faults ~vectors
   in
   let det_cpt, undet_cpt = Fs.split ~machine:m_cpt c ~faults ~vectors in
-  let det_pp, undet_pp = Fs.split ~machine:m_ppsfp c ~faults ~vectors in
   Alcotest.(check (list (fault_t c)))
     (tag ^ " detected identical") det_cone det_cpt;
   Alcotest.(check (list (fault_t c)))
     (tag ^ " undetected identical") undet_cone undet_cpt;
-  Alcotest.(check (list (fault_t c)))
-    (tag ^ " ppsfp detected identical") det_cone det_pp;
-  Alcotest.(check (list (fault_t c)))
-    (tag ^ " ppsfp undetected identical") undet_cone undet_pp;
-  (* fault dropping must not change the partition: later batches skip
-     already-detected faults, so any cross-batch detection discrepancy
-     would surface here *)
-  let det_nodrop, undet_nodrop =
-    Fs.split ~machine:m_ppsfp ~drop:false c ~faults ~vectors
-  in
-  Alcotest.(check (list (fault_t c)))
-    (tag ^ " drop-independent detected") det_pp det_nodrop;
-  Alcotest.(check (list (fault_t c)))
-    (tag ^ " drop-independent undetected") undet_pp undet_nodrop;
-  (* narrow ppsfp machines re-batch the same vectors differently but
-     must land on the same partition *)
-  List.iter
-    (fun w ->
-      let d, u =
-        Fs.split ~machine:(Fs.make ~engine:Fs.Ppsfp ~width:w c) c ~faults
-          ~vectors
-      in
-      Alcotest.(check (list (fault_t c)))
-        (Printf.sprintf "%s ppsfp w%d detected" tag w)
-        det_cone d;
-      Alcotest.(check (list (fault_t c)))
-        (Printf.sprintf "%s ppsfp w%d undetected" tag w)
-        undet_cone u)
-    [ 1; 4 ];
   (* same machines again on a different vector set: persistent state
      (memos, stamps, interned cones) must not leak across runs *)
   let vectors2 = random_vectors rng c (max 1 (n_vectors / 2)) in
   let d1, _ = Fs.split ~machine:m_cone c ~faults ~vectors:vectors2 in
   let d2, _ = Fs.split ~machine:m_cpt c ~faults ~vectors:vectors2 in
   let d3, _ = Fs.split c ~faults ~vectors:vectors2 in
-  let d4, _ = Fs.split ~machine:m_ppsfp c ~faults ~vectors:vectors2 in
   Alcotest.(check (list (fault_t c))) (tag ^ " reuse cone") d1 d2;
   Alcotest.(check (list (fault_t c))) (tag ^ " reuse vs fresh") d1 d3;
-  Alcotest.(check (list (fault_t c))) (tag ^ " reuse ppsfp") d1 d4;
   (* effective_subset bit-identical across engines *)
   let e_cone = Fs.effective_subset ~machine:m_cone c ~faults ~vectors in
   let e_cpt = Fs.effective_subset ~machine:m_cpt c ~faults ~vectors in
-  let e_pp = Fs.effective_subset ~machine:m_ppsfp c ~faults ~vectors in
   Alcotest.(check (list (array bool)))
     (tag ^ " effective_subset identical") e_cone e_cpt;
-  Alcotest.(check (list (array bool)))
-    (tag ^ " effective_subset ppsfp identical") e_cone e_pp;
   Alcotest.(check bool)
     (tag ^ " coverage identical") true
     (Fs.coverage ~machine:m_cone c ~faults ~vectors
-    = Fs.coverage ~machine:m_cpt c ~faults ~vectors);
-  (* the full per-(fault, pattern) detection matrix — not just the
-     detected set — must be bit-identical between PPSFP and Cone *)
-  let mx_cone = Fs.detection_matrix ~machine:m_cone c ~faults ~vectors in
-  List.iter
-    (fun w ->
-      let mx =
-        Fs.detection_matrix
-          ~machine:(Fs.make ~engine:Fs.Ppsfp ~width:w c)
-          c ~faults ~vectors
-      in
-      Alcotest.(check (array (array int64)))
-        (Printf.sprintf "%s detection matrix w%d" tag w)
-        mx_cone mx)
-    [ 1; 4; 8 ]
+    = Fs.coverage ~machine:m_cpt c ~faults ~vectors)
 
 let check_golden_s27 () =
   check_split_agrees "s27/seed1" (Lazy.force s27m) ~seed:1 ~n_vectors:80;
@@ -282,7 +232,7 @@ let check_effective_subset_is_naive () =
             Fs.effective_subset ~machine:(Fs.make ~engine c) c ~faults ~vectors
           in
           Alcotest.(check (list (array bool))) "naive reverse walk" expected got)
-        [ Fs.Cone; Fs.Cpt; Fs.Ppsfp ])
+        [ Fs.Cone; Fs.Cpt ])
     [ (Lazy.force s27m, 11, 90); (Lazy.force s344, 12, 30) ]
 
 (* ---------- machine API ---------- *)
@@ -310,20 +260,6 @@ let check_with_machine () =
   let d2, _ = Fs.split c ~faults ~vectors in
   Alcotest.(check (list (fault_t c))) "with_machine equals fresh" d1 d2
 
-let check_width_api () =
-  let c = Lazy.force s27m in
-  Alcotest.(check int) "cpt width" 1 (Fs.width (Fs.make c));
-  Alcotest.(check int) "ppsfp default width" 8
-    (Fs.width (Fs.make ~engine:Fs.Ppsfp c));
-  Alcotest.(check int) "ppsfp narrow width" 4
-    (Fs.width (Fs.make ~engine:Fs.Ppsfp ~width:4 c));
-  Alcotest.check_raises "cpt rejects wide"
-    (Invalid_argument "Fault_simulation: width > 1 requires the Ppsfp engine")
-    (fun () -> ignore (Fs.make ~engine:Fs.Cpt ~width:4 c));
-  Alcotest.check_raises "ppsfp width bounds"
-    (Invalid_argument "Fault_simulation: width must be within 1..8") (fun () ->
-      ignore (Fs.make ~engine:Fs.Ppsfp ~width:9 c))
-
 (* ---------- telemetry counters ---------- *)
 
 let check_counters () =
@@ -340,26 +276,18 @@ let check_counters () =
   let exits = get "atpg.fault_sim.early_exits" in
   ignore (Fs.split ~machine:(Fs.make ~engine:Fs.Cone c) c ~faults ~vectors);
   let events_after_cone = get "atpg.fault_sim.stem_events" in
-  (* two 64-pattern batches on a width-1 ppsfp machine: the second
-     batch must actually drop the faults the first one detected *)
+  (* two 64-pattern batches: the second batch must actually drop the
+     faults the first one detected *)
   let vectors_2b = random_vectors (Util.Rng.create 10) c 128 in
-  ignore
-    (Fs.split
-       ~machine:(Fs.make ~engine:Fs.Ppsfp ~width:1 c)
-       c ~faults ~vectors:vectors_2b);
-  let ppsfp_events = get "atpg.fault_sim.ppsfp_events" in
+  ignore (Fs.split ~machine:(Fs.make c) c ~faults ~vectors:vectors_2b);
   let dropped = get "atpg.fault_sim.dropped_faults" in
-  let events_after_ppsfp = get "atpg.fault_sim.stem_events" in
   Telemetry.reset ();
   if not was_enabled then Telemetry.disable ();
   Alcotest.(check bool) "ffr traces counted" true (traces > 0);
   Alcotest.(check bool) "stem events counted" true (events > 0);
   Alcotest.(check bool) "early exits counted" true (exits > 0);
   Alcotest.(check int) "cone engine emits no stem events" events events_after_cone;
-  Alcotest.(check bool) "ppsfp events counted" true (ppsfp_events > 0);
-  Alcotest.(check bool) "dropped faults counted" true (dropped > 0);
-  Alcotest.(check int)
-    "ppsfp engine emits no stem events" events_after_cone events_after_ppsfp
+  Alcotest.(check bool) "dropped faults counted" true (dropped > 0)
 
 let suite =
   [
@@ -373,7 +301,6 @@ let suite =
     Alcotest.test_case "machine circuit mismatch" `Quick
       check_machine_mismatch_raises;
     Alcotest.test_case "with_machine" `Quick check_with_machine;
-    Alcotest.test_case "machine width API" `Quick check_width_api;
     Alcotest.test_case "engine counters" `Quick check_counters;
     QCheck_alcotest.to_alcotest prop_engines_agree;
   ]

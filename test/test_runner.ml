@@ -144,6 +144,53 @@ let check_crash_isolation_and_retry () =
   Alcotest.(check int) "one retry" 1 stats.Runner.retries;
   Alcotest.(check int) "nothing failed" 0 stats.Runner.failed
 
+(* a forked batch (one job always failing) reports the same outcomes,
+   in submission order, and the same tallies as the in-process run *)
+let outcomes results =
+  List.map
+    (fun r ->
+      match r.Runner.outcome with
+      | Runner.Done { value; _ } -> Ok value
+      | Runner.Failed { last; _ } -> Error (Runner.failure_to_string last))
+    results
+
+let check_forked_matches_sequential () =
+  let jobs () =
+    List.init 12 (fun i ->
+        job
+          (Printf.sprintf "job%d" i)
+          (fun ~attempt:_ ->
+            if i = 5 then failwith "job five always fails" else Json.Int (i * i)))
+  in
+  let seq, seq_stats =
+    Runner.run ~config:{ Runner.default_config with jobs = 1 } (jobs ())
+  in
+  let forked, forked_stats =
+    Runner.run ~config:{ Runner.default_config with jobs = 4 } (jobs ())
+  in
+  Alcotest.(check bool) "same outcomes" true (outcomes seq = outcomes forked);
+  Alcotest.(check int) "computed" seq_stats.Runner.computed
+    forked_stats.Runner.computed;
+  Alcotest.(check int) "failed" seq_stats.Runner.failed
+    forked_stats.Runner.failed
+
+(* a job that raises on attempt 1 and succeeds on attempt 2 is retried
+   in a fresh worker *)
+let check_forked_retry_after_error () =
+  let flaky =
+    job "flaky" (fun ~attempt ->
+        if attempt < 2 then failwith "first attempt fails" else Json.Int attempt)
+  in
+  let results, stats =
+    Runner.run
+      ~config:{ Runner.default_config with jobs = 2; retries = 2 }
+      [ flaky ]
+  in
+  (match outcomes results with
+  | [ Ok (Json.Int 2) ] -> ()
+  | _ -> Alcotest.fail "flaky job did not succeed on retry");
+  Alcotest.(check int) "one retry" 1 stats.Runner.retries
+
 let check_timeout () =
   let sleeper =
     job "sleeper" (fun ~attempt:_ ->
@@ -291,6 +338,23 @@ let check_sweep_golden_and_cache () =
     (List.length
        (String.split_on_char '\n' (String.trim csv)))
 
+(* a forked sweep and an in-process sweep of the same points agree
+   comparison for comparison *)
+let check_sweep_forked_matches_sequential () =
+  let points = Scanpower.Sweep.points ~seeds:[ 42 ] [ Circuits.s27 () ] in
+  let comparisons report =
+    List.map
+      (fun (r : Scanpower.Sweep.job_result) ->
+        match r.Scanpower.Sweep.comparison with
+        | Ok c -> Json.to_string (Scanpower.Sweep.comparison_to_json c)
+        | Error m -> "error:" ^ m)
+      report.Scanpower.Sweep.results
+  in
+  let seq = Scanpower.Sweep.run ~jobs:1 ~capture_telemetry:false points in
+  let forked = Scanpower.Sweep.run ~jobs:2 points in
+  Alcotest.(check (list string))
+    "forked sweep = sequential sweep" (comparisons seq) (comparisons forked)
+
 let check_prepare_cached_reuse () =
   let c = small_generated () in
   let p1 = Scanpower.Flow.prepare_cached c in
@@ -319,6 +383,10 @@ let suite =
     Alcotest.test_case "parallel values" `Quick check_parallel_values;
     Alcotest.test_case "crash isolation and retry" `Quick
       check_crash_isolation_and_retry;
+    Alcotest.test_case "forked = sequential outcomes" `Quick
+      check_forked_matches_sequential;
+    Alcotest.test_case "forked retry after job error" `Quick
+      check_forked_retry_after_error;
     Alcotest.test_case "timeout" `Quick check_timeout;
     Alcotest.test_case "job error reported" `Quick check_job_error_reported;
     Alcotest.test_case "runner cache round" `Quick check_runner_cache_round;
@@ -326,5 +394,7 @@ let suite =
       check_comparison_json_roundtrip;
     Alcotest.test_case "sweep golden + cache" `Quick
       check_sweep_golden_and_cache;
+    Alcotest.test_case "sweep jobs=2 = jobs=1" `Quick
+      check_sweep_forked_matches_sequential;
     Alcotest.test_case "prepare_cached reuse" `Quick check_prepare_cached_reuse;
   ]

@@ -412,26 +412,40 @@ let check_streaming_events () =
 (* fork isolation: crash containment, identical results                *)
 (* ------------------------------------------------------------------ *)
 
+(* Every isolation:fork request that names a circuit runs in a forked
+   worker: two such flows on a small circuit both fork, and each reply
+   is the inline one. *)
 let check_fork_isolation () =
   with_daemon (fun socket ->
       with_client socket (fun client ->
+          let cmp label v =
+            match Json.member "comparison" v with
+            | Some c -> c
+            | None -> Alcotest.fail (label ^ ": no comparison")
+          in
           let inline_v =
             expect_value "inline"
               (C.rpc client (P.make ~id:"i1" ~circuit:"s27" ~seed:9 P.Flow))
           in
-          let fork_v =
-            expect_value "forked"
-              (C.rpc client
-                 (P.make ~id:"f1" ~circuit:"s27" ~seed:9
-                    ~isolation:P.Fork_isolation P.Flow))
+          List.iter
+            (fun id ->
+              let fork_v =
+                expect_value id
+                  (C.rpc client
+                     (P.make ~id ~circuit:"s27" ~seed:9
+                        ~isolation:P.Fork_isolation P.Flow))
+              in
+              Alcotest.(check bool) (id ^ " forked ≡ inline") true
+                (Json.equal (cmp "inline" inline_v) (cmp id fork_v)))
+            [ "f1"; "f2" ];
+          let stats = expect_value "stats" (C.rpc client (P.make ~id:"s" P.Stats)) in
+          let forked =
+            match Json.member "parallel" stats with
+            | Some p -> Json.member "forked" p
+            | None -> None
           in
-          let cmp v =
-            match Json.member "comparison" v with
-            | Some c -> c
-            | None -> Alcotest.fail "no comparison"
-          in
-          Alcotest.(check bool) "forked ≡ inline" true
-            (Json.equal (cmp inline_v) (cmp fork_v))))
+          Alcotest.(check bool) "both flows forked" true
+            (forked = Some (Json.Int 2))))
 
 let check_fork_isolation_contains_crashes () =
   let crash = { FI.seed = 42; rates = [ (FI.Child_crash, 1.0) ] } in
@@ -490,7 +504,10 @@ let check_sigterm_drains () =
       (E.code_to_string e.E.code)
   | Ok _ -> Alcotest.fail "unexpected extra response");
   C.close client;
-  (match stop_daemon pid with
+  (* wait, and send no second SIGTERM: once [Daemon.run] has returned
+     it has restored the default handler, and a second signal landing
+     before the child's exit would kill it *)
+  (match snd (Unix.waitpid [] pid) with
   | Unix.WEXITED 0 -> ()
   | _ -> Alcotest.fail "daemon must exit 0 after SIGTERM");
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket)
