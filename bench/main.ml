@@ -446,9 +446,10 @@ let ablation_atpg_engines () =
           tag t u a secs
       in
       Format.printf "%s (%d faults):@." name (List.length faults);
-      show "podem" (tally (fun f -> podem_tag (Atpg.Podem.generate c f)));
+      let plain = Atpg.Podem.make c and guided = Atpg.Podem.make ~guide c in
+      show "podem" (tally (fun f -> podem_tag (Atpg.Podem.generate plain f)));
       show "podem+scoap"
-        (tally (fun f -> podem_tag (Atpg.Podem.generate ~guide c f)));
+        (tally (fun f -> podem_tag (Atpg.Podem.generate guided f)));
       show "d-algorithm"
         (tally (fun f -> dalg_tag (Atpg.D_algorithm.generate c f))))
     (if fast then [ "s344" ] else [ "s344"; "s382" ])
@@ -983,6 +984,7 @@ let micro () =
   let fault =
     { Atpg.Fault.site = Atpg.Fault.Output_line some_gate; stuck = true }
   in
+  let podem344 = Atpg.Podem.make s344 in
   let obs344 = Power.Observability.compute s344 in
   let tests =
     [
@@ -992,7 +994,7 @@ let micro () =
              Scan.Scan_sim.measure s27 s27_chain Scan.Scan_sim.traditional
                ~vectors:s27_vectors));
       Test.make ~name:"table1/podem-one-fault-s344"
-        (Staged.stage (fun () -> Atpg.Podem.generate s344 fault));
+        (Staged.stage (fun () -> Atpg.Podem.generate podem344 fault));
       Test.make ~name:"table1/controlled-pattern-s344"
         (Staged.stage (fun () ->
              Scanpower.Controlled_pattern.find

@@ -22,10 +22,11 @@ let () =
     | _ when n = 0 -> []
     | x :: rest -> x :: take (n - 1) rest
   in
+  let podem = Atpg.Podem.make circuit in
   List.iter
     (fun fault ->
       let cube =
-        match Atpg.Podem.generate circuit fault with
+        match Atpg.Podem.generate podem fault with
         | Atpg.Podem.Test cube ->
           String.init (Array.length cube) (fun i -> Logic.to_char cube.(i))
         | Atpg.Podem.Untestable -> "(untestable)"

@@ -56,9 +56,13 @@ let generate ?(config = default_config) c =
   let total_faults = List.length faults in
   let rng = Util.Rng.create config.seed in
   let n_sources = Array.length (Circuit.sources c) in
-  (* one machine for all three phases: compiled arrays, cones, and
-     FFR/dominator tables are built once per circuit *)
+  (* one fault-sim machine for all three phases and one PODEM engine
+     for every deterministic fault: compiled arrays, cones, tables and
+     scratch are built once per circuit *)
   let machine = Fault_simulation.make c in
+  let podem =
+    Podem.make ?guide:(if config.scoap_guide then Some (Scoap.compute c) else None) c
+  in
   (* reverse accumulation: appending each batch with [@] walks the
      whole prefix again (quadratic over the run); prepend reversed and
      un-reverse once at the end, preserving the exact order *)
@@ -95,7 +99,6 @@ let generate ?(config = default_config) c =
      each chunk's vectors drop later faults before their turn. *)
   let untestable = ref 0 and aborted = ref 0 in
   let budget = ref config.podem_budget in
-  let guide = if config.scoap_guide then Some (Scoap.compute c) else None in
   let rec deterministic () =
     match !remaining with
     | [] -> ()
@@ -115,7 +118,7 @@ let generate ?(config = default_config) c =
             else 0
           in
           let outcome =
-            Podem.generate ?guide ~backtrack_limit:config.backtrack_limit c f
+            Podem.generate ~backtrack_limit:config.backtrack_limit podem f
           in
           if Telemetry.enabled () then
             Telemetry.Histogram.observe h_backtracks

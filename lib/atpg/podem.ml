@@ -13,146 +13,297 @@ type result =
   | Untestable
   | Aborted
 
+(* Five-valued codes: 0 = F0, 1 = F1, 2 = X, 3 = D, 4 = D'; a code
+   [>= 3] carries a fault effect. *)
+let vx = 2
+
+let five_of_code = [| F.F0; F.F1; F.FX; F.D; F.Dbar |]
+
+let code_of_five = function
+  | F.F0 -> 0
+  | F.F1 -> 1
+  | F.FX -> 2
+  | F.D -> 3
+  | F.Dbar -> 4
+
+(* Every table is built from the [Logic.Five] operators themselves, so
+   the fold keeps their FX-collapse semantics exactly (a pair with one
+   unknown half is X, which makes the fold order observable). *)
+let not_tbl = Array.map (fun v -> code_of_five (F.lnot v)) five_of_code
+
+let good_tbl =
+  Array.map
+    (fun v ->
+      match F.good v with
+      | Logic.Zero -> 0
+      | Logic.One -> 1
+      | Logic.X -> vx)
+    five_of_code
+
+(* AND, OR and XOR 5x5 tables back to back: [fold_tbl.(base + 5*acc + v)] *)
+let fold_tbl =
+  Array.concat
+    (List.map
+       (fun op ->
+         Array.init 25 (fun i ->
+             code_of_five (op five_of_code.(i / 5) five_of_code.(i mod 5))))
+       [ F.land_; F.lor_; F.lxor_ ])
+
+(* [inject_tbl.(5*stuck + v)]: keep the good half of [v], force the
+   faulty half to the stuck value *)
+let inject_tbl =
+  Array.init 10 (fun i ->
+      code_of_five
+        (F.make ~good:(F.good five_of_code.(i mod 5)) ~faulty:(Logic.of_bool (i >= 5))))
+
+(* Per-opcode gate description: which table to fold, its seed, and the
+   output inversion. A one-input gate is an AND of one fanin (AND with
+   F1 is the identity on every five-valued code). *)
+let n_opcodes = Compiled.op_xnor + 1
+let per_op f = Array.init n_opcodes (fun op -> f (Compiled.kind_of_opcode op))
+
+let fold_base =
+  per_op (function
+    | Gate.Or | Gate.Nor -> 25
+    | Gate.Xor | Gate.Xnor -> 50
+    | Gate.Input | Gate.Dff | Gate.Output | Gate.Buf | Gate.Not | Gate.And
+    | Gate.Nand ->
+      0)
+
+let fold_seed =
+  per_op (function
+    | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor -> 0
+    | Gate.Input | Gate.Dff | Gate.Output | Gate.Buf | Gate.Not | Gate.And
+    | Gate.Nand ->
+      1)
+
+let inverting = per_op Gate.inversion
+
+let controlling =
+  per_op (fun k ->
+      match Gate.controlling_value k with
+      | Some Logic.Zero -> 0
+      | Some Logic.One -> 1
+      | Some Logic.X | None -> -1)
+
 type engine = {
-  circuit : Circuit.t;
-  fault : Fault.t;
-  guide : Scoap.t option; (* SCOAP-guided backtrace when present *)
-  values : F.five array; (* node id -> five-valued value *)
-  assigned : Logic.t array; (* source position -> assigned value *)
-  source_pos : (int, int) Hashtbl.t; (* node id -> source position *)
-  observables : int list; (* node ids whose value is observed *)
-  is_observable : bool array;
-  cone : int array; (* fault fanout cone, topologically ordered *)
-  (* level-bucketed propagation queue *)
-  buckets : int list array;
+  opcode : int array;
+  fanin_off : int array;
+  fanin : int array;
+  fanout_off : int array;
+  fanout : int array;
+  topo : int array;
+  topo_pos : int array; (* node id -> index in [topo] *)
+  levels : int array;
+  observable : bool array;
+  source_pos : int array; (* node id -> source position, -1 off sources *)
+  (* backtrace cost of driving a node to 0 / 1: SCOAP controllability
+     with a guide, circuit level otherwise *)
+  cost0 : int array;
+  cost1 : int array;
+  values : int array; (* node id -> five-valued code *)
+  assigned : int array; (* source position -> 0 / 1 / X code *)
+  (* fault fanout cone in topological order, members marked by stamp:
+     the only region where a D can live *)
+  cone : int array;
+  mutable cone_len : int;
+  in_cone : int array;
+  mutable cone_stamp : int;
+  (* level-bucketed propagation queue, flat: level [l] owns
+     [bucket.(bucket_off.(l)) ..], sized by the level population *)
+  bucket : int array;
+  bucket_off : int array;
+  bucket_len : int array;
   pending : bool array;
-  visited : int array; (* stamped scratch for the X-path check *)
+  mutable queued : int;
+  (* stamped scratch for the X-path check *)
+  visited : int array;
   mutable stamp : int;
+  (* decision stack: each source is on it at most once *)
+  dec_node : int array;
+  dec_value : int array;
+  dec_flipped : bool array;
+  mutable depth : int;
+  (* the fault under test *)
+  mutable out_site : int; (* node whose output line is stuck, or -1 *)
+  mutable pin_edge : int; (* CSR fanin slot of the stuck pin, or -1 *)
+  mutable stuck : int;
+  mutable act_node : int; (* line whose good value activates the fault *)
+  (* per-fault search state *)
+  mutable iterations : int;
+  mutable backtracks : int;
+  mutable aborted : bool;
 }
 
-let make_engine ?guide c fault =
-  let source_pos = Hashtbl.create 64 in
-  Array.iteri (fun pos id -> Hashtbl.add source_pos id pos) (Circuit.sources c);
-  let observables =
-    Array.to_list (Circuit.outputs c)
-    @ (Array.to_list (Circuit.dffs c)
-      |> List.map (fun id -> (Circuit.node c id).Circuit.fanins.(0)))
+let make ?guide c =
+  let cc = Compiled.of_circuit c in
+  let n = Compiled.node_count cc in
+  let topo = Compiled.topo cc in
+  let topo_pos = Array.make n 0 in
+  Array.iteri (fun p id -> topo_pos.(id) <- p) topo;
+  let sources = Circuit.sources c in
+  let source_pos = Array.make n (-1) in
+  Array.iteri (fun pos id -> source_pos.(id) <- pos) sources;
+  let cost0, cost1 =
+    match guide with
+    | Some scoap -> (Array.init n (Scoap.cc0 scoap), Array.init n (Scoap.cc1 scoap))
+    | None -> (Compiled.levels cc, Compiled.levels cc)
   in
-  let n = Circuit.node_count c in
-  let is_observable = Array.make n false in
-  List.iter (fun id -> is_observable.(id) <- true) observables;
-  (* structural fanout cone of the fault site: the only region where a
-     D can live, hence where the frontier and X-path scans look *)
-  let in_cone = Array.make n false in
-  in_cone.(Fault.site_node fault) <- true;
-  let members = ref [] in
-  Array.iter
-    (fun id ->
-      if in_cone.(id) then begin
-        members := id :: !members;
-        Array.iter
-          (fun succ ->
-            if not (Gate.equal_kind (Circuit.node c succ).Circuit.kind Gate.Dff)
-            then in_cone.(succ) <- true)
-          (Circuit.node c id).Circuit.fanouts
-      end)
-    (Circuit.topo_order c);
+  let population = Compiled.level_population cc in
+  let n_levels = Array.length population in
+  let bucket_off = Array.make (n_levels + 1) 0 in
+  for l = 0 to n_levels - 1 do
+    bucket_off.(l + 1) <- bucket_off.(l) + population.(l)
+  done;
+  let n_sources = Array.length sources in
   {
-    circuit = c;
-    fault;
-    guide;
-    values = Array.make n F.FX;
-    assigned = Array.make (Array.length (Circuit.sources c)) Logic.X;
+    opcode = Compiled.opcode cc;
+    fanin_off = Compiled.fanin_off cc;
+    fanin = Compiled.fanin cc;
+    fanout_off = Compiled.fanout_off cc;
+    fanout = Compiled.fanout cc;
+    topo;
+    topo_pos;
+    levels = Compiled.levels cc;
+    observable = Compiled.observable cc;
     source_pos;
-    observables;
-    is_observable;
-    cone = Array.of_list (List.rev !members);
-    buckets = Array.make (Circuit.depth c + 1) [];
+    cost0;
+    cost1;
+    values = Array.make n vx;
+    assigned = Array.make n_sources vx;
+    cone = Array.make n 0;
+    cone_len = 0;
+    in_cone = Array.make n 0;
+    cone_stamp = 0;
+    bucket = Array.make bucket_off.(n_levels) 0;
+    bucket_off;
+    bucket_len = Array.make n_levels 0;
     pending = Array.make n false;
+    queued = 0;
     visited = Array.make n 0;
     stamp = 0;
+    dec_node = Array.make n_sources 0;
+    dec_value = Array.make n_sources 0;
+    dec_flipped = Array.make n_sources false;
+    depth = 0;
+    out_site = -1;
+    pin_edge = -1;
+    stuck = 0;
+    act_node = 0;
+    iterations = 0;
+    backtracks = 0;
+    aborted = false;
   }
 
-(* Value of one node under the engine's fault. *)
+(* Arm the engine for one fault. With every source X every node is X
+   (an injected stuck value only fixes the faulty half), so a refill
+   replaces the full implication. *)
+let reset e fault =
+  Array.fill e.values 0 (Array.length e.values) vx;
+  Array.fill e.assigned 0 (Array.length e.assigned) vx;
+  e.depth <- 0;
+  e.iterations <- 0;
+  e.backtracks <- 0;
+  e.aborted <- false;
+  e.stuck <- (if fault.Fault.stuck then 1 else 0);
+  (match fault.Fault.site with
+  | Fault.Output_line id ->
+    e.out_site <- id;
+    e.pin_edge <- -1;
+    e.act_node <- id
+  | Fault.Input_pin (gid, pin) ->
+    e.out_site <- -1;
+    e.pin_edge <- e.fanin_off.(gid) + pin;
+    e.act_node <- e.fanin.(e.pin_edge));
+  (* the structural fanout cone, collected in one topological sweep
+     from the site; DFF nodes never propagate *)
+  e.cone_stamp <- e.cone_stamp + 1;
+  let mark = e.cone_stamp in
+  let site = Fault.site_node fault in
+  e.in_cone.(site) <- mark;
+  let len = ref 0 in
+  for p = e.topo_pos.(site) to Array.length e.topo - 1 do
+    let id = e.topo.(p) in
+    if e.in_cone.(id) = mark then begin
+      e.cone.(!len) <- id;
+      incr len;
+      for k = e.fanout_off.(id) to e.fanout_off.(id + 1) - 1 do
+        let succ = e.fanout.(k) in
+        if e.opcode.(succ) <> Compiled.op_dff then e.in_cone.(succ) <- mark
+      done
+    end
+  done;
+  e.cone_len <- !len
+
+(* Value of one node under the armed fault. Allocates nothing. *)
 let eval_node e id =
-  let c = e.circuit in
-  let { Fault.site; stuck } = e.fault in
-  let stuck_l = Logic.of_bool stuck in
-  let nd = Circuit.node c id in
+  let op = e.opcode.(id) in
   let v =
-    if Gate.is_source nd.kind then
-      F.of_ternary e.assigned.(Hashtbl.find e.source_pos id)
+    if op <= Compiled.op_dff then e.assigned.(e.source_pos.(id))
     else begin
-      let vs = Array.map (fun f -> e.values.(f)) nd.fanins in
-      (match site with
-      | Fault.Input_pin (gid, pin) when gid = id ->
-        vs.(pin) <- F.make ~good:(F.good vs.(pin)) ~faulty:stuck_l
-      | Fault.Input_pin _ | Fault.Output_line _ -> ());
-      Gate.eval_five nd.kind vs
+      let base = fold_base.(op) in
+      let stuck5 = 5 * e.stuck in
+      let acc = ref fold_seed.(op) in
+      for k = e.fanin_off.(id) to e.fanin_off.(id + 1) - 1 do
+        let v = e.values.(e.fanin.(k)) in
+        let v = if k = e.pin_edge then inject_tbl.(stuck5 + v) else v in
+        acc := fold_tbl.(base + (5 * !acc) + v)
+      done;
+      if inverting.(op) then not_tbl.(!acc) else !acc
     end
   in
-  match site with
-  | Fault.Output_line fid when fid = id ->
-    F.make ~good:(F.good v) ~faulty:stuck_l
-  | Fault.Output_line _ | Fault.Input_pin _ -> v
+  if id = e.out_site then inject_tbl.((5 * e.stuck) + v) else v
 
-let imply_full e =
-  Array.iter
-    (fun id -> e.values.(id) <- eval_node e id)
-    (Circuit.topo_order e.circuit)
+let schedule_fanouts e id =
+  for k = e.fanout_off.(id) to e.fanout_off.(id + 1) - 1 do
+    let succ = e.fanout.(k) in
+    if (not e.pending.(succ)) && e.opcode.(succ) > Compiled.op_dff then begin
+      e.pending.(succ) <- true;
+      let l = e.levels.(succ) in
+      e.bucket.(e.bucket_off.(l) + e.bucket_len.(l)) <- succ;
+      e.bucket_len.(l) <- e.bucket_len.(l) + 1;
+      e.queued <- e.queued + 1
+    end
+  done
 
-let schedule e id =
-  if
-    (not e.pending.(id))
-    && not (Gate.is_source (Circuit.node e.circuit id).Circuit.kind)
-  then begin
-    e.pending.(id) <- true;
-    e.buckets.(Circuit.level e.circuit id) <- id :: e.buckets.(Circuit.level e.circuit id)
-  end
-
-(* Incremental implication after one source changed. *)
+(* Incremental implication after one source changed: level by level,
+   so every node is evaluated once after all its changed fanins. A
+   level only schedules higher ones, so its bucket is fixed while it
+   drains. *)
 let imply_from e source =
-  let c = e.circuit in
   let v = eval_node e source in
-  if not (F.equal v e.values.(source)) then begin
+  if v <> e.values.(source) then begin
     e.values.(source) <- v;
-    Array.iter (fun succ -> schedule e succ) (Circuit.node c source).Circuit.fanouts;
-    for lvl = 1 to Array.length e.buckets - 1 do
-      let ids = e.buckets.(lvl) in
-      e.buckets.(lvl) <- [];
-      List.iter
-        (fun id ->
-          e.pending.(id) <- false;
-          let v = eval_node e id in
-          if not (F.equal v e.values.(id)) then begin
-            e.values.(id) <- v;
-            Array.iter (fun succ -> schedule e succ) (Circuit.node c id).Circuit.fanouts
-          end)
-        ids
+    schedule_fanouts e source;
+    let l = ref 1 in
+    while e.queued > 0 do
+      let off = e.bucket_off.(!l) and len = e.bucket_len.(!l) in
+      e.bucket_len.(!l) <- 0;
+      e.queued <- e.queued - len;
+      for i = off to off + len - 1 do
+        let id = e.bucket.(i) in
+        e.pending.(id) <- false;
+        let v = eval_node e id in
+        if v <> e.values.(id) then begin
+          e.values.(id) <- v;
+          schedule_fanouts e id
+        end
+      done;
+      incr l
     done
   end
 
 let detected e =
-  Array.exists
-    (fun id -> e.is_observable.(id) && F.is_d_or_dbar e.values.(id))
-    e.cone
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < e.cone_len do
+    let id = e.cone.(!i) in
+    if e.observable.(id) && e.values.(id) >= 3 then found := true;
+    incr i
+  done;
+  !found
 
-(* The line whose good value must reach the opposite of the stuck value
-   for the fault to be activated. *)
-let activation_node e =
-  match e.fault.Fault.site with
-  | Fault.Output_line id -> id
-  | Fault.Input_pin (gid, pin) -> (Circuit.node e.circuit gid).Circuit.fanins.(pin)
-
-let activation_value e = Logic.lnot (Logic.of_bool e.fault.Fault.stuck)
-
-let activated e =
-  Logic.equal (F.good e.values.(activation_node e)) (activation_value e)
-
-let activation_impossible e =
-  Logic.equal
-    (F.good e.values.(activation_node e))
-    (Logic.of_bool e.fault.Fault.stuck)
+let activation_value e = 1 - e.stuck
+let act_good e = good_tbl.(e.values.(e.act_node))
 
 (* Whether gate [id] sees a D on some input. For an input-pin fault the
    D lives on the faulted branch only: the driver line itself stays
@@ -160,192 +311,163 @@ let activation_impossible e =
    be reconstructed here, otherwise the faulted gate never enters the
    frontier and the search wrongly declares such faults untestable. *)
 let sees_d e id =
-  let nd = Circuit.node e.circuit id in
-  Array.exists (fun f -> F.is_d_or_dbar e.values.(f)) nd.Circuit.fanins
-  ||
-  match e.fault.Fault.site with
-  | Fault.Input_pin (gid, pin) when gid = id ->
-    let driver = nd.Circuit.fanins.(pin) in
-    F.is_d_or_dbar
-      (F.make
-         ~good:(F.good e.values.(driver))
-         ~faulty:(Logic.of_bool e.fault.Fault.stuck))
-  | Fault.Input_pin _ | Fault.Output_line _ -> false
+  let seen = ref false and k = ref e.fanin_off.(id) in
+  let hi = e.fanin_off.(id + 1) in
+  while (not !seen) && !k < hi do
+    let v = e.values.(e.fanin.(!k)) in
+    if v >= 3 || (!k = e.pin_edge && inject_tbl.((5 * e.stuck) + v) >= 3) then
+      seen := true;
+    incr k
+  done;
+  !seen
 
-(* D-frontier: only gates inside the fault cone can see a D. *)
-let d_frontier e =
-  let c = e.circuit in
-  let frontier = ref [] in
-  Array.iter
-    (fun id ->
-      let nd = Circuit.node c id in
-      if Gate.is_logic nd.Circuit.kind && F.equal e.values.(id) F.FX && sees_d e id
-      then frontier := id :: !frontier)
-    e.cone;
-  List.rev !frontier
+(* X-path check: can a D at [id] reach an observable through X-valued
+   nodes? Depth-first over the stamped fanout DAG. *)
+let rec reachable e id =
+  if e.observable.(id) then true
+  else if e.visited.(id) = e.stamp then false
+  else begin
+    e.visited.(id) <- e.stamp;
+    through_fanouts e e.fanout_off.(id) e.fanout_off.(id + 1)
+  end
 
-(* X-path check: can a D reach an observable through X-valued nodes? *)
-let x_path_exists e frontier =
-  let c = e.circuit in
+and through_fanouts e k hi =
+  k < hi
+  && begin
+    let succ = e.fanout.(k) in
+    (e.opcode.(succ) <> Compiled.op_dff
+    && (e.observable.(succ) || (e.values.(succ) = vx && reachable e succ)))
+    || through_fanouts e (k + 1) hi
+  end
+
+(* Propagation objective, encoded [2*node + value], or -1: the first
+   D-frontier gate of the cone (logic gate, X output, D on an input)
+   asks for the non-controlling value on its first X input, provided
+   some frontier gate still has an X-path to an observable. *)
+let propagation_objective e =
   e.stamp <- e.stamp + 1;
-  let stamp = e.stamp in
-  let rec reachable id =
-    if e.is_observable.(id) then true
-    else if e.visited.(id) = stamp then false
+  let first = ref (-1) and path = ref false and i = ref 0 in
+  while (not !path) && !i < e.cone_len do
+    let id = e.cone.(!i) in
+    if e.opcode.(id) >= Compiled.op_buf && e.values.(id) = vx && sees_d e id
+    then begin
+      if !first < 0 then first := id;
+      path := reachable e id
+    end;
+    incr i
+  done;
+  if !first < 0 || not !path then -1
+  else begin
+    let g = !first in
+    let f = ref (-1) and k = ref e.fanin_off.(g) in
+    while !f < 0 && !k < e.fanin_off.(g + 1) do
+      if e.values.(e.fanin.(!k)) = vx then f := e.fanin.(!k);
+      incr k
+    done;
+    if !f < 0 then -1
     else begin
-      e.visited.(id) <- stamp;
-      Array.exists
-        (fun succ ->
-          let snd_ = Circuit.node c succ in
-          (not (Gate.equal_kind snd_.Circuit.kind Gate.Dff))
-          && (e.is_observable.(succ)
-             || (F.equal e.values.(succ) F.FX && reachable succ)))
-        (Circuit.node c id).Circuit.fanouts
+      let cv = controlling.(e.opcode.(g)) in
+      (2 * !f) + if cv >= 0 then 1 - cv else 1
     end
-  in
-  List.exists reachable frontier
+  end
 
 (* Backtrace an objective to an unassigned source, following X inputs
-   and accounting for gate inversions; level-based easiest/hardest pick. *)
-let backtrace e (node, value) =
-  let c = e.circuit in
-  let rec walk id v =
-    let nd = Circuit.node c id in
-    if Gate.is_source nd.kind then Some (id, v)
-    else begin
-      let v_inner = if Gate.inversion nd.kind then Logic.lnot v else v in
-      let x_fanins =
-        Array.to_list nd.fanins
-        |> List.filter (fun f -> F.equal e.values.(f) F.FX)
-      in
-      match x_fanins with
-      | [] -> None
-      | f :: _ as fs ->
-        (* cost of driving a candidate toward the value it will receive:
-           SCOAP controllability when a guide is present, circuit depth
-           otherwise *)
-        let cost g =
-          match e.guide with
-          | Some scoap ->
-            (match v_inner with
-            | Logic.Zero | Logic.One -> Scoap.cc scoap g v_inner
-            | Logic.X -> Circuit.level c g)
-          | None -> Circuit.level c g
-        in
-        let by_cost cmp =
-          List.fold_left (fun acc g -> if cmp (cost g) (cost acc) then g else acc) f fs
-        in
-        let pick =
-          match Gate.controlling_value nd.kind with
-          | Some cv when Logic.equal v_inner cv ->
-            by_cost ( < ) (* one controlling input suffices: easiest *)
-          | Some _ -> by_cost ( > ) (* all inputs needed: hardest first *)
-          | None -> by_cost ( < )
-        in
-        walk pick v_inner
-    end
-  in
-  walk node value
+   and accounting for gate inversions: the cheapest X input when one
+   controlling input suffices (or the gate has no controlling value),
+   the costliest when all inputs are needed. Returns [2*source + value]
+   or -1. *)
+let rec backtrace e id v =
+  let op = e.opcode.(id) in
+  if op <= Compiled.op_dff then (2 * id) + v
+  else begin
+    let v_inner = if inverting.(op) then 1 - v else v in
+    let cost = if v_inner = 0 then e.cost0 else e.cost1 in
+    let hardest = controlling.(op) >= 0 && controlling.(op) <> v_inner in
+    let best = ref (-1) in
+    for k = e.fanin_off.(id) to e.fanin_off.(id + 1) - 1 do
+      let f = e.fanin.(k) in
+      if e.values.(f) = vx then
+        if !best < 0 then best := f
+        else if hardest then (if cost.(f) > cost.(!best) then best := f)
+        else if cost.(f) < cost.(!best) then best := f
+    done;
+    if !best < 0 then -1 else backtrace e !best v_inner
+  end
 
-let run ?guide ?(backtrack_limit = 100) ?(iteration_limit = 400) c fault =
-  let e = make_engine ?guide c fault in
-  Telemetry.Counter.inc m_faults;
-  imply_full e;
-  let iterations = ref 0 in
-  (* decision stack: (source node, source position, value, flipped) *)
-  let stack = ref [] in
-  let backtracks = ref 0 in
-  let aborted = ref false in
-  let rec backtrack () =
-    match !stack with
-    | [] -> false
-    | (src, pos, v, flipped) :: rest ->
-      if flipped then begin
-        e.assigned.(pos) <- Logic.X;
-        imply_from e src;
-        stack := rest;
-        backtrack ()
+(* Undo flipped decisions and flip the most recent unflipped one; false
+   when the space is exhausted or the backtrack limit is hit. *)
+let rec backtrack e limit =
+  if e.depth = 0 then false
+  else begin
+    let top = e.depth - 1 in
+    let src = e.dec_node.(top) in
+    let pos = e.source_pos.(src) in
+    if e.dec_flipped.(top) then begin
+      e.assigned.(pos) <- vx;
+      imply_from e src;
+      e.depth <- top;
+      backtrack e limit
+    end
+    else begin
+      e.backtracks <- e.backtracks + 1;
+      Telemetry.Counter.inc m_backtracks;
+      if e.backtracks > limit then begin
+        e.aborted <- true;
+        false
       end
       else begin
-        incr backtracks;
-        Telemetry.Counter.inc m_backtracks;
-        if !backtracks > backtrack_limit then begin
-          aborted := true;
-          false
-        end
-        else begin
-          let v' = Logic.lnot v in
-          e.assigned.(pos) <- v';
-          stack := (src, pos, v', true) :: rest;
-          imply_from e src;
-          true
-        end
+        let v' = 1 - e.dec_value.(top) in
+        e.assigned.(pos) <- v';
+        e.dec_value.(top) <- v';
+        e.dec_flipped.(top) <- true;
+        imply_from e src;
+        true
       end
-  in
-  (* One frontier scan per iteration serves both the dead-end check
-     and the objective; a global iteration cap bounds the work spent on
-     hard (usually redundant) faults. *)
-  let rec search () =
-    incr iterations;
-    if !iterations > iteration_limit then begin
-      aborted := true;
-      None
     end
-    else if detected e then Some (Array.copy e.assigned)
-    else if activation_impossible e then
-      if backtrack () then search () else None
+  end
+
+(* One frontier scan per iteration serves both the dead-end check and
+   the objective; a global iteration cap bounds the work spent on hard
+   (usually redundant) faults. True when the assignment detects. *)
+let rec search e ~backtrack_limit ~iteration_limit =
+  e.iterations <- e.iterations + 1;
+  if e.iterations > iteration_limit then begin
+    e.aborted <- true;
+    false
+  end
+  else if detected e then true
+  else if act_good e = e.stuck then
+    backtrack e backtrack_limit && search e ~backtrack_limit ~iteration_limit
+  else begin
+    let obj =
+      if act_good e <> activation_value e then (2 * e.act_node) + activation_value e
+      else propagation_objective e
+    in
+    let decision = if obj < 0 then -1 else backtrace e (obj / 2) (obj mod 2) in
+    if decision < 0 then
+      backtrack e backtrack_limit && search e ~backtrack_limit ~iteration_limit
     else begin
-      let obj =
-        if not (activated e) then Some (activation_node e, activation_value e)
-        else begin
-          match d_frontier e with
-          | [] -> None
-          | frontier when not (x_path_exists e frontier) -> None
-          | g :: _ ->
-            let nd = Circuit.node e.circuit g in
-            (match
-               Array.find_opt
-                 (fun f -> F.equal e.values.(f) F.FX)
-                 nd.Circuit.fanins
-             with
-            | None -> None
-            | Some f ->
-              let v =
-                match Gate.controlling_value nd.Circuit.kind with
-                | Some cv -> Logic.lnot cv
-                | None -> Logic.One
-              in
-              Some (f, v))
-        end
-      in
-      match obj with
-      | None -> if backtrack () then search () else None
-      | Some obj ->
-        (match backtrace e obj with
-        | None -> if backtrack () then search () else None
-        | Some (source, v) ->
-          Telemetry.Counter.inc m_decisions;
-          let pos = Hashtbl.find e.source_pos source in
-          e.assigned.(pos) <- v;
-          stack := (source, pos, v, false) :: !stack;
-          imply_from e source;
-          search ())
+      Telemetry.Counter.inc m_decisions;
+      let src = decision / 2 and v = decision mod 2 in
+      e.assigned.(e.source_pos.(src)) <- v;
+      e.dec_node.(e.depth) <- src;
+      e.dec_value.(e.depth) <- v;
+      e.dec_flipped.(e.depth) <- false;
+      e.depth <- e.depth + 1;
+      imply_from e src;
+      search e ~backtrack_limit ~iteration_limit
     end
-  in
-  match search () with
-  | Some cube -> Test cube
-  | None ->
-    if !aborted then begin
-      Telemetry.Counter.inc m_aborted;
-      Aborted
-    end
-    else Untestable
+  end
 
-let generate ?guide ?backtrack_limit ?iteration_limit c fault =
-  run ?guide ?backtrack_limit ?iteration_limit c fault
+let logic_of_code = [| Logic.Zero; Logic.One; Logic.X |]
 
-let detects c fault vector =
-  let e = make_engine c fault in
-  Array.iteri (fun pos b -> e.assigned.(pos) <- Logic.of_bool b) vector;
-  imply_full e;
-  detected e
+let generate ?(backtrack_limit = 100) ?(iteration_limit = 400) e fault =
+  Telemetry.Counter.inc m_faults;
+  reset e fault;
+  if search e ~backtrack_limit ~iteration_limit then
+    Test (Array.map (fun v -> logic_of_code.(v)) e.assigned)
+  else if e.aborted then begin
+    Telemetry.Counter.inc m_aborted;
+    Aborted
+  end
+  else Untestable

@@ -3,9 +3,15 @@
     primary inputs and flip-flop outputs; observable lines: primary
     outputs and flip-flop D pins).
 
-    The same objective / backtrace / imply machinery — without the
-    D-algebra — is reused by the paper's justification engine
-    ({!Scanpower.Justify}), which is why decision hooks are exposed. *)
+    One {!engine} serves every fault of a circuit. {!make} compiles the
+    circuit once into the {!Netlist.Compiled} CSR arrays and allocates
+    all scratch: source positions, observables, topological positions,
+    backtrace costs, five-valued values, the level buckets and the
+    decision stack. {!generate} re-arms that state for one fault (a
+    refill plus a stamped fault-cone sweep) and runs the search without
+    allocating until it returns. Five-valued gate evaluation folds 5x5
+    tables built from {!Netlist.Logic.Five}, so the search sees exactly
+    the D-algebra of that module. *)
 
 open Netlist
 
@@ -14,23 +20,21 @@ type result =
       (** Test cube over [Circuit.sources c] (positional); unassigned
           positions are [X] and may be filled freely. *)
   | Untestable  (** Proven redundant within the search space. *)
-  | Aborted  (** Backtrack limit exceeded. *)
+  | Aborted  (** Backtrack or iteration limit exceeded. *)
+
+type engine
+(** Per-circuit PODEM state; reusable across any number of faults, not
+    thread-safe. *)
+
+val make : ?guide:Scoap.t -> Circuit.t -> engine
+(** [make c] builds the engine for [c]. With [guide] (computed on [c]),
+    backtrace decisions follow SCOAP controllabilities instead of
+    circuit depth. The engine works on a compiled snapshot of [c]:
+    rebuild it after {!Circuit.permute_fanins}. *)
 
 val generate :
-  ?guide:Scoap.t ->
-  ?backtrack_limit:int ->
-  ?iteration_limit:int ->
-  Circuit.t ->
-  Fault.t ->
-  result
-(** Defaults: 100 backtracks, 400 search iterations. The iteration
-    limit bounds the total work per fault (hard-to-prove redundant
-    faults otherwise dominate the runtime on large circuits). With
-    [guide], backtrace decisions follow SCOAP controllabilities
-    instead of circuit depth. *)
-
-val detects : Circuit.t -> Fault.t -> bool array -> bool
-(** [detects c f vector] checks by five-valued simulation whether the
-    fully-specified source vector (positional over [Circuit.sources])
-    detects the fault: used by the test suite to validate generated
-    tests independently of the fault simulator. *)
+  ?backtrack_limit:int -> ?iteration_limit:int -> engine -> Fault.t -> result
+(** Run PODEM for one fault of the engine's circuit. Defaults: 100
+    backtracks, 400 search iterations. The iteration limit bounds the
+    total work per fault (hard-to-prove redundant faults otherwise
+    dominate the runtime on large circuits). *)

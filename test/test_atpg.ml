@@ -1,7 +1,7 @@
 (* ATPG substrate: fault universe and collapsing, PODEM correctness
-   (every generated test really detects its fault), fault simulation
-   against the five-valued oracle, compaction invariants, and the full
-   generation flow. *)
+   (every generated test really detects its fault), batched fault
+   simulation against the per-vector full-cone oracle, compaction
+   invariants, and the full generation flow. *)
 
 open Netlist
 
@@ -62,22 +62,24 @@ let check_fault_to_string () =
   Alcotest.(check string) "stem" "G0 s-a-0" (Atpg.Fault.to_string c stem)
 
 (* PODEM soundness: every Test result must actually detect the fault
-   (checked by independent five-valued simulation with random X-fill). *)
+   (checked by the independent full-cone fault simulator with random
+   X-fill). *)
 let check_podem_tests_detect () =
   let c = Lazy.force s27m in
   let rng = Util.Rng.create 17 in
   let faults = Atpg.Fault.collapsed_faults c in
+  let podem = Atpg.Podem.make c and detects = Oracle.detects c in
   let tested = ref 0 in
   List.iter
     (fun f ->
-      match Atpg.Podem.generate c f with
+      match Atpg.Podem.generate podem f with
       | Atpg.Podem.Test cube ->
         incr tested;
         let filled = Atpg.Compaction.fill_random rng cube in
         Alcotest.(check bool)
           (Printf.sprintf "detects %s" (Atpg.Fault.to_string c f))
           true
-          (Atpg.Podem.detects c f filled)
+          (detects f filled)
       | Atpg.Podem.Untestable | Atpg.Podem.Aborted -> ())
     faults;
   Alcotest.(check bool) "generated many tests" true (!tested > 20)
@@ -85,7 +87,8 @@ let check_podem_tests_detect () =
 let check_podem_finds_most_s27_faults () =
   let c = Lazy.force s27m in
   let faults = Atpg.Fault.collapsed_faults c in
-  let outcomes = List.map (fun f -> Atpg.Podem.generate c f) faults in
+  let podem = Atpg.Podem.make c in
+  let outcomes = List.map (Atpg.Podem.generate podem) faults in
   let tests =
     List.length (List.filter (function Atpg.Podem.Test _ -> true | _ -> false) outcomes)
   in
@@ -94,14 +97,15 @@ let check_podem_finds_most_s27_faults () =
     true
     (float_of_int tests > 0.8 *. float_of_int (List.length faults))
 
-let check_fault_sim_agrees_with_podem_detects () =
+let check_fault_sim_agrees_with_cone_oracle () =
   let c = Lazy.force s27m in
   let faults = Atpg.Fault.collapsed_faults c in
   let vectors = Atpg.Pattern_gen.random_vectors ~seed:9 ~count:37 c in
   let detected, undetected = Atpg.Fault_simulation.split c ~faults ~vectors in
-  (* the bit-parallel simulator and the five-valued simulator must
-     agree fault by fault *)
-  let oracle f = List.exists (fun v -> Atpg.Podem.detects c f v) vectors in
+  (* the batched, fault-dropping CPT run and one full-cone simulation
+     per vector must agree fault by fault *)
+  let detects = Oracle.detects c in
+  let oracle f = List.exists (fun v -> detects f v) vectors in
   List.iter
     (fun f ->
       Alcotest.(check bool)
@@ -225,7 +229,7 @@ let suite =
     Alcotest.test_case "podem tests detect" `Quick check_podem_tests_detect;
     Alcotest.test_case "podem finds most faults" `Quick check_podem_finds_most_s27_faults;
     Alcotest.test_case "fault sim agrees with oracle" `Quick
-      check_fault_sim_agrees_with_podem_detects;
+      check_fault_sim_agrees_with_cone_oracle;
     Alcotest.test_case "effective subset preserves coverage" `Quick
       check_effective_subset_preserves_coverage;
     Alcotest.test_case "empty inputs" `Quick check_empty_inputs;

@@ -10,6 +10,7 @@ let mapped name = Techmap.Mapper.map (Circuits.by_name name)
 let check_sound_tests name () =
   let c = mapped name in
   let rng = Util.Rng.create 5 in
+  let detects = Oracle.detects c in
   let tested = ref 0 in
   List.iter
     (fun f ->
@@ -20,16 +21,17 @@ let check_sound_tests name () =
         Alcotest.(check bool)
           (Printf.sprintf "detects %s" (Atpg.Fault.to_string c f))
           true
-          (Atpg.Podem.detects c f filled)
+          (detects f filled)
       | Atpg.D_algorithm.Untestable | Atpg.D_algorithm.Aborted -> ())
     (Atpg.Fault.collapsed_faults c);
   Alcotest.(check bool) "found tests" true (!tested > 20)
 
 let agreement name () =
   let c = mapped name in
+  let podem = Atpg.Podem.make c in
   List.iter
     (fun f ->
-      let p = Atpg.Podem.generate c f in
+      let p = Atpg.Podem.generate podem f in
       let d = Atpg.D_algorithm.generate c f in
       match p, d with
       | Atpg.Podem.Aborted, _ | _, Atpg.D_algorithm.Aborted -> ()
@@ -56,7 +58,7 @@ let check_known_untestable () =
   let c = Circuit.Builder.build b in
   let fault = { Atpg.Fault.site = Atpg.Fault.Output_line g; stuck = true } in
   Alcotest.(check bool) "podem proves untestable" true
-    (Atpg.Podem.generate c fault = Atpg.Podem.Untestable);
+    (Atpg.Podem.generate (Atpg.Podem.make c) fault = Atpg.Podem.Untestable);
   Alcotest.(check bool) "d-algorithm proves untestable" true
     (Atpg.D_algorithm.generate c fault = Atpg.D_algorithm.Untestable)
 

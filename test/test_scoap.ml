@@ -92,21 +92,23 @@ let check_guided_podem_still_sound () =
   let c = Techmap.Mapper.map (Circuits.s27 ()) in
   let guide = Atpg.Scoap.compute c in
   let rng = Util.Rng.create 6 in
+  let podem = Atpg.Podem.make ~guide c and detects = Oracle.detects c in
   List.iter
     (fun f ->
-      match Atpg.Podem.generate ~guide c f with
+      match Atpg.Podem.generate podem f with
       | Atpg.Podem.Test cube ->
         let filled = Atpg.Compaction.fill_random rng cube in
         Alcotest.(check bool)
           (Printf.sprintf "guided test detects %s" (Atpg.Fault.to_string c f))
           true
-          (Atpg.Podem.detects c f filled)
+          (detects f filled)
       | Atpg.Podem.Untestable | Atpg.Podem.Aborted -> ())
     (Atpg.Fault.collapsed_faults c)
 
 let check_guided_matches_unguided_testability () =
   let c = Techmap.Mapper.map (Circuits.s27 ()) in
   let guide = Atpg.Scoap.compute c in
+  let plain = Atpg.Podem.make c and guided = Atpg.Podem.make ~guide c in
   List.iter
     (fun f ->
       let to_tag = function
@@ -114,7 +116,9 @@ let check_guided_matches_unguided_testability () =
         | Atpg.Podem.Untestable -> `U
         | Atpg.Podem.Aborted -> `A
       in
-      match (to_tag (Atpg.Podem.generate c f), to_tag (Atpg.Podem.generate ~guide c f)) with
+      match
+        (to_tag (Atpg.Podem.generate plain f), to_tag (Atpg.Podem.generate guided f))
+      with
       | `T, `U | `U, `T ->
         Alcotest.failf "testability flipped for %s" (Atpg.Fault.to_string c f)
       | (`T | `U | `A), _ -> ())
