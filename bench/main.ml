@@ -124,25 +124,45 @@ let table1 () =
   Format.printf "@.paper:@.";
   Scanpower.Report.pp_table Format.std_formatter
     (List.filter_map Scanpower.Report.paper_row table1_circuits);
-  (* shape check: the qualitative claims of the paper *)
-  let static_wins =
-    List.length
-      (List.filter
-         (fun r ->
-           r.Scanpower.Report.prop_static < r.Scanpower.Report.trad_static
-           && r.Scanpower.Report.prop_static < r.Scanpower.Report.ic_static)
-         rows)
+  (* shape check: the qualitative claims of the paper are the verdict,
+     over every circuit asked for (a failed circuit counts as a loss) *)
+  let names_where p =
+    List.filter_map
+      (fun r -> if p r then Some r.Scanpower.Report.name else None)
+      rows
   in
-  let dyn_wins =
-    List.length
-      (List.filter
-         (fun r -> r.Scanpower.Report.prop_dyn < r.Scanpower.Report.trad_dyn)
-         rows)
+  let static_losers =
+    names_where (fun r ->
+        not
+          (r.Scanpower.Report.prop_static < r.Scanpower.Report.trad_static
+          && r.Scanpower.Report.prop_static < r.Scanpower.Report.ic_static))
   in
+  let dyn_losers =
+    names_where (fun r ->
+        not (r.Scanpower.Report.prop_dyn < r.Scanpower.Report.trad_dyn))
+  in
+  let failed =
+    List.filter_map
+      (fun (r : Scanpower.Sweep.job_result) ->
+        match r.Scanpower.Sweep.comparison with
+        | Ok _ -> None
+        | Error _ -> Some r.Scanpower.Sweep.circuit)
+      report.Scanpower.Sweep.results
+  in
+  let n = List.length table1_circuits in
+  let wins losers = List.length rows - List.length losers in
   Format.printf
     "@.shape: proposed beats both baselines on static power in %d/%d circuits; \
      beats traditional scan on dynamic power in %d/%d.@."
-    static_wins (List.length rows) dyn_wins (List.length rows)
+    (wins static_losers) n (wins dyn_losers) n;
+  if failed <> [] || static_losers <> [] || dyn_losers <> [] then
+    failwith
+      (Printf.sprintf
+         "Table I verdict failed: circuits failed [%s]; static not below \
+          both baselines [%s]; dynamic not below traditional [%s]"
+         (String.concat " " failed)
+         (String.concat " " static_losers)
+         (String.concat " " dyn_losers))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -497,12 +517,9 @@ let kernels () =
       let _, compile_s =
         time ~reps:10 (fun () -> Netlist.Compiled.of_circuit c)
       in
-      (* width pinned to 1: this is the historical baseline metric the
-         committed BENCH pairs against; the auto-width point below is
-         what an unannotated [measure] call actually runs *)
       let packed, packed_s =
         time ~reps:shift_reps (fun () ->
-            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ~width:1 c chain
+            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed c chain
               Scan.Scan_sim.traditional ~vectors)
       in
       let scalar, scalar_s =
@@ -517,39 +534,6 @@ let kernels () =
         packed.Scan.Scan_sim.per_cycle_toggles
         <> scalar.Scan.Scan_sim.per_cycle_toggles
       then failwith (name ^ ": packed/scalar per-cycle toggle mismatch");
-      (* W-word batches: same measurement at 256 and 512 patterns per
-         pass; each must reproduce the W=1 toggle counts bit for bit
-         before its timing is trusted *)
-      let wide_shift width =
-        let r, s =
-          time ~reps:shift_reps (fun () ->
-              Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ~width c
-                chain Scan.Scan_sim.traditional ~vectors)
-        in
-        if r.Scan.Scan_sim.toggles <> packed.Scan.Scan_sim.toggles then
-          failwith
-            (Printf.sprintf "%s: packed W=%d toggle mismatch" name width);
-        if
-          r.Scan.Scan_sim.per_cycle_toggles
-          <> packed.Scan.Scan_sim.per_cycle_toggles
-        then
-          failwith
-            (Printf.sprintf "%s: packed W=%d per-cycle mismatch" name width);
-        s
-      in
-      let packed_w4_s = wide_shift 4 in
-      let packed_w8_s = wide_shift 8 in
-      (* the width [measure] picks on its own when none is given: one
-         scan segment per frame, so short chains stop paying for dead
-         lanes (this is the configuration every non-bench caller gets) *)
-      let auto_w = Scan.Scan_sim.auto_width chain in
-      let packed_auto, packed_auto_s =
-        time ~reps:shift_reps (fun () ->
-            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed c chain
-              Scan.Scan_sim.traditional ~vectors)
-      in
-      if packed_auto.Scan.Scan_sim.toggles <> packed.Scan.Scan_sim.toggles then
-        failwith (name ^ ": packed auto-width toggle mismatch");
       let faults = Atpg.Fault.collapsed_faults c in
       (* both fault-sim engines on persistent machines: the cone
          reference and the critical-path-tracing engine must agree
@@ -595,10 +579,9 @@ let kernels () =
       let speedup = scalar_s /. Float.max 1e-9 packed_s in
       Format.printf
         "%-8s compile %7.4fs | shift sim: packed %8.4fs vs scalar %8.4fs \
-         (%5.1fx) | W4 %8.4fs W8 %8.4fs | fault sim: cpt %7.3fs vs cone \
-         %7.3fs (%5.1fx, %.2e ev/s, %d/%d detected)@."
-        name compile_s packed_s scalar_s speedup packed_w4_s packed_w8_s
-        fault_cpt_s fault_cone_s fault_speedup fault_events_s
+         (%5.1fx) | fault sim: cpt %7.3fs vs cone %7.3fs (%5.1fx, %.2e \
+         ev/s, %d/%d detected)@."
+        name compile_s packed_s scalar_s speedup fault_cpt_s fault_cone_s fault_speedup fault_events_s
         (List.length detected) (List.length faults);
       kernels_json :=
         ( name,
@@ -611,23 +594,9 @@ let kernels () =
               ( "total_toggles",
                 Telemetry.Json.Int packed.Scan.Scan_sim.total_toggles );
               ("compile_s", Telemetry.Json.Float compile_s);
-              ("packed_width", Telemetry.Json.Int 8);
               ("packed_shift_s", Telemetry.Json.Float packed_s);
-              ("packed_shift_w4_s", Telemetry.Json.Float packed_w4_s);
-              ("packed_shift_w8_s", Telemetry.Json.Float packed_w8_s);
               ("scalar_shift_s", Telemetry.Json.Float scalar_s);
               ("packed_speedup", Telemetry.Json.Float speedup);
-              ( "packed_w4_speedup",
-                Telemetry.Json.Float (packed_s /. Float.max 1e-9 packed_w4_s)
-              );
-              ( "packed_w8_speedup",
-                Telemetry.Json.Float (packed_s /. Float.max 1e-9 packed_w8_s)
-              );
-              ("packed_auto_width", Telemetry.Json.Int auto_w);
-              ("packed_shift_auto_s", Telemetry.Json.Float packed_auto_s);
-              ( "packed_auto_speedup",
-                Telemetry.Json.Float (packed_s /. Float.max 1e-9 packed_auto_s)
-              );
               ("fault_sim_s", Telemetry.Json.Float fault_cpt_s);
               ("fault_sim_cone_s", Telemetry.Json.Float fault_cone_s);
               ("fault_sim_cpt_s", Telemetry.Json.Float fault_cpt_s);

@@ -397,14 +397,14 @@ let export_cmd =
 (* ---- peak ---- *)
 
 let peak_cmd =
-  let run spec seed window engine tele =
+  let run spec seed window tele =
     let* metrics_out = tele in
     let* c = mapped spec in
     let chain = Scan.Scan_chain.natural c in
     let vectors = Atpg.Pattern_gen.random_vectors ~seed ~count:50 c in
     List.iter
       (fun (tag, policy) ->
-        let m = Scan.Scan_sim.measure ~engine c chain policy ~vectors in
+        let m = Scan.Scan_sim.measure c chain policy ~vectors in
         let p =
           Power.Peak.of_toggle_series ~window m.Scan.Scan_sim.per_cycle_toggles
         in
@@ -419,26 +419,12 @@ let peak_cmd =
   let window =
     Arg.(value & opt int 16 & info [ "window" ] ~doc:"Thermal window, cycles.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("packed", Scan.Scan_sim.Packed); ("scalar", Scan.Scan_sim.Scalar);
-             ])
-          Scan.Scan_sim.Packed
-      & info [ "engine" ]
-          ~doc:
-            "Scan simulation kernel: packed (64 cycles per word, default) or \
-             scalar (event-driven reference).")
-  in
   Cmd.v
     (Cmd.info "peak"
        ~doc:"Per-cycle activity profile and peak power during scan.")
     Term.(
       term_result
-        (const run $ circuit_arg $ seed_arg $ window $ engine $ telemetry_term))
+        (const run $ circuit_arg $ seed_arg $ window $ telemetry_term))
 
 (* ---- table1 ---- *)
 
@@ -1004,8 +990,8 @@ let serve_cmd =
 let client_cmd =
   let module P = Scanpower_server.Protocol in
   let module C = Scanpower_server.Client in
-  let run socket kind_s spec seed engine deadline stream isolation repeat
-      connect_timeout retry_for hedge tele =
+  let run socket kind_s spec seed deadline stream isolation repeat
+      connect_timeout retry_for tele =
     let* metrics_out = tele in
     let* kind =
       match P.kind_of_string kind_s with
@@ -1034,9 +1020,7 @@ let client_cmd =
     (* the resilient session reconnects and replays through daemon
        restarts; --connect-timeout is folded into its retry window *)
     let session =
-      C.session
-        ~retry_for_s:(Float.max retry_for connect_timeout)
-        ?hedge_after_s:hedge socket
+      C.session ~retry_for_s:(Float.max retry_for connect_timeout) socket
     in
     Fun.protect
       ~finally:(fun () -> C.close_session session)
@@ -1045,7 +1029,7 @@ let client_cmd =
         for i = 1 to repeat do
           let req =
             P.make ?circuit ?bench ?name:(Option.map Fun.id name) ~seed
-              ?engine ?deadline_s:deadline ~stream
+              ?deadline_s:deadline ~stream
               ~isolation:
                 (if isolation = "fork" then P.Fork_isolation
                  else P.Inline_isolation)
@@ -1077,13 +1061,6 @@ let client_cmd =
     let doc = "Benchmark name (resolved by the daemon) or .bench path \
                (shipped inline)." in
     Arg.(value & pos 1 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
-  in
-  let engine =
-    Arg.(
-      value
-      & opt (some (enum [ ("packed", "packed"); ("scalar", "scalar") ])) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Scan-simulation kernel for flow requests.")
   in
   let deadline =
     Arg.(
@@ -1138,16 +1115,6 @@ let client_cmd =
              $(b,overloaded)/$(b,degraded) errors. Idempotency keys \
              guarantee a replay never double-executes.")
   in
-  let hedge =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "hedge" ] ~docv:"SECONDS"
-          ~doc:
-            "Hedged sends for read-only kinds (health, stats, validate): a \
-             request unanswered after $(docv) is fired again on a second \
-             connection and the first answer wins.")
-  in
   Cmd.v
     (Cmd.info "client"
        ~doc:
@@ -1158,9 +1125,9 @@ let client_cmd =
           exit codes (7 overloaded, 8 deadline, 9 degraded, ...).")
     Term.(
       term_result
-        (const run $ socket_arg $ kind_arg $ spec_arg $ seed_arg $ engine
-       $ deadline $ stream $ isolation $ repeat $ connect_timeout
-       $ retry_for $ hedge $ telemetry_term))
+        (const run $ socket_arg $ kind_arg $ spec_arg $ seed_arg $ deadline
+       $ stream $ isolation $ repeat $ connect_timeout $ retry_for
+       $ telemetry_term))
 
 let main_cmd =
   let doc =

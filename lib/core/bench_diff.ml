@@ -75,17 +75,14 @@ let load path =
 (* comparison                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type kind = Count | Time | Rate | Config
+type kind = Count | Time | Rate
 
 (* Classified by naming convention, which the bench writer keeps
    deliberately strict: [_speedup] and [_events_s] are
    higher-is-better rates, any other [_s] suffix is a lower-is-better
    wall-clock time, and everything else is an exact count (a structural
    property of the circuit or the algorithm, where any drift means the
-   two runs did not compute the same thing). [packed_width] and
-   [packed_auto_width] are run {e configuration} — how wide the W-word
-   batch was — so a change between files is deliberate, reported but
-   never a regression.
+   two runs did not compute the same thing).
 
    Gate-bearing rates are additionally pinned by name: the serve
    stage's warm-up amortisation contract ([serve_warm_speedup]) rides
@@ -96,8 +93,7 @@ type kind = Count | Time | Rate | Config
 let rate_metrics = [ "serve_warm_speedup" ]
 
 let kind_of_metric name =
-  if name = "packed_width" || name = "packed_auto_width" then Config
-  else if List.mem name rate_metrics then Rate
+  if List.mem name rate_metrics then Rate
   else if
     String.ends_with ~suffix:"_speedup" name
     || String.ends_with ~suffix:"_events_s" name
@@ -109,7 +105,6 @@ let kind_to_string = function
   | Count -> "count"
   | Time -> "time"
   | Rate -> "rate"
-  | Config -> "config"
 
 type finding = {
   f_circuit : string;
@@ -145,7 +140,6 @@ let compare_metric ~time_threshold ~rate_threshold circuit metric old_v new_v =
          value is decidedly nonzero *)
       if ov <= 0.0 then nv > 1e-9 else nv > ov *. (1.0 +. time_threshold)
     | Rate -> if ov <= 0.0 then false else nv < ov *. (1.0 -. rate_threshold)
-    | Config -> false
   in
   {
     f_circuit = circuit;

@@ -9,10 +9,7 @@
     - {e times} ([_s] suffix) regress when
       [new > old * (1 + time_threshold)];
     - {e rates} ([_speedup] / [_events_s] suffixes, higher is better)
-      regress when [new < old * (1 - rate_threshold)];
-    - {e config} ([packed_width], [packed_auto_width]) records how the
-      run was set up and never regresses — a change is visible in the
-      table but deliberate by definition.
+      regress when [new < old * (1 - rate_threshold)].
 
     Accepts the [scanpower.bench_kernels/3] and [/4] schemas and pairs
     their shared metrics, so a /3 baseline gates a /4 run. /4 only
@@ -39,13 +36,11 @@ val load : string -> file
     ([Io] / [Parse]) on unreadable or malformed input, including a
     schema mismatch. *)
 
-type kind = Count | Time | Rate | Config
+type kind = Count | Time | Rate
 
 val kind_of_metric : string -> kind
 (** Suffix convention: [_speedup]/[_events_s] → [Rate], other [_s] →
-    [Time], the literal names
-    [packed_width]/[packed_auto_width] → [Config] (deliberate
-    run configuration, never a regression), everything else → [Count].
+    [Time], everything else → [Count].
     Gate-bearing rates are additionally pinned by literal name
     ([serve_warm_speedup]) so the serve stage's amortisation contract
     is gated even if the suffix convention drifts. *)

@@ -371,13 +371,13 @@ let run_benchmark ?atpg_config ?engine ?seed c =
         ~finally:record_peak_heap
         (fun () -> evaluate ?engine ?seed (prepare ?atpg_config c)))
 
-let run_benchmark_cached ?atpg_config ?engine ?seed c =
+let run_benchmark_cached ?atpg_config ?seed c =
   Telemetry.Span.with_ ~name:"flow.run_benchmark"
     ~fields:[ ("circuit", Telemetry.Json.String (Netlist.Circuit.name c)) ]
     (fun () ->
       Fun.protect
         ~finally:record_peak_heap
-        (fun () -> evaluate ?engine ?seed (prepare_cached ?atpg_config c)))
+        (fun () -> evaluate ?seed (prepare_cached ?atpg_config c)))
 
 (* [base = 0] admits no percentage: returning 0.0 there made a
    regression from a zero baseline read as "no change", so it now

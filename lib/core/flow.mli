@@ -106,9 +106,9 @@ type comparison = {
 val evaluate : ?engine:Scan.Scan_sim.engine -> ?seed:int -> prepared -> comparison
 (** [engine] selects the scan-simulation kernel (default
     {!Scan.Scan_sim.Packed}); [Scalar] replays the event-driven
-    reference. Toggle counts, dynamic power and responses are identical
-    between the two; the static averages agree to float accumulation
-    order. *)
+    reference, the tests' oracle. Toggle counts, dynamic power and
+    responses are identical between the two; the static averages agree
+    to float accumulation order. *)
 
 val run_benchmark :
   ?atpg_config:Atpg.Pattern_gen.config ->
@@ -120,7 +120,6 @@ val run_benchmark :
 
 val run_benchmark_cached :
   ?atpg_config:Atpg.Pattern_gen.config ->
-  ?engine:Scan.Scan_sim.engine ->
   ?seed:int ->
   Circuit.t ->
   comparison

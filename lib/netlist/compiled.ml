@@ -303,107 +303,3 @@ let eval_words t (words : int64 array) =
     let id = eo.(k) in
     words.(id) <- eval_word t words id
   done
-
-(* ---- W-word batches ---- *)
-
-(* Strided folds for the rare >2-input gate: node [id] word [w] lives
-   at [id*width + w]. *)
-let rec fold_and64w (ws : int64 array) (fa : int array) i hi w width acc =
-  if i >= hi then acc
-  else
-    fold_and64w ws fa (i + 1) hi w width
-      (Int64.logand acc ws.((fa.(i) * width) + w))
-
-let rec fold_or64w (ws : int64 array) (fa : int array) i hi w width acc =
-  if i >= hi then acc
-  else
-    fold_or64w ws fa (i + 1) hi w width
-      (Int64.logor acc ws.((fa.(i) * width) + w))
-
-let rec fold_xor64w (ws : int64 array) (fa : int array) i hi w width acc =
-  if i >= hi then acc
-  else
-    fold_xor64w ws fa (i + 1) hi w width
-      (Int64.logxor acc ws.((fa.(i) * width) + w))
-
-let eval_words_wide t ~width (words : int64 array) =
-  if width = 1 then eval_words t words
-  else begin
-    let eo = t.eval_order in
-    let fa = t.fanin in
-    for k = 0 to Array.length eo - 1 do
-      let id = eo.(k) in
-      let lo = t.fanin_off.(id) and hi = t.fanin_off.(id + 1) in
-      let op = t.opcode.(id) in
-      let dst = id * width in
-      (* 2-input gates dominate a mapped netlist; the W inner words
-         reuse the two fanin base offsets, so the CSR indices are
-         fetched once per gate, not once per word *)
-      if hi - lo = 2 && op >= op_and then begin
-        let a = fa.(lo) * width and b = fa.(lo + 1) * width in
-        if op = op_and then
-          for w = 0 to width - 1 do
-            words.(dst + w) <- Int64.logand words.(a + w) words.(b + w)
-          done
-        else if op = op_nand then
-          for w = 0 to width - 1 do
-            words.(dst + w) <-
-              Int64.lognot (Int64.logand words.(a + w) words.(b + w))
-          done
-        else if op = op_or then
-          for w = 0 to width - 1 do
-            words.(dst + w) <- Int64.logor words.(a + w) words.(b + w)
-          done
-        else if op = op_nor then
-          for w = 0 to width - 1 do
-            words.(dst + w) <-
-              Int64.lognot (Int64.logor words.(a + w) words.(b + w))
-          done
-        else if op = op_xor then
-          for w = 0 to width - 1 do
-            words.(dst + w) <- Int64.logxor words.(a + w) words.(b + w)
-          done
-        else
-          for w = 0 to width - 1 do
-            words.(dst + w) <-
-              Int64.lognot (Int64.logxor words.(a + w) words.(b + w))
-          done
-      end
-      else if op = op_not then begin
-        let a = fa.(lo) * width in
-        for w = 0 to width - 1 do
-          words.(dst + w) <- Int64.lognot words.(a + w)
-        done
-      end
-      else if op = op_buf || op = op_output then
-        Array.blit words (fa.(lo) * width) words dst width
-      else if op = op_and then
-        for w = 0 to width - 1 do
-          words.(dst + w) <- fold_and64w words fa lo hi w width Int64.minus_one
-        done
-      else if op = op_nand then
-        for w = 0 to width - 1 do
-          words.(dst + w) <-
-            Int64.lognot (fold_and64w words fa lo hi w width Int64.minus_one)
-        done
-      else if op = op_or then
-        for w = 0 to width - 1 do
-          words.(dst + w) <- fold_or64w words fa lo hi w width 0L
-        done
-      else if op = op_nor then
-        for w = 0 to width - 1 do
-          words.(dst + w) <-
-            Int64.lognot (fold_or64w words fa lo hi w width 0L)
-        done
-      else if op = op_xor then
-        for w = 0 to width - 1 do
-          words.(dst + w) <- fold_xor64w words fa lo hi w width 0L
-        done
-      else if op = op_xnor then
-        for w = 0 to width - 1 do
-          words.(dst + w) <-
-            Int64.lognot (fold_xor64w words fa lo hi w width 0L)
-        done
-      else invalid_arg "Compiled.eval_words_wide: source node"
-    done
-  end

@@ -136,10 +136,3 @@ val eval_word : t -> int64 array -> int -> int64
 val eval_words : t -> int64 array -> unit
 (** [eval_word] over every node of [eval_order], in place: one full
     64-lane combinational sweep. *)
-
-val eval_words_wide : t -> width:int -> int64 array -> unit
-(** W-word batch sweep over an interleaved array of [node_count *
-    width] words: node [id] word [w] at [id*width + w], i.e. one
-    node's whole batch is contiguous. Each gate's fanin offsets are
-    fetched once and applied to all [width] words (cache-blocked over
-    the CSR arrays). [width = 1] is exactly {!eval_words}. *)

@@ -341,7 +341,7 @@ let window (a : int64 array) off =
 let lo32 (w : int64) = Int64.to_int (Int64.logand w 0xFFFFFFFFL)
 let hi32 (w : int64) = Int64.to_int (Int64.shift_right_logical w 32)
 
-let run_packed ?(width = 1) ?init_state c chain policy ~vectors ~on_response =
+let run_packed ?init_state c chain policy ~vectors ~on_response =
   let n_ff = Scan_chain.length chain in
   let n_nodes = Circuit.node_count c in
   (* same validations (and failure messages) as the scalar session *)
@@ -365,8 +365,8 @@ let run_packed ?(width = 1) ?init_state c chain policy ~vectors ~on_response =
       Array.copy st
   in
   let comp = Compiled.of_circuit c in
-  let ps = Sim.Packed_sim.create ~width comp in
-  let frame_lanes = Sim.Packed_sim.lanes ps in
+  let ps = Sim.Packed_sim.create comp in
+  let frame_lanes = Sim.Packed_sim.lanes in
   let words = Sim.Packed_sim.words ps in
   let lane_toggles = Sim.Packed_sim.lane_toggles ps in
   let fanin_off = Compiled.fanin_off comp in
@@ -402,15 +402,13 @@ let run_packed ?(width = 1) ?init_state c chain policy ~vectors ~on_response =
   let silent_acc = ref 0 in
   let n_shift = ref 0 and n_capture = ref 0 in
   let sum_shift = ref 0.0 and sum_capture = ref 0.0 and peak = ref 0.0 in
-  (* words are interleaved per node (word [w] of node [id] at
-     [id*width + w]); [l] is a lane within word 0 here *)
   let state_at id l =
     let lo = fanin_off.(id) and hi = fanin_off.(id + 1) in
     let s = ref 0 in
     for i = lo to hi - 1 do
       if
         Int64.logand
-          (Int64.shift_right_logical words.(fanin.(i) * width) l)
+          (Int64.shift_right_logical words.(fanin.(i)) l)
           1L
         <> 0L
       then s := !s lor (1 lsl (i - lo))
@@ -489,96 +487,87 @@ let run_packed ?(width = 1) ?init_state c chain policy ~vectors ~on_response =
      has none). *)
   let account ~base ~count ~cap_s =
     Array.fill na_lane 0 count 0.0;
-    (* one pass per frame word: lane [fw*64 + l] of the frame is bit
-       [l] of each node's word [fw] *)
-    let n_fw = (count + 63) / 64 in
-    for fw = 0 to n_fw - 1 do
-      let lane0 = fw * 64 in
-      let cw = min 64 (count - lane0) in
-      let lim_lo = if cw < 32 then cw else 32 in
-      let lim_hi = cw - 32 in
-      Array.iter
-        (fun (arity, tbl, n_g, nbits, pins) ->
-          let n_states = Array.length tbl in
-          for s = 0 to n_states - 1 do
-            Array.fill planes_lo.(s) 0 nbits 0;
-            Array.fill planes_hi.(s) 0 nbits 0
-          done;
-          if arity = 2 then
-            for g = 0 to n_g - 1 do
-              let w0 = words.((pins.(2 * g) * width) + fw)
-              and w1 = words.((pins.((2 * g) + 1) * width) + fw) in
-              let v0 = lo32 w0 and v1 = lo32 w1 in
-              let n0 = v0 lxor 0xFFFFFFFF and n1 = v1 lxor 0xFFFFFFFF in
-              cs_add planes_lo.(0) (n0 land n1);
-              cs_add planes_lo.(1) (v0 land n1);
-              cs_add planes_lo.(2) (n0 land v1);
-              cs_add planes_lo.(3) (v0 land v1);
-              let v0 = hi32 w0 and v1 = hi32 w1 in
-              let n0 = v0 lxor 0xFFFFFFFF and n1 = v1 lxor 0xFFFFFFFF in
-              cs_add planes_hi.(0) (n0 land n1);
-              cs_add planes_hi.(1) (v0 land n1);
-              cs_add planes_hi.(2) (n0 land v1);
-              cs_add planes_hi.(3) (v0 land v1)
-            done
-          else if arity = 1 then
-            for g = 0 to n_g - 1 do
-              let w0 = words.((pins.(g) * width) + fw) in
-              let v0 = lo32 w0 in
-              cs_add planes_lo.(0) (v0 lxor 0xFFFFFFFF);
-              cs_add planes_lo.(1) v0;
-              let v0 = hi32 w0 in
-              cs_add planes_hi.(0) (v0 lxor 0xFFFFFFFF);
-              cs_add planes_hi.(1) v0
-            done
-          else
-            for g = 0 to n_g - 1 do
+    let lim_lo = if count < 32 then count else 32 in
+    let lim_hi = count - 32 in
+    Array.iter
+      (fun (arity, tbl, n_g, nbits, pins) ->
+        let n_states = Array.length tbl in
+        for s = 0 to n_states - 1 do
+          Array.fill planes_lo.(s) 0 nbits 0;
+          Array.fill planes_hi.(s) 0 nbits 0
+        done;
+        if arity = 2 then
+          for g = 0 to n_g - 1 do
+            let w0 = words.(pins.(2 * g))
+            and w1 = words.(pins.((2 * g) + 1)) in
+            let v0 = lo32 w0 and v1 = lo32 w1 in
+            let n0 = v0 lxor 0xFFFFFFFF and n1 = v1 lxor 0xFFFFFFFF in
+            cs_add planes_lo.(0) (n0 land n1);
+            cs_add planes_lo.(1) (v0 land n1);
+            cs_add planes_lo.(2) (n0 land v1);
+            cs_add planes_lo.(3) (v0 land v1);
+            let v0 = hi32 w0 and v1 = hi32 w1 in
+            let n0 = v0 lxor 0xFFFFFFFF and n1 = v1 lxor 0xFFFFFFFF in
+            cs_add planes_hi.(0) (n0 land n1);
+            cs_add planes_hi.(1) (v0 land n1);
+            cs_add planes_hi.(2) (n0 land v1);
+            cs_add planes_hi.(3) (v0 land v1)
+          done
+        else if arity = 1 then
+          for g = 0 to n_g - 1 do
+            let w0 = words.(pins.(g)) in
+            let v0 = lo32 w0 in
+            cs_add planes_lo.(0) (v0 lxor 0xFFFFFFFF);
+            cs_add planes_lo.(1) v0;
+            let v0 = hi32 w0 in
+            cs_add planes_hi.(0) (v0 lxor 0xFFFFFFFF);
+            cs_add planes_hi.(1) v0
+          done
+        else
+          for g = 0 to n_g - 1 do
+            for p = 0 to arity - 1 do
+              let w = words.(pins.((g * arity) + p)) in
+              pv_lo.(p) <- lo32 w;
+              pv_hi.(p) <- hi32 w
+            done;
+            for s = 0 to n_states - 1 do
+              let m_lo = ref 0xFFFFFFFF and m_hi = ref 0xFFFFFFFF in
               for p = 0 to arity - 1 do
-                let w = words.((pins.((g * arity) + p) * width) + fw) in
-                pv_lo.(p) <- lo32 w;
-                pv_hi.(p) <- hi32 w
+                if (s lsr p) land 1 = 1 then begin
+                  m_lo := !m_lo land pv_lo.(p);
+                  m_hi := !m_hi land pv_hi.(p)
+                end
+                else begin
+                  m_lo := !m_lo land (pv_lo.(p) lxor 0xFFFFFFFF);
+                  m_hi := !m_hi land (pv_hi.(p) lxor 0xFFFFFFFF)
+                end
               done;
-              for s = 0 to n_states - 1 do
-                let m_lo = ref 0xFFFFFFFF and m_hi = ref 0xFFFFFFFF in
-                for p = 0 to arity - 1 do
-                  if (s lsr p) land 1 = 1 then begin
-                    m_lo := !m_lo land pv_lo.(p);
-                    m_hi := !m_hi land pv_hi.(p)
-                  end
-                  else begin
-                    m_lo := !m_lo land (pv_lo.(p) lxor 0xFFFFFFFF);
-                    m_hi := !m_hi land (pv_hi.(p) lxor 0xFFFFFFFF)
-                  end
-                done;
-                cs_add planes_lo.(s) !m_lo;
-                cs_add planes_hi.(s) !m_hi
-              done
-            done;
-          for s = 0 to n_states - 1 do
-            let coef = tbl.(s) in
-            let pl = planes_lo.(s) in
-            for l = 0 to lim_lo - 1 do
-              let cnt = ref 0 in
-              for b = 0 to nbits - 1 do
-                cnt := !cnt lor (((pl.(b) lsr l) land 1) lsl b)
-              done;
-              if !cnt > 0 then
-                na_lane.(lane0 + l) <-
-                  na_lane.(lane0 + l) +. (float_of_int !cnt *. coef)
-            done;
-            let ph = planes_hi.(s) in
-            for l = 0 to lim_hi - 1 do
-              let cnt = ref 0 in
-              for b = 0 to nbits - 1 do
-                cnt := !cnt lor (((ph.(b) lsr l) land 1) lsl b)
-              done;
-              if !cnt > 0 then
-                na_lane.(lane0 + 32 + l) <-
-                  na_lane.(lane0 + 32 + l) +. (float_of_int !cnt *. coef)
+              cs_add planes_lo.(s) !m_lo;
+              cs_add planes_hi.(s) !m_hi
             done
-          done)
-        groups
-    done;
+          done;
+        for s = 0 to n_states - 1 do
+          let coef = tbl.(s) in
+          let pl = planes_lo.(s) in
+          for l = 0 to lim_lo - 1 do
+            let cnt = ref 0 in
+            for b = 0 to nbits - 1 do
+              cnt := !cnt lor (((pl.(b) lsr l) land 1) lsl b)
+            done;
+            if !cnt > 0 then
+              na_lane.(l) <- na_lane.(l) +. (float_of_int !cnt *. coef)
+          done;
+          let ph = planes_hi.(s) in
+          for l = 0 to lim_hi - 1 do
+            let cnt = ref 0 in
+            for b = 0 to nbits - 1 do
+              cnt := !cnt lor (((ph.(b) lsr l) land 1) lsl b)
+            done;
+            if !cnt > 0 then
+              na_lane.(32 + l) <- na_lane.(32 + l) +. (float_of_int !cnt *. coef)
+          done
+        done)
+      groups;
     total_na := na_lane.(count - 1);
     for l = 0 to count - 1 do
       let s = base + l in
@@ -617,10 +606,10 @@ let run_packed ?(width = 1) ?init_state c chain policy ~vectors ~on_response =
   (* initial settle (uncounted), in shift mode at the init chain state *)
   let init_pi = shift_pi first_pi in
   Array.iteri
-    (fun i id -> words.(id * width) <- (if init_pi.(i) then 1L else 0L))
+    (fun i id -> words.(id) <- (if init_pi.(i) then 1L else 0L))
     pi_ids;
   Array.iteri
-    (fun j id -> words.(id * width) <- (if ff_prev.(j) then 1L else 0L))
+    (fun j id -> words.(id) <- (if ff_prev.(j) then 1L else 0L))
     ff_by_pos;
   Sim.Packed_sim.step ps ~count:1 ~record:false;
   Array.iter
@@ -639,9 +628,6 @@ let run_packed ?(width = 1) ?init_state c chain policy ~vectors ~on_response =
      1..n_ff the shift cycles, then (for a test segment, [cap = Some
      (capture_pi, target)]) the capture lane.  [s0] is the chain before
      the first shift, [bits] the scan-in sequence. *)
-  let m_ps_a = Array.make width 0L in
-  let m_shift_a = Array.make width 0L in
-  let m_cap_a = Array.make width 0L in
   let run_segment ~spi ~cap ~s0 ~bits =
     Array.fill stream 0 seg_words 0L;
     for i = 0 to n_ff - 1 do
@@ -657,69 +643,48 @@ let run_packed ?(width = 1) ?init_state c chain policy ~vectors ~on_response =
     while !base < seg_len do
       let b = !base in
       let count = min frame_lanes (seg_len - b) in
-      let n_fw = (count + 63) / 64 in
-      (* per-word masks: frame word [fw] carries segment lanes
-         [b + fw*64 ..]; [m_ps] = pre-application + shift lanes
-         (segment lane <= n_ff), [m_shift] = real shift cycles only
-         (segment lanes 1..n_ff), [m_cap] = the capture lane bit *)
-      for fw = 0 to n_fw - 1 do
-        let bw = b + (fw * 64) in
-        let cw = min 64 (count - (fw * 64)) in
-        m_ps_a.(fw) <- mask_bits 0 (min (cw - 1) (n_ff - bw));
-        m_shift_a.(fw) <- mask_bits (max 0 (1 - bw)) (min (cw - 1) (n_ff - bw));
-        let cap_l = cap_s - bw in
-        m_cap_a.(fw) <-
-          (if has_cap && cap_l >= 0 && cap_l < cw then
-             Int64.shift_left 1L cap_l
-           else 0L)
-      done;
+      (* the frame carries segment lanes [b ..]; [m_ps] = pre-application
+         + shift lanes (segment lane <= n_ff), [m_shift] = real shift
+         cycles only (segment lanes 1..n_ff), [m_cap] = the capture lane
+         bit *)
+      let m_ps = mask_bits 0 (min (count - 1) (n_ff - b)) in
+      let m_shift = mask_bits (max 0 (1 - b)) (min (count - 1) (n_ff - b)) in
+      let cap_l = cap_s - b in
+      let m_cap =
+        if has_cap && cap_l >= 0 && cap_l < count then Int64.shift_left 1L cap_l
+        else 0L
+      in
       (match cap with
       | Some (cap_pi, _) ->
         Array.iteri
           (fun i id ->
-            let bw0 = id * width in
-            for fw = 0 to n_fw - 1 do
-              let w = if spi.(i) then m_ps_a.(fw) else 0L in
-              words.(bw0 + fw) <-
-                (if m_cap_a.(fw) <> 0L && cap_pi.(i) then
-                   Int64.logor w m_cap_a.(fw)
-                 else w)
-            done)
+            let w = if spi.(i) then m_ps else 0L in
+            words.(id) <-
+              (if m_cap <> 0L && cap_pi.(i) then Int64.logor w m_cap else w))
           pi_ids
       | None ->
         Array.iteri
-          (fun i id ->
-            let bw0 = id * width in
-            for fw = 0 to n_fw - 1 do
-              words.(bw0 + fw) <- (if spi.(i) then m_ps_a.(fw) else 0L)
-            done)
+          (fun i id -> words.(id) <- (if spi.(i) then m_ps else 0L))
           pi_ids);
       for j = 0 to n_ff - 1 do
-        let id = ff_by_pos.(j) in
-        let bw0 = id * width in
-        for fw = 0 to n_fw - 1 do
-          let bw = b + (fw * 64) in
-          let w =
-            if policy.hold_previous_capture then
-              if ff_prev.(j) then m_ps_a.(fw) else 0L
-            else begin
-              let shifts =
-                match forced_by_pos.(j) with
-                | Some v -> if v then m_shift_a.(fw) else 0L
-                | None ->
-                  Int64.logand
-                    (window stream (n_ff - 1 - j + bw))
-                    m_shift_a.(fw)
-              in
-              if bw = 0 && ff_prev.(j) then Int64.logor shifts 1L else shifts
-            end
-          in
-          words.(bw0 + fw) <-
-            (match cap with
-            | Some (_, target) when m_cap_a.(fw) <> 0L && target.(j) ->
-              Int64.logor w m_cap_a.(fw)
-            | _ -> w)
-        done
+        let w =
+          if policy.hold_previous_capture then
+            if ff_prev.(j) then m_ps else 0L
+          else begin
+            let shifts =
+              match forced_by_pos.(j) with
+              | Some v -> if v then m_shift else 0L
+              | None ->
+                Int64.logand (window stream (n_ff - 1 - j + b)) m_shift
+            in
+            if b = 0 && ff_prev.(j) then Int64.logor shifts 1L else shifts
+          end
+        in
+        words.(ff_by_pos.(j)) <-
+          (match cap with
+          | Some (_, target) when m_cap <> 0L && target.(j) ->
+            Int64.logor w m_cap
+          | _ -> w)
       done;
       Sim.Packed_sim.step ps ~count ~record:true;
       account ~base:b ~count ~cap_s;
@@ -798,23 +763,9 @@ let measure_scalar ?init_state c chain policy ~vectors =
        else s.static_sum_capture /. float_of_int s.n_capture);
   }
 
-(* A packed frame replays one scan segment: load + [n_ff] shifts
-   (+ capture), and [Packed_sim.step] evaluates all [width] words of a
-   frame no matter how few lanes the segment fills — on a short chain
-   a wide machine burns whole words on dead lanes (BENCH: s344 at w8
-   ran 0.62x). So the ideal width is just enough words to hold one
-   segment, capped at {!Sim.Packed_sim.max_width}. *)
-let auto_width chain =
-  let seg_lanes = 1 + Scan_chain.length chain + 1 in
-  min Sim.Packed_sim.max_width (max 1 ((seg_lanes + 63) / 64))
-
-let resolve_width ?width chain =
-  match width with Some w -> w | None -> auto_width chain
-
-let measure_packed ?width ?init_state c chain policy ~vectors =
-  let width = resolve_width ?width chain in
+let measure_packed ?init_state c chain policy ~vectors =
   let st =
-    run_packed ~width ?init_state c chain policy ~vectors
+    run_packed ?init_state c chain policy ~vectors
       ~on_response:(fun _ -> ())
   in
   let cycles = max (st.p_n_shift + st.p_n_capture) 1 in
@@ -835,12 +786,12 @@ let measure_packed ?width ?init_state c chain policy ~vectors =
        else st.p_sum_capture /. float_of_int st.p_n_capture);
   }
 
-let measure ?(engine = Packed) ?width ?init_state c chain policy ~vectors =
+let measure ?(engine = Packed) ?init_state c chain policy ~vectors =
   match engine with
   | Scalar -> measure_scalar ?init_state c chain policy ~vectors
-  | Packed -> measure_packed ?width ?init_state c chain policy ~vectors
+  | Packed -> measure_packed ?init_state c chain policy ~vectors
 
-let responses ?(engine = Packed) ?width ?init_state c chain policy ~vectors =
+let responses ?(engine = Packed) ?init_state c chain policy ~vectors =
   let acc = ref [] in
   (match engine with
   | Scalar ->
@@ -850,9 +801,8 @@ let responses ?(engine = Packed) ?width ?init_state c chain policy ~vectors =
     in
     ()
   | Packed ->
-    let width = resolve_width ?width chain in
     let (_ : packed_stats) =
-      run_packed ~width ?init_state c chain policy ~vectors
+      run_packed ?init_state c chain policy ~vectors
         ~on_response:(fun r -> acc := Array.copy r :: !acc)
     in
     ());

@@ -67,15 +67,8 @@ type result = {
   avg_capture_static_uw : float;  (** mean leakage at capture cycles *)
 }
 
-val auto_width : Scan_chain.t -> int
-(** The packed width {!measure}/{!responses} pick when [?width] is
-    omitted: [ceil((chain length + 2) / 64)] words — one scan segment
-    (load + shifts + capture) per frame — capped at
-    {!Sim.Packed_sim.max_width}. *)
-
 val measure :
   ?engine:engine ->
-  ?width:int ->
   ?init_state:bool array ->
   Circuit.t ->
   Scan_chain.t ->
@@ -84,19 +77,13 @@ val measure :
   result
 (** [vectors] are fully-specified source assignments (positional over
     [Circuit.sources]): the PI part is applied at capture, the state
-    part is shifted in.  [engine] defaults to [Packed]; [width]
-    (1..8) selects the packed engine's word batch — W words carry
-    [64*W] scan cycles per combinational sweep ({!Sim.Packed_sim})
-    and every width produces bit-identical toggle counts. When
-    omitted, the width is chosen automatically ({!auto_width}): just
-    enough words to hold one scan segment, so short chains are not
-    charged for dead lanes. Ignored by [Scalar].
+    part is shifted in.  [engine] defaults to [Packed]; [Scalar] is
+    its test oracle.
     @raise Invalid_argument on malformed vectors, forced non-dff nodes
     or an unmapped circuit. *)
 
 val responses :
   ?engine:engine ->
-  ?width:int ->
   ?init_state:bool array ->
   Circuit.t ->
   Scan_chain.t ->

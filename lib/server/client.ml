@@ -111,14 +111,13 @@ let rpc ?on_event t req =
 type session = {
   path : string;
   retry_for_s : float;
-  hedge_after_s : float option;
   mutable conn : t option;
   mutable calls : int;
   mutable replays : int;
 }
 
-let session ?(retry_for_s = 10.0) ?hedge_after_s path =
-  { path; retry_for_s; hedge_after_s; conn = None; calls = 0; replays = 0 }
+let session ?(retry_for_s = 10.0) path =
+  { path; retry_for_s; conn = None; calls = 0; replays = 0 }
 
 let session_replays s = s.replays
 
@@ -153,44 +152,6 @@ let transport_error (e : E.t) =
 
 let retryable (e : E.t) =
   match e.E.code with E.Overloaded | E.Degraded -> true | _ -> false
-
-let read_only (req : Protocol.request) =
-  match req.Protocol.kind with
-  | Protocol.Health | Protocol.Stats | Protocol.Validate -> true
-  | Protocol.Flow | Protocol.Atpg | Protocol.Sweep_point -> false
-
-(* Hedged send for read-only kinds: after [hedge_after_s] with no
-   bytes from the primary, fire the same request on a second fresh
-   connection and take whichever answers first. Both connections are
-   private to this call (never the session's), so a late loser can be
-   closed without desynchronizing the session stream. *)
-let hedged_once ?on_event s ~deadline req =
-  let remaining () = Float.max 0.0 (deadline -. Unix.gettimeofday ()) in
-  let hedge_after =
-    match s.hedge_after_s with Some h -> h | None -> assert false
-  in
-  let primary = connect ~retry_for_s:(remaining ()) s.path in
-  let opened = ref [ primary ] in
-  Fun.protect
-    ~finally:(fun () -> List.iter close !opened)
-    (fun () ->
-      send primary req;
-      match Unix.select [ primary.fd ] [] [] hedge_after with
-      | _ :: _, _, _ -> read_response ?on_event primary ~id:req.Protocol.id
-      | _ -> (
-        let hedge = connect ~retry_for_s:(remaining ()) s.path in
-        opened := hedge :: !opened;
-        send hedge req;
-        match Unix.select [ primary.fd; hedge.fd ] [] [] (remaining ()) with
-        | [], _, _ ->
-          Error
-            (E.make ~code:E.Deadline ~stage:"client.read"
-               "hedged request: no response before the deadline")
-        | ready, _, _ ->
-          let winner =
-            if List.memq primary.fd ready then primary else hedge
-          in
-          read_response ?on_event winner ~id:req.Protocol.id))
 
 (* One request, survived to completion: reconnect and replay on
    transport failure, back off and re-send on retryable daemon errors
@@ -229,34 +190,18 @@ let call ?on_event s req =
         | None -> req
       in
       let result =
-        if s.hedge_after_s <> None && read_only req then
-          try hedged_once ?on_event s ~deadline req
-          with
-          | E.Error e -> Error e
-          | Sys_error msg ->
-            Error (E.make ~code:E.Io ~stage:"client.read" msg)
-          | End_of_file ->
-            Error
-              (E.make ~code:E.Io ~stage:"client.read"
-                 "connection closed before a response arrived")
-          | Unix.Unix_error (e, _, _) ->
-            Error
-              (E.make ~code:E.Io ~stage:"client.read" (Unix.error_message e))
-        else
-          try
-            let c = conn_of s ~deadline in
-            rpc ?on_event c req
-          with
-          | E.Error e -> Error e
-          | Sys_error msg ->
-            Error (E.make ~code:E.Io ~stage:"client.read" msg)
-          | End_of_file ->
-            Error
-              (E.make ~code:E.Io ~stage:"client.read"
-                 "connection closed before a response arrived")
-          | Unix.Unix_error (e, _, _) ->
-            Error
-              (E.make ~code:E.Io ~stage:"client.read" (Unix.error_message e))
+        try
+          let c = conn_of s ~deadline in
+          rpc ?on_event c req
+        with
+        | E.Error e -> Error e
+        | Sys_error msg -> Error (E.make ~code:E.Io ~stage:"client.read" msg)
+        | End_of_file ->
+          Error
+            (E.make ~code:E.Io ~stage:"client.read"
+               "connection closed before a response arrived")
+        | Unix.Unix_error (e, _, _) ->
+          Error (E.make ~code:E.Io ~stage:"client.read" (Unix.error_message e))
       in
       match result with
       | Ok v -> Ok v

@@ -52,14 +52,10 @@ val rpc :
 
 type session
 
-val session : ?retry_for_s:float -> ?hedge_after_s:float -> string -> session
+val session : ?retry_for_s:float -> string -> session
 (** A lazily-connected resilient handle to a daemon socket path.
     [retry_for_s] (default 10) bounds each {!call}'s total
-    retry window — connects, replays and backoff included.
-    [hedge_after_s] opts into hedged sends: a read-only request
-    ([health], [stats], [validate]) unanswered after that many seconds
-    is fired again on a second fresh connection and the first answer
-    wins. Compute requests are never hedged. *)
+    retry window — connects, replays and backoff included. *)
 
 val call :
   ?on_event:(Telemetry.Json.t -> unit) ->

@@ -63,10 +63,6 @@ let resolve_circuit (spec : Protocol.circuit_spec) =
   | Protocol.Inline { name; bench } ->
     Netlist.Bench_parser.parse_string ~name bench
 
-let engine_of = function
-  | Some "scalar" -> Scan.Scan_sim.Scalar
-  | _ -> Scan.Scan_sim.Packed
-
 let require_circuit (req : Protocol.request) =
   match req.Protocol.circuit with
   | Some spec -> resolve_circuit spec
@@ -92,15 +88,11 @@ let flow_value t (req : Protocol.request) =
       ~name:(Netlist.Circuit.name c)
       (fun () -> Flow.prepare c)
   in
-  let engine = engine_of req.Protocol.engine in
-  let comparison = Flow.evaluate ~engine ~seed:req.Protocol.seed prepared in
+  let comparison = Flow.evaluate ~seed:req.Protocol.seed prepared in
   Json.Obj
     [
       ("circuit", Json.String (Netlist.Circuit.name c));
       ("seed", Json.Int req.Protocol.seed);
-      ("engine",
-       Json.String
-         (match engine with Scan.Scan_sim.Packed -> "packed" | _ -> "scalar"));
       ("registry_hit", Json.Bool hit);
       ("registry_key", Json.String key);
       ("comparison", Sweep.comparison_to_json comparison);

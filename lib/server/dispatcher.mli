@@ -5,7 +5,7 @@
 
     Bit-identity contract: a [flow] request computes exactly what the
     one-shot [scanpower power] CLI computes for the same (circuit,
-    seed, engine) — the registry only elides the deterministic
+    seed) — the registry only elides the deterministic
     prepare — and a [sweep-point] request goes through the real
     {!Scanpower.Sweep} machinery so even the chaos injector's per-job
     keying matches the CLI. Both are pinned by golden tests. *)

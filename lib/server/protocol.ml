@@ -33,7 +33,6 @@ type request = {
   kind : kind;
   circuit : circuit_spec option;
   seed : int;
-  engine : string option;
   deadline_s : float option;
   stream : bool;
   isolation : isolation;
@@ -134,14 +133,6 @@ let parse_request json =
     in
     let* seed = opt_int json "seed" in
     let seed = match seed with Some s -> s | None -> 42 in
-    let* engine = opt_string json "engine" in
-    let* () =
-      match engine with
-      | None | Some "packed" | Some "scalar" -> Ok ()
-      | Some e ->
-        Error
-          (usage ~token:e "field \"engine\" must be \"packed\" or \"scalar\"")
-    in
     let* deadline_s = opt_number json "deadline_s" in
     let* () =
       match deadline_s with
@@ -165,7 +156,7 @@ let parse_request json =
       | Some "" -> Error (usage "field \"idem\" must be non-empty")
       | _ -> Ok ()
     in
-    Ok { id; kind; circuit; seed; engine; deadline_s; stream; isolation; idem }
+    Ok { id; kind; circuit; seed; deadline_s; stream; isolation; idem }
   | _ -> Error (usage "request must be a JSON object")
 
 (* ---- response lines ---- *)
@@ -210,20 +201,16 @@ let request_to_json r =
     :: ("kind", Json.String (kind_to_string r.kind))
     :: circuit_fields
          (("seed", Json.Int r.seed)
-         :: opt "engine"
-              (Option.map (fun e -> Json.String e) r.engine)
-              (opt "deadline_s"
-                 (Option.map (fun d -> Json.Float d) r.deadline_s)
-                 (("stream", Json.Bool r.stream)
-                 ::
-                 (match r.isolation with
-                 | Inline_isolation -> []
-                 | Fork_isolation -> [ ("isolation", Json.String "fork") ])
-                 @ opt "idem"
-                     (Option.map (fun i -> Json.String i) r.idem)
-                     []))))
+         :: opt "deadline_s"
+              (Option.map (fun d -> Json.Float d) r.deadline_s)
+              (("stream", Json.Bool r.stream)
+              ::
+              (match r.isolation with
+              | Inline_isolation -> []
+              | Fork_isolation -> [ ("isolation", Json.String "fork") ])
+              @ opt "idem" (Option.map (fun i -> Json.String i) r.idem) [])))
 
-let make ?circuit ?bench ?(name = "inline") ?(seed = 42) ?engine ?deadline_s
+let make ?circuit ?bench ?(name = "inline") ?(seed = 42) ?deadline_s
     ?(stream = false) ?(isolation = Inline_isolation) ?idem ~id kind =
   let circuit =
     match (bench, circuit) with
@@ -231,7 +218,7 @@ let make ?circuit ?bench ?(name = "inline") ?(seed = 42) ?engine ?deadline_s
     | None, Some c -> Some (Named c)
     | None, None -> None
   in
-  { id; kind; circuit; seed; engine; deadline_s; stream; isolation; idem }
+  { id; kind; circuit; seed; deadline_s; stream; isolation; idem }
 
 (* ---- raw-line entry point (the fuzzer's surface) ---- *)
 

@@ -42,7 +42,6 @@ type request = {
   kind : kind;
   circuit : circuit_spec option;  (** required by all but health/stats *)
   seed : int;  (** evaluation seed (flow/sweep-point) or ATPG seed (atpg) *)
-  engine : string option;  (** ["packed"] (default) or ["scalar"] *)
   deadline_s : float option;
       (** budget from admission; expiry yields code [deadline] *)
   stream : bool;  (** forward telemetry-bus events as ["event"] lines *)
@@ -85,7 +84,6 @@ val make :
   ?bench:string ->
   ?name:string ->
   ?seed:int ->
-  ?engine:string ->
   ?deadline_s:float ->
   ?stream:bool ->
   ?isolation:isolation ->

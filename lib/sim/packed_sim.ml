@@ -2,39 +2,30 @@ open Netlist
 
 type t = {
   comp : Compiled.t;
-  width : int;
-  words : int64 array; (* node id's lane words at [id*width .. id*width+width-1] *)
-  diffs : int64 array; (* same interleaved layout as [words] *)
+  words : int64 array; (* node id's 64 lanes *)
+  diffs : int64 array;
   last : int64 array; (* 0L or 1L: final-lane value of the previous frame *)
   toggles : int array;
   mutable total : int;
-  lane_toggles : int array; (* 64*width *)
+  lane_toggles : int array; (* 64 *)
 }
 
-let max_width = 8
-let g_width = Telemetry.Gauge.make "sim.packed.width"
+let lanes = 64
 
-(* All scratch is sized once here, per machine and per width — the hot
-   [step] never allocates. *)
-let create ?(width = 1) comp =
-  if width < 1 || width > max_width then
-    invalid_arg "Packed_sim.create: width must be 1..8";
+(* All scratch is sized once here — the hot [step] never allocates. *)
+let create comp =
   let n = Compiled.node_count comp in
-  Telemetry.Gauge.set g_width (float_of_int width);
   {
     comp;
-    width;
-    words = Array.make (n * width) 0L;
-    diffs = Array.make (n * width) 0L;
+    words = Array.make n 0L;
+    diffs = Array.make n 0L;
     last = Array.make n 0L;
     toggles = Array.make n 0;
     total = 0;
-    lane_toggles = Array.make (64 * width) 0;
+    lane_toggles = Array.make lanes 0;
   }
 
 let compiled t = t.comp
-let width t = t.width
-let lanes t = 64 * t.width
 let words t = t.words
 let diffs t = t.diffs
 let lane_toggles t = t.lane_toggles
@@ -56,69 +47,49 @@ let popcount (x : int64) =
 let h_step = Telemetry.Histogram.make "sim.packed.step_s"
 
 let step_untimed t ~count ~record =
-  let width = t.width in
-  if width = 1 then Compiled.eval_words t.comp t.words
-  else Compiled.eval_words_wide t.comp ~width t.words;
-  if record then Array.fill t.lane_toggles 0 (64 * width) 0;
-  (* lanes fill words low-to-high: word w carries lanes w*64..w*64+63 *)
-  let nw = (count + 63) / 64 in
-  let rem = count - ((nw - 1) * 64) in
-  let last_mask =
-    if rem = 64 then Int64.minus_one
-    else Int64.sub (Int64.shift_left 1L rem) 1L
+  Compiled.eval_words t.comp t.words;
+  if record then Array.fill t.lane_toggles 0 lanes 0;
+  let mask =
+    if count = 64 then Int64.minus_one
+    else Int64.sub (Int64.shift_left 1L count) 1L
   in
   let n = Compiled.node_count t.comp in
   for id = 0 to n - 1 do
-    let base = id * width in
-    for w = 0 to nw - 1 do
-      let x = t.words.(base + w) in
-      (* lane 0 of word w diffs against the final lane of word w-1
-         (the previous frame's final lane for w = 0) *)
-      let cin =
-        if w = 0 then t.last.(id)
-        else Int64.shift_right_logical t.words.(base + w - 1) 63
-      in
-      let mask = if w = nw - 1 then last_mask else Int64.minus_one in
-      let d =
-        Int64.logand
-          (Int64.logxor x (Int64.logor (Int64.shift_left x 1) cin))
-          mask
-      in
-      t.diffs.(base + w) <- d;
-      if record && d <> 0L then begin
-        let p = popcount d in
-        t.toggles.(id) <- t.toggles.(id) + p;
-        t.total <- t.total + p;
-        (* distribute onto lanes, scanning 32-lane native-int halves so
-           nothing boxes in the loop *)
-        let lt = t.lane_toggles in
-        let r = ref (Int64.to_int (Int64.logand d 0xFFFFFFFFL))
-        and lane = ref (w * 64) in
-        while !r <> 0 do
-          if !r land 1 = 1 then lt.(!lane) <- lt.(!lane) + 1;
-          r := !r lsr 1;
-          incr lane
-        done;
-        r := Int64.to_int (Int64.shift_right_logical d 32);
-        lane := (w * 64) + 32;
-        while !r <> 0 do
-          if !r land 1 = 1 then lt.(!lane) <- lt.(!lane) + 1;
-          r := !r lsr 1;
-          incr lane
-        done
-      end
-    done;
-    for w = nw to width - 1 do
-      t.diffs.(base + w) <- 0L
-    done;
-    t.last.(id) <-
+    let x = t.words.(id) in
+    (* lane 0 diffs against the previous frame's final lane *)
+    let d =
       Int64.logand
-        (Int64.shift_right_logical t.words.(base + nw - 1) (rem - 1))
-        1L
+        (Int64.logxor x (Int64.logor (Int64.shift_left x 1) t.last.(id)))
+        mask
+    in
+    t.diffs.(id) <- d;
+    if record && d <> 0L then begin
+      let p = popcount d in
+      t.toggles.(id) <- t.toggles.(id) + p;
+      t.total <- t.total + p;
+      (* distribute onto lanes, scanning 32-lane native-int halves so
+         nothing boxes in the loop *)
+      let lt = t.lane_toggles in
+      let r = ref (Int64.to_int (Int64.logand d 0xFFFFFFFFL))
+      and lane = ref 0 in
+      while !r <> 0 do
+        if !r land 1 = 1 then lt.(!lane) <- lt.(!lane) + 1;
+        r := !r lsr 1;
+        incr lane
+      done;
+      r := Int64.to_int (Int64.shift_right_logical d 32);
+      lane := 32;
+      while !r <> 0 do
+        if !r land 1 = 1 then lt.(!lane) <- lt.(!lane) + 1;
+        r := !r lsr 1;
+        incr lane
+      done
+    end;
+    t.last.(id) <- Int64.logand (Int64.shift_right_logical x (count - 1)) 1L
   done
 
 let step t ~count ~record =
-  if count < 1 || count > 64 * t.width then
+  if count < 1 || count > lanes then
     invalid_arg "Packed_sim.step: bad lane count";
   if not (Telemetry.enabled ()) then step_untimed t ~count ~record
   else begin

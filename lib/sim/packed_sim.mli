@@ -1,68 +1,55 @@
-(** W×64-wide bit-parallel simulation frames with popcount toggle
+(** 64-wide bit-parallel simulation frames with popcount toggle
     accounting.
 
-    [width] [int64] words per node carry up to [64*width] consecutive
-    simulation cycles. Words are interleaved per node — node [id]'s
-    lane words live at [id*width .. id*width + width - 1], so one
-    gate's whole batch is contiguous and the CSR fanin indices are
-    fetched once per gate instead of once per word (the cache-blocking
-    that makes W=4/W=8 pay). Lane [l] = bit [l mod 64] of word
-    [l / 64]. The driver writes the source words of a frame, calls
-    {!step}, and the kernel evaluates the whole combinational core
-    once for all lanes, then counts per-node and per-lane toggles from
-    [popcount (prev lxor cur)] — including the lane-0 boundary against
-    the final lane of the previous frame, and each word's lane-0
-    boundary against the previous word's lane 63.
+    One [int64] word per node carries up to 64 consecutive simulation
+    cycles: lane [l] is bit [l]. The driver writes the source words of
+    a frame, calls {!step}, and the kernel evaluates the whole
+    combinational core once for all lanes, then counts per-node and
+    per-lane toggles from [popcount (prev lxor cur)] — including the
+    lane-0 boundary against the final lane of the previous frame.
 
     This is the engine under the packed scan-shift measurement in
     {!Scan.Scan_sim}: during shift the chain is a pure shift register,
-    so every lane's pseudo-input values are known in advance and
-    [64*width] shift cycles cost one combinational sweep. Toggle
-    counts are bit-identical to replaying the same cycles one by one
-    through {!Event_sim}, and identical across widths (both count
-    settled-state Hamming distance between consecutive cycles). *)
+    so every lane's pseudo-input values are known in advance and 64
+    shift cycles cost one combinational sweep. Toggle counts are
+    bit-identical to replaying the same cycles one by one through
+    {!Event_sim} (both count settled-state Hamming distance between
+    consecutive cycles). *)
 
 open Netlist
 
 type t
 
-val max_width : int
-(** Widest supported batch: 8 words = 512 lanes per frame. *)
-
-val create : ?width:int -> Compiled.t -> t
-(** [width] words per node, 1..8 (default 1 — the original 64-lane
-    layout, byte-for-byte). All scratch ([words]/[diffs]/[last]/lane
-    tallies) is preallocated here per width; {!step} never allocates.
-    Sets the [sim.packed.width] telemetry gauge. *)
+val create : Compiled.t -> t
+(** All scratch ([words]/[diffs]/[last]/lane tallies) is preallocated
+    here; {!step} never allocates. *)
 
 val compiled : t -> Compiled.t
 
-val width : t -> int
-
-val lanes : t -> int
-(** [64 * width]: lanes per frame. *)
+val lanes : int
+(** 64: lanes per frame. *)
 
 val words : t -> int64 array
-(** Node-indexed lane words (aliased), interleaved: node [id] word [w]
-    at [id*width + w]. Before each {!step} the driver writes the
-    source entries; {!step} overwrites every non-source entry. *)
+(** Node-indexed lane words (aliased). Before each {!step} the driver
+    writes the source entries; {!step} overwrites every non-source
+    entry. *)
 
 val step : t -> count:int -> record:bool -> unit
-(** Evaluate one frame of [count] lanes (1..[64*width]). With
-    [record], add per-node toggle counts (against the previous frame's
-    final lane) into {!toggles} / {!total_toggles} and tally per-lane
-    sums into {!lane_toggles}. Without it (initial settle), only the
-    frame boundary state advances. Lanes at index [count] and above
-    are ignored. *)
+(** Evaluate one frame of [count] lanes (1..64). With [record], add
+    per-node toggle counts (against the previous frame's final lane)
+    into {!toggles} / {!total_toggles} and tally per-lane sums into
+    {!lane_toggles}. Without it (initial settle), only the frame
+    boundary state advances. Lanes at index [count] and above are
+    ignored. *)
 
 val diffs : t -> int64 array
-(** Per-node toggle mask of the last frame (aliased, same layout as
-    {!words}): lane bit set iff the node's value at that lane differs
-    from the lane before it (lane 0 diffing against the previous
-    frame). Valid after {!step}, also when [record] was false. *)
+(** Per-node toggle mask of the last frame (aliased, node-indexed):
+    lane bit set iff the node's value at that lane differs from the
+    lane before it (lane 0 diffing against the previous frame). Valid
+    after {!step}, also when [record] was false. *)
 
 val lane_toggles : t -> int array
-(** Length [64*width]; entry [l] = total toggles in lane [l] of the
+(** Length 64; entry [l] = total toggles in lane [l] of the
     last recorded frame (aliased; cleared by every recording
     {!step}). *)
 

@@ -24,7 +24,6 @@ let kind_name = function
   | D.Count -> "count"
   | D.Time -> "time"
   | D.Rate -> "rate"
-  | D.Config -> "config"
 
 let check_kind_classification () =
   let check name expected =
@@ -36,16 +35,13 @@ let check_kind_classification () =
   check "compile_s" D.Time;
   check "fault_sim_cpt_s" D.Time;
   check "fault_sim_pattern_p99_s" D.Time;
-  check "packed_shift_w8_s" D.Time;
+  check "scalar_shift_s" D.Time;
   check "packed_speedup" D.Rate;
-  check "packed_w4_speedup" D.Rate;
+  check "fault_sim_speedup" D.Rate;
   (* the [_events_s] suffix wins over the bare [_s] time suffix *)
   check "fault_sim_events_s" D.Rate;
   (* gate-bearing rate pinned by literal name, independent of suffix *)
-  check "serve_warm_speedup" D.Rate;
-  (* run configuration, compared but never gating *)
-  check "packed_width" D.Config;
-  check "packed_auto_width" D.Config
+  check "serve_warm_speedup" D.Rate
 
 let check_identical_is_clean () =
   let f = mk [ ("s344", base_metrics) ] in
@@ -126,19 +122,6 @@ let write_temp text =
   let path = Filename.temp_file "bench_diff" ".json" in
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   path
-
-let check_config_change_is_clean () =
-  (* a deliberate re-run at a different width must not gate *)
-  let old_m =
-    ("packed_width", D.I 8) :: ("packed_auto_width", D.I 3) :: base_metrics
-  in
-  let new_m =
-    ("packed_width", D.I 4) :: ("packed_auto_width", D.I 1) :: base_metrics
-  in
-  let r = D.diff (mk [ ("s344", old_m) ]) (mk [ ("s344", new_m) ]) in
-  Alcotest.(check bool) "config drift never regresses" false
-    (D.has_regression r);
-  Alcotest.(check int) "still compared" (List.length new_m) r.D.compared
 
 let check_schema_bump_pairs () =
   (* a /3 baseline gates a /4 file: shared metrics pair, and a metric
@@ -262,8 +245,6 @@ let suite =
     Alcotest.test_case "missing metric regresses" `Quick
       check_missing_metric_regresses;
     Alcotest.test_case "additions are clean" `Quick check_additions_are_clean;
-    Alcotest.test_case "config change is clean" `Quick
-      check_config_change_is_clean;
     Alcotest.test_case "schema bump pairs metrics" `Quick
       check_schema_bump_pairs;
     Alcotest.test_case "serve_warm_speedup gates as a rate" `Quick

@@ -31,8 +31,8 @@ let check_partition_is_complete () =
     all
 
 let check_muxable_preserve_delay () =
-  (* inserting the mux penalty on every muxable cell simultaneously is
-     NOT guaranteed (slacks share paths), but each individually is *)
+  (* each muxable cell individually keeps the critical delay; the test
+     below covers all of them at once *)
   let c = mapped "s344" in
   let sel = Scanpower.Mux_insertion.select c in
   let base = sel.Scanpower.Mux_insertion.critical_delay_ps in
@@ -44,6 +44,32 @@ let check_muxable_preserve_delay () =
       in
       Alcotest.(check bool) "unchanged delay" true (d <= base +. 1e-6))
     sel.Scanpower.Mux_insertion.muxable
+
+(* The paper's AddMUX claim: with a mux on every muxable cell at once,
+   the critical delay is unchanged. This holds by construction, not by
+   luck: a penalty at a source shifts only the paths that start there,
+   and each path has exactly one source, so the longest path through
+   the penalised netlist is the longest of the per-cell penalised
+   paths, each of which fits in its cell's slack. *)
+let check_all_muxes_preserve_delay () =
+  List.iter
+    (fun (p : Circuits.profile) ->
+      let c = mapped p.Circuits.name in
+      let sel = Scanpower.Mux_insertion.select c in
+      let base = sel.Scanpower.Mux_insertion.critical_delay_ps in
+      let penalty = sel.Scanpower.Mux_insertion.mux_penalty_ps in
+      let d =
+        Sta.delay_with_penalty c
+          ~penalties:
+            (List.map (fun dff -> (dff, penalty))
+               sel.Scanpower.Mux_insertion.muxable)
+      in
+      if not (d <= base +. 1e-6) then
+        Alcotest.failf "%s: %d muxes raise the critical delay %.3f -> %.3f ps"
+          p.Circuits.name
+          (List.length sel.Scanpower.Mux_insertion.muxable)
+          base d)
+    Circuits.table1_profiles
 
 let check_blocked_would_slow_down () =
   let c = mapped "s344" in
@@ -90,6 +116,8 @@ let suite =
     Alcotest.test_case "strategies agree" `Quick check_strategies_agree;
     Alcotest.test_case "partition complete" `Quick check_partition_is_complete;
     Alcotest.test_case "muxable preserve delay" `Quick check_muxable_preserve_delay;
+    Alcotest.test_case "all muxes at once preserve delay" `Quick
+      check_all_muxes_preserve_delay;
     Alcotest.test_case "blocked would slow down" `Quick check_blocked_would_slow_down;
     Alcotest.test_case "critical-path cells blocked" `Quick
       check_critical_path_cells_blocked;

@@ -237,7 +237,7 @@ let policies c rng =
       } );
   ]
 
-let check_engines_agree_on ?(widths = [ 4; 8 ]) name circuit ~seed ~n_vectors =
+let check_engines_agree_on name circuit ~seed ~n_vectors =
   let c = circuit in
   let chain = Scan.Scan_chain.natural c in
   let rng = Util.Rng.create seed in
@@ -257,16 +257,6 @@ let check_engines_agree_on ?(widths = [ 4; 8 ]) name circuit ~seed ~n_vectors =
           policy ~vectors
       in
       check_results tag s p;
-      (* W-word batches: every width is bit-identical to the scalar
-         reference (and hence to W=1) *)
-      List.iter
-        (fun width ->
-          let pw =
-            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ~width
-              ~init_state c chain policy ~vectors
-          in
-          check_results (Printf.sprintf "%s/w%d" tag width) s pw)
-        widths;
       let rs =
         Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Scalar ~init_state c
           chain policy ~vectors
@@ -275,17 +265,7 @@ let check_engines_agree_on ?(widths = [ 4; 8 ]) name circuit ~seed ~n_vectors =
         Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Packed ~init_state c
           chain policy ~vectors
       in
-      Alcotest.(check (list (array bool))) (tag ^ " responses") rs rp;
-      List.iter
-        (fun width ->
-          let rw =
-            Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Packed ~width
-              ~init_state c chain policy ~vectors
-          in
-          Alcotest.(check (list (array bool)))
-            (Printf.sprintf "%s/w%d responses" tag width)
-            rs rw)
-        widths)
+      Alcotest.(check (list (array bool))) (tag ^ " responses") rs rp)
     (policies c rng)
 
 let check_golden_s344 () =
@@ -294,6 +274,12 @@ let check_golden_s344 () =
 
 let check_golden_s1196 () =
   check_engines_agree_on "s1196" (Lazy.force s1196) ~seed:3 ~n_vectors:6
+
+let check_golden_s1423 () =
+  (* 74 flip-flops: every segment (launch + shifts + capture = 76
+     lanes) spans two frames *)
+  check_engines_agree_on "s1423" (Circuits.by_name "s1423") ~seed:6
+    ~n_vectors:5
 
 let check_golden_s27 () =
   (* chain shorter than a word: every segment fits one frame *)
@@ -358,63 +344,8 @@ let prop_engines_agree =
         }
       in
       let c = Circuits.generate profile in
-      (* one random batch width per case keeps the property cheap while
-         covering the whole 1..8 range (odd widths included) across runs *)
-      check_engines_agree_on ~widths:[ 1 + (seed mod 8) ]
-        profile.Circuits.name c ~seed ~n_vectors;
+      check_engines_agree_on profile.Circuits.name c ~seed ~n_vectors;
       true)
-
-(* ---------- automatic width selection ---------- *)
-
-(* [auto_width] must pick just enough 64-lane words to hold one shift
-   segment (1 launch + chain + 1 capture lane), capped at the packed
-   engine's [max_width]; omitting [~width] must then be bit-identical
-   to passing the chosen value explicitly. *)
-let check_auto_width () =
-  let expect name c w =
-    let chain = Scan.Scan_chain.natural c in
-    let lanes = 1 + Scan.Scan_chain.length chain + 1 in
-    Alcotest.(check int)
-      (Printf.sprintf "%s (%d lanes) auto width" name lanes)
-      w
-      (Scan.Scan_sim.auto_width chain)
-  in
-  (* short chains fit one word; s1423's 74 flip-flops need two; the
-     512-FF scale chain saturates at the cap *)
-  expect "s27" (Lazy.force s27m) 1;
-  expect "s344" (Lazy.force s344) 1;
-  expect "s1423" (Circuits.by_name "s1423") 2;
-  expect "g50k" (Circuits.by_name "g50k") Sim.Packed_sim.max_width;
-  let c = Circuits.by_name "s1423" in
-  let chain = Scan.Scan_chain.natural c in
-  let rng = Util.Rng.create 6 in
-  let vectors = random_vectors rng c 5 in
-  let auto =
-    Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed c chain
-      Scan.Scan_sim.traditional ~vectors
-  in
-  let explicit =
-    Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed
-      ~width:(Scan.Scan_sim.auto_width chain)
-      c chain Scan.Scan_sim.traditional ~vectors
-  in
-  check_results "auto = explicit" explicit auto;
-  let scalar =
-    Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Scalar c chain
-      Scan.Scan_sim.traditional ~vectors
-  in
-  check_results "auto = scalar" scalar auto;
-  let r_auto =
-    Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Packed c chain
-      Scan.Scan_sim.traditional ~vectors
-  in
-  let r_scalar =
-    Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Scalar c chain
-      Scan.Scan_sim.traditional ~vectors
-  in
-  List.iter2
-    (fun a b -> Alcotest.(check (array bool)) "auto responses" a b)
-    r_scalar r_auto
 
 let suite =
   [
@@ -429,7 +360,7 @@ let suite =
     Alcotest.test_case "golden equivalence s344" `Quick check_golden_s344;
     Alcotest.test_case "golden equivalence s1196" `Quick check_golden_s1196;
     Alcotest.test_case "golden equivalence s27" `Quick check_golden_s27;
-    Alcotest.test_case "automatic width selection" `Quick check_auto_width;
+    Alcotest.test_case "golden equivalence s1423" `Quick check_golden_s1423;
     Alcotest.test_case "empty vector list" `Quick check_empty_vectors;
     Alcotest.test_case "validation parity" `Quick check_validation_parity;
     QCheck_alcotest.to_alcotest prop_engines_agree;

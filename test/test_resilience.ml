@@ -1,7 +1,7 @@
 (* Self-healing serve: registry snapshot/restore, the supervision tree
    (crash → restart under a token budget, warm restore, idempotent
    client replay), the memory-pressure watchdog's degraded mode, the
-   resilient client (reconnect/replay on torn writes, hedged reads),
+   resilient client (reconnect/replay on torn writes),
    telemetry flush on drain, and a seeded protocol fuzzer that hammers
    a live daemon with mutated frames.
 
@@ -465,28 +465,6 @@ let check_torn_write_replay () =
           Alcotest.(check (option int)) "no double execution" (Some 1)
             (member_int v "idem_executions")))
 
-let check_hedged_health () =
-  let pid, socket = start_daemon () in
-  Fun.protect
-    ~finally:(fun () -> ignore (stop pid))
-    (fun () ->
-      let session = C.session ~retry_for_s:10.0 ~hedge_after_s:0.05 socket in
-      Fun.protect
-        ~finally:(fun () -> C.close_session session)
-        (fun () ->
-          let h =
-            expect_value "hedged health" (C.call session (P.make ~id:"h" P.Health))
-          in
-          Alcotest.(check bool) "status ok" true
-            (Json.member "status" h = Some (Json.String "ok"));
-          (* a compute kind is never hedged, but still served *)
-          let v =
-            expect_value "unhedged flow"
-              (C.call session (P.make ~id:"f" ~circuit:"s27" P.Flow))
-          in
-          Alcotest.(check bool) "flow answered" true
-            (Json.member "comparison" v <> None)))
-
 (* ------------------------------------------------------------------ *)
 (* protocol parsing never raises (pure QCheck)                         *)
 (* ------------------------------------------------------------------ *)
@@ -688,6 +666,5 @@ let suite =
     Alcotest.test_case "degraded mode sheds compute" `Slow check_degraded_mode;
     Alcotest.test_case "torn write replay dedupes" `Slow
       check_torn_write_replay;
-    Alcotest.test_case "hedged health" `Quick check_hedged_health;
     Alcotest.test_case "live protocol fuzzer" `Slow check_protocol_fuzzer;
   ]

@@ -76,8 +76,8 @@ let check_protocol_roundtrip () =
   let reqs =
     [
       P.make ~id:"a" ~circuit:"s27" P.Flow;
-      P.make ~id:"b" ~bench:"INPUT(a)\n" ~name:"t" ~seed:7 ~engine:"scalar"
-        ~deadline_s:1.5 ~stream:true ~isolation:P.Fork_isolation P.Sweep_point;
+      P.make ~id:"b" ~bench:"INPUT(a)\n" ~name:"t" ~seed:7 ~deadline_s:1.5
+        ~stream:true ~isolation:P.Fork_isolation P.Sweep_point;
       P.make ~id:"c" P.Health;
       P.make ~id:"d" ~circuit:"s344" ~seed:3 P.Atpg;
     ]
@@ -113,9 +113,6 @@ let check_protocol_validation () =
   ignore
     (expect_code "missing circuit" E.Usage (parse {|{"id":"x","kind":"flow"}|}));
   ignore (expect_code "missing id" E.Usage (parse {|{"kind":"health"}|}));
-  ignore
-    (expect_code "bad engine" E.Usage
-       (parse {|{"id":"x","kind":"flow","circuit":"s27","engine":"quantum"}|}));
   ignore
     (expect_code "negative deadline" E.Usage
        (parse {|{"id":"x","kind":"health","deadline_s":-1}|}));
