@@ -1,6 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   and runs the ablation studies DESIGN.md calls out, plus bechamel
-   micro-benchmarks of the flow's building blocks.
+(* Paper harness: regenerates every table and figure of the paper and
+   runs the ablation studies DESIGN.md calls out. Speed is measured by
+   perfbench/, not here.
 
      dune exec bench/main.exe              # everything (several minutes)
      SCANPOWER_BENCH_FAST=1 dune exec bench/main.exe   # small circuits only
@@ -13,7 +13,8 @@
                   (b) AddMUX naive re-STA vs slack test
                   (c) gate input reordering contribution
                   (d) IVC candidate-count sweep
-     [Micro]      bechamel timings of the core kernels *)
+                  (e) .. (i) reordering, glitches, exact probabilities,
+                  multiple chains, ATPG engines *)
 
 let fast = Sys.getenv_opt "SCANPOWER_BENCH_FAST" <> None
 
@@ -474,559 +475,8 @@ let ablation_atpg_engines () =
         (tally (fun f -> dalg_tag (Atpg.D_algorithm.generate c f))))
     (if fast then [ "s344" ] else [ "s344"; "s382" ])
 
-(* ------------------------------------------------------------------ *)
-(* Kernel micro-bench: compiled form + packed scan engine              *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock per kernel on the Table I shift loop: circuit compile,
-   packed 64-lane shift simulation, scalar event-driven reference, and
-   64-way fault simulation with both engines (critical path tracing
-   and the full-cone reference). Cross-checks that both scan engines
-   return identical toggle counts and both fault-sim engines identical
-   per-fault detections, and writes the numbers (plus packed/scalar
-   and cpt/cone speedups and stem-event throughput) to
-   BENCH_kernels.json. *)
-
-let kernel_circuits =
-  if fast then [ "s344"; "s1196" ] else [ "s344"; "s1196"; "s5378"; "s9234" ]
-
-let kernels_json = ref []
-
-let kernels () =
-  section "Kernels: compiled circuit + packed scan shift vs scalar reference";
-  (* best-of-[reps] wall clock after one untimed warmup run, so cold
-     caches and lazy initialisation don't pollute the comparison *)
-  let time ?(reps = 1) f =
-    let r = ref (f ()) in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      r := f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    (!r, !best)
-  in
-  let shift_reps = if fast then 3 else 1 in
-  List.iter
-    (fun name ->
-      let c = Circuits.by_name name (* generated pre-mapped *) in
-      let chain = Scan.Scan_chain.natural c in
-      let vectors = Atpg.Pattern_gen.random_vectors ~seed:7 ~count:20 c in
-      let n_gates = Netlist.Circuit.node_count c in
-      let _, compile_s =
-        time ~reps:10 (fun () -> Netlist.Compiled.of_circuit c)
-      in
-      let packed, packed_s =
-        time ~reps:shift_reps (fun () ->
-            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed c chain
-              Scan.Scan_sim.traditional ~vectors)
-      in
-      let scalar, scalar_s =
-        time ~reps:shift_reps (fun () ->
-            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Scalar c chain
-              Scan.Scan_sim.traditional ~vectors)
-      in
-      (* the engines must agree bit for bit on the activity they count *)
-      if packed.Scan.Scan_sim.toggles <> scalar.Scan.Scan_sim.toggles then
-        failwith (name ^ ": packed/scalar per-node toggle mismatch");
-      if
-        packed.Scan.Scan_sim.per_cycle_toggles
-        <> scalar.Scan.Scan_sim.per_cycle_toggles
-      then failwith (name ^ ": packed/scalar per-cycle toggle mismatch");
-      let faults = Atpg.Fault.collapsed_faults c in
-      (* both fault-sim engines on persistent machines: the cone
-         reference and the critical-path-tracing engine must agree
-         fault for fault, and the stem-event throughput is counted via
-         telemetry (enabled just for the timed cpt run) *)
-      let m_cone = Atpg.Fault_simulation.make ~engine:Atpg.Fault_simulation.Cone c in
-      let m_cpt = Atpg.Fault_simulation.make ~engine:Atpg.Fault_simulation.Cpt c in
-      let (cone_detected, _), fault_cone_s =
-        time (fun () ->
-            Atpg.Fault_simulation.split ~machine:m_cone c ~faults ~vectors)
-      in
-      let was_enabled = Telemetry.enabled () in
-      Telemetry.enable ();
-      let events0 =
-        match Telemetry.Counter.find "atpg.fault_sim.stem_events" with
-        | Some v -> v
-        | None -> 0
-      in
-      (* the per-pattern latency histogram accumulates across circuits;
-         reset so the percentiles below describe this circuit's timed
-         run only *)
-      let h_pattern = Telemetry.Histogram.make "atpg.fault_sim.pattern_s" in
-      Telemetry.Histogram.reset h_pattern;
-      let (cpt_detected, _), fault_cpt_s =
-        time (fun () ->
-            Atpg.Fault_simulation.split ~machine:m_cpt c ~faults ~vectors)
-      in
-      let events1 =
-        match Telemetry.Counter.find "atpg.fault_sim.stem_events" with
-        | Some v -> v
-        | None -> 0
-      in
-      let pattern_p50 = Telemetry.Histogram.percentile h_pattern 0.5 in
-      let pattern_p99 = Telemetry.Histogram.percentile h_pattern 0.99 in
-      if not was_enabled then Telemetry.disable ();
-      if cone_detected <> cpt_detected then
-        failwith (name ^ ": cone/cpt fault-sim detection mismatch");
-      let detected = cpt_detected in
-      let fault_speedup = fault_cone_s /. Float.max 1e-9 fault_cpt_s in
-      let fault_events_s =
-        float_of_int (events1 - events0) /. Float.max 1e-9 fault_cpt_s
-      in
-      let speedup = scalar_s /. Float.max 1e-9 packed_s in
-      Format.printf
-        "%-8s compile %7.4fs | shift sim: packed %8.4fs vs scalar %8.4fs \
-         (%5.1fx) | fault sim: cpt %7.3fs vs cone %7.3fs (%5.1fx, %.2e \
-         ev/s, %d/%d detected)@."
-        name compile_s packed_s scalar_s speedup fault_cpt_s fault_cone_s fault_speedup fault_events_s
-        (List.length detected) (List.length faults);
-      kernels_json :=
-        ( name,
-          Telemetry.Json.Obj
-            [
-              ("nodes", Telemetry.Json.Int n_gates);
-              ("flip_flops", Telemetry.Json.Int (Scan.Scan_chain.length chain));
-              ("vectors", Telemetry.Json.Int (List.length vectors));
-              ("cycles", Telemetry.Json.Int packed.Scan.Scan_sim.cycles);
-              ( "total_toggles",
-                Telemetry.Json.Int packed.Scan.Scan_sim.total_toggles );
-              ("compile_s", Telemetry.Json.Float compile_s);
-              ("packed_shift_s", Telemetry.Json.Float packed_s);
-              ("scalar_shift_s", Telemetry.Json.Float scalar_s);
-              ("packed_speedup", Telemetry.Json.Float speedup);
-              ("fault_sim_s", Telemetry.Json.Float fault_cpt_s);
-              ("fault_sim_cone_s", Telemetry.Json.Float fault_cone_s);
-              ("fault_sim_cpt_s", Telemetry.Json.Float fault_cpt_s);
-              ("fault_sim_speedup", Telemetry.Json.Float fault_speedup);
-              ("fault_sim_events_s", Telemetry.Json.Float fault_events_s);
-              ("fault_sim_pattern_p50_s", Telemetry.Json.Float pattern_p50);
-              ("fault_sim_pattern_p99_s", Telemetry.Json.Float pattern_p99);
-              ("faults", Telemetry.Json.Int (List.length faults));
-              ("faults_detected", Telemetry.Json.Int (List.length detected));
-            ] )
-        :: !kernels_json)
-    kernel_circuits;
-  (* per-fault detection equality over the rest of Table I too, not
-     just the timed subset (untimed, so kept out of the JSON) *)
-  List.iter
-    (fun name ->
-      let c = Circuits.by_name name in
-      let vectors = Atpg.Pattern_gen.random_vectors ~seed:7 ~count:20 c in
-      let faults = Atpg.Fault.collapsed_faults c in
-      let check engine =
-        fst
-          (Atpg.Fault_simulation.split
-             ~machine:(Atpg.Fault_simulation.make ~engine c)
-             c ~faults ~vectors)
-      in
-      let cone = check Atpg.Fault_simulation.Cone in
-      let cpt = check Atpg.Fault_simulation.Cpt in
-      if cone <> cpt then
-        failwith (name ^ ": cone/cpt fault-sim detection mismatch");
-      Format.printf "%-8s engines agree (%d/%d detected)@." name
-        (List.length cpt) (List.length faults))
-    (List.filter (fun n -> not (List.mem n kernel_circuits)) table1_circuits);
-  (* scale tier (non-fast): seeded generated profiles an order of
-     magnitude past Table I, timing generation, compilation and CPT
-     fault simulation over 256 vectors *)
-  if not fast then begin
-    section "Kernels: scale tier (seeded 50k/100k-gate profiles)";
-    List.iter
-      (fun prof ->
-        let module Fs = Atpg.Fault_simulation in
-        let name = prof.Circuits.name in
-        let c, generate_s = time (fun () -> Circuits.generate prof) in
-        let _, compile_s = time (fun () -> Netlist.Compiled.of_circuit c) in
-        let vectors =
-          Atpg.Pattern_gen.random_vectors ~seed:7 ~count:256 c
-        in
-        let faults = Atpg.Fault.collapsed_faults c in
-        let m_cpt = Fs.make c in
-        let (cpt_det, _), cpt_s =
-          time (fun () -> Fs.split ~machine:m_cpt c ~faults ~vectors)
-        in
-        Format.printf
-          "%-8s %d nodes, %d faults, %d vectors | generate %6.2fs compile \
-           %6.2fs | cpt %7.3fs | %d detected@."
-          name
-          (Netlist.Circuit.node_count c)
-          (List.length faults) (List.length vectors) generate_s compile_s
-          cpt_s (List.length cpt_det);
-        kernels_json :=
-          ( name,
-            Telemetry.Json.Obj
-              [
-                ("nodes", Telemetry.Json.Int (Netlist.Circuit.node_count c));
-                ( "flip_flops",
-                  Telemetry.Json.Int
-                    (Array.length (Netlist.Circuit.dffs c)) );
-                ("vectors", Telemetry.Json.Int (List.length vectors));
-                ("faults", Telemetry.Json.Int (List.length faults));
-                ( "faults_detected",
-                  Telemetry.Json.Int (List.length cpt_det) );
-                ("generate_s", Telemetry.Json.Float generate_s);
-                ("compile_s", Telemetry.Json.Float compile_s);
-                ("fault_sim_cpt_wide_s", Telemetry.Json.Float cpt_s);
-              ] )
-          :: !kernels_json)
-      Circuits.scale_profiles
-  end;
-  Format.printf "kernel timings collected for BENCH_kernels.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Serve: warm machine-registry latency over the daemon socket         *)
-(* ------------------------------------------------------------------ *)
-
-(* The daemon's reason to exist is amortisation: the first flow request
-   for a circuit pays the full prepare (ATPG + compile), every repeat
-   only re-evaluates against the resident machine. Measured end-to-end
-   through the real socket + client + JSON stack, so protocol overhead
-   counts against the win. The warm tail must come in at or under 20%
-   of the cold request, and [serve_warm_speedup] is gated as a rate by
-   bench-diff so the amortisation cannot silently rot. *)
-
-let serve_bench () =
-  section "Serve: warm machine-registry latency over the daemon socket";
-  let module D = Scanpower_server.Daemon in
-  let module C = Scanpower_server.Client in
-  let module P = Scanpower_server.Protocol in
-  let module J = Telemetry.Json in
-  (* s1196 in both modes: this stage pins registry *amortisation* —
-     warm requests must elide the prepare — which is only a meaningful
-     contract where prepare dominates the request. On an
-     eval-dominated circuit (s5378: ~5s of measurement per request vs
-     ~14s of prepare) the warm floor is the measurement itself and the
-     20%-of-cold assertion below is structurally unsatisfiable. *)
-  let circuit = "s1196" in
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "scanpower-bench-%d.sock" (Unix.getpid ()))
-  in
-  let config = { D.default_config with D.socket; log = None } in
-  flush stdout;
-  flush stderr;
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    (try ignore (D.run ~config ()) with _ -> ());
-    Unix._exit 0
-  end;
-  let stop () =
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    ignore (Unix.waitpid [] pid)
-  in
-  Fun.protect ~finally:stop (fun () ->
-      let client = C.connect ~retry_for_s:10.0 socket in
-      Fun.protect
-        ~finally:(fun () -> C.close client)
-        (fun () ->
-          let rpc req =
-            let t0 = Unix.gettimeofday () in
-            match C.rpc client req with
-            | Ok v -> (v, Unix.gettimeofday () -. t0)
-            | Error e ->
-              failwith
-                ("serve bench request failed: " ^ Scanpower_errors.to_string e)
-          in
-          let flow i =
-            rpc
-              (P.make
-                 ~id:(Printf.sprintf "bench-%d" i)
-                 ~circuit ~seed:7 P.Flow)
-          in
-          let warm_reps = 12 in
-          let v0, cold_s = flow 0 in
-          (match J.member "registry_hit" v0 with
-          | Some (J.Bool false) -> ()
-          | _ -> failwith "serve bench: first request must miss the registry");
-          let warm = List.init warm_reps (fun i -> snd (flow (i + 1))) in
-          let sorted = List.sort compare warm in
-          let warm_p50 = List.nth sorted (warm_reps / 2) in
-          let warm_p99 = List.nth sorted (warm_reps - 1) in
-          let stats, _ = rpc (P.make ~id:"bench-stats" P.Stats) in
-          let hits =
-            match J.member "registry" stats with
-            | Some reg -> (
-              match J.member "hits" reg with Some (J.Int n) -> n | _ -> -1)
-            | None -> -1
-          in
-          if hits <> warm_reps then
-            failwith
-              (Printf.sprintf
-                 "serve bench: expected %d registry hits, daemon reports %d"
-                 warm_reps hits);
-          let speedup = cold_s /. Float.max 1e-9 warm_p99 in
-          Format.printf
-            "%-8s cold %.4fs | warm p50 %.4fs p99 %.4fs (%5.1fx) | %d/%d \
-             registry hits@."
-            circuit cold_s warm_p50 warm_p99 speedup hits warm_reps;
-          (* the acceptance bar: amortisation must actually amortise *)
-          if warm_p99 > 0.2 *. cold_s then
-            failwith
-              (Printf.sprintf
-                 "serve bench: warm p99 %.4fs exceeds 20%% of cold %.4fs"
-                 warm_p99 cold_s);
-          kernels_json :=
-            ( "serve",
-              (* numbers only: bench-diff refuses string metrics; the
-                 benched circuit differs between fast and full mode,
-                 which the top-level [fast] flag already records *)
-              J.Obj
-                [
-                  ("requests", J.Int (warm_reps + 1));
-                  ("registry_hits", J.Int hits);
-                  ("serve_cold_s", J.Float cold_s);
-                  ("serve_warm_p50_s", J.Float warm_p50);
-                  ("serve_warm_p99_s", J.Float warm_p99);
-                  ("serve_warm_speedup", J.Float speedup);
-                ] )
-            :: !kernels_json))
-
-(* ------------------------------------------------------------------ *)
-(* Serve recovery: crash mid-request, restart warm, replay             *)
-(* ------------------------------------------------------------------ *)
-
-(* The self-healing claim, measured: a supervised daemon is SIGKILLed
-   mid-request, the supervisor restarts it, the restarted generation
-   restores the registry snapshot, and the resilient client replays.
-   [serve_recovery_s] is the client-observed time from firing the
-   doomed request to its first successful answer — crash detection +
-   restart + snapshot restore + replay, end to end — and the replay
-   must be a registry hit (a cold re-prepare would hide behind a
-   correct answer and rot the snapshot path silently). *)
-
-let serve_recovery_bench () =
-  section "Serve recovery: crash mid-request, warm restart, replay";
-  let module D = Scanpower_server.Daemon in
-  let module S = Scanpower_server.Supervisor in
-  let module C = Scanpower_server.Client in
-  let module P = Scanpower_server.Protocol in
-  let module FI = Runner.Fault_inject in
-  let module J = Telemetry.Json in
-  let circuit = "s1196" in
-  (* deterministic chaos: find a seed where generation 1 dies on the
-     doomed id and every other (id, generation) we use is spared *)
-  let seed =
-    let ok seed =
-      let spec = { FI.seed; rates = [ (FI.Worker_kill, 0.5) ] } in
-      FI.with_spec (Some spec) (fun () ->
-          FI.fires FI.Worker_kill ~key:"kill-me#gen1"
-          && List.for_all
-               (fun key -> not (FI.fires FI.Worker_kill ~key))
-               [ "warm#gen1"; "kill-me#gen2"; "st#gen2" ])
-    in
-    let rec go s = if ok s then s else go (s + 1) in
-    go 0
-  in
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "scanpower-bench-rec-%d.sock" (Unix.getpid ()))
-  in
-  let snap =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "scanpower-bench-rec-%d.snap" (Unix.getpid ()))
-  in
-  let daemon =
-    {
-      D.default_config with
-      D.socket;
-      log = None;
-      snapshot_path = Some snap;
-      snapshot_every_s = 0.05;
-    }
-  in
-  flush stdout;
-  flush stderr;
-  let pid = Unix.fork () in
-  if pid = 0 then begin
-    FI.set (Some { FI.seed; rates = [ (FI.Worker_kill, 0.5) ] });
-    (try
-       S.run
-         ~config:{ S.daemon; restart_budget = 5; restart_refill_s = 30.0 }
-         ()
-     with _ -> ());
-    Unix._exit 0
-  end;
-  let stop () =
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-    if Sys.file_exists snap then Sys.remove snap
-  in
-  Fun.protect ~finally:stop (fun () ->
-      let session = C.session ~retry_for_s:60.0 socket in
-      Fun.protect
-        ~finally:(fun () -> C.close_session session)
-        (fun () ->
-          let call req =
-            match C.call session req with
-            | Ok v -> v
-            | Error e ->
-              failwith
-                ("serve recovery request failed: "
-                ^ Scanpower_errors.to_string e)
-          in
-          ignore (call (P.make ~id:"warm" ~circuit ~seed:7 P.Flow));
-          (* let a snapshot tick capture the warm entry *)
-          Unix.sleepf 0.6;
-          let t0 = Unix.gettimeofday () in
-          let v = call (P.make ~id:"kill-me" ~circuit ~seed:7 P.Flow) in
-          let recovery_s = Unix.gettimeofday () -. t0 in
-          let warm_hit = J.member "registry_hit" v = Some (J.Bool true) in
-          let stats = call (P.make ~id:"st" P.Stats) in
-          let int_field obj k =
-            match J.member k obj with Some (J.Int n) -> n | _ -> -1
-          in
-          let generation = int_field stats "generation" in
-          let warm_restored = int_field stats "warm_restored" in
-          Format.printf
-            "%-8s recovery %.4fs | generation %d | %d restored | replay %s@."
-            circuit recovery_s generation warm_restored
-            (if warm_hit then "warm" else "COLD");
-          if C.session_replays session < 1 then
-            failwith "serve recovery: the client never replayed";
-          if generation <> 2 then
-            failwith
-              (Printf.sprintf
-                 "serve recovery: expected generation 2, daemon reports %d"
-                 generation);
-          if warm_restored < 1 then
-            failwith "serve recovery: restarted daemon restored nothing";
-          if not warm_hit then
-            failwith
-              "serve recovery: replay re-prepared instead of hitting the \
-               restored registry";
-          kernels_json :=
-            ( "serve_recovery",
-              J.Obj
-                [
-                  ("serve_recovery_s", J.Float recovery_s);
-                  ("recovery_generation", J.Int generation);
-                  ("recovery_warm_restored", J.Int warm_restored);
-                  ("recovery_warm_hit", J.Int (if warm_hit then 1 else 0));
-                  ("client_replays", J.Int (C.session_replays session));
-                ] )
-            :: !kernels_json))
-
-let write_bench_json () =
-  if !kernels_json <> [] then begin
-    let doc =
-      Telemetry.Json.Obj
-        [
-          ("schema", Telemetry.Json.String "scanpower.bench_kernels/4");
-          ("fast", Telemetry.Json.Bool fast);
-          ("circuits", Telemetry.Json.Obj (List.rev !kernels_json));
-        ]
-    in
-    let oc = open_out "BENCH_kernels.json" in
-    output_string oc (Telemetry.Json.to_string doc);
-    output_string oc "\n";
-    close_out oc;
-    Format.printf "kernel timings written to BENCH_kernels.json@."
-  end
-
-(* ------------------------------------------------------------------ *)
-(* bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro-benchmarks (bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let s27 = Techmap.Mapper.map (Circuits.s27 ()) in
-  let s344 = Circuits.by_name "s344" (* generated pre-mapped *) in
-  let s344_timing = Sta.analyze s344 in
-  let s27_vectors = Atpg.Pattern_gen.random_vectors ~seed:1 ~count:20 s27 in
-  let s27_chain = Scan.Scan_chain.natural s27 in
-  let some_gate =
-    let nodes = Netlist.Circuit.nodes s344 in
-    let rec pick i =
-      if Netlist.Gate.is_logic nodes.(i).Netlist.Circuit.kind then i
-      else pick (i + 1)
-    in
-    pick (Netlist.Circuit.node_count s344 / 2)
-  in
-  let fault =
-    { Atpg.Fault.site = Atpg.Fault.Output_line some_gate; stuck = true }
-  in
-  let podem344 = Atpg.Podem.make s344 in
-  let obs344 = Power.Observability.compute s344 in
-  let tests =
-    [
-      (* Table I building blocks *)
-      Test.make ~name:"table1/scan-sim-s27"
-        (Staged.stage (fun () ->
-             Scan.Scan_sim.measure s27 s27_chain Scan.Scan_sim.traditional
-               ~vectors:s27_vectors));
-      Test.make ~name:"table1/podem-one-fault-s344"
-        (Staged.stage (fun () -> Atpg.Podem.generate podem344 fault));
-      Test.make ~name:"table1/controlled-pattern-s344"
-        (Staged.stage (fun () ->
-             Scanpower.Controlled_pattern.find
-               ~direction:(Scanpower.Justify.Leakage_directed obs344)
-               s344
-               ~muxable:(Array.to_list (Netlist.Circuit.dffs s344))));
-      (* Figure 2 building block *)
-      Test.make ~name:"figure2/leakage-tables"
-        (Staged.stage (fun () ->
-             List.map
-               (fun cell ->
-                 Techlib.Leakage_table.leakage_na cell
-                   ~state:(Techlib.Leakage_table.n_states cell - 1))
-               Techlib.Cell.all));
-      (* ablation (b) kernels *)
-      Test.make ~name:"addmux/naive-s344"
-        (Staged.stage (fun () ->
-             Scanpower.Mux_insertion.select
-               ~strategy:Scanpower.Mux_insertion.Naive s344));
-      Test.make ~name:"addmux/slack-s344"
-        (Staged.stage (fun () ->
-             Scanpower.Mux_insertion.select
-               ~strategy:Scanpower.Mux_insertion.Slack_based s344));
-      Test.make ~name:"substrate/sta-s344"
-        (Staged.stage (fun () -> Sta.analyze s344));
-      Test.make ~name:"substrate/observability-s344"
-        (Staged.stage (fun () -> Power.Observability.compute s344));
-      Test.make ~name:"substrate/slack-query"
-        (Staged.stage (fun () ->
-             Sta.fits_without_slowdown s344_timing
-               ~source:(Netlist.Circuit.dffs s344).(0)
-               ~penalty:24.0));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"scanpower" ~fmt:"%s %s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some [ x ] -> x
-          | Some _ | None -> Float.nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  let print_row (name, ns) =
-    if ns > 1e6 then Format.printf "  %-38s %10.3f ms/run@." name (ns /. 1e6)
-    else Format.printf "  %-38s %10.1f ns/run@." name ns
-  in
-  List.iter print_row rows
-
 (* SCANPOWER_BENCH_ONLY=<name>[,<name>...] runs the named stages only
-   (e.g. the CI bench steps run "kernels,serve"); unset runs the full
-   sequence. *)
+   (e.g. "figure2,table1"); unset runs the full sequence. *)
 let only =
   match Sys.getenv_opt "SCANPOWER_BENCH_ONLY" with
   | None -> None
@@ -1057,11 +507,6 @@ let () =
   stage "ablation_exact_probabilities" ablation_exact_probabilities;
   stage "ablation_multi_chain" ablation_multi_chain;
   stage "ablation_atpg_engines" ablation_atpg_engines;
-  stage "serve" serve_bench;
-  stage "serve_recovery" serve_recovery_bench;
-  stage "kernels" kernels;
-  stage "micro" micro;
-  write_bench_json ();
   (match json_out with
   | None -> ()
   | Some path ->

@@ -759,76 +759,6 @@ let sweep_cmd =
        $ backoff $ deadline $ no_cache $ cache_dir $ journal $ resume $ out
        $ csv $ progress $ telemetry_term))
 
-(* ---- bench-diff ---- *)
-
-let bench_diff_cmd =
-  let module D = Scanpower.Bench_diff in
-  let run old_path new_path time_threshold rate_threshold json_out =
-    let baseline = D.load old_path in
-    let current = D.load new_path in
-    let r = D.diff ~time_threshold ~rate_threshold baseline current in
-    D.pp_report Format.std_formatter r;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          output_string oc (Telemetry.Json.to_string (D.report_to_json r));
-          output_char oc '\n');
-      Format.printf "JSON diff written to %s@." path);
-    if D.has_regression r then
-      E.errorf ~code:E.Regression ~stage:"bench-diff"
-        "%d regression(s) against %s"
-        (List.length r.D.regressions + List.length r.D.only_old_metrics)
-        old_path
-    else Ok ()
-  in
-  let old_path =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline BENCH_kernels.json.")
-  in
-  let new_path =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"NEW" ~doc:"Candidate BENCH_kernels.json to gate.")
-  in
-  let time_threshold =
-    Arg.(
-      value & opt float 0.5
-      & info [ "time-threshold" ] ~docv:"FRACTION"
-          ~doc:
-            "Allowed fractional slowdown for $(b,_s) time metrics before \
-             they count as a regression (default 0.5 = +50%). CI across \
-             machine generations passes a wider value.")
-  in
-  let rate_threshold =
-    Arg.(
-      value & opt float 0.5
-      & info [ "rate-threshold" ] ~docv:"FRACTION"
-          ~doc:
-            "Allowed fractional drop for $(b,_speedup)/$(b,_events_s) rate \
-             metrics (default 0.5 = -50%).")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the diff as JSON here.")
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare two BENCH_kernels.json files as a regression gate: counts \
-          must match exactly, times and rates get per-class noise \
-          thresholds. Exits 6 when anything regressed (or a baseline metric \
-          disappeared), 0 when clean.")
-    Term.(
-      term_result
-        (const run $ old_path $ new_path $ time_threshold $ rate_threshold
-       $ json_out))
-
 (* ---- serve ---- *)
 
 let socket_arg =
@@ -1138,13 +1068,13 @@ let main_cmd =
     (Cmd.info "scanpower" ~version:"1.0.0" ~doc)
     [ list_cmd; stats_cmd; figure2_cmd; observability_cmd; atpg_cmd; power_cmd;
       profile_cmd; paths_cmd; export_cmd; peak_cmd; table1_cmd; validate_cmd;
-      sweep_cmd; bench_diff_cmd; serve_cmd; client_cmd ]
+      sweep_cmd; serve_cmd; client_cmd ]
 
 (* Exit codes (also documented in the README): 0 success, 2 usage,
-   3 parse/validation, 4 io/runtime, 5 partial batch, 6 bench-diff
-   regression, 7 daemon overloaded, 8 request deadline expired,
-   9 daemon degraded under memory pressure; cmdliner itself keeps 124
-   for command-line syntax it rejects before we run. *)
+   3 parse/validation, 4 io/runtime, 5 partial batch, 7 daemon
+   overloaded, 8 request deadline expired, 9 daemon degraded under
+   memory pressure (6 is retired); cmdliner itself keeps 124 for
+   command-line syntax it rejects before we run. *)
 let () =
   Runner.Fault_inject.activate_from_env ();
   match Cmd.eval ~catch:false main_cmd with

@@ -5,7 +5,6 @@ type code =
   | Io
   | Runtime
   | Partial
-  | Regression
   | Overloaded
   | Deadline
   | Degraded
@@ -17,31 +16,29 @@ let code_to_string = function
   | Io -> "io"
   | Runtime -> "runtime"
   | Partial -> "partial"
-  | Regression -> "regression"
   | Overloaded -> "overloaded"
   | Deadline -> "deadline"
   | Degraded -> "degraded"
 
 let all_codes =
-  [ Usage; Parse; Validation; Io; Runtime; Partial; Regression;
-    Overloaded; Deadline; Degraded ]
+  [ Usage; Parse; Validation; Io; Runtime; Partial; Overloaded; Deadline;
+    Degraded ]
 
 let code_of_string s =
   List.find_opt (fun c -> code_to_string c = s) all_codes
 
 (* Keep these in sync with the README troubleshooting table: 2 = bad
    invocation, 3 = bad input, 4 = the flow itself failed, 5 = a batch
-   finished with failures, 6 = a benchmark comparison found a
-   regression, 7 = the daemon refused the request under load, 8 = a
-   per-request deadline expired, 9 = the daemon is shedding load under
-   memory pressure (retryable). Cmdliner owns 124 for flag-syntax
-   errors. *)
+   finished with failures, 7 = the daemon refused the request under
+   load, 8 = a per-request deadline expired, 9 = the daemon is shedding
+   load under memory pressure (retryable). 6 is retired: it meant a
+   benchmark regression, and no command reports one any more. Cmdliner
+   owns 124 for flag-syntax errors. *)
 let exit_code = function
   | Usage -> 2
   | Parse | Validation -> 3
   | Io | Runtime -> 4
   | Partial -> 5
-  | Regression -> 6
   | Overloaded -> 7
   | Deadline -> 8
   | Degraded -> 9

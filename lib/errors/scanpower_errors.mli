@@ -17,7 +17,6 @@ type code =
   | Io  (** file system / OS error around an input or output *)
   | Runtime  (** the flow itself failed (ATPG, simulation, pool misuse) *)
   | Partial  (** the batch finished but some jobs failed or were cut short *)
-  | Regression  (** [bench-diff] found a metric past its threshold *)
   | Overloaded
       (** the serving daemon's admission queue was full and the request
           was refused; safe to retry after backing off *)
@@ -37,9 +36,9 @@ val code_of_string : string -> code option
 val exit_code : code -> int
 (** The documented process exit code for each class:
     [Usage] → 2, [Parse]/[Validation] → 3, [Io]/[Runtime] → 4,
-    [Partial] → 5, [Regression] → 6, [Overloaded] → 7, [Deadline] → 8,
-    [Degraded] → 9. (0 is success; Cmdliner's own 124 covers
-    command-line syntax it rejects before we run.) *)
+    [Partial] → 5, [Overloaded] → 7, [Deadline] → 8, [Degraded] → 9.
+    6 is retired and not reused. (0 is success; Cmdliner's own 124
+    covers command-line syntax it rejects before we run.) *)
 
 type location = {
   file : string option;  (** [None] for in-memory text *)

@@ -111,13 +111,18 @@ let rpc ?on_event t req =
 type session = {
   path : string;
   retry_for_s : float;
+  nonce : int; (* unique per session within the process *)
   mutable conn : t option;
   mutable calls : int;
   mutable replays : int;
 }
 
+let sessions_made = ref 0
+
 let session ?(retry_for_s = 10.0) path =
-  { path; retry_for_s; conn = None; calls = 0; replays = 0 }
+  incr sessions_made;
+  { path; retry_for_s; nonce = !sessions_made; conn = None; calls = 0;
+    replays = 0 }
 
 let session_replays s = s.replays
 
@@ -156,7 +161,10 @@ let retryable (e : E.t) =
 (* One request, survived to completion: reconnect and replay on
    transport failure, back off and re-send on retryable daemon errors
    (overloaded / degraded), propagate the shrinking deadline, and
-   auto-attach an idempotency key so no replay double-executes. *)
+   auto-attach an idempotency key so no replay double-executes. The
+   key is pid, session nonce, call number and id: without the nonce two
+   sessions of one process sending one id on the same call number
+   would share a key, and the second would get the first one's reply. *)
 let call ?on_event s req =
   s.calls <- s.calls + 1;
   let req =
@@ -166,7 +174,7 @@ let call ?on_event s req =
       { req with
         Protocol.idem =
           Some
-            (Printf.sprintf "%d-%d-%s" (Unix.getpid ()) s.calls
+            (Printf.sprintf "%d-%d-%d-%s" (Unix.getpid ()) s.nonce s.calls
                req.Protocol.id);
       }
   in

@@ -64,9 +64,10 @@ val call :
   (Telemetry.Json.t, Scanpower_errors.t) result
 (** One request to completion. A request carrying [deadline_s]
     propagates its shrinking remainder on every replay and the window
-    is capped by it; a request without [idem] gets a fresh key
-    auto-attached. Returns the first non-retryable outcome, or a
-    [deadline] error when the window closes. *)
+    is capped by it; a request without [idem] gets a key
+    auto-attached that is unique to this session and call. Returns the
+    first non-retryable outcome, or a [deadline] error when the window
+    closes. *)
 
 val session_replays : session -> int
 (** How many reconnect-replays and retryable-error re-sends this

@@ -12,7 +12,10 @@ type t = {
 
 let lanes = 64
 
-(* All scratch is sized once here — the hot [step] never allocates. *)
+(* All scratch is sized once here: [step] creates no arrays, but every
+   store into the [int64 array]s ([words], [diffs], [last]) boxes its
+   word on the minor heap, 11 to 13 words per node per frame (62 Mw
+   over the 1602 frames of one s5378 traditional measurement). *)
 let create comp =
   let n = Compiled.node_count comp in
   {

@@ -22,7 +22,9 @@ type t
 
 val create : Compiled.t -> t
 (** All scratch ([words]/[diffs]/[last]/lane tallies) is preallocated
-    here; {!step} never allocates. *)
+    here. {!step} creates no arrays, but its stores into the [int64]
+    arrays box each word, so it allocates 11 to 13 minor-heap words per
+    node per frame. *)
 
 val compiled : t -> Compiled.t
 

@@ -5,7 +5,7 @@ module E = Scanpower_errors
 module Json = Telemetry.Json
 
 let all_codes =
-  [ E.Usage; E.Parse; E.Validation; E.Io; E.Runtime; E.Partial; E.Regression;
+  [ E.Usage; E.Parse; E.Validation; E.Io; E.Runtime; E.Partial;
     E.Overloaded; E.Deadline; E.Degraded ]
 
 let check_exit_codes () =
@@ -15,7 +15,6 @@ let check_exit_codes () =
   Alcotest.(check int) "io" 4 (E.exit_code E.Io);
   Alcotest.(check int) "runtime" 4 (E.exit_code E.Runtime);
   Alcotest.(check int) "partial" 5 (E.exit_code E.Partial);
-  Alcotest.(check int) "regression" 6 (E.exit_code E.Regression);
   Alcotest.(check int) "overloaded" 7 (E.exit_code E.Overloaded);
   Alcotest.(check int) "deadline" 8 (E.exit_code E.Deadline);
   Alcotest.(check int) "degraded" 9 (E.exit_code E.Degraded);
@@ -25,7 +24,11 @@ let check_exit_codes () =
         (E.code_to_string c ^ " reserves 0, 1 and cmdliner's 124")
         true
         (let n = E.exit_code c in
-         n >= 2 && n <= 9))
+         n >= 2 && n <= 9);
+      Alcotest.(check bool)
+        (E.code_to_string c ^ " avoids the retired 6")
+        true
+        (E.exit_code c <> 6))
     all_codes
 
 let check_code_of_string () =
@@ -154,8 +157,7 @@ let check_of_json_inverse () =
 let error_gen =
   let open QCheck.Gen in
   let code = oneofl [ E.Usage; E.Parse; E.Validation; E.Io; E.Runtime;
-                      E.Partial; E.Regression; E.Overloaded; E.Deadline;
-                      E.Degraded ] in
+                      E.Partial; E.Overloaded; E.Deadline; E.Degraded ] in
   let short = string_size ~gen:printable (int_range 0 12) in
   let opt g = oneof [ return None; map Option.some g ] in
   let loc =

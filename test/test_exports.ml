@@ -174,53 +174,6 @@ let check_flow_includes_enhanced () =
     (cmp.Scanpower.Flow.enhanced_scan.Scanpower.Flow.dynamic_per_hz_uw
     < cmp.Scanpower.Flow.traditional.Scanpower.Flow.dynamic_per_hz_uw)
 
-(* ---------- VCD ---------- *)
-
-let vcd_contains ~needle hay = contains ~needle hay
-
-let check_vcd_output () =
-  let c = mapped "s27" in
-  let vcd = Sim.Vcd_writer.create c in
-  let sim = Sim.Event_sim.create c in
-  Sim.Event_sim.init sim (fun _ -> false);
-  Sim.Vcd_writer.sample vcd ~time:0 (Sim.Event_sim.values sim);
-  let g0 = Circuit.find c "G0" in
-  ignore (Sim.Event_sim.set_sources sim [ (g0, true) ]);
-  Sim.Vcd_writer.sample vcd ~time:10 (Sim.Event_sim.values sim);
-  (* unchanged sample emits nothing new *)
-  Sim.Vcd_writer.sample vcd ~time:20 (Sim.Event_sim.values sim);
-  let text = Sim.Vcd_writer.to_string vcd in
-  Alcotest.(check bool) "header" true (vcd_contains ~needle:"$enddefinitions" text);
-  Alcotest.(check bool) "var per node" true (vcd_contains ~needle:"$var wire 1" text);
-  Alcotest.(check bool) "time 0" true (vcd_contains ~needle:"#0" text);
-  Alcotest.(check bool) "time 10" true (vcd_contains ~needle:"#10" text);
-  Alcotest.(check bool) "no empty time 20" false (vcd_contains ~needle:"#20" text)
-
-let check_vcd_time_monotonic () =
-  let c = mapped "s27" in
-  let vcd = Sim.Vcd_writer.create c in
-  let zeros = Array.make (Circuit.node_count c) false in
-  Sim.Vcd_writer.sample vcd ~time:5 zeros;
-  Alcotest.check_raises "backwards"
-    (Invalid_argument "Vcd_writer.sample: time went backwards") (fun () ->
-      Sim.Vcd_writer.sample vcd ~time:4 zeros)
-
-let check_vcd_codes_unique () =
-  let c = Techmap.Mapper.map (Circuits.by_name "s1196") in
-  let vcd = Sim.Vcd_writer.create c in
-  ignore vcd;
-  (* uniqueness is structural: the base-94 encoding is injective; check
-     a window of indices directly through a fresh recorder's header *)
-  let text = Sim.Vcd_writer.to_string (Sim.Vcd_writer.create c) in
-  let ids = ref [] in
-  String.split_on_char '\n' text
-  |> List.iter (fun line ->
-         match String.split_on_char ' ' line with
-         | [ "$var"; "wire"; "1"; code; _name; "$end" ] -> ids := code :: !ids
-         | _ -> ());
-  let sorted = List.sort_uniq compare !ids in
-  Alcotest.(check int) "codes unique" (List.length !ids) (List.length sorted)
-
 let suite =
   [
     Alcotest.test_case "dot structure" `Quick check_dot_structure;
@@ -237,8 +190,5 @@ let suite =
     Alcotest.test_case "enhanced scan preserves responses" `Quick
       check_enhanced_scan_preserves_responses;
     Alcotest.test_case "flow includes enhanced" `Quick check_flow_includes_enhanced;
-    Alcotest.test_case "vcd output" `Quick check_vcd_output;
-    Alcotest.test_case "vcd time monotonic" `Quick check_vcd_time_monotonic;
-    Alcotest.test_case "vcd codes unique" `Quick check_vcd_codes_unique;
   ]
 

@@ -138,7 +138,11 @@ let check_preprocessing () =
 
 (* ---------- engine equivalence ---------- *)
 
-let check_split_agrees tag c ~seed ~n_vectors =
+(* CPT ≡ Cone on [n_vectors] vectors drawn from [seed] (the same vectors
+   as [Atpg.Pattern_gen.random_vectors ~seed ~count:n_vectors]). With
+   [reuse] (the default) the same machines then run again on a second
+   vector set, and effective_subset and coverage are compared too. *)
+let check_split_agrees ?(reuse = true) tag c ~seed ~n_vectors =
   let faults = Atpg.Fault.collapsed_faults c in
   let rng = Util.Rng.create seed in
   let vectors = random_vectors rng c n_vectors in
@@ -152,23 +156,25 @@ let check_split_agrees tag c ~seed ~n_vectors =
     (tag ^ " detected identical") det_cone det_cpt;
   Alcotest.(check (list (fault_t c)))
     (tag ^ " undetected identical") undet_cone undet_cpt;
-  (* same machines again on a different vector set: persistent state
-     (memos, stamps, interned cones) must not leak across runs *)
-  let vectors2 = random_vectors rng c (max 1 (n_vectors / 2)) in
-  let d1, _ = Fs.split ~machine:m_cone c ~faults ~vectors:vectors2 in
-  let d2, _ = Fs.split ~machine:m_cpt c ~faults ~vectors:vectors2 in
-  let d3, _ = Fs.split c ~faults ~vectors:vectors2 in
-  Alcotest.(check (list (fault_t c))) (tag ^ " reuse cone") d1 d2;
-  Alcotest.(check (list (fault_t c))) (tag ^ " reuse vs fresh") d1 d3;
-  (* effective_subset bit-identical across engines *)
-  let e_cone = Fs.effective_subset ~machine:m_cone c ~faults ~vectors in
-  let e_cpt = Fs.effective_subset ~machine:m_cpt c ~faults ~vectors in
-  Alcotest.(check (list (array bool)))
-    (tag ^ " effective_subset identical") e_cone e_cpt;
-  Alcotest.(check bool)
-    (tag ^ " coverage identical") true
-    (Fs.coverage ~machine:m_cone c ~faults ~vectors
-    = Fs.coverage ~machine:m_cpt c ~faults ~vectors)
+  if reuse then begin
+    (* same machines again on a different vector set: persistent state
+       (memos, stamps, interned cones) must not leak across runs *)
+    let vectors2 = random_vectors rng c (max 1 (n_vectors / 2)) in
+    let d1, _ = Fs.split ~machine:m_cone c ~faults ~vectors:vectors2 in
+    let d2, _ = Fs.split ~machine:m_cpt c ~faults ~vectors:vectors2 in
+    let d3, _ = Fs.split c ~faults ~vectors:vectors2 in
+    Alcotest.(check (list (fault_t c))) (tag ^ " reuse cone") d1 d2;
+    Alcotest.(check (list (fault_t c))) (tag ^ " reuse vs fresh") d1 d3;
+    (* effective_subset bit-identical across engines *)
+    let e_cone = Fs.effective_subset ~machine:m_cone c ~faults ~vectors in
+    let e_cpt = Fs.effective_subset ~machine:m_cpt c ~faults ~vectors in
+    Alcotest.(check (list (array bool)))
+      (tag ^ " effective_subset identical") e_cone e_cpt;
+    Alcotest.(check bool)
+      (tag ^ " coverage identical") true
+      (Fs.coverage ~machine:m_cone c ~faults ~vectors
+      = Fs.coverage ~machine:m_cpt c ~faults ~vectors)
+  end
 
 let check_golden_s27 () =
   check_split_agrees "s27/seed1" (Lazy.force s27m) ~seed:1 ~n_vectors:80;

@@ -122,31 +122,6 @@ let check_policies_work_with_multiple_chains () =
   in
   Alcotest.(check bool) "responses preserved" true responses_match
 
-(* ---------- test-set file I/O ---------- *)
-
-let check_test_set_roundtrip () =
-  let c = mapped "s344" in
-  let vectors = Atpg.Pattern_gen.random_vectors ~seed:1 ~count:17 c in
-  let text = Atpg.Test_set_io.to_string vectors in
-  Alcotest.(check bool) "roundtrip" true
-    (Atpg.Test_set_io.of_string c text = vectors)
-
-let check_test_set_comments_and_errors () =
-  let c = mapped "s27" in
-  (* 7 sources *)
-  let ok = Atpg.Test_set_io.of_string c "# header\n1010101\n\n0000000 # tail\n" in
-  Alcotest.(check int) "two vectors" 2 (List.length ok);
-  Alcotest.(check bool) "width error" true
-    (try
-       ignore (Atpg.Test_set_io.of_string c "101\n");
-       false
-     with Atpg.Test_set_io.Parse_error (1, _) -> true);
-  Alcotest.(check bool) "character error" true
-    (try
-       ignore (Atpg.Test_set_io.of_string c "10z0101\n");
-       false
-     with Atpg.Test_set_io.Parse_error (1, _) -> true)
-
 let suite =
   [
     Alcotest.test_case "partition shapes" `Quick check_partition_shapes;
@@ -159,7 +134,4 @@ let suite =
     Alcotest.test_case "shift time scales down" `Quick check_shift_time_scales_down;
     Alcotest.test_case "policies on multiple chains" `Quick
       check_policies_work_with_multiple_chains;
-    Alcotest.test_case "test-set roundtrip" `Quick check_test_set_roundtrip;
-    Alcotest.test_case "test-set comments and errors" `Quick
-      check_test_set_comments_and_errors;
   ]

@@ -237,13 +237,21 @@ let policies c rng =
       } );
   ]
 
-let check_engines_agree_on name circuit ~seed ~n_vectors =
+(* Scalar ≡ packed on [n_vectors] vectors drawn from [seed] (the same
+   vectors as [Atpg.Pattern_gen.random_vectors ~seed ~count:n_vectors]).
+   [init_state] defaults to a seeded random chain state and [policies]
+   to the four above. *)
+let check_engines_agree_on ?init_state ?(policies = policies) name circuit
+    ~seed ~n_vectors =
   let c = circuit in
   let chain = Scan.Scan_chain.natural c in
   let rng = Util.Rng.create seed in
   let vectors = random_vectors rng c n_vectors in
   let init_state =
-    Array.init (Scan.Scan_chain.length chain) (fun _ -> Util.Rng.bool rng)
+    match init_state with
+    | Some st -> st
+    | None ->
+      Array.init (Scan.Scan_chain.length chain) (fun _ -> Util.Rng.bool rng)
   in
   List.iter
     (fun (tag, policy) ->

@@ -329,6 +329,39 @@ let check_protocol_robustness () =
             (Json.member "status" v = Some (Json.String "ok"))))
 
 (* ------------------------------------------------------------------ *)
+(* sessions: idempotency keys never collide across sessions            *)
+(* ------------------------------------------------------------------ *)
+
+(* Two sessions in one process send the same id on the same call
+   number, each asking about a different circuit. Each session's key
+   must be its own: a shared key would make the daemon answer the
+   second request with the first one's stored reply. *)
+let check_sessions_keep_keys_apart () =
+  with_daemon (fun socket ->
+      let a = C.session socket and b = C.session socket in
+      Fun.protect
+        ~finally:(fun () ->
+          C.close_session a;
+          C.close_session b)
+        (fun () ->
+          let ask session circuit =
+            let v =
+              expect_value ("validate " ^ circuit)
+                (C.call session (P.make ~id:"same" ~circuit P.Validate))
+            in
+            ( Json.member "circuit" v,
+              Json.member "idem_executions" v )
+          in
+          let circuit_a, runs_a = ask a "s27" in
+          let circuit_b, runs_b = ask b "s344" in
+          Alcotest.(check bool) "first session answered for s27" true
+            (circuit_a = Some (Json.String "s27"));
+          Alcotest.(check bool) "second session answered for s344" true
+            (circuit_b = Some (Json.String "s344"));
+          Alcotest.(check bool) "each request executed once" true
+            (runs_a = Some (Json.Int 1) && runs_b = Some (Json.Int 1))))
+
+(* ------------------------------------------------------------------ *)
 (* admission control: overloaded and deadline                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -522,6 +555,8 @@ let suite =
       check_golden_bit_identity;
     Alcotest.test_case "protocol robustness against hostile input" `Quick
       check_protocol_robustness;
+    Alcotest.test_case "sessions keep idempotency keys apart" `Quick
+      check_sessions_keep_keys_apart;
     Alcotest.test_case "overloaded admission (exit 7)" `Quick check_overloaded;
     Alcotest.test_case "deadline expiry in queue (exit 8)" `Quick
       check_deadline_expired_in_queue;
