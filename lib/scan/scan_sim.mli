@@ -46,12 +46,13 @@ type engine =
           golden reference implementation. *)
   | Packed
       (** 64 consecutive scan cycles per 64-bit word
-          ({!Sim.Packed_sim}): per-cycle toggles are recovered by
-          popcounting lane-to-lane XORs and leakage is updated only at
-          the lanes where a gate's input state changed.  Produces
-          bit-identical toggle counts, per-cycle series, dynamic power
-          and responses; the static-power figures agree up to float
-          accumulation order. *)
+          ({!Sim.Packed_sim}): per-cycle toggles are recovered from
+          lane-to-lane XORs, and every frame recounts every lane's
+          leakage from per-state lane counters (per leakage table and
+          input state, how many gates sit in that state at each lane).
+          Produces bit-identical toggle counts, per-cycle series,
+          dynamic power and responses; the static-power figures agree
+          up to float accumulation order. *)
 
 type result = {
   cycles : int;  (** total clock cycles simulated *)

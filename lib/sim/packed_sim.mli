@@ -1,12 +1,13 @@
-(** 64-wide bit-parallel simulation frames with popcount toggle
-    accounting.
+(** 64-wide bit-parallel simulation frames with bit-sliced toggle
+    counting.
 
     One [int64] word per node carries up to 64 consecutive simulation
     cycles: lane [l] is bit [l]. The driver writes the source words of
     a frame, calls {!step}, and the kernel evaluates the whole
-    combinational core once for all lanes, then counts per-node and
-    per-lane toggles from [popcount (prev lxor cur)] — including the
-    lane-0 boundary against the final lane of the previous frame.
+    combinational core once for all lanes. It then diffs every word
+    against itself shifted by one lane (lane 0 against the final lane
+    of the previous frame), popcounts the diff for the per-node count
+    and feeds it into a {!Lane_counter} for the per-lane counts.
 
     This is the engine under the packed scan-shift measurement in
     {!Scan.Scan_sim}: during shift the chain is a pure shift register,
@@ -18,15 +19,35 @@
 
 open Netlist
 
+(** Per-lane counters for 64 lanes, bit-sliced: plane [b] holds bit [b]
+    of every lane's count, 32 lanes per native [int], so adding a lane
+    mask is a few word operations and never allocates. *)
+module Lane_counter : sig
+  type t
+
+  val create : max:int -> t
+  (** Counters for up to [max] adds (so no lane exceeds [max]), all
+      zero. @raise Invalid_argument if [max] is negative. *)
+
+  val clear : t -> unit
+  (** Zero every lane and the add count. *)
+
+  val add : t -> lo:int -> hi:int -> unit
+  (** Add one to every lane whose bit is set: bit [l] of [lo] is lane
+      [l], bit [l] of [hi] is lane [32 + l]; bits above 31 are ignored.
+      @raise Invalid_argument on the add past [max] since the last
+      {!clear}. *)
+
+  val get : t -> int -> int
+  (** Count of one lane (0..63). *)
+end
+
 type t
 
 val create : Compiled.t -> t
-(** All scratch ([words]/[diffs]/[last]/lane tallies) is preallocated
-    here. {!step} creates no arrays, but its stores into the [int64]
-    arrays box each word, so it allocates 11 to 13 minor-heap words per
-    node per frame. *)
-
-val compiled : t -> Compiled.t
+(** All scratch is preallocated here. {!step} creates no arrays; the
+    only allocation left is the kernel's stores into the [int64]
+    {!words}, which box each word. *)
 
 val lanes : int
 (** 64: lanes per frame. *)
@@ -39,20 +60,14 @@ val words : t -> int64 array
 val step : t -> count:int -> record:bool -> unit
 (** Evaluate one frame of [count] lanes (1..64). With [record], add
     per-node toggle counts (against the previous frame's final lane)
-    into {!toggles} / {!total_toggles} and tally per-lane sums into
-    {!lane_toggles}. Without it (initial settle), only the frame
+    into {!toggles} / {!total_toggles} and the frame's per-lane sums
+    into {!lane_toggles}. Without it (initial settle), only the frame
     boundary state advances. Lanes at index [count] and above are
     ignored. *)
 
-val diffs : t -> int64 array
-(** Per-node toggle mask of the last frame (aliased, node-indexed):
-    lane bit set iff the node's value at that lane differs from the
-    lane before it (lane 0 diffing against the previous frame). Valid
-    after {!step}, also when [record] was false. *)
-
 val lane_toggles : t -> int array
 (** Length 64; entry [l] = total toggles in lane [l] of the
-    last recorded frame (aliased; cleared by every recording
+    last recorded frame (aliased; rewritten by every recording
     {!step}). *)
 
 val toggles : t -> int array
@@ -63,7 +78,3 @@ val total_toggles : t -> int
 val final_value : t -> int -> bool
 (** Node value in the final lane of the last frame — the "current"
     settled state at a frame boundary. *)
-
-val popcount : int64 -> int
-(** Number of set bits (branch-free SWAR; no hardware popcount
-    dependency). *)

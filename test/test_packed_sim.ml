@@ -129,8 +129,7 @@ let check_packed_sim_toggle_counting () =
   let prev = Array.make n false in
   let expected = Array.make n 0 in
   let scalar = Array.make n false in
-  let first = ref true in
-  for _frame = 1 to 4 do
+  for frame = 1 to 4 do
     let count = 1 + Util.Rng.int rng 64 in
     let lanes = Array.init count (fun _ -> Array.make (Array.length sources) false) in
     Array.iter (fun lane -> Array.iteri (fun i _ -> lane.(i) <- Util.Rng.bool rng) lane) lanes;
@@ -143,6 +142,7 @@ let check_packed_sim_toggle_counting () =
         words.(id) <- !w)
       sources;
     Sim.Packed_sim.step ps ~count ~record:true;
+    let expected_lanes = Array.make Sim.Packed_sim.lanes 0 in
     for l = 0 to count - 1 do
       Array.iteri (fun pos id -> scalar.(id) <- lanes.(l).(pos)) sources;
       Array.iter
@@ -151,17 +151,19 @@ let check_packed_sim_toggle_counting () =
             scalar.(id) <- Compiled.eval_bool comp scalar id)
         (Circuit.topo_order c);
       for i = 0 to n - 1 do
-        if (not !first) && scalar.(i) <> prev.(i) then
-          expected.(i) <- expected.(i) + 1
+        (* [prev] starts all-false: the packed sim's first-ever lane
+           diffs against last = 0 *)
+        if scalar.(i) <> prev.(i) then begin
+          expected.(i) <- expected.(i) + 1;
+          expected_lanes.(l) <- expected_lanes.(l) + 1
+        end
       done;
-      (* the packed sim's first-ever lane diffs against last = 0 *)
-      if !first then
-        for i = 0 to n - 1 do
-          if scalar.(i) then expected.(i) <- expected.(i) + 1
-        done;
-      first := false;
       Array.blit scalar 0 prev 0 n
-    done
+    done;
+    Alcotest.(check (array int))
+      (Printf.sprintf "frame %d per-lane toggles" frame)
+      expected_lanes
+      (Array.copy (Sim.Packed_sim.lane_toggles ps))
   done;
   Alcotest.(check (array int))
     "per-node toggles" expected
@@ -169,6 +171,37 @@ let check_packed_sim_toggle_counting () =
   Alcotest.(check int)
     "total" (Array.fold_left ( + ) 0 expected)
     (Sim.Packed_sim.total_toggles ps)
+
+(* Property: the bit-sliced lane counter equals naive per-lane counting
+   for random masks, and the add past [max] raises. *)
+let prop_lane_counter =
+  let mask = QCheck.Gen.int_bound 0xFFFFFFFF in
+  QCheck.Test.make ~name:"lane counter equals naive per-lane counts"
+    ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 70) (pair mask mask)))
+    (fun masks ->
+      let module Lc = Sim.Packed_sim.Lane_counter in
+      let n = List.length masks in
+      let ctr = Lc.create ~max:n in
+      let naive = Array.make 64 0 in
+      List.iter
+        (fun (lo, hi) ->
+          Lc.add ctr ~lo ~hi;
+          for l = 0 to 31 do
+            naive.(l) <- naive.(l) + ((lo lsr l) land 1);
+            naive.(32 + l) <- naive.(32 + l) + ((hi lsr l) land 1)
+          done)
+        masks;
+      Array.iteri
+        (fun l want ->
+          if Lc.get ctr l <> want then
+            QCheck.Test.fail_reportf "lane %d: %d, naive %d" l (Lc.get ctr l)
+              want)
+        naive;
+      (match Lc.add ctr ~lo:1 ~hi:0 with
+      | () -> QCheck.Test.fail_report "add past max did not raise"
+      | exception Invalid_argument _ -> ());
+      true)
 
 (* ---------- engine equivalence ---------- *)
 
@@ -371,5 +404,6 @@ let suite =
     Alcotest.test_case "golden equivalence s1423" `Quick check_golden_s1423;
     Alcotest.test_case "empty vector list" `Quick check_empty_vectors;
     Alcotest.test_case "validation parity" `Quick check_validation_parity;
+    QCheck_alcotest.to_alcotest prop_lane_counter;
     QCheck_alcotest.to_alcotest prop_engines_agree;
   ]

@@ -518,15 +518,30 @@ let check_sigterm_drains () =
   (match C.rpc client (P.make ~id:"h" P.Health) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (E.to_string e));
-  C.send client (P.make ~id:"w1" ~circuit:"s344" P.Flow);
-  (* give the loop a beat to admit the request, then pull the plug *)
-  Unix.sleepf 0.3;
-  Unix.kill pid Sys.sigterm;
-  (match C.read_response client ~id:"w1" with
+  C.send client (P.make ~id:"w1" ~circuit:"s344" ~stream:true P.Flow);
+  (* pull the plug once the daemon has dequeued the request: it emits
+     [server.request_started] (and flushes it to us) only then, before
+     it computes the answer *)
+  let killed = ref false in
+  let on_event line =
+    match Json.member "event" line with
+    | Some ev
+      when (not !killed)
+           && Json.member "event" ev
+              = Some (Json.String "server.request_started") ->
+      killed := true;
+      Unix.kill pid Sys.sigterm
+    | _ -> ()
+  in
+  (match C.read_response ~on_event client ~id:"w1" with
   | Ok v ->
     Alcotest.(check bool) "drained request still answered" true
       (Json.member "comparison" v <> None)
   | Error e -> Alcotest.fail ("drain lost the request: " ^ E.to_string e));
+  if not !killed then begin
+    Unix.kill pid Sys.sigterm;
+    Alcotest.fail "no request_started event before the result"
+  end;
   (* after the drain: connection closed, clean exit, socket unlinked *)
   (match C.read_response client ~id:"nothing-else" with
   | Error e ->

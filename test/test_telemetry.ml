@@ -189,19 +189,37 @@ let check_flow_bit_identical_on_off () =
   Alcotest.(check bool) "comparison identical with telemetry on vs off" true
     (off = on)
 
-(* Golden values captured from the pre-telemetry seed build (s344,
-   default seed 42, telemetry disabled). Hex float literals are exact:
-   any drift — however small — means the flow's numbers moved. The
-   values pin the event-driven reference engine; the packed engine is
-   checked against it (exactly for toggles/dynamic, to accumulation
-   order for statics) by the packed-sim suite. *)
-let check_s344_identical_to_seed () =
+(* Golden values, telemetry disabled, s344 at the default seed 42. Hex
+   float literals are exact: any drift — however small — means the
+   flow's numbers moved. [Scalar] pins the event-driven reference
+   engine to the pre-telemetry seed build; [Packed] pins the production
+   engine to its own output before its lane counting was rewritten.
+   The two agree exactly on toggles and dynamic power and to
+   accumulation order on statics (the packed-sim suite checks that). *)
+let s344_goldens =
+  (* (dynamic/f, static, peak static, toggles) for traditional, input
+     control, proposed and enhanced scan *)
+  [
+    ( Scan.Scan_sim.Scalar,
+      [
+        (0x1.d9de3c0fa8189p-25, 0x1.ee052d0f39c79p+4, 0x1.23adaa635ba18p+5, 18654);
+        (0x1.b4b4b8847d70bp-25, 0x1.ec114ab14076ep+4, 0x1.21e69437d1ae3p+5, 18484);
+        (0x1.b69c4ead2a6d3p-27, 0x1.9e84c88ceddc6p+4, 0x1.1fdc64d51f761p+5, 4054);
+        (0x1.db5e0be0a176ep-28, 0x1.fcecb06f1562fp+4, 0x1.21e69437d1aa9p+5, 2290);
+      ] );
+    ( Scan.Scan_sim.Packed,
+      [
+        (0x1.d9de3c0fa8189p-25, 0x1.ee052d0f39c4ap+4, 0x1.23adaa635b9e6p+5, 18654);
+        (0x1.b4b4b8847d70bp-25, 0x1.ec114ab14074ap+4, 0x1.21e69437d1aa6p+5, 18484);
+        (0x1.b69c4ead2a6d3p-27, 0x1.9e84c88ceddd3p+4, 0x1.1fdc64d51f773p+5, 4054);
+        (0x1.db5e0be0a176ep-28, 0x1.fcecb06f1562fp+4, 0x1.21e69437d1aa6p+5, 2290);
+      ] );
+  ]
+
+let check_s344_identical_to_seed engine () =
   T.disable ();
   T.reset ();
-  let cmp =
-    Scanpower.Flow.run_benchmark ~engine:Scan.Scan_sim.Scalar
-      (Circuits.by_name "s344")
-  in
+  let cmp = Scanpower.Flow.run_benchmark ~engine (Circuits.by_name "s344") in
   let f = Alcotest.testable (fun fmt x -> Format.fprintf fmt "%h" x)
       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
   in
@@ -211,21 +229,22 @@ let check_s344_identical_to_seed () =
   Alcotest.(check int) "blocked_gates" 2 cmp.Scanpower.Flow.blocked_gates;
   Alcotest.(check int) "failed_gates" 0 cmp.Scanpower.Flow.failed_gates;
   Alcotest.(check int) "reordered_gates" 30 cmp.Scanpower.Flow.reordered_gates;
-  let check_technique tag (t : Scanpower.Flow.technique_result) dyn static peak
-      toggles =
-    Alcotest.check f (tag ^ " dyn/f") dyn t.Scanpower.Flow.dynamic_per_hz_uw;
-    Alcotest.check f (tag ^ " static") static t.Scanpower.Flow.static_uw;
-    Alcotest.check f (tag ^ " peak static") peak t.Scanpower.Flow.peak_static_uw;
-    Alcotest.(check int) (tag ^ " toggles") toggles t.Scanpower.Flow.total_toggles
-  in
-  check_technique "traditional" cmp.Scanpower.Flow.traditional
-    0x1.d9de3c0fa8189p-25 0x1.ee052d0f39c79p+4 0x1.23adaa635ba18p+5 18654;
-  check_technique "input_control" cmp.Scanpower.Flow.input_control
-    0x1.b4b4b8847d70bp-25 0x1.ec114ab14076ep+4 0x1.21e69437d1ae3p+5 18484;
-  check_technique "proposed" cmp.Scanpower.Flow.proposed
-    0x1.b69c4ead2a6d3p-27 0x1.9e84c88ceddc6p+4 0x1.1fdc64d51f761p+5 4054;
-  check_technique "enhanced_scan" cmp.Scanpower.Flow.enhanced_scan
-    0x1.db5e0be0a176ep-28 0x1.fcecb06f1562fp+4 0x1.21e69437d1aa9p+5 2290
+  List.iter2
+    (fun (tag, (t : Scanpower.Flow.technique_result))
+         (dyn, static, peak, toggles) ->
+      Alcotest.check f (tag ^ " dyn/f") dyn t.Scanpower.Flow.dynamic_per_hz_uw;
+      Alcotest.check f (tag ^ " static") static t.Scanpower.Flow.static_uw;
+      Alcotest.check f (tag ^ " peak static") peak
+        t.Scanpower.Flow.peak_static_uw;
+      Alcotest.(check int)
+        (tag ^ " toggles") toggles t.Scanpower.Flow.total_toggles)
+    [
+      ("traditional", cmp.Scanpower.Flow.traditional);
+      ("input_control", cmp.Scanpower.Flow.input_control);
+      ("proposed", cmp.Scanpower.Flow.proposed);
+      ("enhanced_scan", cmp.Scanpower.Flow.enhanced_scan);
+    ]
+    (List.assoc engine s344_goldens)
 
 (* ---------- histograms ---------- *)
 
@@ -594,7 +613,9 @@ let suite =
     Alcotest.test_case "flow bit-identical on vs off" `Quick
       check_flow_bit_identical_on_off;
     Alcotest.test_case "s344 identical to seed" `Slow
-      check_s344_identical_to_seed;
+      (check_s344_identical_to_seed Scan.Scan_sim.Scalar);
+    Alcotest.test_case "s344 packed engine golden" `Slow
+      (check_s344_identical_to_seed Scan.Scan_sim.Packed);
     Alcotest.test_case "histogram percentiles" `Quick
       check_histogram_percentiles;
     Alcotest.test_case "histogram disabled dropped" `Quick
