@@ -396,13 +396,14 @@ let run_packed st c chain policy ~vectors ~on_response =
          (fun id -> Array.length leak_tbl.(id) > 0)
          (List.init n_nodes Fun.id))
   in
-  (* Bit-sliced leakage counting: per frame, for every group and input
-     state, a lane counter counts how many of the group's gates sit in
-     that state at each lane. Static accounting is then O(gates *
-     states) word operations per frame instead of O(gates * lanes), and
-     each lane's total is recomputed from scratch (the scalar path
-     integrates the same quantity incrementally; they agree to float
-     tolerance). *)
+  (* Leakage counting, per frame: a gate whose input state is the same
+     on every lane of the frame (steady) adds one to its group's
+     per-state [steady] count; only a gate whose state varies goes
+     through the bit-sliced lane counters (per group and input state,
+     how many such gates sit in that state at each lane). Each lane's
+     total is recomputed from scratch from the exact per-lane integers
+     (the scalar path integrates the same quantity incrementally; they
+     agree to float tolerance). *)
   let groups =
     let raw = ref [] in
     Array.iter
@@ -434,9 +435,13 @@ let run_packed st c chain policy ~vectors ~on_response =
   let max_states =
     Array.fold_left (fun m g -> max m (Array.length g.tbl)) 1 groups
   in
-  (* one gate's 32-lane state masks: lane bit set in entry [s] iff the
-     gate's input state is [s] at that lane *)
+  (* one varying gate's 32-lane state masks: lane bit set in entry [s]
+     iff the gate's input state is [s] at that lane *)
   let m_lo = Array.make max_states 0 and m_hi = Array.make max_states 0 in
+  (* per input state of the group being counted: its steady gates, and
+     whether its lane counter got an add this frame *)
+  let steady = Array.make max_states 0 in
+  let varied = Array.make max_states false in
   let na_lane = Array.make frame_lanes 0.0 in
   let silent_acc = ref 0 in
   (* Account one stepped frame: merge per-lane toggle counts into the
@@ -445,39 +450,76 @@ let run_packed st c chain policy ~vectors ~on_response =
      pre-application), [cap_s] the capture lane (-1 when the segment
      has none). *)
   let account ~base ~count ~cap_s =
+    (* the frame's lanes; the words above them are never read *)
+    let c_lo = if count >= 32 then 0xFFFFFFFF else (1 lsl count) - 1 in
+    let c_hi = if count <= 32 then 0 else (1 lsl (count - 32)) - 1 in
     Array.fill na_lane 0 count 0.0;
     Array.iter
       (fun g ->
         let n_states = Array.length g.tbl in
-        Array.iter Lane_counter.clear g.counters;
+        Array.fill steady 0 n_states 0;
+        Array.fill varied 0 n_states false;
         for k = 0 to g.n_gates - 1 do
-          (* split the all-lanes mask pin by pin: after pin [p], entry
-             [s] (s < 2^(p+1)) holds the lanes where pins 0..p read the
-             low bits of [s] *)
-          m_lo.(0) <- 0xFFFFFFFF;
-          m_hi.(0) <- 0xFFFFFFFF;
-          for p = 0 to g.arity - 1 do
-            let w = words.(g.pins.((k * g.arity) + p)) in
-            let v_lo = lo32 w and v_hi = hi32 w in
-            let half = 1 lsl p in
-            for s = 0 to half - 1 do
-              let a_lo = m_lo.(s) and a_hi = m_hi.(s) in
-              m_lo.(s + half) <- a_lo land v_lo;
-              m_hi.(s + half) <- a_hi land v_hi;
-              m_lo.(s) <- a_lo land lnot v_lo;
-              m_hi.(s) <- a_hi land lnot v_hi
-            done
+          let pin0 = k * g.arity in
+          (* steady test: every pin all-0 or all-1 over the frame; on
+             exit [p = arity] iff steady, in state [s] *)
+          let s = ref 0 and p = ref 0 in
+          while !p < g.arity do
+            let w = words.(g.pins.(pin0 + !p)) in
+            let v_lo = lo32 w land c_lo and v_hi = hi32 w land c_hi in
+            if v_lo = c_lo && v_hi = c_hi then begin
+              s := !s lor (1 lsl !p);
+              incr p
+            end
+            else if v_lo lor v_hi = 0 then incr p
+            else p := g.arity + 1
           done;
-          for s = 0 to n_states - 1 do
-            Lane_counter.add g.counters.(s) ~lo:m_lo.(s) ~hi:m_hi.(s)
-          done
+          if !p = g.arity then steady.(!s) <- steady.(!s) + 1
+          else begin
+            (* split the frame's lane mask pin by pin: after pin [p],
+               entry [s] (s < 2^(p+1)) holds the lanes where pins 0..p
+               read the low bits of [s] *)
+            m_lo.(0) <- c_lo;
+            m_hi.(0) <- c_hi;
+            for p = 0 to g.arity - 1 do
+              let w = words.(g.pins.(pin0 + p)) in
+              let v_lo = lo32 w and v_hi = hi32 w in
+              let half = 1 lsl p in
+              for s = 0 to half - 1 do
+                let a_lo = m_lo.(s) and a_hi = m_hi.(s) in
+                m_lo.(s + half) <- a_lo land v_lo;
+                m_hi.(s + half) <- a_hi land v_hi;
+                m_lo.(s) <- a_lo land lnot v_lo;
+                m_hi.(s) <- a_hi land lnot v_hi
+              done
+            done;
+            for s = 0 to n_states - 1 do
+              let lo = m_lo.(s) and hi = m_hi.(s) in
+              if lo lor hi <> 0 then begin
+                Lane_counter.add g.counters.(s) ~lo ~hi;
+                varied.(s) <- true
+              end
+            done
+          end
         done;
+        (* the same per-lane integer and the same (group, state, lane)
+           summation order whichever way a gate was counted *)
         for s = 0 to n_states - 1 do
-          let coef = g.tbl.(s) and ctr = g.counters.(s) in
-          for l = 0 to count - 1 do
-            let n = Lane_counter.get ctr l in
-            if n > 0 then na_lane.(l) <- na_lane.(l) +. (float_of_int n *. coef)
-          done
+          let coef = g.tbl.(s) and n0 = steady.(s) in
+          if varied.(s) then begin
+            let ctr = g.counters.(s) in
+            for l = 0 to count - 1 do
+              let n = n0 + Lane_counter.get ctr l in
+              if n > 0 then na_lane.(l) <- na_lane.(l) +. (float_of_int n *. coef)
+            done;
+            Lane_counter.clear ctr
+          end
+          else if n0 > 0 then begin
+            let x = float_of_int n0 *. coef in
+            for l = 0 to count - 1 do
+              na_lane.(l) <- na_lane.(l) +. x
+            done
+          end
         done)
       groups;
     for l = 0 to count - 1 do

@@ -47,12 +47,14 @@ type engine =
   | Packed
       (** 64 consecutive scan cycles per 64-bit word
           ({!Sim.Packed_sim}): per-cycle toggles are recovered from
-          lane-to-lane XORs, and every frame recounts every lane's
-          leakage from per-state lane counters (per leakage table and
-          input state, how many gates sit in that state at each lane).
-          Produces bit-identical toggle counts, per-cycle series,
-          dynamic power and responses; the static-power figures agree
-          up to float accumulation order. *)
+          lane-to-lane XORs. Per frame, a gate whose input state is the
+          same on every lane is counted once, in that state; only gates
+          whose state varies within the frame go through the per-state
+          lane counters (per leakage table and input state, how many
+          gates sit in that state at each lane). Produces bit-identical
+          toggle counts, per-cycle series, dynamic power and responses;
+          the static-power figures agree up to float accumulation
+          order. *)
 
 type result = {
   cycles : int;  (** total clock cycles simulated *)

@@ -327,6 +327,45 @@ let check_golden_s27 () =
   check_engines_agree_on "s27" (Lazy.force s27m) ~seed:4 ~n_vectors:20;
   check_engines_agree_on "s27" (Lazy.force s27m) ~seed:5 ~n_vectors:1
 
+(* Chains sized around the 64-lane frame. A test segment (silent lane +
+   n_ff shifts + capture) exactly fills one frame at 62 flip-flops,
+   spills one lane into a count = 1 frame at 63 and spans three frames
+   at 127; the capture-less shift-out segment fills one frame exactly at
+   63 and spills at 64. The extra policy forces every pseudo-input and
+   holds a constant PI pattern, so every shift lane applies the same
+   inputs: in a frame of shift lanes only (the middle frame at 127) or
+   of one lane, every gate is steady, in one input state on all of the
+   frame's lanes. *)
+let check_frame_boundaries () =
+  let all_forced c rng =
+    ( "all-forced",
+      {
+        Scan.Scan_sim.pi_during_shift =
+          Some (Array.make (Array.length (Circuit.inputs c)) false);
+        forced_pseudo =
+          Array.to_list (Circuit.dffs c)
+          |> List.map (fun id -> (id, Util.Rng.bool rng));
+        hold_previous_capture = false;
+      } )
+  in
+  List.iter
+    (fun n_ff ->
+      let profile =
+        {
+          Circuits.name = Printf.sprintf "frame%d" n_ff;
+          n_pi = 5;
+          n_po = 3;
+          n_ff;
+          n_gates = 120;
+          seed = n_ff;
+        }
+      in
+      check_engines_agree_on profile.Circuits.name
+        (Circuits.generate profile)
+        ~policies:(fun c rng -> policies c rng @ [ all_forced c rng ])
+        ~seed:n_ff ~n_vectors:3)
+    [ 62; 63; 64; 127 ]
+
 let check_empty_vectors () =
   let c = Lazy.force s344 in
   let chain = Scan.Scan_chain.natural c in
@@ -402,6 +441,8 @@ let suite =
     Alcotest.test_case "golden equivalence s1196" `Quick check_golden_s1196;
     Alcotest.test_case "golden equivalence s27" `Quick check_golden_s27;
     Alcotest.test_case "golden equivalence s1423" `Quick check_golden_s1423;
+    Alcotest.test_case "frame-boundary equivalence" `Quick
+      check_frame_boundaries;
     Alcotest.test_case "empty vector list" `Quick check_empty_vectors;
     Alcotest.test_case "validation parity" `Quick check_validation_parity;
     QCheck_alcotest.to_alcotest prop_lane_counter;

@@ -287,8 +287,13 @@ let check_supervisor_restart_replay () =
           in
           Alcotest.(check (option int)) "generation 1" (Some 1)
             (member_int h1 "generation");
-          (* let the periodic snapshot tick capture the warm entry *)
-          Unix.sleepf 0.6;
+          (* wait until a periodic snapshot holds the warm entry *)
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while R.restore (R.create ()) ~path:snap < 1 do
+            if Unix.gettimeofday () > deadline then
+              Alcotest.fail "no snapshot with the warm entry within 10 s";
+            Unix.sleepf 0.01
+          done;
           (* generation 1 is SIGKILLed mid-request; the supervisor
              restarts, generation 2 restores the snapshot, and the
              session replays — same id, same idempotency key *)
