@@ -29,8 +29,8 @@ let find ?(backtrack_limit = 50) ~direction c ~muxable =
   let engine =
     Justify.create ~backtrack_limit c ~controllable:controlled ~direction
   in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
-  Sim.Ternary_sim.propagate c values;
+  (* with no source assigned every line is X: already fully implied *)
+  let values = Array.make (Circuit.node_count c) Logic.X in
   let failed = Array.make (Circuit.node_count c) false in
   let blocked_gates = ref 0 and failed_gates = ref 0 in
   let values = ref values in

@@ -11,30 +11,38 @@ type outcome = {
 
 (* Expected scan-mode leakage of a fully propagated ternary assignment:
    lines still X toggle with the chain, so they are sampled; the same
-   pre-drawn sample set scores every candidate. *)
-let expected_leakage c values samples =
+   pre-drawn sample set scores every candidate. Each sample is a
+   two-valued sweep over the compiled arrays, then a node-id-ordered
+   sum over the per-gate leakage tables. *)
+let expected_leakage comp tables values samples =
+  let n = Compiled.node_count comp in
+  let fanin_off = Compiled.fanin_off comp and fanin = Compiled.fanin comp in
+  let eval_order = Compiled.eval_order comp in
   let free =
-    Array.to_list (Circuit.sources c)
+    Circuit.sources (Compiled.circuit comp)
+    |> Array.to_list
     |> List.filter (fun id -> Logic.equal values.(id) Logic.X)
+    |> Array.of_list
   in
-  let n = Circuit.node_count c in
-  let bools = Array.make n false in
+  let bools = Array.map (Logic.equal Logic.One) values in
   let score sample_rng =
-    for id = 0 to n - 1 do
-      bools.(id) <-
-        (match values.(id) with
-        | Logic.One -> true
-        | Logic.Zero | Logic.X -> false)
-    done;
-    List.iter (fun id -> bools.(id) <- Util.Rng.bool sample_rng) free;
+    Array.iter (fun id -> bools.(id) <- Util.Rng.bool sample_rng) free;
     Array.iter
-      (fun id ->
-        let nd = Circuit.node c id in
-        if not (Gate.is_source nd.kind) then
-          bools.(id) <-
-            Gate.eval_bool nd.kind (Array.map (fun f -> bools.(f)) nd.fanins))
-      (Circuit.topo_order c);
-    Power.Leakage.total_leakage_uw c bools
+      (fun id -> bools.(id) <- Compiled.eval_bool comp bools id)
+      eval_order;
+    let na = ref 0.0 in
+    for id = 0 to n - 1 do
+      let tbl = tables.(id) in
+      if Array.length tbl > 0 then begin
+        let s = ref 0 in
+        for i = fanin_off.(id) to fanin_off.(id + 1) - 1 do
+          if bools.(fanin.(i)) then s := !s lor (1 lsl (i - fanin_off.(id)))
+        done;
+        na := !na +. tbl.(!s)
+      end
+    done;
+    (* nA x V = nW; convert to uW *)
+    !na *. Techlib.Leakage_table.vdd /. 1000.0
   in
   let total = ref 0.0 in
   Telemetry.Counter.add m_samples (List.length samples);
@@ -42,6 +50,8 @@ let expected_leakage c values samples =
   !total /. float_of_int (List.length samples)
 
 let fill ?(candidates = 32) ?(inner_samples = 16) ~seed c ~values ~controlled =
+  let comp = Compiled.of_circuit c in
+  let tables = Power.Leakage.tables c in
   let rng = Util.Rng.create seed in
   let free_controlled =
     List.filter (fun id -> Logic.equal values.(id) Logic.X) controlled
@@ -55,8 +65,8 @@ let fill ?(candidates = 32) ?(inner_samples = 16) ~seed c ~values ~controlled =
     List.iter
       (fun id -> trial.(id) <- Logic.of_bool (Util.Rng.bool rng))
       free_controlled;
-    Sim.Ternary_sim.propagate c trial;
-    let cost = expected_leakage c trial inner_seeds in
+    Compiled.eval_logics comp trial;
+    let cost = expected_leakage comp tables trial inner_seeds in
     match !best with
     | Some (_, best_cost) when best_cost <= cost -> ()
     | Some _ | None -> best := Some (trial, cost)

@@ -258,6 +258,39 @@ let eval_bool t (values : bool array) id =
   else if op = op_xnor then not (parity values fa lo hi false)
   else invalid_arg "Compiled.eval_bool: source node"
 
+let rec fold_and3 (v : Logic.t array) (fa : int array) i hi acc =
+  if i >= hi then acc
+  else fold_and3 v fa (i + 1) hi (Logic.( &&& ) acc v.(fa.(i)))
+
+let rec fold_or3 (v : Logic.t array) (fa : int array) i hi acc =
+  if i >= hi then acc
+  else fold_or3 v fa (i + 1) hi (Logic.( ||| ) acc v.(fa.(i)))
+
+let rec fold_xor3 (v : Logic.t array) (fa : int array) i hi acc =
+  if i >= hi then acc
+  else fold_xor3 v fa (i + 1) hi (Logic.xor acc v.(fa.(i)))
+
+let eval_logic t (values : Logic.t array) id =
+  let lo = t.fanin_off.(id) and hi = t.fanin_off.(id + 1) in
+  let fa = t.fanin in
+  let op = t.opcode.(id) in
+  if op = op_and then fold_and3 values fa lo hi Logic.One
+  else if op = op_nand then Logic.lnot (fold_and3 values fa lo hi Logic.One)
+  else if op = op_or then fold_or3 values fa lo hi Logic.Zero
+  else if op = op_nor then Logic.lnot (fold_or3 values fa lo hi Logic.Zero)
+  else if op = op_not then Logic.lnot values.(fa.(lo))
+  else if op = op_buf || op = op_output then values.(fa.(lo))
+  else if op = op_xor then fold_xor3 values fa lo hi Logic.Zero
+  else if op = op_xnor then Logic.lnot (fold_xor3 values fa lo hi Logic.Zero)
+  else invalid_arg "Compiled.eval_logic: source node"
+
+let eval_logics t (values : Logic.t array) =
+  let eo = t.eval_order in
+  for k = 0 to Array.length eo - 1 do
+    let id = eo.(k) in
+    values.(id) <- eval_logic t values id
+  done
+
 let rec fold_and64 (w : int64 array) (fa : int array) i hi acc =
   if i >= hi then acc
   else fold_and64 w fa (i + 1) hi (Int64.logand acc w.(fa.(i)))

@@ -128,6 +128,15 @@ val eval_bool : t -> bool array -> int -> bool
     value array. No heap allocation.
     @raise Invalid_argument on a source node. *)
 
+val eval_logic : t -> Logic.t array -> int -> Logic.t
+(** Three-valued (0/1/X) evaluation of one non-source node, with the
+    semantics of {!Logic}'s operators. No heap allocation.
+    @raise Invalid_argument on a source node. *)
+
+val eval_logics : t -> Logic.t array -> unit
+(** [eval_logic] over every node of [eval_order], in place: one full
+    three-valued sweep. Source entries are read, never written. *)
+
 val eval_word : t -> int64 array -> int -> int64
 (** Bit-parallel evaluation of one non-source node over 64 lanes
     (lane [l] of a node is bit [l] of its word).

@@ -14,6 +14,14 @@ let gate_leakage_na c values id =
   | Some cell ->
     Techlib.Leakage_table.leakage_na cell ~state:(gate_state c values id)
 
+let tables c =
+  Array.init (Circuit.node_count c) (fun id ->
+      match cell_of c id with
+      | None -> [||]
+      | Some cell ->
+        Array.init (Techlib.Leakage_table.n_states cell) (fun state ->
+            Techlib.Leakage_table.leakage_na cell ~state))
+
 let total_leakage_uw c values =
   if Array.length values <> Circuit.node_count c then
     invalid_arg "Leakage.total_leakage_uw: value array length mismatch";

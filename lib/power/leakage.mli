@@ -13,6 +13,13 @@ val gate_state : Circuit.t -> bool array -> int -> int
 val gate_leakage_na : Circuit.t -> bool array -> int -> float
 (** Leakage of one gate (nA); 0 for non-logic nodes. *)
 
+val tables : Circuit.t -> float array array
+(** Node-indexed leakage tables: [(tables c).(id).(state)] is
+    [gate_leakage_na] of gate [id] in packed input state [state]; [[||]]
+    for non-logic nodes. Hot loops index these instead of looking the
+    cell up per evaluation.
+    @raise Invalid_argument if the circuit is not mapped. *)
+
 val total_leakage_uw : Circuit.t -> bool array -> float
 (** Static power of the whole combinational part, uW.
     @raise Invalid_argument if the circuit is not mapped or the value

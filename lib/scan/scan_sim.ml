@@ -379,17 +379,7 @@ let run_packed st c chain policy ~vectors ~on_response =
   let ff_by_pos = Array.init n_ff (Scan_chain.cell_at chain) in
   (* per-gate leakage tables (input state -> nA); building them performs
      the same mapped-circuit check as the scalar path *)
-  let leak_tbl = Array.make n_nodes [||] in
-  Array.iter
-    (fun nd ->
-      if Gate.is_logic nd.Circuit.kind then
-        match Techmap.Mapper.cell_of_node c nd.Circuit.id with
-        | None -> ()
-        | Some cell ->
-          leak_tbl.(nd.Circuit.id) <-
-            Array.init (Techlib.Leakage_table.n_states cell) (fun state ->
-                Techlib.Leakage_table.leakage_na cell ~state))
-    (Circuit.nodes c);
+  let leak_tbl = Power.Leakage.tables c in
   let leak_gates =
     Array.of_list
       (List.filter

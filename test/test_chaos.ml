@@ -286,6 +286,13 @@ let check_sigint_partial_report () =
 (* SIGKILL + --resume: only unfinished jobs are recomputed             *)
 (* ------------------------------------------------------------------ *)
 
+(* Number of complete ('\n'-terminated) lines in [path]; 0 while the
+   file does not exist yet. Read-only: the writer is never disturbed. *)
+let complete_lines path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> String.fold_left (fun n ch -> if ch = '\n' then n + 1 else n) 0 text
+  | exception Sys_error _ -> 0
+
 let check_kill_and_resume () =
   let dir = tmp_dir () in
   Unix.mkdir dir 0o755;
@@ -302,9 +309,17 @@ let check_kill_and_resume () =
      with _ -> ());
     Unix._exit 0
   end;
-  Unix.sleepf 0.6;
+  (* kill point: the journal holds its header and at least one
+     completed job *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while complete_lines journal < 2 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  let checkpointed = complete_lines journal >= 2 in
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid);
+  if not checkpointed then
+    Alcotest.fail "no job reached the journal within 10 s";
   (* whatever the child checkpointed before dying is the contract:
      the resumed run replays exactly that and computes only the rest *)
   let journaled =

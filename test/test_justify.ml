@@ -139,6 +139,78 @@ let prop_justify_sound =
         Sim.Ternary_sim.propagate c check;
         Logic.equal check.(nd.Circuit.id) target)
 
+(* A random netlist over every logic gate kind, with flip-flops feeding
+   back as pseudo-inputs. *)
+let random_circuit rng =
+  let b = Circuit.Builder.create ~name:"rand" () in
+  let pool = ref [] in
+  for i = 0 to Util.Rng.int rng 5 do
+    pool := Circuit.Builder.add_input b (Printf.sprintf "i%d" i) :: !pool
+  done;
+  let dffs =
+    List.init (Util.Rng.int rng 4) (fun i ->
+        Circuit.Builder.declare_dff b (Printf.sprintf "q%d" i))
+  in
+  pool := dffs @ !pool;
+  let kinds =
+    [| Gate.Buf; Gate.Not; Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor |]
+  in
+  let pick () =
+    let p = Array.of_list !pool in
+    p.(Util.Rng.int rng (Array.length p))
+  in
+  for i = 0 to 4 + Util.Rng.int rng 30 do
+    let kind = kinds.(Util.Rng.int rng (Array.length kinds)) in
+    let arity = if Gate.min_fanin kind = 1 then 1 else 2 + Util.Rng.int rng 3 in
+    let fanins = List.init arity (fun _ -> pick ()) in
+    pool := Circuit.Builder.add_gate b kind (Printf.sprintf "g%d" i) fanins :: !pool
+  done;
+  List.iter (fun q -> Circuit.Builder.connect_dff b q ~d:(pick ())) dffs;
+  ignore (Circuit.Builder.add_output b "po" (List.hd !pool));
+  Circuit.Builder.build b
+
+(* Event-driven implication against the from-scratch oracle: random
+   steps each set one or more sources to 0, 1 or X (several X at once,
+   as a backtrack unwinds flipped decisions), then imply once; after
+   every step the values equal a full Ternary_sim sweep of the same
+   source assignment. *)
+let prop_implication_matches_full_sweep =
+  QCheck.Test.make ~name:"event-driven implication equals full sweep" ~count:200
+    (QCheck.make QCheck.Gen.(pair (int_range 0 100_000) (int_range 1 40)))
+    (fun (seed, steps) ->
+      let rng = Util.Rng.create seed in
+      let c = random_circuit rng in
+      let sources = Circuit.sources c in
+      let e = engine c (Array.to_list sources) in
+      let work = fresh_values c in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let unassign = Util.Rng.int rng 3 = 0 in
+        for _ = 0 to Util.Rng.int rng 3 do
+          let src = sources.(Util.Rng.int rng (Array.length sources)) in
+          let v =
+            if unassign then Logic.X
+            else if Util.Rng.bool rng then Logic.One
+            else Logic.Zero
+          in
+          Scanpower.Justify.set_source e work src v
+        done;
+        Scanpower.Justify.imply e work;
+        let oracle = Sim.Ternary_sim.make_values c Logic.X in
+        Array.iter (fun id -> oracle.(id) <- work.(id)) sources;
+        Sim.Ternary_sim.propagate c oracle;
+        if not (Array.for_all2 Logic.equal oracle work) then ok := false
+      done;
+      !ok)
+
+let check_set_source_validation () =
+  let c = gadget () in
+  let e = engine c [] in
+  Alcotest.check_raises "gate is not a source"
+    (Invalid_argument "Justify.set_source: not a source")
+    (fun () ->
+      Scanpower.Justify.set_source e (fresh_values c) (Circuit.find c "g") Logic.One)
+
 let suite =
   [
     Alcotest.test_case "simple objective" `Quick check_justify_simple_objective;
@@ -151,4 +223,6 @@ let suite =
     Alcotest.test_case "candidate ordering directions" `Quick
       check_order_candidates_directions;
     QCheck_alcotest.to_alcotest prop_justify_sound;
+    Alcotest.test_case "set_source validation" `Quick check_set_source_validation;
+    QCheck_alcotest.to_alcotest prop_implication_matches_full_sweep;
   ]
