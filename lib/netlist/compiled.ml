@@ -336,3 +336,32 @@ let eval_words t (words : int64 array) =
     let id = eo.(k) in
     words.(id) <- eval_word t words id
   done
+
+(* Native-int lanes: every fold stays in a register, nothing boxes. *)
+
+let rec fold_and_lanes (w : int array) (fa : int array) i hi acc =
+  if i >= hi then acc else fold_and_lanes w fa (i + 1) hi (acc land w.(fa.(i)))
+
+let rec fold_or_lanes (w : int array) (fa : int array) i hi acc =
+  if i >= hi then acc else fold_or_lanes w fa (i + 1) hi (acc lor w.(fa.(i)))
+
+let rec fold_xor_lanes (w : int array) (fa : int array) i hi acc =
+  if i >= hi then acc else fold_xor_lanes w fa (i + 1) hi (acc lxor w.(fa.(i)))
+
+let eval_lanes t (words : int array) =
+  let eo = t.eval_order and fa = t.fanin and off = t.fanin_off in
+  for k = 0 to Array.length eo - 1 do
+    let id = eo.(k) in
+    let lo = off.(id) and hi = off.(id + 1) in
+    let op = t.opcode.(id) in
+    words.(id) <-
+      (if op = op_nand then lnot (fold_and_lanes words fa lo hi (-1))
+       else if op = op_nor then lnot (fold_or_lanes words fa lo hi 0)
+       else if op = op_not then lnot words.(fa.(lo))
+       else if op = op_and then fold_and_lanes words fa lo hi (-1)
+       else if op = op_or then fold_or_lanes words fa lo hi 0
+       else if op = op_buf || op = op_output then words.(fa.(lo))
+       else if op = op_xor then fold_xor_lanes words fa lo hi 0
+       else (* eval_order holds no source, so this is xnor *)
+         lnot (fold_xor_lanes words fa lo hi 0))
+  done

@@ -144,4 +144,11 @@ val eval_word : t -> int64 array -> int -> int64
 
 val eval_words : t -> int64 array -> unit
 (** [eval_word] over every node of [eval_order], in place: one full
-    64-lane combinational sweep. *)
+    64-lane combinational sweep. The fault-simulation kernel
+    ([Atpg.Fault_simulation] packs 64 test vectors per word). *)
+
+val eval_lanes : t -> int array -> unit
+(** The same sweep on native [int] words: lane [l] of a node is bit [l]
+    of its word, for the 63 lanes of an OCaml [int]. No heap
+    allocation. The scan kernel ([Sim.Packed_sim] packs 63 consecutive
+    scan cycles per word). *)

@@ -51,6 +51,14 @@ let split_vector c chain vec =
 (* reduction to a [result].                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Leakage tallies in microwatts. An all-float record stores its fields
+   unboxed, so the per-cycle updates never allocate. *)
+type leak_sums = {
+  mutable sum_shift : float;
+  mutable sum_capture : float;
+  mutable peak : float;
+}
+
 (* The validated inputs of one run and everything it tallies. Both
    engines fill the same record, cycle by cycle through [note_cycle]. *)
 type stats = {
@@ -58,12 +66,12 @@ type stats = {
       (* by chain position: the pseudo-input pinned during shift *)
   chain_state : bool array; (* by chain position; the capture rewrites it *)
   first_pi : bool array; (* PI part of the first vector *)
-  mutable per_cycle_rev : int list;
+  per_cycle : int array;
+      (* toggles of each counted cycle, in order: n_ff shifts and one
+         capture per vector, then the n_ff-cycle final shift-out *)
   mutable n_shift : int;
   mutable n_capture : int;
-  mutable sum_shift : float;
-  mutable sum_capture : float;
-  mutable peak : float;
+  leak : leak_sums;
   mutable per_node : int array; (* toggle counts, set when the run ends *)
   mutable total : int;
 }
@@ -99,12 +107,12 @@ let start ?init_state c chain policy ~vectors =
     forced;
     chain_state;
     first_pi;
-    per_cycle_rev = [];
+    per_cycle =
+      (let n_vec = List.length vectors in
+       Array.make ((n_vec * (n_ff + 1)) + if n_vec > 0 then n_ff else 0) 0);
     n_shift = 0;
     n_capture = 0;
-    sum_shift = 0.0;
-    sum_capture = 0.0;
-    peak = 0.0;
+    leak = { sum_shift = 0.0; sum_capture = 0.0; peak = 0.0 };
     per_node = [||];
     total = 0;
   }
@@ -113,19 +121,20 @@ let shift_pi policy current =
   match policy.pi_during_shift with Some p -> p | None -> current
 
 (* One counted cycle: the toggles it caused and the leakage (nA) of the
-   state it settled in. *)
-let note_cycle st ~capture ~toggles ~na =
-  st.per_cycle_rev <- toggles :: st.per_cycle_rev;
+   state it settled in. Inlined so that [na] is never boxed. *)
+let[@inline] note_cycle st ~capture ~toggles ~na =
+  st.per_cycle.(st.n_shift + st.n_capture) <- toggles;
   let uw = na *. Techlib.Leakage_table.vdd /. 1000.0 in
+  let leak = st.leak in
   if capture then begin
-    st.sum_capture <- st.sum_capture +. uw;
+    leak.sum_capture <- leak.sum_capture +. uw;
     st.n_capture <- st.n_capture + 1
   end
   else begin
-    st.sum_shift <- st.sum_shift +. uw;
+    leak.sum_shift <- leak.sum_shift +. uw;
     st.n_shift <- st.n_shift + 1
   end;
-  if uw > st.peak then st.peak <- uw
+  if uw > leak.peak then leak.peak <- uw
 
 (* ------------------------------------------------------------------ *)
 (* Scalar engine: event-driven replay of every cycle, the oracle.      *)
@@ -300,7 +309,7 @@ let run_scalar st c chain policy ~vectors ~on_response =
   st.total <- Sim.Event_sim.total_toggles s.sim
 
 (* ------------------------------------------------------------------ *)
-(* Packed engine: 64 cycles per 64-bit word.                           *)
+(* Packed engine: 63 cycles per native-int word.                       *)
 (*                                                                     *)
 (* The scalar protocol is a sequence of settled states: an uncounted   *)
 (* initial settle, then per vector a silent source pre-application     *)
@@ -308,7 +317,7 @@ let run_scalar st c chain policy ~vectors ~on_response =
 (* and a final shift-out segment.  Because the event simulator          *)
 (* evaluates every node at most once per change set, the toggles of a  *)
 (* cycle equal the Hamming distance between consecutive settled        *)
-(* states — so packing 64 consecutive settled states per word and      *)
+(* states — so packing 63 consecutive settled states per word and      *)
 (* popcounting lane-to-lane XORs reproduces the scalar counts bit for  *)
 (* bit.                                                                *)
 (*                                                                     *)
@@ -322,41 +331,31 @@ let run_scalar st c chain policy ~vectors ~on_response =
 (* after [k] shifts is a pure function of the pre-shift chain contents *)
 (* S0 and the scan-in bits b: it equals A.(n-1-j+k) of the stream      *)
 (* A = [S0.(n-1); ...; S0.(0); b1; ...; bn].  Each flip-flop's shift   *)
-(* lanes are thus a 64-bit window into the packed stream — no          *)
+(* lanes are thus a one-word window into the packed stream — no        *)
 (* per-cycle chain array is materialised.                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Lanes [lo..hi] inclusive (within 0..63); 0L when empty. *)
+let frame_lanes = Sim.Packed_sim.lanes
+
+(* Lanes [lo..hi] inclusive (within a frame); 0 when empty. *)
 let mask_bits lo hi =
-  if lo > hi then 0L
-  else begin
-    let width = hi - lo + 1 in
-    let m =
-      if width = 64 then Int64.minus_one
-      else Int64.sub (Int64.shift_left 1L width) 1L
-    in
-    Int64.shift_left m lo
-  end
-
-(* 64-bit window of a packed bit stream starting at bit [off]. *)
-let window (a : int64 array) off =
-  let w = off lsr 6 and b = off land 63 in
-  if b = 0 then a.(w)
+  if lo > hi then 0
   else
-    Int64.logor
-      (Int64.shift_right_logical a.(w) b)
-      (Int64.shift_left a.(w + 1) (64 - b))
+    let width = hi - lo + 1 in
+    (if width = frame_lanes then -1 else (1 lsl width) - 1) lsl lo
 
-(* Native-int 32-lane halves of a word, for hot scan loops where boxed
-   int64 refs would allocate on every assignment. *)
-let lo32 (w : int64) = Int64.to_int (Int64.logand w 0xFFFFFFFFL)
-let hi32 (w : int64) = Int64.to_int (Int64.shift_right_logical w 32)
+(* One frame of a bit stream packed [frame_lanes] bits per word,
+   starting at bit [off]. *)
+let window (a : int array) off =
+  let w = off / frame_lanes and b = off mod frame_lanes in
+  if b = 0 then a.(w) else (a.(w) lsr b) lor (a.(w + 1) lsl (frame_lanes - b))
 
 module Lane_counter = Sim.Packed_sim.Lane_counter
 
 (* Gates sharing one leakage table, which also fixes their arity (the
    table has 2^arity states): their input pins, gate-major, and one
-   lane counter per input state. *)
+   lane counter per input state but the last (whose count per lane is
+   whatever the other states leave of the group). *)
 type leak_group = {
   tbl : float array;
   arity : int;
@@ -370,7 +369,6 @@ let run_packed st c chain policy ~vectors ~on_response =
   let n_nodes = Circuit.node_count c in
   let comp = Compiled.of_circuit c in
   let ps = Sim.Packed_sim.create comp in
-  let frame_lanes = Sim.Packed_sim.lanes in
   let words = Sim.Packed_sim.words ps in
   let lane_toggles = Sim.Packed_sim.lane_toggles ps in
   let fanin_off = Compiled.fanin_off comp in
@@ -416,8 +414,9 @@ let run_packed st c chain policy ~vectors ~on_response =
             Array.concat
               (List.map (fun id -> Array.sub fanin fanin_off.(id) arity) gs);
           counters =
-            Array.init (Array.length tbl) (fun _ ->
-                Lane_counter.create ~max:n_gates);
+            Array.init
+              (Array.length tbl - 1)
+              (fun _ -> Lane_counter.create ~max:n_gates);
         })
       !raw
     |> Array.of_list
@@ -425,14 +424,27 @@ let run_packed st c chain policy ~vectors ~on_response =
   let max_states =
     Array.fold_left (fun m g -> max m (Array.length g.tbl)) 1 groups
   in
-  (* one varying gate's 32-lane state masks: lane bit set in entry [s]
-     iff the gate's input state is [s] at that lane *)
-  let m_lo = Array.make max_states 0 and m_hi = Array.make max_states 0 in
+  (* one varying gate's state masks: lane bit set in entry [s] iff the
+     gate's input state is [s] at that lane *)
+  let masks = Array.make max_states 0 in
   (* per input state of the group being counted: its steady gates, and
      whether its lane counter got an add this frame *)
   let steady = Array.make max_states 0 in
   let varied = Array.make max_states false in
+  (* one state's per-lane counts, and per lane the varying gates counted
+     in the states before the last *)
+  let counts = Array.make frame_lanes 0 in
+  let counted = Array.make frame_lanes 0 in
   let na_lane = Array.make frame_lanes 0.0 in
+  (* [n] gates in state [s] of [tbl] on each of the first [count] lanes *)
+  let add_steady ~count tbl s n =
+    if n > 0 then begin
+      let x = float_of_int n *. tbl.(s) in
+      for l = 0 to count - 1 do
+        na_lane.(l) <- na_lane.(l) +. x
+      done
+    end
+  in
   let silent_acc = ref 0 in
   (* Account one stepped frame: merge per-lane toggle counts into the
      per-cycle series and rebuild the per-lane leakage totals.  [base]
@@ -440,78 +452,84 @@ let run_packed st c chain policy ~vectors ~on_response =
      pre-application), [cap_s] the capture lane (-1 when the segment
      has none). *)
   let account ~base ~count ~cap_s =
-    (* the frame's lanes; the words above them are never read *)
-    let c_lo = if count >= 32 then 0xFFFFFFFF else (1 lsl count) - 1 in
-    let c_hi = if count <= 32 then 0 else (1 lsl (count - 32)) - 1 in
+    (* the frame's lanes; the lanes above them are never read *)
+    let cm = mask_bits 0 (count - 1) in
     Array.fill na_lane 0 count 0.0;
-    Array.iter
-      (fun g ->
-        let n_states = Array.length g.tbl in
-        Array.fill steady 0 n_states 0;
-        Array.fill varied 0 n_states false;
-        for k = 0 to g.n_gates - 1 do
-          let pin0 = k * g.arity in
-          (* steady test: every pin all-0 or all-1 over the frame; on
-             exit [p = arity] iff steady, in state [s] *)
-          let s = ref 0 and p = ref 0 in
-          while !p < g.arity do
-            let w = words.(g.pins.(pin0 + !p)) in
-            let v_lo = lo32 w land c_lo and v_hi = hi32 w land c_hi in
-            if v_lo = c_lo && v_hi = c_hi then begin
-              s := !s lor (1 lsl !p);
-              incr p
-            end
-            else if v_lo lor v_hi = 0 then incr p
-            else p := g.arity + 1
-          done;
-          if !p = g.arity then steady.(!s) <- steady.(!s) + 1
-          else begin
-            (* split the frame's lane mask pin by pin: after pin [p],
-               entry [s] (s < 2^(p+1)) holds the lanes where pins 0..p
-               read the low bits of [s] *)
-            m_lo.(0) <- c_lo;
-            m_hi.(0) <- c_hi;
-            for p = 0 to g.arity - 1 do
-              let w = words.(g.pins.(pin0 + p)) in
-              let v_lo = lo32 w and v_hi = hi32 w in
-              let half = 1 lsl p in
-              for s = 0 to half - 1 do
-                let a_lo = m_lo.(s) and a_hi = m_hi.(s) in
-                m_lo.(s + half) <- a_lo land v_lo;
-                m_hi.(s + half) <- a_hi land v_hi;
-                m_lo.(s) <- a_lo land lnot v_lo;
-                m_hi.(s) <- a_hi land lnot v_hi
-              done
-            done;
-            for s = 0 to n_states - 1 do
-              let lo = m_lo.(s) and hi = m_hi.(s) in
-              if lo lor hi <> 0 then begin
-                Lane_counter.add g.counters.(s) ~lo ~hi;
-                varied.(s) <- true
-              end
-            done
+    for gi = 0 to Array.length groups - 1 do
+      let g = groups.(gi) in
+      let n_states = Array.length g.tbl in
+      let last = n_states - 1 in
+      Array.fill steady 0 n_states 0;
+      Array.fill varied 0 n_states false;
+      let n_varying = ref 0 in
+      for k = 0 to g.n_gates - 1 do
+        let pin0 = k * g.arity in
+        (* steady test: every pin all-0 or all-1 over the frame; on
+           exit [p = arity] iff steady, in state [s] *)
+        let s = ref 0 and p = ref 0 in
+        while !p < g.arity do
+          let v = words.(g.pins.(pin0 + !p)) land cm in
+          if v = cm then begin
+            s := !s lor (1 lsl !p);
+            incr p
           end
+          else if v = 0 then incr p
+          else p := g.arity + 1
         done;
-        (* the same per-lane integer and the same (group, state, lane)
-           summation order whichever way a gate was counted *)
-        for s = 0 to n_states - 1 do
-          let coef = g.tbl.(s) and n0 = steady.(s) in
-          if varied.(s) then begin
-            let ctr = g.counters.(s) in
-            for l = 0 to count - 1 do
-              let n = n0 + Lane_counter.get ctr l in
-              if n > 0 then na_lane.(l) <- na_lane.(l) +. (float_of_int n *. coef)
-            done;
-            Lane_counter.clear ctr
-          end
-          else if n0 > 0 then begin
-            let x = float_of_int n0 *. coef in
-            for l = 0 to count - 1 do
-              na_lane.(l) <- na_lane.(l) +. x
+        if !p = g.arity then steady.(!s) <- steady.(!s) + 1
+        else begin
+          incr n_varying;
+          (* split the frame's lane mask pin by pin: after pin [p],
+             entry [s] (s < 2^(p+1)) holds the lanes where pins 0..p
+             read the low bits of [s] *)
+          masks.(0) <- cm;
+          for p = 0 to g.arity - 1 do
+            let v = words.(g.pins.(pin0 + p)) in
+            let half = 1 lsl p in
+            for s = 0 to half - 1 do
+              let a = masks.(s) in
+              masks.(s + half) <- a land v;
+              masks.(s) <- a land lnot v
             done
-          end
-        done)
-      groups;
+          done;
+          for s = 0 to last - 1 do
+            let m = masks.(s) in
+            if m <> 0 then begin
+              Lane_counter.add g.counters.(s) m;
+              varied.(s) <- true
+            end
+          done
+        end
+      done;
+      (* the same per-lane integer and the same (group, state, lane)
+         summation order whichever way a gate was counted *)
+      if !n_varying > 0 then Array.fill counted 0 count 0;
+      for s = 0 to last - 1 do
+        let coef = g.tbl.(s) and n0 = steady.(s) in
+        if varied.(s) then begin
+          let ctr = g.counters.(s) in
+          Lane_counter.read ctr counts;
+          for l = 0 to count - 1 do
+            let v = counts.(l) in
+            counted.(l) <- counted.(l) + v;
+            let n = n0 + v in
+            if n > 0 then na_lane.(l) <- na_lane.(l) +. (float_of_int n *. coef)
+          done;
+          Lane_counter.clear ctr
+        end
+        else add_steady ~count g.tbl s n0
+      done;
+      (* the last state holds every varying gate the others did not *)
+      let n0 = steady.(last) + !n_varying in
+      if !n_varying > 0 then begin
+        let coef = g.tbl.(last) in
+        for l = 0 to count - 1 do
+          let n = n0 - counted.(l) in
+          if n > 0 then na_lane.(l) <- na_lane.(l) +. (float_of_int n *. coef)
+        done
+      end
+      else add_steady ~count g.tbl last n0
+    done;
     for l = 0 to count - 1 do
       let s = base + l in
       if s = 0 then silent_acc := !silent_acc + lane_toggles.(l)
@@ -543,35 +561,38 @@ let run_packed st c chain policy ~vectors ~on_response =
   in
   (* initial settle (uncounted), in shift mode at the init chain state *)
   let init_pi = shift_pi policy st.first_pi in
-  Array.iteri
-    (fun i id -> words.(id) <- (if init_pi.(i) then 1L else 0L))
-    pi_ids;
-  Array.iteri
-    (fun j id -> words.(id) <- (if ff_prev.(j) then 1L else 0L))
-    ff_by_pos;
+  Array.iteri (fun i id -> words.(id) <- Bool.to_int init_pi.(i)) pi_ids;
+  Array.iteri (fun j id -> words.(id) <- Bool.to_int ff_prev.(j)) ff_by_pos;
   Sim.Packed_sim.step ps ~count:1 ~record:false;
   let total_na = ref (settled_na ()) in
   (* reusable packed shift stream A (see the header comment) *)
-  let stream = Array.make (((2 * n_ff) + 63) / 64 + 2) 0L in
+  let stream =
+    Array.make ((((2 * n_ff) + frame_lanes - 1) / frame_lanes) + 2) 0
+  in
   let seg_words = Array.length stream in
   let set_stream i v =
     if v then begin
-      let w = i lsr 6 and b = i land 63 in
-      stream.(w) <- Int64.logor stream.(w) (Int64.shift_left 1L b)
+      let w = i / frame_lanes and b = i mod frame_lanes in
+      stream.(w) <- stream.(w) lor (1 lsl b)
     end
   in
   (* One segment: lane 0 = silent pre-application of [spi], lanes
      1..n_ff the shift cycles, then (for a test segment, [cap = Some
      (capture_pi, target)]) the capture lane.  [s0] is the chain before
-     the first shift, [bits] the scan-in sequence. *)
-  let run_segment ~spi ~cap ~s0 ~bits =
-    Array.fill stream 0 seg_words 0L;
+     the first shift. A test segment scans [target] in, in the order of
+     {!Scan_chain.shift_in_sequence}; the final shift-out scans in
+     zeros. *)
+  let run_segment ~spi ~cap ~s0 =
+    Array.fill stream 0 seg_words 0;
     for i = 0 to n_ff - 1 do
       set_stream i s0.(n_ff - 1 - i)
     done;
-    for m = 1 to n_ff do
-      set_stream (n_ff - 1 + m) bits.(m - 1)
-    done;
+    (match cap with
+    | Some (_, target) ->
+      for m = 1 to n_ff do
+        set_stream (n_ff - 1 + m) target.(n_ff - m)
+      done
+    | None -> ());
     let has_cap = cap <> None in
     let seg_len = 1 + n_ff + if has_cap then 1 else 0 in
     let cap_s = if has_cap then n_ff + 1 else -1 in
@@ -587,39 +608,34 @@ let run_packed st c chain policy ~vectors ~on_response =
       let m_shift = mask_bits (max 0 (1 - b)) (min (count - 1) (n_ff - b)) in
       let cap_l = cap_s - b in
       let m_cap =
-        if has_cap && cap_l >= 0 && cap_l < count then Int64.shift_left 1L cap_l
-        else 0L
+        if has_cap && cap_l >= 0 && cap_l < count then 1 lsl cap_l else 0
       in
       (match cap with
       | Some (cap_pi, _) ->
         Array.iteri
           (fun i id ->
-            let w = if spi.(i) then m_ps else 0L in
-            words.(id) <-
-              (if m_cap <> 0L && cap_pi.(i) then Int64.logor w m_cap else w))
+            let w = if spi.(i) then m_ps else 0 in
+            words.(id) <- (if cap_pi.(i) then w lor m_cap else w))
           pi_ids
       | None ->
         Array.iteri
-          (fun i id -> words.(id) <- (if spi.(i) then m_ps else 0L))
+          (fun i id -> words.(id) <- (if spi.(i) then m_ps else 0))
           pi_ids);
       for j = 0 to n_ff - 1 do
         let w =
-          if policy.hold_previous_capture then
-            if ff_prev.(j) then m_ps else 0L
+          if policy.hold_previous_capture then if ff_prev.(j) then m_ps else 0
           else begin
             let shifts =
               match st.forced.(j) with
-              | Some v -> if v then m_shift else 0L
-              | None ->
-                Int64.logand (window stream (n_ff - 1 - j + b)) m_shift
+              | Some v -> if v then m_shift else 0
+              | None -> window stream (n_ff - 1 - j + b) land m_shift
             in
-            if b = 0 && ff_prev.(j) then Int64.logor shifts 1L else shifts
+            if b = 0 && ff_prev.(j) then shifts lor 1 else shifts
           end
         in
         words.(ff_by_pos.(j)) <-
           (match cap with
-          | Some (_, target) when m_cap <> 0L && target.(j) ->
-            Int64.logor w m_cap
+          | Some (_, target) when target.(j) -> w lor m_cap
           | _ -> w)
       done;
       Sim.Packed_sim.step ps ~count ~record:true;
@@ -631,9 +647,8 @@ let run_packed st c chain policy ~vectors ~on_response =
   List.iter
     (fun vec ->
       let pi, target = split_vector c chain vec in
-      let bits = Array.of_list (Scan_chain.shift_in_sequence chain target) in
       run_segment ~spi:(shift_pi policy pi) ~cap:(Some (pi, target))
-        ~s0:st.chain_state ~bits;
+        ~s0:st.chain_state;
       (* the capture is the final stepped lane: read the response off the
          D pins *)
       let response = Array.make n_ff false in
@@ -650,7 +665,7 @@ let run_packed st c chain policy ~vectors ~on_response =
   (* final shift-out of the last response (scan-in pumped with zeros) *)
   if vectors <> [] then
     run_segment ~spi:(shift_pi policy st.first_pi) ~cap:None
-      ~s0:st.chain_state ~bits:(Array.make n_ff false);
+      ~s0:st.chain_state;
   (* invariant: the per-lane leakage total equals a full recompute *)
   let full = settled_na () in
   assert (Float.abs (!total_na -. full) < 1e-6 *. Float.max 1.0 full);
@@ -679,11 +694,11 @@ let measure ?(engine = Packed) ?init_state c chain policy ~vectors =
     shift_cycles = st.n_shift;
     toggles = st.per_node;
     total_toggles = st.total;
-    per_cycle_toggles = Array.of_list (List.rev st.per_cycle_rev);
+    per_cycle_toggles = st.per_cycle;
     dynamic = Power.Switching.of_toggles c ~toggles:st.per_node ~cycles;
-    avg_static_uw = mean st.sum_shift st.n_shift;
-    peak_static_uw = st.peak;
-    avg_capture_static_uw = mean st.sum_capture st.n_capture;
+    avg_static_uw = mean st.leak.sum_shift st.n_shift;
+    peak_static_uw = st.leak.peak;
+    avg_capture_static_uw = mean st.leak.sum_capture st.n_capture;
   }
 
 let responses ?(engine = Packed) ?init_state c chain policy ~vectors =

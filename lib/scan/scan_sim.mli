@@ -45,13 +45,14 @@ type engine =
       (** Event-driven replay of every cycle ({!Sim.Event_sim}): the
           golden reference implementation. *)
   | Packed
-      (** 64 consecutive scan cycles per 64-bit word
-          ({!Sim.Packed_sim}): per-cycle toggles are recovered from
-          lane-to-lane XORs. Per frame, a gate whose input state is the
-          same on every lane is counted once, in that state; only gates
-          whose state varies within the frame go through the per-state
-          lane counters (per leakage table and input state, how many
-          gates sit in that state at each lane). Produces bit-identical
+      (** 63 consecutive scan cycles per native [int] word
+          ({!Sim.Packed_sim}; no allocation per frame or cycle):
+          per-cycle toggles are recovered from lane-to-lane XORs. Per
+          frame, a gate whose input state is the same on every lane is
+          counted once, in that state; only gates whose state varies
+          within the frame go through the per-state lane counters (per
+          leakage table and input state, how many gates sit in that
+          state at each lane). Produces bit-identical
           toggle counts, per-cycle series, dynamic power and responses;
           the static-power figures agree up to float accumulation
           order. *)

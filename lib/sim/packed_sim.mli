@@ -1,17 +1,18 @@
-(** 64-wide bit-parallel simulation frames with bit-sliced toggle
-    counting.
+(** 63-wide bit-parallel simulation frames with bit-sliced toggle
+    counting: 63 lanes, native ints, no allocation.
 
-    One [int64] word per node carries up to 64 consecutive simulation
-    cycles: lane [l] is bit [l]. The driver writes the source words of
-    a frame, calls {!step}, and the kernel evaluates the whole
-    combinational core once for all lanes. It then diffs every word
-    against itself shifted by one lane (lane 0 against the final lane
-    of the previous frame), popcounts the diff for the per-node count
-    and feeds it into a {!Lane_counter} for the per-lane counts.
+    One native [int] word per node carries up to 63 consecutive
+    simulation cycles: lane [l] is bit [l]. The caller writes the
+    source words of a frame, calls {!step}, and the kernel
+    ({!Netlist.Compiled.eval_lanes}) evaluates the whole combinational
+    core once for all lanes. It then diffs every word against itself
+    shifted by one lane (lane 0 against the final lane of the previous
+    frame), popcounts the diff for the per-node count and feeds it into
+    a {!Lane_counter} for the per-lane counts.
 
     This is the engine under the packed scan-shift measurement in
     {!Scan.Scan_sim}: during shift the chain is a pure shift register,
-    so every lane's pseudo-input values are known in advance and 64
+    so every lane's pseudo-input values are known in advance and 63
     shift cycles cost one combinational sweep. Toggle counts are
     bit-identical to replaying the same cycles one by one through
     {!Event_sim} (both count settled-state Hamming distance between
@@ -19,9 +20,12 @@
 
 open Netlist
 
-(** Per-lane counters for 64 lanes, bit-sliced: plane [b] holds bit [b]
-    of every lane's count, 32 lanes per native [int], so adding a lane
-    mask is a few word operations and never allocates. *)
+val lanes : int
+(** 63: lanes per frame, the bits of a native [int]. *)
+
+(** Per-lane counters for the {!lanes} lanes, bit-sliced: plane [b] is
+    one native [int] holding bit [b] of every lane's count, so adding a
+    lane mask is a few word operations and never allocates. *)
 module Lane_counter : sig
   type t
 
@@ -32,33 +36,30 @@ module Lane_counter : sig
   val clear : t -> unit
   (** Zero every lane and the add count. *)
 
-  val add : t -> lo:int -> hi:int -> unit
-  (** Add one to every lane whose bit is set: bit [l] of [lo] is lane
-      [l], bit [l] of [hi] is lane [32 + l]; bits above 31 are ignored.
+  val add : t -> int -> unit
+  (** Add one to every lane whose bit is set in the mask (bit [l] is
+      lane [l]).
       @raise Invalid_argument on the add past [max] since the last
       {!clear}. *)
 
-  val get : t -> int -> int
-  (** Count of one lane (0..63). *)
+  val read : t -> int array -> unit
+  (** [read t out] writes every lane's count into [out.(0 .. lanes-1)],
+      plane by plane. No allocation.
+      @raise Invalid_argument if [out] is shorter than {!lanes}. *)
 end
 
 type t
 
 val create : Compiled.t -> t
-(** All scratch is preallocated here. {!step} creates no arrays; the
-    only allocation left is the kernel's stores into the [int64]
-    {!words}, which box each word. *)
+(** All scratch is preallocated here; {!step} never allocates. *)
 
-val lanes : int
-(** 64: lanes per frame. *)
-
-val words : t -> int64 array
-(** Node-indexed lane words (aliased). Before each {!step} the driver
+val words : t -> int array
+(** Node-indexed lane words (aliased). Before each {!step} the caller
     writes the source entries; {!step} overwrites every non-source
     entry. *)
 
 val step : t -> count:int -> record:bool -> unit
-(** Evaluate one frame of [count] lanes (1..64). With [record], add
+(** Evaluate one frame of [count] lanes (1..63). With [record], add
     per-node toggle counts (against the previous frame's final lane)
     into {!toggles} / {!total_toggles} and the frame's per-lane sums
     into {!lane_toggles}. Without it (initial settle), only the frame
@@ -66,7 +67,7 @@ val step : t -> count:int -> record:bool -> unit
     ignored. *)
 
 val lane_toggles : t -> int array
-(** Length 64; entry [l] = total toggles in lane [l] of the
+(** Length {!lanes}; entry [l] = total toggles in lane [l] of the
     last recorded frame (aliased; rewritten by every recording
     {!step}). *)
 

@@ -231,19 +231,48 @@ let check_deadline_partial () =
 (* SIGINT: reap children, return a partial report                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Whether [path] holds a complete journal line recording [key] as
+   done. Read-only: the writer is never disturbed. *)
+let journal_has_done path key =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> false
+  | text ->
+    (* a line still being written does not parse *)
+    List.exists
+      (fun line ->
+        match Json.of_string line with
+        | Ok obj ->
+          Json.member "key" obj = Some (Json.String key)
+          && Json.member "status" obj = Some (Json.String "ok")
+        | Error _ -> false)
+      (String.split_on_char '\n' text)
+
 let check_sigint_partial_report () =
+  let dir = tmp_dir () in
+  Unix.mkdir dir 0o755;
+  let journal_path = Filename.concat dir "sigint.journal" in
+  let timed_out = Filename.concat dir "killer-timed-out" in
   let quick =
     { Runner.id = "quick"; cache_key = None;
       run = (fun ~attempt:_ -> Json.String "done") }
   in
-  (* a worker that interrupts its own pool: after it fires, every
-     unfinished job must come back Interrupted, not hang for 30 s *)
+  (* a worker that interrupts its own pool once [quick]'s result is
+     checkpointed: after it fires, every unfinished job must come back
+     Interrupted, not hang for 30 s *)
   let killer =
     {
       Runner.id = "killer"; cache_key = None;
       run =
         (fun ~attempt:_ ->
-          Unix.sleepf 0.3;
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while
+            (not (journal_has_done journal_path "quick"))
+            && Unix.gettimeofday () < deadline
+          do
+            Unix.sleepf 0.005
+          done;
+          if not (journal_has_done journal_path "quick") then
+            close_out (open_out timed_out);
           Unix.kill (Unix.getppid ()) Sys.sigint;
           Unix.sleepf 30.0;
           Json.Null);
@@ -258,13 +287,26 @@ let check_sigint_partial_report () =
           Json.Int i);
     }
   in
+  let journal =
+    Runner.Journal.open_ ~path:journal_path ~meta:(Json.String "sigint")
+      ~resume:false
+  in
   let cfg =
-    { Runner.default_config with jobs = 2; retries = 0; handle_signals = true }
+    { Runner.default_config with
+      jobs = 2; retries = 0; handle_signals = true; journal = Some journal }
   in
   let t0 = Unix.gettimeofday () in
   let results, stats =
     Runner.run ~config:cfg (quick :: killer :: List.init 2 sleeper)
   in
+  Runner.Journal.close journal;
+  let killer_timed_out = Sys.file_exists timed_out in
+  List.iter
+    (fun f -> if Sys.file_exists f then Sys.remove f)
+    [ journal_path; timed_out ];
+  Unix.rmdir dir;
+  if killer_timed_out then
+    Alcotest.fail "quick's journal entry did not appear within 10 s";
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "partial report, not a 30 s hang" true (elapsed < 10.0);
   Alcotest.(check bool) "interrupted flag set" true stats.Runner.interrupted;

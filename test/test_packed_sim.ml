@@ -1,4 +1,4 @@
-(* Compiled circuit form and 64-lane packed scan simulation: structural
+(* Compiled circuit form and 63-lane packed scan simulation: structural
    invariants of the CSR arrays, kernel-level cross-validation against
    the scalar evaluators, and golden engine equivalence — the packed
    scan engine must reproduce the event-driven reference exactly
@@ -83,28 +83,29 @@ let check_eval_bool_matches_gate_eval () =
       (Circuit.nodes c)
   done
 
-let check_eval_word_matches_per_lane () =
+(* One bit-parallel sweep of s344 from random source words, checked
+   lane by lane against [eval_bool]. [lanes] bits per word: [set w b]
+   sets bit [b], [get w b] reads it. *)
+let check_sweep_matches_per_lane ~seed ~zero ~lanes ~set ~get sweep () =
   let c = Lazy.force s344 in
   let comp = Compiled.of_circuit c in
   let n = Circuit.node_count c in
-  let rng = Util.Rng.create 11 in
-  let words = Array.make n 0L in
+  let rng = Util.Rng.create seed in
+  let words = Array.make n zero in
   let lane_values = Array.make n false in
   for _ = 1 to 5 do
-    (* random source words, full 64-lane sweep *)
     Array.iter
       (fun id ->
-        let w = ref 0L in
-        for b = 0 to 63 do
-          if Util.Rng.bool rng then w := Int64.logor !w (Int64.shift_left 1L b)
+        let w = ref zero in
+        for b = 0 to lanes - 1 do
+          if Util.Rng.bool rng then w := set !w b
         done;
         words.(id) <- !w)
       (Circuit.sources c);
-    Compiled.eval_words comp words;
-    for lane = 0 to 63 do
+    sweep comp words;
+    for lane = 0 to lanes - 1 do
       for i = 0 to n - 1 do
-        lane_values.(i) <-
-          Int64.logand (Int64.shift_right_logical words.(i) lane) 1L <> 0L
+        lane_values.(i) <- get words.(i) lane
       done;
       Array.iter
         (fun nd ->
@@ -116,6 +117,20 @@ let check_eval_word_matches_per_lane () =
         (Circuit.nodes c)
     done
   done
+
+(* the fault-simulation kernel: 64 lanes per int64 *)
+let check_eval_word_matches_per_lane =
+  check_sweep_matches_per_lane ~seed:11 ~zero:0L ~lanes:64
+    ~set:(fun w b -> Int64.logor w (Int64.shift_left 1L b))
+    ~get:(fun w b -> Int64.logand (Int64.shift_right_logical w b) 1L <> 0L)
+    Compiled.eval_words
+
+(* the scan kernel: 63 lanes per native int *)
+let check_eval_lanes_matches_per_lane =
+  check_sweep_matches_per_lane ~seed:13 ~zero:0 ~lanes:Sim.Packed_sim.lanes
+    ~set:(fun w b -> w lor (1 lsl b))
+    ~get:(fun w b -> (w lsr b) land 1 <> 0)
+    Compiled.eval_lanes
 
 let check_packed_sim_toggle_counting () =
   let c = Lazy.force s27m in
@@ -130,14 +145,14 @@ let check_packed_sim_toggle_counting () =
   let expected = Array.make n 0 in
   let scalar = Array.make n false in
   for frame = 1 to 4 do
-    let count = 1 + Util.Rng.int rng 64 in
+    let count = 1 + Util.Rng.int rng Sim.Packed_sim.lanes in
     let lanes = Array.init count (fun _ -> Array.make (Array.length sources) false) in
     Array.iter (fun lane -> Array.iteri (fun i _ -> lane.(i) <- Util.Rng.bool rng) lane) lanes;
     Array.iteri
       (fun pos id ->
-        let w = ref 0L in
+        let w = ref 0 in
         for l = 0 to count - 1 do
-          if lanes.(l).(pos) then w := Int64.logor !w (Int64.shift_left 1L l)
+          if lanes.(l).(pos) then w := !w lor (1 lsl l)
         done;
         words.(id) <- !w)
       sources;
@@ -173,32 +188,42 @@ let check_packed_sim_toggle_counting () =
     (Sim.Packed_sim.total_toggles ps)
 
 (* Property: the bit-sliced lane counter equals naive per-lane counting
-   for random masks, and the add past [max] raises. *)
+   for random masks over all 63 lanes (the all-lanes mask among them),
+   and the add past [max] raises. *)
 let prop_lane_counter =
-  let mask = QCheck.Gen.int_bound 0xFFFFFFFF in
+  let lanes = Sim.Packed_sim.lanes in
+  let mask =
+    let w21 = QCheck.Gen.int_bound 0x1FFFFF in
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return (-1));
+          (8, map3 (fun a b c -> a lor (b lsl 21) lor (c lsl 42)) w21 w21 w21);
+        ])
+  in
   QCheck.Test.make ~name:"lane counter equals naive per-lane counts"
     ~count:200
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 70) (pair mask mask)))
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 70) mask))
     (fun masks ->
       let module Lc = Sim.Packed_sim.Lane_counter in
       let n = List.length masks in
       let ctr = Lc.create ~max:n in
-      let naive = Array.make 64 0 in
+      let naive = Array.make lanes 0 in
       List.iter
-        (fun (lo, hi) ->
-          Lc.add ctr ~lo ~hi;
-          for l = 0 to 31 do
-            naive.(l) <- naive.(l) + ((lo lsr l) land 1);
-            naive.(32 + l) <- naive.(32 + l) + ((hi lsr l) land 1)
+        (fun m ->
+          Lc.add ctr m;
+          for l = 0 to lanes - 1 do
+            naive.(l) <- naive.(l) + ((m lsr l) land 1)
           done)
         masks;
+      let got = Array.make lanes (-1) in
+      Lc.read ctr got;
       Array.iteri
         (fun l want ->
-          if Lc.get ctr l <> want then
-            QCheck.Test.fail_reportf "lane %d: %d, naive %d" l (Lc.get ctr l)
-              want)
+          if got.(l) <> want then
+            QCheck.Test.fail_reportf "lane %d: %d, naive %d" l got.(l) want)
         naive;
-      (match Lc.add ctr ~lo:1 ~hi:0 with
+      (match Lc.add ctr 1 with
       | () -> QCheck.Test.fail_report "add past max did not raise"
       | exception Invalid_argument _ -> ());
       true)
@@ -327,14 +352,16 @@ let check_golden_s27 () =
   check_engines_agree_on "s27" (Lazy.force s27m) ~seed:4 ~n_vectors:20;
   check_engines_agree_on "s27" (Lazy.force s27m) ~seed:5 ~n_vectors:1
 
-(* Chains sized around the 64-lane frame. A test segment (silent lane +
-   n_ff shifts + capture) exactly fills one frame at 62 flip-flops,
-   spills one lane into a count = 1 frame at 63 and spans three frames
-   at 127; the capture-less shift-out segment fills one frame exactly at
-   63 and spills at 64. The extra policy forces every pseudo-input and
-   holds a constant PI pattern, so every shift lane applies the same
-   inputs: in a frame of shift lanes only (the middle frame at 127) or
-   of one lane, every gate is steady, in one input state on all of the
+(* Chains sized around the 63-lane frame. A test segment (silent lane +
+   n_ff shifts + capture) exactly fills one frame at 61 flip-flops,
+   spills one lane into a count = 1 frame at 62 and one or two lanes
+   into a third frame at 125/126; the capture-less shift-out segment
+   fills one frame exactly at 62, spills one lane at 63, fills two
+   frames exactly at 125 and spills one lane at 126. At 64 and 127 both
+   segments spill two or three lanes. The extra policy forces every
+   pseudo-input and holds a constant PI pattern, so every shift lane
+   applies the same inputs: in a frame of shift lanes only or of one
+   lane, every gate is steady, in one input state on all of the
    frame's lanes. *)
 let check_frame_boundaries () =
   let all_forced c rng =
@@ -364,7 +391,7 @@ let check_frame_boundaries () =
         (Circuits.generate profile)
         ~policies:(fun c rng -> policies c rng @ [ all_forced c rng ])
         ~seed:n_ff ~n_vectors:3)
-    [ 62; 63; 64; 127 ]
+    [ 61; 62; 63; 64; 125; 126; 127 ]
 
 let check_empty_vectors () =
   let c = Lazy.force s344 in
@@ -435,6 +462,8 @@ let suite =
       check_eval_bool_matches_gate_eval;
     Alcotest.test_case "eval_word equals per-lane eval" `Quick
       check_eval_word_matches_per_lane;
+    Alcotest.test_case "eval_lanes equals per-lane eval" `Quick
+      check_eval_lanes_matches_per_lane;
     Alcotest.test_case "packed toggle counting" `Quick
       check_packed_sim_toggle_counting;
     Alcotest.test_case "golden equivalence s344" `Quick check_golden_s344;
