@@ -432,7 +432,8 @@ let ablation_multi_chain () =
         m.Scan.Multi_chain.dynamic_per_hz_uw m.Scan.Multi_chain.peak_static_uw)
     [ 1; 2; 4; 7; 21 ]
 
-(* (i) ATPG engines: plain PODEM vs SCOAP-guided PODEM vs D-algorithm *)
+(* (i) ATPG engines: plain PODEM vs SCOAP-guided PODEM (with and
+   without the implication screen) vs D-algorithm *)
 let ablation_atpg_engines () =
   section "Ablation (i): ATPG engines on the collapsed fault list";
   List.iter
@@ -471,6 +472,8 @@ let ablation_atpg_engines () =
       show "podem" (tally (fun f -> podem_tag (Atpg.Podem.generate plain f)));
       show "podem+scoap"
         (tally (fun f -> podem_tag (Atpg.Podem.generate guided f)));
+      show "  search only"
+        (tally (fun f -> podem_tag (Atpg.Podem.search guided f)));
       show "d-algorithm"
         (tally (fun f -> dalg_tag (Atpg.D_algorithm.generate c f))))
     (if fast then [ "s344" ] else [ "s344"; "s382" ])

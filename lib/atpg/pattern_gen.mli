@@ -31,7 +31,10 @@ type outcome = {
   total_faults : int;
   detected : int;
   untestable : int;
+      (** proven redundant, by PODEM's implication screen or its search *)
   aborted : int;
+      (** neither tested nor proven untestable within PODEM's limits,
+          or tested by a cube whose filled vector missed the fault *)
   skipped : int;  (** faults never attempted (budget exhausted) *)
   coverage : float;  (** detected / (total - untestable) *)
 }

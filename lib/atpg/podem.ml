@@ -7,6 +7,7 @@ let m_faults = Telemetry.Counter.make "atpg.podem.faults"
 let m_decisions = Telemetry.Counter.make "atpg.podem.decisions"
 let m_backtracks = Telemetry.Counter.make "atpg.podem.backtracks"
 let m_aborted = Telemetry.Counter.make "atpg.podem.aborted"
+let m_refuted = Telemetry.Counter.make "atpg.podem.refuted"
 
 type result =
   | Test of Logic.t array
@@ -87,6 +88,7 @@ let controlling =
       | Some Logic.X | None -> -1)
 
 type engine = {
+  screen : Implication.t;
   opcode : int array;
   fanin_off : int array;
   fanin : int array;
@@ -157,6 +159,7 @@ let make ?guide c =
   done;
   let n_sources = Array.length sources in
   {
+    screen = Implication.make cc;
     opcode = Compiled.opcode cc;
     fanin_off = Compiled.fanin_off cc;
     fanin = Compiled.fanin cc;
@@ -429,7 +432,7 @@ let rec backtrack e limit =
 (* One frontier scan per iteration serves both the dead-end check and
    the objective; a global iteration cap bounds the work spent on hard
    (usually redundant) faults. True when the assignment detects. *)
-let rec search e ~backtrack_limit ~iteration_limit =
+let rec explore e ~backtrack_limit ~iteration_limit =
   e.iterations <- e.iterations + 1;
   if e.iterations > iteration_limit then begin
     e.aborted <- true;
@@ -437,7 +440,7 @@ let rec search e ~backtrack_limit ~iteration_limit =
   end
   else if detected e then true
   else if act_good e = e.stuck then
-    backtrack e backtrack_limit && search e ~backtrack_limit ~iteration_limit
+    backtrack e backtrack_limit && explore e ~backtrack_limit ~iteration_limit
   else begin
     let obj =
       if act_good e <> activation_value e then (2 * e.act_node) + activation_value e
@@ -445,7 +448,7 @@ let rec search e ~backtrack_limit ~iteration_limit =
     in
     let decision = if obj < 0 then -1 else backtrace e (obj / 2) (obj mod 2) in
     if decision < 0 then
-      backtrack e backtrack_limit && search e ~backtrack_limit ~iteration_limit
+      backtrack e backtrack_limit && explore e ~backtrack_limit ~iteration_limit
     else begin
       Telemetry.Counter.inc m_decisions;
       let src = decision / 2 and v = decision mod 2 in
@@ -455,19 +458,29 @@ let rec search e ~backtrack_limit ~iteration_limit =
       e.dec_flipped.(e.depth) <- false;
       e.depth <- e.depth + 1;
       imply_from e src;
-      search e ~backtrack_limit ~iteration_limit
+      explore e ~backtrack_limit ~iteration_limit
     end
   end
 
 let logic_of_code = [| Logic.Zero; Logic.One; Logic.X |]
 
-let generate ?(backtrack_limit = 100) ?(iteration_limit = 400) e fault =
-  Telemetry.Counter.inc m_faults;
+let search ?(backtrack_limit = 100) ?(iteration_limit = 400) e fault =
   reset e fault;
-  if search e ~backtrack_limit ~iteration_limit then
+  if explore e ~backtrack_limit ~iteration_limit then
     Test (Array.map (fun v -> logic_of_code.(v)) e.assigned)
   else if e.aborted then begin
     Telemetry.Counter.inc m_aborted;
     Aborted
   end
   else Untestable
+
+(* A refuted fault can only end the search as [Untestable] or
+   [Aborted], neither of which yields a cube: the screen changes no
+   test, only how much work a redundant fault costs. *)
+let generate ?backtrack_limit ?iteration_limit e fault =
+  Telemetry.Counter.inc m_faults;
+  if Implication.refutes e.screen fault then begin
+    Telemetry.Counter.inc m_refuted;
+    Untestable
+  end
+  else search ?backtrack_limit ?iteration_limit e fault

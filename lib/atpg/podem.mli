@@ -11,7 +11,11 @@
     refill plus a stamped fault-cone sweep) and runs the search without
     allocating until it returns. Five-valued gate evaluation folds 5x5
     tables built from {!Netlist.Logic.Five}, so the search sees exactly
-    the D-algebra of that module. *)
+    the D-algebra of that module.
+
+    Before it searches, {!generate} runs the {!Implication} screen on
+    the fault: a contradiction by implication alone proves the fault
+    untestable, and the search is skipped. *)
 
 open Netlist
 
@@ -19,7 +23,9 @@ type result =
   | Test of Logic.t array
       (** Test cube over [Circuit.sources c] (positional); unassigned
           positions are [X] and may be filled freely. *)
-  | Untestable  (** Proven redundant within the search space. *)
+  | Untestable
+      (** Proven redundant: by implication, or by a search that
+          exhausted the input space. *)
   | Aborted  (** Backtrack or iteration limit exceeded. *)
 
 type engine
@@ -37,4 +43,12 @@ val generate :
 (** Run PODEM for one fault of the engine's circuit. Defaults: 100
     backtracks, 400 search iterations. The iteration limit bounds the
     total work per fault (hard-to-prove redundant faults otherwise
-    dominate the runtime on large circuits). *)
+    dominate the runtime on large circuits). A fault the {!Implication}
+    screen refutes returns [Untestable] without a search and counts no
+    decision or backtrack. *)
+
+val search :
+  ?backtrack_limit:int -> ?iteration_limit:int -> engine -> Fault.t -> result
+(** {!generate} without the implication screen: the search alone, the
+    reference the screen is checked against. A fault the screen
+    refutes gets [Untestable] or [Aborted] here, never a [Test]. *)

@@ -3,8 +3,10 @@ module Json = Telemetry.Json
 
 (* /2: comparisons now embed the ATPG summary. Bumping this changes
    every cache key, which is exactly the clean invalidation story: /1
-   entries become stale misses (deleted on sight), never mis-decodes. *)
-let schema_version = "scanpower.sweep/2"
+   entries become stale misses (deleted on sight), never mis-decodes.
+   /3: the untestable count now includes the faults implication
+   refutes before PODEM searches, and the aborted count excludes them. *)
+let schema_version = "scanpower.sweep/3"
 
 type params = { seed : int }
 type point = { circuit : Circuit.t; params : params }

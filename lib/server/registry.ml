@@ -104,9 +104,10 @@ let trim t ~keep =
    the entry list. The digest makes a truncated or clobbered file a
    detected cold start instead of a Marshal segfault; the magic pins
    the format version so an old snapshot read by a new binary is
-   likewise just cold. [Flow.prepared] is pure data (no closures), so
+   likewise just cold (/2: ATPG counts whose untestable faults include
+   the ones implication refutes). [Flow.prepared] is pure data (no closures), so
    Marshal round-trips it. *)
-let snapshot_magic = "scanpower-registry-snapshot/1"
+let snapshot_magic = "scanpower-registry-snapshot/2"
 
 let snapshot t ~path =
   let entries =

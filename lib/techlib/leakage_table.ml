@@ -40,8 +40,7 @@ let series_parallel_leakage ~series ~parallel ~k ~on =
     sub +. tun
   end
   else begin
-    let i_stack = Transistor.stack_current devices ~v_rail:vdd in
-    let nodes = Transistor.stack_node_voltages devices ~v_rail:vdd in
+    let i_stack, nodes = Transistor.stack_solve devices ~v_rail:vdd in
     let tun_series = ref 0.0 in
     for i = 0 to k - 1 do
       if on i then begin
@@ -109,39 +108,25 @@ let calibration_scale =
   let paper_total = Array.fold_left ( +. ) 0.0 paper_nand2_na in
   paper_total /. nand2_raw_total
 
-(* The memo must be readable from any domain without locking — the
-   scalar power path calls [leakage_na] per gate per cycle. A
-   persistent map behind an [Atomic] gives lock-free reads of an
-   immutable snapshot; a cold cell is built outside the CAS loop (two
-   racing domains both build, one insert wins, both return a correct
-   table). *)
-module Cell_map = Map.Make (struct
-  type t = Cell.t
+(* Every library cell's calibrated table, characterised eagerly at
+   module init like [nand2_raw_total]: about sixty stack evaluations,
+   after which a read from any domain is a list lookup and an array
+   load, and no first caller pays for the characterisation. *)
+let tables =
+  List.map
+    (fun cell ->
+      ( cell,
+        Array.init (n_states cell) (fun s ->
+            match cell with
+            | Cell.Nand 2 -> paper_nand2_na.(s)
+            | Cell.Inv | Cell.Nand _ | Cell.Nor _ ->
+              raw_cell_leakage cell s *. 1e9 *. calibration_scale) ))
+    Cell.all
 
-  let compare = compare
-end)
-
-let table_cache : float array Cell_map.t Atomic.t = Atomic.make Cell_map.empty
-
-let rec table cell =
-  match Cell_map.find_opt cell (Atomic.get table_cache) with
+let table cell =
+  match List.assoc_opt cell tables with
   | Some t -> t
-  | None ->
-    let n = n_states cell in
-    let t =
-      Array.init n (fun s ->
-          match cell with
-          | Cell.Nand 2 -> paper_nand2_na.(s)
-          | Cell.Inv | Cell.Nand _ | Cell.Nor _ ->
-            raw_cell_leakage cell s *. 1e9 *. calibration_scale)
-    in
-    let cur = Atomic.get table_cache in
-    (match Cell_map.find_opt cell cur with
-    | Some t -> t
-    | None ->
-      if Atomic.compare_and_set table_cache cur (Cell_map.add cell t cur) then
-        t
-      else table cell)
+  | None -> invalid_arg "Leakage_table: cell not in the library"
 
 let leakage_na cell ~state =
   if state < 0 || state >= n_states cell then

@@ -25,7 +25,8 @@ val n_states : Cell.t -> int
 val leakage_na : Cell.t -> state:int -> float
 (** Calibrated leakage current drawn from the supply in the given
     input state, nA.
-    @raise Invalid_argument if [state] is out of range. *)
+    @raise Invalid_argument if [state] is out of range or [cell] is not
+    in {!Cell.all}. *)
 
 val leakage_power_nw : Cell.t -> state:int -> float
 (** [leakage_na * vdd]: static power in nW (Eq. (5) for one gate). *)

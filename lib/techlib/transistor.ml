@@ -186,9 +186,10 @@ let solve_stack devices ~v_rail =
     (i, voltages)
   end
 
-let stack_current devices ~v_rail = fst (solve_stack devices ~v_rail)
-
-let stack_node_voltages devices ~v_rail =
-  let _, voltages = solve_stack devices ~v_rail in
+let stack_solve devices ~v_rail =
+  let i, voltages = solve_stack devices ~v_rail in
   let n = Array.length voltages in
-  if n <= 1 then [||] else Array.sub voltages 0 (n - 1)
+  (i, if n <= 1 then [||] else Array.sub voltages 0 (n - 1))
+
+let stack_current devices ~v_rail = fst (solve_stack devices ~v_rail)
+let stack_node_voltages devices ~v_rail = snd (stack_solve devices ~v_rail)

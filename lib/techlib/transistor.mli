@@ -64,3 +64,7 @@ val stack_node_voltages : stack_device list -> v_rail:float -> float array
 (** Intermediate node voltages (length [n-1]) found by the same solve,
     from the grounded end upward; used for gate-tunnelling [vox]
     estimation. *)
+
+val stack_solve : stack_device list -> v_rail:float -> float * float array
+(** [stack_current] and [stack_node_voltages] from one solve: a caller
+    that needs both pays for the nested bisection once. *)

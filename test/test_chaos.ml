@@ -8,13 +8,28 @@ module Json = Telemetry.Json
 module Sweep = Scanpower.Sweep
 module FI = Runner.Fault_inject
 
-let tmp_dir =
+let rec remove_tree path =
+  match Sys.is_directory path with
+  | true ->
+    Array.iter
+      (fun entry -> remove_tree (Filename.concat path entry))
+      (Sys.readdir path);
+    Unix.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+(* [f] gets a fresh path under the temp dir (not created); whatever [f]
+   leaves there is removed when it returns or raises *)
+let with_tmp_dir =
   let counter = ref 0 in
-  fun () ->
+  fun f ->
     incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "scanpower-chaos-test-%d-%d" (Unix.getpid ()) !counter)
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "scanpower-chaos-test-%d-%d" (Unix.getpid ()) !counter)
+    in
+    Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
 let small ?(gates = 30) name seed =
   Circuits.generate
@@ -94,7 +109,7 @@ let check_chaos_sweep_bit_identical () =
 (* ------------------------------------------------------------------ *)
 
 let check_corrupt_cache_quarantined () =
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   let circuits =
     List.init 3 (fun i -> small ~gates:25 (Printf.sprintf "cc%d" i) (200 + i))
   in
@@ -248,7 +263,7 @@ let journal_has_done path key =
       (String.split_on_char '\n' text)
 
 let check_sigint_partial_report () =
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let journal_path = Filename.concat dir "sigint.journal" in
   let timed_out = Filename.concat dir "killer-timed-out" in
@@ -300,12 +315,7 @@ let check_sigint_partial_report () =
     Runner.run ~config:cfg (quick :: killer :: List.init 2 sleeper)
   in
   Runner.Journal.close journal;
-  let killer_timed_out = Sys.file_exists timed_out in
-  List.iter
-    (fun f -> if Sys.file_exists f then Sys.remove f)
-    [ journal_path; timed_out ];
-  Unix.rmdir dir;
-  if killer_timed_out then
+  if Sys.file_exists timed_out then
     Alcotest.fail "quick's journal entry did not appear within 10 s";
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "partial report, not a 30 s hang" true (elapsed < 10.0);
@@ -336,7 +346,7 @@ let complete_lines path =
   | exception Sys_error _ -> 0
 
 let check_kill_and_resume () =
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let journal = Filename.concat dir "sweep.journal" in
   let circuits =
@@ -408,7 +418,7 @@ let check_atpg_abort_degrades_gracefully () =
     (cmp.Scanpower.Flow.traditional.Scanpower.Flow.dynamic_per_hz_uw > 0.0)
 
 let check_atpg_abort_injection_bypasses_cache () =
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   let circuits = [ small ~gates:60 "ab0" 400; small ~gates:60 "ab1" 401 ] in
   let points = Sweep.points circuits in
   let spec = { FI.seed = 3; rates = [ (FI.Atpg_abort, 1.0) ] } in
@@ -458,7 +468,7 @@ let check_atpg_abort_injection_bypasses_cache () =
 (* ------------------------------------------------------------------ *)
 
 let check_journal_roundtrip () =
-  let dir = tmp_dir () in
+  with_tmp_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "j.journal" in
   let meta = Json.Obj [ ("batch", Json.String "t1") ] in
