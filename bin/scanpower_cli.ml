@@ -141,13 +141,18 @@ let list_cmd =
   let run () =
     List.iter
       (fun name ->
-        let c = Circuits.by_name name in
-        Format.printf "%-8s %a@." name Netlist.Circuit.pp_stats
-          (Netlist.Circuit.stats c))
+        Format.printf "%-8s %s@." name
+          (String.concat " "
+             (List.map
+                (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+                (Circuits.list_columns name))))
       Circuits.names
   in
   Cmd.v
-    (Cmd.info "list" ~doc:"List the built-in benchmark circuits.")
+    (Cmd.info "list"
+       ~doc:
+         "List the built-in benchmark circuits with their interface and \
+          size; $(b,stats) adds depth and fanin.")
     Term.(const run $ const ())
 
 (* ---- stats ---- *)

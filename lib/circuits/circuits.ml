@@ -247,6 +247,30 @@ let by_name name =
     | Some p -> generate p
     | None -> raise Not_found
 
+let list_columns name =
+  let columns ~inputs ~outputs ~dffs ~gates =
+    [
+      ("inputs", inputs);
+      ("outputs", outputs);
+      ("dffs", dffs);
+      ("gates", gates);
+      ("nodes", inputs + outputs + dffs + gates);
+    ]
+  in
+  if name = "s27" then
+    let s = Circuit.stats (s27 ()) in
+    columns ~inputs:s.Circuit.n_inputs ~outputs:s.Circuit.n_outputs
+      ~dffs:s.Circuit.n_dffs ~gates:s.Circuit.n_gates
+  else
+    match
+      List.find_opt
+        (fun p -> p.name = name)
+        (table1_profiles @ scale_profiles)
+    with
+    | Some p ->
+      columns ~inputs:p.n_pi ~outputs:p.n_po ~dffs:p.n_ff ~gates:p.n_gates
+    | None -> raise Not_found
+
 let names =
   "s27"
   :: List.map (fun p -> p.name) table1_profiles

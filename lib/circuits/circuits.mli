@@ -49,6 +49,14 @@ val by_name : string -> Circuit.t
     circuit.
     @raise Not_found for unknown names. *)
 
+val list_columns : string -> (string * int) list
+(** The columns [scanpower list] prints for a benchmark name: inputs,
+    outputs, dffs, gates and nodes. A generated circuit's come from its
+    profile without building the netlist: its nodes are its PIs, POs
+    (each primary output is a node of its own), flip-flops and gates.
+    Only s27 is built, for {!Netlist.Circuit.stats}.
+    @raise Not_found for unknown names. *)
+
 val names : string list
 (** All available benchmark names, s27 first. *)
 

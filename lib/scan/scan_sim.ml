@@ -364,6 +364,137 @@ type leak_group = {
   counters : Lane_counter.t array;
 }
 
+(* Splitting a frame's gates by input state. Input state [s] has bit
+   [p] set iff pin [p] reads 1. A gate whose pins are each all-0 or
+   all-1 over the frame's lanes [cm] is steady: it adds one to
+   [steady.(s)]. A varying gate adds each non-empty state mask but the
+   last state's to that state's lane counter and marks the state in
+   [varied]. Each split returns its group's number of varying gates.
+
+   The library has four widths (INV and NAND/NOR2-4), so each has its
+   own straight-line split with the pin words in locals: without
+   flambda a loop over a mask array is neither unrolled nor kept in
+   registers, and it cost about twice as much per op. *)
+
+(* 0 iff the lane word [v] (within [cm]) is all-0 or all-1 over [cm] *)
+let[@inline] unsteady v cm = v lxor (cm land -(v land 1))
+
+(* one varying gate's lanes in state [s] *)
+let[@inline] add_state g varied s m =
+  if m <> 0 then begin
+    Lane_counter.add g.counters.(s) m;
+    varied.(s) <- true
+  end
+
+let split_1 g words cm steady varied =
+  let pins = g.pins and n_varying = ref 0 in
+  for k = 0 to g.n_gates - 1 do
+    let a = words.(pins.(k)) land cm in
+    if unsteady a cm = 0 then begin
+      let s = a land 1 in
+      steady.(s) <- steady.(s) + 1
+    end
+    else begin
+      incr n_varying;
+      add_state g varied 0 (cm lxor a)
+    end
+  done;
+  !n_varying
+
+let split_2 g words cm steady varied =
+  let pins = g.pins and n_varying = ref 0 in
+  for k = 0 to g.n_gates - 1 do
+    let p = 2 * k in
+    let a = words.(pins.(p)) land cm and b = words.(pins.(p + 1)) land cm in
+    if unsteady a cm lor unsteady b cm = 0 then begin
+      let s = (a land 1) lor ((b land 1) lsl 1) in
+      steady.(s) <- steady.(s) + 1
+    end
+    else begin
+      incr n_varying;
+      let na = cm lxor a and nb = cm lxor b in
+      add_state g varied 0 (na land nb);
+      add_state g varied 1 (a land nb);
+      add_state g varied 2 (na land b)
+    end
+  done;
+  !n_varying
+
+let split_3 g words cm steady varied =
+  let pins = g.pins and n_varying = ref 0 in
+  for k = 0 to g.n_gates - 1 do
+    let p = 3 * k in
+    let a = words.(pins.(p)) land cm
+    and b = words.(pins.(p + 1)) land cm
+    and c = words.(pins.(p + 2)) land cm in
+    if unsteady a cm lor unsteady b cm lor unsteady c cm = 0 then begin
+      let s = (a land 1) lor ((b land 1) lsl 1) lor ((c land 1) lsl 2) in
+      steady.(s) <- steady.(s) + 1
+    end
+    else begin
+      incr n_varying;
+      (* pin-pair masks of pins 0 and 1, by their state *)
+      let na = cm lxor a and nb = cm lxor b and nc = cm lxor c in
+      let q0 = na land nb and q1 = a land nb and q2 = na land b in
+      let q3 = a land b in
+      add_state g varied 0 (q0 land nc);
+      add_state g varied 1 (q1 land nc);
+      add_state g varied 2 (q2 land nc);
+      add_state g varied 3 (q3 land nc);
+      add_state g varied 4 (q0 land c);
+      add_state g varied 5 (q1 land c);
+      add_state g varied 6 (q2 land c)
+    end
+  done;
+  !n_varying
+
+let split_4 g words cm steady varied =
+  let pins = g.pins and n_varying = ref 0 in
+  for k = 0 to g.n_gates - 1 do
+    let p = 4 * k in
+    let a = words.(pins.(p)) land cm
+    and b = words.(pins.(p + 1)) land cm
+    and c = words.(pins.(p + 2)) land cm
+    and d = words.(pins.(p + 3)) land cm in
+    if unsteady a cm lor unsteady b cm lor unsteady c cm lor unsteady d cm = 0
+    then begin
+      let s =
+        (a land 1)
+        lor ((b land 1) lsl 1)
+        lor ((c land 1) lsl 2)
+        lor ((d land 1) lsl 3)
+      in
+      steady.(s) <- steady.(s) + 1
+    end
+    else begin
+      incr n_varying;
+      (* pin-pair masks of pins 0, 1 ([q]) and pins 2, 3 ([r]), by
+         their state; state [s] is [q (s land 3) land r (s lsr 2)] *)
+      let na = cm lxor a and nb = cm lxor b in
+      let nc = cm lxor c and nd = cm lxor d in
+      let q0 = na land nb and q1 = a land nb and q2 = na land b in
+      let q3 = a land b in
+      let r0 = nc land nd and r1 = c land nd and r2 = nc land d in
+      let r3 = c land d in
+      add_state g varied 0 (q0 land r0);
+      add_state g varied 1 (q1 land r0);
+      add_state g varied 2 (q2 land r0);
+      add_state g varied 3 (q3 land r0);
+      add_state g varied 4 (q0 land r1);
+      add_state g varied 5 (q1 land r1);
+      add_state g varied 6 (q2 land r1);
+      add_state g varied 7 (q3 land r1);
+      add_state g varied 8 (q0 land r2);
+      add_state g varied 9 (q1 land r2);
+      add_state g varied 10 (q2 land r2);
+      add_state g varied 11 (q3 land r2);
+      add_state g varied 12 (q0 land r3);
+      add_state g varied 13 (q1 land r3);
+      add_state g varied 14 (q2 land r3)
+    end
+  done;
+  !n_varying
+
 let run_packed st c chain policy ~vectors ~on_response =
   let n_ff = Scan_chain.length chain in
   let n_nodes = Circuit.node_count c in
@@ -405,6 +536,10 @@ let run_packed st c chain policy ~vectors ~on_response =
       (fun (tbl, gids) ->
         let gs = List.rev !gids in
         let arity = fanin_off.(List.hd gs + 1) - fanin_off.(List.hd gs) in
+        if arity < 1 || arity > 4 then
+          invalid_arg
+            (Printf.sprintf "Scan_sim: no leakage split for a %d-input gate"
+               arity);
         let n_gates = List.length gs in
         {
           tbl;
@@ -424,9 +559,6 @@ let run_packed st c chain policy ~vectors ~on_response =
   let max_states =
     Array.fold_left (fun m g -> max m (Array.length g.tbl)) 1 groups
   in
-  (* one varying gate's state masks: lane bit set in entry [s] iff the
-     gate's input state is [s] at that lane *)
-  let masks = Array.make max_states 0 in
   (* per input state of the group being counted: its steady gates, and
      whether its lane counter got an add this frame *)
   let steady = Array.make max_states 0 in
@@ -461,49 +593,16 @@ let run_packed st c chain policy ~vectors ~on_response =
       let last = n_states - 1 in
       Array.fill steady 0 n_states 0;
       Array.fill varied 0 n_states false;
-      let n_varying = ref 0 in
-      for k = 0 to g.n_gates - 1 do
-        let pin0 = k * g.arity in
-        (* steady test: every pin all-0 or all-1 over the frame; on
-           exit [p = arity] iff steady, in state [s] *)
-        let s = ref 0 and p = ref 0 in
-        while !p < g.arity do
-          let v = words.(g.pins.(pin0 + !p)) land cm in
-          if v = cm then begin
-            s := !s lor (1 lsl !p);
-            incr p
-          end
-          else if v = 0 then incr p
-          else p := g.arity + 1
-        done;
-        if !p = g.arity then steady.(!s) <- steady.(!s) + 1
-        else begin
-          incr n_varying;
-          (* split the frame's lane mask pin by pin: after pin [p],
-             entry [s] (s < 2^(p+1)) holds the lanes where pins 0..p
-             read the low bits of [s] *)
-          masks.(0) <- cm;
-          for p = 0 to g.arity - 1 do
-            let v = words.(g.pins.(pin0 + p)) in
-            let half = 1 lsl p in
-            for s = 0 to half - 1 do
-              let a = masks.(s) in
-              masks.(s + half) <- a land v;
-              masks.(s) <- a land lnot v
-            done
-          done;
-          for s = 0 to last - 1 do
-            let m = masks.(s) in
-            if m <> 0 then begin
-              Lane_counter.add g.counters.(s) m;
-              varied.(s) <- true
-            end
-          done
-        end
-      done;
+      let n_varying =
+        match g.arity with
+        | 1 -> split_1 g words cm steady varied
+        | 2 -> split_2 g words cm steady varied
+        | 3 -> split_3 g words cm steady varied
+        | _ -> split_4 g words cm steady varied
+      in
       (* the same per-lane integer and the same (group, state, lane)
          summation order whichever way a gate was counted *)
-      if !n_varying > 0 then Array.fill counted 0 count 0;
+      if n_varying > 0 then Array.fill counted 0 count 0;
       for s = 0 to last - 1 do
         let coef = g.tbl.(s) and n0 = steady.(s) in
         if varied.(s) then begin
@@ -520,8 +619,8 @@ let run_packed st c chain policy ~vectors ~on_response =
         else add_steady ~count g.tbl s n0
       done;
       (* the last state holds every varying gate the others did not *)
-      let n0 = steady.(last) + !n_varying in
-      if !n_varying > 0 then begin
+      let n0 = steady.(last) + n_varying in
+      if n_varying > 0 then begin
         let coef = g.tbl.(last) in
         for l = 0 to count - 1 do
           let n = n0 - counted.(l) in

@@ -34,14 +34,60 @@ module Lane_counter = struct
       incr b
     done
 
+  (* [spread.(x)]: bit [i] of the byte [x] moved to bit [7 * i], the
+     bottom of the [i]th 7-bit field *)
+  let spread =
+    Array.init 256 (fun x ->
+        let r = ref 0 in
+        for i = 0 to 7 do
+          if x land (1 lsl i) <> 0 then r := !r lor (1 lsl (7 * i))
+        done;
+        !r)
+
   let read t out =
     if Array.length out < lanes then
       invalid_arg "Packed_sim.Lane_counter.read: array shorter than lanes";
-    Array.fill out 0 lanes 0;
-    (* each plane up to its highest set lane: a short frame costs only
-       its own lanes *)
-    for b = 0 to Array.length t.planes - 1 do
-      let p = ref t.planes.(b) and l = ref 0 in
+    let planes = t.planes in
+    (* no count exceeds the adds, so the planes past their bit length
+       are zero *)
+    let n = ref 0 in
+    while !n < Array.length planes && 1 lsl !n <= t.adds do
+      incr n
+    done;
+    let n = !n in
+    let any = ref 0 in
+    for b = 0 to n - 1 do
+      any := !any lor planes.(b)
+    done;
+    (* the bytes of lanes up to the highest set one: a short frame
+       costs only its own lanes *)
+    let bytes = ref 0 in
+    while !bytes < 8 && !any lsr (8 * !bytes) <> 0 do
+      incr bytes
+    done;
+    (* planes 0-6, eight lanes at a time: the sum of their spread bytes,
+       each shifted by its plane, holds eight lanes' 7-bit counts *)
+    for j = 0 to !bytes - 1 do
+      let sh = 8 * j in
+      let acc = ref 0 in
+      for b = 0 to min n 7 - 1 do
+        acc := !acc + (spread.((planes.(b) lsr sh) land 255) lsl b)
+      done;
+      let acc = !acc in
+      out.(sh) <- acc land 127;
+      out.(sh + 1) <- (acc lsr 7) land 127;
+      out.(sh + 2) <- (acc lsr 14) land 127;
+      out.(sh + 3) <- (acc lsr 21) land 127;
+      out.(sh + 4) <- (acc lsr 28) land 127;
+      out.(sh + 5) <- (acc lsr 35) land 127;
+      out.(sh + 6) <- (acc lsr 42) land 127;
+      if sh + 7 < lanes then out.(sh + 7) <- (acc lsr 49) land 127
+    done;
+    let above = min lanes (8 * !bytes) in
+    Array.fill out above (lanes - above) 0;
+    (* planes 7 and up (counts of 128 or more), lane by lane *)
+    for b = 7 to n - 1 do
+      let p = ref planes.(b) and l = ref 0 in
       while !p <> 0 do
         out.(!l) <- out.(!l) lor ((!p land 1) lsl b);
         p := !p lsr 1;

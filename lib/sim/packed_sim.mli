@@ -43,8 +43,10 @@ module Lane_counter : sig
       {!clear}. *)
 
   val read : t -> int array -> unit
-  (** [read t out] writes every lane's count into [out.(0 .. lanes-1)],
-      plane by plane. No allocation.
+  (** [read t out] writes every lane's count into [out.(0 .. lanes-1)]:
+      the low seven planes eight lanes at a time through a byte table,
+      the planes above (counts of 128 or more) lane by lane, and only
+      up to the highest lane with a non-zero count. No allocation.
       @raise Invalid_argument if [out] is shorter than {!lanes}. *)
 end
 

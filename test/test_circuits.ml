@@ -56,6 +56,26 @@ let check_profiles_respected () =
         s.Circuit.n_gates)
     Circuits.table1_profiles
 
+(* [scanpower list] reads its columns off the profiles; they must be
+   what the generated netlists have *)
+let check_list_columns () =
+  List.iter
+    (fun name ->
+      let s = Circuit.stats (Circuits.by_name name) in
+      Alcotest.(check (list (pair string int)))
+        (name ^ " list columns")
+        [
+          ("inputs", s.Circuit.n_inputs);
+          ("outputs", s.Circuit.n_outputs);
+          ("dffs", s.Circuit.n_dffs);
+          ("gates", s.Circuit.n_gates);
+          ("nodes", s.Circuit.n_nodes);
+        ]
+        (Circuits.list_columns name))
+    ("s27" :: List.map (fun p -> p.Circuits.name) Circuits.table1_profiles);
+  Alcotest.check_raises "unknown" Not_found (fun () ->
+      ignore (Circuits.list_columns "s9999"))
+
 let check_generator_deterministic () =
   let p = List.hd Circuits.table1_profiles in
   let c1 = Circuits.generate p and c2 = Circuits.generate p in
@@ -149,6 +169,7 @@ let suite =
     Alcotest.test_case "registry" `Quick check_registry;
     Alcotest.test_case "find lists valid names" `Quick check_find;
     Alcotest.test_case "profiles respected" `Quick check_profiles_respected;
+    Alcotest.test_case "list columns equal stats" `Quick check_list_columns;
     Alcotest.test_case "generator deterministic" `Quick check_generator_deterministic;
     Alcotest.test_case "seed changes structure" `Quick check_seed_changes_structure;
     Alcotest.test_case "generated are mapped" `Quick check_generated_are_mapped;

@@ -382,12 +382,16 @@ let check_overloaded () =
 let check_deadline_expired_in_queue () =
   with_daemon (fun socket ->
       with_client socket (fun client ->
-          (* pipeline: the deadlined request waits behind a real flow,
-             so its (tiny) budget is guaranteed to have expired by
-             dequeue time *)
-          C.send client (P.make ~id:"first" ~circuit:"s344" P.Flow);
-          C.send client
-            (P.make ~id:"late" ~circuit:"s27" ~deadline_s:1e-6 P.Flow);
+          (* pipeline: both lines go out in one write, so the daemon
+             reads and queues them together and the deadlined request
+             waits behind a real flow; its (tiny) budget has expired by
+             dequeue time. Sent one by one, the first could be read and
+             run alone, and the second then waits under a microsecond *)
+          let line r = Json.to_string (P.request_to_json r) in
+          C.send_raw client
+            (line (P.make ~id:"first" ~circuit:"s344" P.Flow)
+            ^ "\n"
+            ^ line (P.make ~id:"late" ~circuit:"s27" ~deadline_s:1e-6 P.Flow));
           (match C.read_response client ~id:"first" with
           | Ok _ -> ()
           | Error e -> Alcotest.fail (E.to_string e));
