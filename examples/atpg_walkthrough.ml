@@ -39,16 +39,21 @@ let () =
   let outcome = Atpg.Pattern_gen.generate circuit in
   Format.printf "@.full flow: %a@." Atpg.Pattern_gen.pp_outcome outcome;
 
-  (* show what compaction is worth *)
-  let no_compact =
-    Atpg.Pattern_gen.generate
-      ~config:
-        { Atpg.Pattern_gen.default_config with merge = false; reverse_compact = false }
-      circuit
+  (* show what compaction is worth: reverse-order compaction keeps
+     only the random vectors that detect a fault no later-kept vector
+     detects, and the kept subset detects the same faults *)
+  let random = Atpg.Pattern_gen.random_vectors ~seed:1 ~count:300 circuit in
+  let kept =
+    Atpg.Fault_simulation.effective_subset circuit ~faults:collapsed
+      ~vectors:random
   in
-  Format.printf "without compaction: %d vectors; with: %d vectors@."
-    (List.length no_compact.Atpg.Pattern_gen.vectors)
-    (List.length outcome.Atpg.Pattern_gen.vectors);
+  let coverage vectors =
+    100.0
+    *. Atpg.Fault_simulation.coverage circuit ~faults:collapsed ~vectors
+  in
+  Format.printf
+    "compaction: %d random vectors (%.2f%% coverage) -> %d kept (%.2f%%)@."
+    (List.length random) (coverage random) (List.length kept) (coverage kept);
 
   (* verify the announced coverage with the independent fault simulator *)
   let cov =

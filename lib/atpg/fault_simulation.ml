@@ -1,6 +1,6 @@
 open Netlist
 
-let word_bits = 64
+let lanes = Compiled.lanes
 
 let m_batches = Telemetry.Counter.make "atpg.fault_sim.batches"
 let m_words = Telemetry.Counter.make "atpg.fault_sim.detection_words"
@@ -17,12 +17,12 @@ type engine =
 type machine = {
   engine : engine;
   comp : Compiled.t;
-  good : int64 array; (* node id -> packed good values *)
+  good : int array; (* node id -> packed good values *)
   observables : int array;
   cones : int array option array; (* site node -> topo-sorted cone *)
   (* stamped per-fault scratch: faulty value of a node is valid only
      when its stamp matches the machine's current stamp *)
-  faulty : int64 array;
+  faulty : int array;
   faulty_stamp : int array;
   mutable stamp : int;
   (* stamped scratch for cone construction (no per-site allocation
@@ -33,9 +33,9 @@ type machine = {
   (* Cpt engine state, all validated against [batch] (bumped by every
      batch load) so nothing is cleared between batches *)
   mutable batch : int;
-  obs_w : int64 array; (* stem/dominator -> patterns where a flip is observed *)
+  obs_w : int array; (* stem/dominator -> patterns where a flip is observed *)
   obs_stamp : int array;
-  sens : int64 array; (* in-FFR line -> patterns sensitized to the stem *)
+  sens : int array; (* in-FFR line -> patterns sensitized to the stem *)
   sens_stamp : int array;
   sched : int array; (* per-propagation scheduled marker *)
   buckets : int array array; (* per-level event queues *)
@@ -56,19 +56,19 @@ let make ?(engine = Cpt) c =
   {
     engine;
     comp;
-    good = Array.make n 0L;
+    good = Array.make n 0;
     observables = observables c;
     cones = Array.make n None;
-    faulty = Array.make n 0L;
+    faulty = Array.make n 0;
     faulty_stamp = Array.make n 0;
     stamp = 0;
     cone_mark = Array.make n 0;
     cone_stamp = 0;
     cone_buf = Array.make n 0;
     batch = 0;
-    obs_w = Array.make n 0L;
+    obs_w = Array.make n 0;
     obs_stamp = Array.make n 0;
-    sens = Array.make n 0L;
+    sens = Array.make n 0;
     sens_stamp = Array.make n 0;
     sched = Array.make n 0;
     buckets = Array.map (fun p -> Array.make p 0) (Compiled.level_population comp);
@@ -76,11 +76,7 @@ let make ?(engine = Cpt) c =
     path_buf = Array.make n 0;
   }
 
-let with_machine ?engine c f = f (make ?engine c)
-let engine m = m.engine
-let circuit m = Compiled.circuit m.comp
-
-(* Pack up to 64 vectors (positional over sources) into the good
+(* Pack up to [lanes] vectors (positional over sources) into the good
    machine and simulate; returns the valid-pattern mask. *)
 let load_good m vectors =
   Telemetry.Counter.inc m_batches;
@@ -88,19 +84,15 @@ let load_good m vectors =
   let c = Compiled.circuit m.comp in
   let srcs = Circuit.sources c in
   let count = List.length vectors in
-  assert (count > 0 && count <= word_bits);
+  assert (count > 0 && count <= lanes);
   Array.iteri
     (fun pos id ->
-      let w = ref 0L in
-      List.iteri
-        (fun vi vec ->
-          if vec.(pos) then w := Int64.logor !w (Int64.shift_left 1L vi))
-        vectors;
+      let w = ref 0 in
+      List.iteri (fun vi vec -> if vec.(pos) then w := !w lor (1 lsl vi)) vectors;
       m.good.(id) <- !w)
     srcs;
-  Compiled.eval_words m.comp m.good;
-  if count = word_bits then Int64.minus_one
-  else Int64.sub (Int64.shift_left 1L count) 1L
+  Compiled.eval_lanes m.comp m.good;
+  if count = lanes then -1 else (1 lsl count) - 1
 
 (* Structural fanout cone of a node, in topological order. Cones are
    interned per site in a dense array (the former per-site Hashtbl);
@@ -142,19 +134,19 @@ let rec fold_and_sel m stamp (fa : int array) i hi ov_pin ov_word acc =
   if i >= hi then acc
   else
     let v = if i = ov_pin then ov_word else sel m stamp fa.(i) in
-    fold_and_sel m stamp fa (i + 1) hi ov_pin ov_word (Int64.logand acc v)
+    fold_and_sel m stamp fa (i + 1) hi ov_pin ov_word (acc land v)
 
 let rec fold_or_sel m stamp (fa : int array) i hi ov_pin ov_word acc =
   if i >= hi then acc
   else
     let v = if i = ov_pin then ov_word else sel m stamp fa.(i) in
-    fold_or_sel m stamp fa (i + 1) hi ov_pin ov_word (Int64.logor acc v)
+    fold_or_sel m stamp fa (i + 1) hi ov_pin ov_word (acc lor v)
 
 let rec fold_xor_sel m stamp (fa : int array) i hi ov_pin ov_word acc =
   if i >= hi then acc
   else
     let v = if i = ov_pin then ov_word else sel m stamp fa.(i) in
-    fold_xor_sel m stamp fa (i + 1) hi ov_pin ov_word (Int64.logxor acc v)
+    fold_xor_sel m stamp fa (i + 1) hi ov_pin ov_word (acc lxor v)
 
 (* Bitwise evaluation of one cone node against the stamped faulty
    scratch, with pin [ov_pin] (absolute index into the CSR fanin
@@ -166,20 +158,20 @@ let eval_faulty m stamp id ov_pin ov_word =
   let lo = fanin_off.(id) and hi = fanin_off.(id + 1) in
   let op = (Compiled.opcode m.comp).(id) in
   if op = Compiled.op_and then
-    fold_and_sel m stamp fa lo hi ov_pin ov_word Int64.minus_one
+    fold_and_sel m stamp fa lo hi ov_pin ov_word (-1)
   else if op = Compiled.op_nand then
-    Int64.lognot (fold_and_sel m stamp fa lo hi ov_pin ov_word Int64.minus_one)
-  else if op = Compiled.op_or then fold_or_sel m stamp fa lo hi ov_pin ov_word 0L
+    lnot (fold_and_sel m stamp fa lo hi ov_pin ov_word (-1))
+  else if op = Compiled.op_or then fold_or_sel m stamp fa lo hi ov_pin ov_word 0
   else if op = Compiled.op_nor then
-    Int64.lognot (fold_or_sel m stamp fa lo hi ov_pin ov_word 0L)
+    lnot (fold_or_sel m stamp fa lo hi ov_pin ov_word 0)
   else if op = Compiled.op_not then
-    Int64.lognot (if lo = ov_pin then ov_word else sel m stamp fa.(lo))
+    lnot (if lo = ov_pin then ov_word else sel m stamp fa.(lo))
   else if op = Compiled.op_buf || op = Compiled.op_output then
     if lo = ov_pin then ov_word else sel m stamp fa.(lo)
   else if op = Compiled.op_xor then
-    fold_xor_sel m stamp fa lo hi ov_pin ov_word 0L
+    fold_xor_sel m stamp fa lo hi ov_pin ov_word 0
   else if op = Compiled.op_xnor then
-    Int64.lognot (fold_xor_sel m stamp fa lo hi ov_pin ov_word 0L)
+    lnot (fold_xor_sel m stamp fa lo hi ov_pin ov_word 0)
   else invalid_arg "Fault_simulation: source eval"
 
 (* Full-cone reference: resimulate the fault's entire output cone and
@@ -188,11 +180,11 @@ let eval_faulty m stamp id ov_pin ov_word =
 let fault_detection_word_cone m mask (f : Fault.t) =
   let site = Fault.site_node f in
   let cone_nodes = cone m site in
-  let stuck_word = if f.Fault.stuck then Int64.minus_one else 0L in
+  let stuck_word = if f.Fault.stuck then -1 else 0 in
   m.stamp <- m.stamp + 1;
   let stamp = m.stamp in
   let fanin_off = Compiled.fanin_off m.comp in
-  let det = ref 0L in
+  let det = ref 0 in
   (match f.Fault.site with
   | Fault.Output_line fid ->
     Array.iter
@@ -200,7 +192,7 @@ let fault_detection_word_cone m mask (f : Fault.t) =
         let w =
           if fid = id then stuck_word
           else if Compiled.is_source m.comp id then m.good.(id)
-          else eval_faulty m stamp id (-1) 0L
+          else eval_faulty m stamp id (-1) 0
         in
         m.faulty.(id) <- w;
         m.faulty_stamp.(id) <- stamp)
@@ -220,18 +212,18 @@ let fault_detection_word_cone m mask (f : Fault.t) =
   Array.iter
     (fun ob ->
       if m.faulty_stamp.(ob) = stamp then
-        det := Int64.logor !det (Int64.logxor m.faulty.(ob) m.good.(ob)))
+        det := !det lor (m.faulty.(ob) lxor m.good.(ob)))
     m.observables;
-  Int64.logand !det mask
+  !det land mask
 
 (* Evaluate gate [g] with the single node [nnode] flipped against the
    good machine: a fresh stamp means [sel] reads good values for every
    other fanin, so no scratch needs clearing. *)
 let[@inline] eval_flip m g nnode =
   m.stamp <- m.stamp + 1;
-  m.faulty.(nnode) <- Int64.lognot m.good.(nnode);
+  m.faulty.(nnode) <- lnot m.good.(nnode);
   m.faulty_stamp.(nnode) <- m.stamp;
-  eval_faulty m m.stamp g (-1) 0L
+  eval_faulty m m.stamp g (-1) 0
 
 (* Patterns on which a value flip at [site] reaches the stem of its
    fanout-free region. Inside an FFR every node has exactly one path
@@ -243,7 +235,7 @@ let[@inline] eval_flip m g nnode =
 let sensitivity m site =
   let ffr_stem = Compiled.ffr_stem m.comp in
   let stem = ffr_stem.(site) in
-  if site = stem then Int64.minus_one
+  if site = stem then -1
   else if m.sens_stamp.(site) = m.batch then m.sens.(site)
   else begin
     Telemetry.Counter.inc m_ffr_traces;
@@ -257,12 +249,12 @@ let sensitivity m site =
       incr len;
       cur := fanout.(fanout_off.(!cur))
     done;
-    let acc = ref (if !cur = stem then Int64.minus_one else m.sens.(!cur)) in
+    let acc = ref (if !cur = stem then -1 else m.sens.(!cur)) in
     for i = !len - 1 downto 0 do
       let nd = buf.(i) in
       let g = fanout.(fanout_off.(nd)) in
-      let local = Int64.logxor (eval_flip m g nd) m.good.(g) in
-      acc := Int64.logand !acc local;
+      let local = eval_flip m g nd lxor m.good.(g) in
+      acc := !acc land local;
       m.sens.(nd) <- !acc;
       m.sens_stamp.(nd) <- m.batch
     done;
@@ -272,7 +264,7 @@ let sensitivity m site =
 exception Resolved
 
 (* Patterns on which a value flip at [start] (a stem or dominator) is
-   observed: event-driven forward propagation of the 64-pattern
+   observed: event-driven forward propagation of the [lanes]-pattern
    difference word through level-ordered buckets. Early exits: when
    every pending difference word has gone to zero, and when the event
    frontier collapses to a single node — necessarily a propagation
@@ -296,9 +288,9 @@ let rec obs_of m start =
     for l = 0 to max_level do
       m.bucket_len.(l) <- 0
     done;
-    m.faulty.(start) <- Int64.lognot m.good.(start);
+    m.faulty.(start) <- lnot m.good.(start);
     m.faulty_stamp.(start) <- stamp;
-    let det = ref (if observable.(start) then Int64.minus_one else 0L) in
+    let det = ref (if observable.(start) then -1 else 0) in
     let pending = ref 0 in
     let schedule id =
       if m.sched.(id) <> stamp then begin
@@ -320,18 +312,18 @@ let rec obs_of m start =
            let id = bucket.(k) in
            decr pending;
            Telemetry.Counter.inc m_stem_events;
-           let w = eval_faulty m stamp id (-1) 0L in
+           let w = eval_faulty m stamp id (-1) 0 in
            m.faulty.(id) <- w;
            m.faulty_stamp.(id) <- stamp;
-           let d = Int64.logxor w m.good.(id) in
-           if d = 0L then begin
+           let d = w lxor m.good.(id) in
+           if d = 0 then begin
              if !pending = 0 then begin
                Telemetry.Counter.inc m_early_exits;
                raise_notrace Resolved
              end
            end
            else begin
-             if observable.(id) then det := Int64.logor !det d;
+             if observable.(id) then det := !det lor d;
              let lo = fanout_off.(id) and hi = fanout_off.(id + 1) in
              let has_succ = ref false in
              for i = lo to hi - 1 do
@@ -346,7 +338,7 @@ let rec obs_of m start =
                     observability finishes the propagation *)
                  if m.obs_stamp.(id) = m.batch then
                    Telemetry.Counter.inc m_dominator_hits;
-                 det := Int64.logor !det (Int64.logand d (obs_of m id));
+                 det := !det lor (d land obs_of m id);
                  raise_notrace Resolved
                end
                else
@@ -373,31 +365,31 @@ let rec obs_of m start =
 let fault_detection_word_cpt m mask (f : Fault.t) =
   let ffr_stem = Compiled.ffr_stem m.comp in
   let reaches = Compiled.reaches_observable m.comp in
-  let stuck_word = if f.Fault.stuck then Int64.minus_one else 0L in
+  let stuck_word = if f.Fault.stuck then -1 else 0 in
   let det =
     match f.Fault.site with
     | Fault.Output_line id ->
-      if not reaches.(id) then 0L
+      if not reaches.(id) then 0
       else
-        let act = Int64.logxor m.good.(id) stuck_word in
-        if act = 0L then 0L
+        let act = m.good.(id) lxor stuck_word in
+        if act = 0 then 0
         else
-          let s = Int64.logand act (sensitivity m id) in
-          if s = 0L then 0L else Int64.logand s (obs_of m ffr_stem.(id))
+          let s = act land sensitivity m id in
+          if s = 0 then 0 else s land obs_of m ffr_stem.(id)
     | Fault.Input_pin (gid, pin) ->
-      if not reaches.(gid) then 0L
+      if not reaches.(gid) then 0
       else begin
         let fanin_off = Compiled.fanin_off m.comp in
         m.stamp <- m.stamp + 1;
         let w = eval_faulty m m.stamp gid (fanin_off.(gid) + pin) stuck_word in
-        let d = Int64.logxor w m.good.(gid) in
-        if d = 0L then 0L
+        let d = w lxor m.good.(gid) in
+        if d = 0 then 0
         else
-          let s = Int64.logand d (sensitivity m gid) in
-          if s = 0L then 0L else Int64.logand s (obs_of m ffr_stem.(gid))
+          let s = d land sensitivity m gid in
+          if s = 0 then 0 else s land obs_of m ffr_stem.(gid)
       end
   in
-  Int64.logand det mask
+  det land mask
 
 (* Detection word of [f] against the currently loaded batch: bit [v]
    is set iff valid pattern [v] of [mask] detects the fault. *)
@@ -415,7 +407,7 @@ let rec batches = function
       | [] -> (List.rev acc, [])
       | v :: rest -> take (k - 1) (v :: acc) rest
     in
-    let batch, rest = take word_bits [] vectors in
+    let batch, rest = take lanes [] vectors in
     batch :: batches rest
 
 (* Callers that already hold a machine pass it through; the circuit
@@ -457,12 +449,12 @@ let split ?machine c ~faults ~vectors =
           let mask = load_good m batch in
           Array.iter
             (fun i ->
-              if fault_detection_word m mask fault_all.(i) <> 0L then
+              if fault_detection_word m mask fault_all.(i) <> 0 then
                 det_flags.(i) <- true)
             live;
-          (* a batch is up to 64 patterns simulated in one pass; report
-             the amortised per-pattern cost, which is the unit the
-             paper's tables are normalised to *)
+          (* a batch is up to [lanes] patterns simulated in one pass;
+             report the amortised per-pattern cost, which is the unit
+             the paper's tables are normalised to *)
           if Telemetry.enabled () then
             Telemetry.Histogram.observe h_pattern
               ((Telemetry.now () -. t0)
@@ -487,7 +479,7 @@ let coverage ?machine c ~faults ~vectors =
 let effective_subset ?machine c ~faults ~vectors =
   (* Reverse-order static compaction. The serial walk (simulate one
      vector, drop detected faults, repeat) is quadratic; instead the
-     batches are walked from last to first with 64-way pattern
+     batches are walked from last to first with [lanes]-way pattern
      parallelism and the greedy selection runs on bitmaps: keep a
      vector iff it detects a fault no later-kept vector detects.
      Walking batches in reverse lets covered faults drop out of every
@@ -502,11 +494,11 @@ let effective_subset ?machine c ~faults ~vectors =
     let fault_all = Array.of_list faults in
     let nf_all = Array.length fault_all in
     let covered = Array.make nf_all false in
-    let n_batches = (n_vec + word_bits - 1) / word_bits in
+    let n_batches = (n_vec + lanes - 1) / lanes in
     let keep = ref [] in
     for b = n_batches - 1 downto 0 do
-      let lo = b * word_bits in
-      let cnt = min word_bits (n_vec - lo) in
+      let lo = b * lanes in
+      let cnt = min lanes (n_vec - lo) in
       let live = live_indices covered in
       Telemetry.Counter.add m_dropped (nf_all - Array.length live);
       if Array.length live > 0 then begin
@@ -515,11 +507,11 @@ let effective_subset ?machine c ~faults ~vectors =
           Array.map (fun i -> fault_detection_word m mask fault_all.(i)) live
         in
         for v = cnt - 1 downto 0 do
-          let test = Int64.shift_left 1L v in
+          let test = 1 lsl v in
           let newly = ref false in
           Array.iteri
             (fun k i ->
-              if (not covered.(i)) && Int64.logand det_w.(k) test <> 0L then begin
+              if (not covered.(i)) && det_w.(k) land test <> 0 then begin
                 covered.(i) <- true;
                 newly := true
               end)

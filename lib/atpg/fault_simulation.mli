@@ -1,12 +1,14 @@
 (** Pattern-parallel stuck-at fault simulation.
 
-    Patterns are packed 64 to a word and compared against the good
-    machine at the observable lines (primary outputs and flip-flop D
-    pins). Two engines share the machine:
+    Patterns are packed {!Netlist.Compiled.lanes} (63) to a native
+    [int] word, swept through the good machine by
+    {!Netlist.Compiled.eval_lanes}, and compared against it at the
+    observable lines (primary outputs and flip-flop D pins). Two
+    engines share the machine:
 
     - {!Cpt} (default): critical path tracing inside each fanout-free
       region composes activation and sensitization up to the FFR stem
-      lane-wise, then propagates the stem's 64-pattern difference word
+      lane-wise, then propagates the stem's difference word
       event-driven through per-level buckets, exiting as soon as the
       difference dies or the event frontier collapses onto a
       propagation dominator whose observability is already memoized
@@ -15,11 +17,14 @@
       fault's entire structural output cone and XOR at observables.
       It is the test oracle for {!Cpt}.
 
-    Faults detected by one 64-pattern batch are dropped from every
-    later batch. All entry points accept an optional persistent
-    {!machine} so a caller running many rounds over one circuit (ATPG
-    phases, sweeps) pays for compilation, cone interning, and
-    FFR/dominator tables once. *)
+    Faults detected by one 63-pattern batch are dropped from every
+    later batch. Neither result depends on the batch width: {!split}'s
+    detected set is the union of what each vector detects, and
+    {!effective_subset} equals the one-vector-at-a-time reverse walk.
+    All entry points accept an optional persistent {!machine} so a
+    caller running many rounds over one circuit (ATPG phases, sweeps)
+    pays for compilation, cone interning, and FFR/dominator tables
+    once. *)
 
 open Netlist
 
@@ -36,12 +41,6 @@ type machine
 val make : ?engine:engine -> Circuit.t -> machine
 (** Compile [c] and allocate all scratch. [engine] defaults to
     {!Cpt}. *)
-
-val with_machine : ?engine:engine -> Circuit.t -> (machine -> 'a) -> 'a
-(** [with_machine c f] applies [f] to a fresh machine for [c]. *)
-
-val engine : machine -> engine
-val circuit : machine -> Circuit.t
 
 val split :
   ?machine:machine ->

@@ -1,27 +1,20 @@
 open Netlist
 
-type config = {
-  seed : int;
-  random_batches : int;
-  stale_batches : int;
-  backtrack_limit : int;
-  podem_budget : int;
-  scoap_guide : bool;
-  merge : bool;
-  reverse_compact : bool;
-}
+type config = { seed : int; backtrack_limit : int }
 
-let default_config =
-  {
-    seed = 1;
-    random_batches = 32;
-    stale_batches = 5;
-    backtrack_limit = 25;
-    podem_budget = 4000;
-    scoap_guide = true;
-    merge = true;
-    reverse_compact = true;
-  }
+let default_config = { seed = 1; backtrack_limit = 25 }
+
+(* The generation policy (see the interface). [batch_vectors] and
+   [chunk_cubes] are test-set policy, not the fault simulator's word
+   width: a 64-vector batch runs as 63 + 1 lanes, and neither
+   [Fault_simulation.split]'s detected set nor [effective_subset]'s
+   kept set depends on how vectors fall into words. Changing either
+   constant changes the test set. *)
+let random_batches = 32
+let stale_batches = 5
+let podem_budget = 4000
+let batch_vectors = 64
+let chunk_cubes = 64
 
 let m_vectors = Telemetry.Counter.make "atpg.pattern_gen.vectors"
 let m_detected = Telemetry.Counter.make "atpg.faults.detected"
@@ -60,9 +53,7 @@ let generate ?(config = default_config) c =
      for every deterministic fault: compiled arrays, cones, tables and
      scratch are built once per circuit *)
   let machine = Fault_simulation.make c in
-  let podem =
-    Podem.make ?guide:(if config.scoap_guide then Some (Scoap.compute c) else None) c
-  in
+  let podem = Podem.make ~guide:(Scoap.compute c) c in
   (* reverse accumulation: appending each batch with [@] walks the
      whole prefix again (quadratic over the run); prepend reversed and
      un-reverse once at the end, preserving the exact order *)
@@ -75,11 +66,13 @@ let generate ?(config = default_config) c =
   Telemetry.Span.with_ ~name:"atpg.random_phase" (fun () ->
       while
         !remaining <> []
-        && !batch_no < config.random_batches
-        && !stale < config.stale_batches
+        && !batch_no < random_batches
+        && !stale < stale_batches
       do
         incr batch_no;
-        let batch = List.init 64 (fun _ -> Util.Rng.bool_array rng n_sources) in
+        let batch =
+          List.init batch_vectors (fun _ -> Util.Rng.bool_array rng n_sources)
+        in
         let detected, undet =
           Fault_simulation.split ~machine c ~faults:!remaining ~vectors:batch
         in
@@ -98,14 +91,15 @@ let generate ?(config = default_config) c =
   (* Phase 2: PODEM per remaining fault, processed in chunks so that
      each chunk's vectors drop later faults before their turn. *)
   let untestable = ref 0 and aborted = ref 0 in
-  let budget = ref config.podem_budget in
+  let budget = ref podem_budget in
   let rec deterministic () =
     match !remaining with
     | [] -> ()
     | _ when !budget <= 0 -> ()
     | _ ->
-      (* build one chunk of up to 64 cubes; collect always consumes the
-         faults it visits, so every iteration makes progress *)
+      (* build one chunk of up to [chunk_cubes] cubes; collect always
+         consumes the faults it visits, so every iteration makes
+         progress *)
       let cubes = ref [] and processed = ref [] in
       let rec collect n = function
         | [] -> []
@@ -135,8 +129,8 @@ let generate ?(config = default_config) c =
             incr aborted;
             collect n rest)
       in
-      let rest = collect 64 !remaining in
-      let cubes = if config.merge then Compaction.merge_cubes !cubes else !cubes in
+      let rest = collect chunk_cubes !remaining in
+      let cubes = Compaction.merge_cubes !cubes in
       let vectors = List.map (Compaction.fill_random rng) cubes in
       (* the generated vectors also drop faults queued behind them *)
       let _, undet =
@@ -168,9 +162,7 @@ let generate ?(config = default_config) c =
   let kept = List.rev !kept_rev in
   let vectors =
     Telemetry.Span.with_ ~name:"atpg.compact_phase" (fun () ->
-        if config.reverse_compact then
-          Fault_simulation.effective_subset ~machine c ~faults ~vectors:kept
-        else kept)
+        Fault_simulation.effective_subset ~machine c ~faults ~vectors:kept)
   in
   let skipped = List.length !remaining in
   let detected_total =

@@ -1,6 +1,15 @@
 (** Complete test-generation flow (the stand-in for the ATOM test sets
-    the paper uses [18]): random phase with fault dropping, PODEM for
-    the remaining faults, cube merging and reverse-order compaction.
+    the paper uses [18]): random phase with fault dropping, SCOAP-guided
+    PODEM for the remaining faults, cube merging and reverse-order
+    compaction.
+
+    The policy is fixed: at most 32 random batches of 64 vectors,
+    stopping after 5 in a row that detect nothing new; at most 4000
+    PODEM attempts, whose cubes are merged 64 at a time before random
+    filling; the whole set is then reverse-order compacted. The 64s are
+    the test-set policy, not the fault simulator's 63-lane word: the
+    detected and kept sets do not depend on how vectors fall into
+    words, so the test set is the same at any word width.
 
     Vectors are fully-specified source assignments (positional over
     [Circuit.sources]); the scan machinery later splits them into the
@@ -9,22 +18,12 @@
 open Netlist
 
 type config = {
-  seed : int;
-  random_batches : int;  (** max 64-vector random batches *)
-  stale_batches : int;  (** stop the random phase after this many
-                            consecutive batches without new detections *)
-  backtrack_limit : int;
-  podem_budget : int;
-      (** max deterministic PODEM attempts; bounds the runtime on large
-          circuits with many redundant faults (remaining faults are
-          reported as [skipped]) *)
-  scoap_guide : bool;
-      (** drive PODEM backtrace with SCOAP controllabilities *)
-  merge : bool;  (** merge deterministic cubes before filling *)
-  reverse_compact : bool;
+  seed : int;  (** random vectors and cube filling *)
+  backtrack_limit : int;  (** per PODEM attempt *)
 }
 
 val default_config : config
+(** Seed 1, backtrack limit 25. *)
 
 type outcome = {
   vectors : bool array list;

@@ -429,10 +429,13 @@ let rec backtrack e limit =
     end
   end
 
+(* Search iterations per fault. *)
+let iteration_limit = 400
+
 (* One frontier scan per iteration serves both the dead-end check and
    the objective; a global iteration cap bounds the work spent on hard
    (usually redundant) faults. True when the assignment detects. *)
-let rec explore e ~backtrack_limit ~iteration_limit =
+let rec explore e ~backtrack_limit =
   e.iterations <- e.iterations + 1;
   if e.iterations > iteration_limit then begin
     e.aborted <- true;
@@ -440,7 +443,7 @@ let rec explore e ~backtrack_limit ~iteration_limit =
   end
   else if detected e then true
   else if act_good e = e.stuck then
-    backtrack e backtrack_limit && explore e ~backtrack_limit ~iteration_limit
+    backtrack e backtrack_limit && explore e ~backtrack_limit
   else begin
     let obj =
       if act_good e <> activation_value e then (2 * e.act_node) + activation_value e
@@ -448,7 +451,7 @@ let rec explore e ~backtrack_limit ~iteration_limit =
     in
     let decision = if obj < 0 then -1 else backtrace e (obj / 2) (obj mod 2) in
     if decision < 0 then
-      backtrack e backtrack_limit && explore e ~backtrack_limit ~iteration_limit
+      backtrack e backtrack_limit && explore e ~backtrack_limit
     else begin
       Telemetry.Counter.inc m_decisions;
       let src = decision / 2 and v = decision mod 2 in
@@ -458,15 +461,15 @@ let rec explore e ~backtrack_limit ~iteration_limit =
       e.dec_flipped.(e.depth) <- false;
       e.depth <- e.depth + 1;
       imply_from e src;
-      explore e ~backtrack_limit ~iteration_limit
+      explore e ~backtrack_limit
     end
   end
 
 let logic_of_code = [| Logic.Zero; Logic.One; Logic.X |]
 
-let search ?(backtrack_limit = 100) ?(iteration_limit = 400) e fault =
+let search ?(backtrack_limit = 100) e fault =
   reset e fault;
-  if explore e ~backtrack_limit ~iteration_limit then
+  if explore e ~backtrack_limit then
     Test (Array.map (fun v -> logic_of_code.(v)) e.assigned)
   else if e.aborted then begin
     Telemetry.Counter.inc m_aborted;
@@ -477,10 +480,10 @@ let search ?(backtrack_limit = 100) ?(iteration_limit = 400) e fault =
 (* A refuted fault can only end the search as [Untestable] or
    [Aborted], neither of which yields a cube: the screen changes no
    test, only how much work a redundant fault costs. *)
-let generate ?backtrack_limit ?iteration_limit e fault =
+let generate ?backtrack_limit e fault =
   Telemetry.Counter.inc m_faults;
   if Implication.refutes e.screen fault then begin
     Telemetry.Counter.inc m_refuted;
     Untestable
   end
-  else search ?backtrack_limit ?iteration_limit e fault
+  else search ?backtrack_limit e fault

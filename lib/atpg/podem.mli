@@ -38,17 +38,15 @@ val make : ?guide:Scoap.t -> Circuit.t -> engine
     circuit depth. The engine works on a compiled snapshot of [c]:
     rebuild it after {!Circuit.permute_fanins}. *)
 
-val generate :
-  ?backtrack_limit:int -> ?iteration_limit:int -> engine -> Fault.t -> result
-(** Run PODEM for one fault of the engine's circuit. Defaults: 100
-    backtracks, 400 search iterations. The iteration limit bounds the
+val generate : ?backtrack_limit:int -> engine -> Fault.t -> result
+(** Run PODEM for one fault of the engine's circuit. [backtrack_limit]
+    defaults to 100. A fixed cap of 400 search iterations bounds the
     total work per fault (hard-to-prove redundant faults otherwise
     dominate the runtime on large circuits). A fault the {!Implication}
     screen refutes returns [Untestable] without a search and counts no
     decision or backtrack. *)
 
-val search :
-  ?backtrack_limit:int -> ?iteration_limit:int -> engine -> Fault.t -> result
+val search : ?backtrack_limit:int -> engine -> Fault.t -> result
 (** {!generate} without the implication screen: the search alone, the
     reference the screen is checked against. A fault the screen
     refutes gets [Untestable] or [Aborted] here, never a [Test]. *)

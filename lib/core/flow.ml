@@ -168,11 +168,8 @@ let prepare_key ?atpg_config c =
     | None -> Atpg.Pattern_gen.default_config
   in
   let cfg_text =
-    Printf.sprintf "%d/%d/%d/%d/%d/%b/%b/%b" cfg.Atpg.Pattern_gen.seed
-      cfg.Atpg.Pattern_gen.random_batches cfg.Atpg.Pattern_gen.stale_batches
-      cfg.Atpg.Pattern_gen.backtrack_limit cfg.Atpg.Pattern_gen.podem_budget
-      cfg.Atpg.Pattern_gen.scoap_guide cfg.Atpg.Pattern_gen.merge
-      cfg.Atpg.Pattern_gen.reverse_compact
+    Printf.sprintf "%d/%d" cfg.Atpg.Pattern_gen.seed
+      cfg.Atpg.Pattern_gen.backtrack_limit
   in
   Digest.to_hex
     (Digest.string (Bench_writer.to_string c ^ "\x00" ^ cfg_text))

@@ -35,7 +35,7 @@ val prepare_cached : ?atpg_config:Atpg.Pattern_gen.config -> Circuit.t -> prepar
 
 val prepare_key : ?atpg_config:Atpg.Pattern_gen.config -> Circuit.t -> string
 (** The content digest {!prepare_cached} memoizes on: netlist text
-    plus the full ATPG configuration. Two circuits with the same key
+    plus the ATPG configuration (seed and backtrack limit). Two circuits with the same key
     produce the same [prepared] — the serving daemon keys its warm
     machine registry on this. *)
 

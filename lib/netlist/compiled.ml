@@ -291,53 +291,9 @@ let eval_logics t (values : Logic.t array) =
     values.(id) <- eval_logic t values id
   done
 
-let rec fold_and64 (w : int64 array) (fa : int array) i hi acc =
-  if i >= hi then acc
-  else fold_and64 w fa (i + 1) hi (Int64.logand acc w.(fa.(i)))
-
-let rec fold_or64 (w : int64 array) (fa : int array) i hi acc =
-  if i >= hi then acc
-  else fold_or64 w fa (i + 1) hi (Int64.logor acc w.(fa.(i)))
-
-let rec fold_xor64 (w : int64 array) (fa : int array) i hi acc =
-  if i >= hi then acc
-  else fold_xor64 w fa (i + 1) hi (Int64.logxor acc w.(fa.(i)))
-
-let eval_word t (words : int64 array) id =
-  let lo = t.fanin_off.(id) and hi = t.fanin_off.(id + 1) in
-  let fa = t.fanin in
-  let op = t.opcode.(id) in
-  (* 2-input gates dominate a mapped netlist; evaluating them
-     straight-line keeps the int64s unboxed (the recursive folds box
-     their accumulator argument on every call) *)
-  if hi - lo = 2 && op >= op_and then begin
-    if op = op_and then Int64.logand words.(fa.(lo)) words.(fa.(lo + 1))
-    else if op = op_nand then
-      Int64.lognot (Int64.logand words.(fa.(lo)) words.(fa.(lo + 1)))
-    else if op = op_or then Int64.logor words.(fa.(lo)) words.(fa.(lo + 1))
-    else if op = op_nor then
-      Int64.lognot (Int64.logor words.(fa.(lo)) words.(fa.(lo + 1)))
-    else if op = op_xor then Int64.logxor words.(fa.(lo)) words.(fa.(lo + 1))
-    else Int64.lognot (Int64.logxor words.(fa.(lo)) words.(fa.(lo + 1)))
-  end
-  else if op = op_and then fold_and64 words fa lo hi Int64.minus_one
-  else if op = op_nand then Int64.lognot (fold_and64 words fa lo hi Int64.minus_one)
-  else if op = op_or then fold_or64 words fa lo hi 0L
-  else if op = op_nor then Int64.lognot (fold_or64 words fa lo hi 0L)
-  else if op = op_not then Int64.lognot words.(fa.(lo))
-  else if op = op_buf || op = op_output then words.(fa.(lo))
-  else if op = op_xor then fold_xor64 words fa lo hi 0L
-  else if op = op_xnor then Int64.lognot (fold_xor64 words fa lo hi 0L)
-  else invalid_arg "Compiled.eval_word: source node"
-
-let eval_words t (words : int64 array) =
-  let eo = t.eval_order in
-  for k = 0 to Array.length eo - 1 do
-    let id = eo.(k) in
-    words.(id) <- eval_word t words id
-  done
-
 (* Native-int lanes: every fold stays in a register, nothing boxes. *)
+
+let lanes = 63
 
 let rec fold_and_lanes (w : int array) (fa : int array) i hi acc =
   if i >= hi then acc else fold_and_lanes w fa (i + 1) hi (acc land w.(fa.(i)))

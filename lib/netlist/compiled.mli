@@ -137,18 +137,14 @@ val eval_logics : t -> Logic.t array -> unit
 (** [eval_logic] over every node of [eval_order], in place: one full
     three-valued sweep. Source entries are read, never written. *)
 
-val eval_word : t -> int64 array -> int -> int64
-(** Bit-parallel evaluation of one non-source node over 64 lanes
-    (lane [l] of a node is bit [l] of its word).
-    @raise Invalid_argument on a source node. *)
-
-val eval_words : t -> int64 array -> unit
-(** [eval_word] over every node of [eval_order], in place: one full
-    64-lane combinational sweep. The fault-simulation kernel
-    ([Atpg.Fault_simulation] packs 64 test vectors per word). *)
+val lanes : int
+(** 63: the lanes of an OCaml [int], the word of every bit-parallel
+    kernel. *)
 
 val eval_lanes : t -> int array -> unit
-(** The same sweep on native [int] words: lane [l] of a node is bit [l]
-    of its word, for the 63 lanes of an OCaml [int]. No heap
-    allocation. The scan kernel ([Sim.Packed_sim] packs 63 consecutive
-    scan cycles per word). *)
+(** Two-valued bit-parallel sweep over every node of [eval_order], in
+    place, on native [int] words: lane [l] of a node is bit [l] of its
+    word, for the {!lanes} lanes of an OCaml [int]. No heap allocation.
+    The one word evaluator: the scan kernel ([Sim.Packed_sim] packs 63
+    consecutive scan cycles per word) and fault simulation
+    ([Atpg.Fault_simulation] packs 63 test vectors per word). *)

@@ -1,6 +1,6 @@
 open Netlist
 
-let lanes = 63
+let lanes = Compiled.lanes
 
 module Lane_counter = struct
   (* Plane [b] holds bit [b] of the count of every lane (lane [l] is bit

@@ -21,7 +21,7 @@
 open Netlist
 
 val lanes : int
-(** 63: lanes per frame, the bits of a native [int]. *)
+(** {!Netlist.Compiled.lanes} (63): lanes per frame. *)
 
 (** Per-lane counters for the {!lanes} lanes, bit-sliced: plane [b] is
     one native [int] holding bit [b] of every lane's count, so adding a

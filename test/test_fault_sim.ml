@@ -239,7 +239,51 @@ let check_effective_subset_is_naive () =
           in
           Alcotest.(check (list (array bool))) "naive reverse walk" expected got)
         [ Fs.Cone; Fs.Cpt ])
-    [ (Lazy.force s27m, 11, 90); (Lazy.force s344, 12, 30) ]
+    [ (Lazy.force s27m, 11, 90); (Lazy.force s344, 12, 30);
+      (Lazy.force s344, 13, 130) ]
+
+(* ---------- word boundaries ---------- *)
+
+(* A split over n vectors must detect exactly the union of what each
+   vector detects alone (a one-vector batch runs under mask 1), for n
+   around one and two full words: the last lane of a full word, the
+   first lane of the next word and a short tail are all covered. Random
+   vectors mostly detect the same faults, so each n is also run on one
+   vector repeated with a different one last: only the last lane can
+   detect what the repeated vector misses. *)
+let check_split_is_per_vector_union () =
+  List.iter
+    (fun (c, seed) ->
+      let faults = Atpg.Fault.collapsed_faults c in
+      let m = Fs.make c in
+      let rng = Util.Rng.create seed in
+      let union vectors =
+        let hit = Hashtbl.create 97 in
+        List.iter
+          (fun v ->
+            let det, _ = Fs.split ~machine:m c ~faults ~vectors:[ v ] in
+            List.iter (fun f -> Hashtbl.replace hit f ()) det)
+          vectors;
+        List.filter (Hashtbl.mem hit) faults
+      in
+      let check tag vectors =
+        let det, _ = Fs.split ~machine:m c ~faults ~vectors in
+        Alcotest.(check (list (fault_t c))) tag (union vectors) det
+      in
+      List.iter
+        (fun n ->
+          let name = Printf.sprintf "%s n=%d" (Circuit.name c) n in
+          check (name ^ " random") (random_vectors rng c n);
+          match random_vectors rng c 2 with
+          | [ a; b ] ->
+            Alcotest.(check bool)
+              (name ^ " last vector detects more") true
+              (List.length (union [ a; b ]) > List.length (union [ a ]));
+            check (name ^ " odd last")
+              (List.init n (fun i -> if i = n - 1 then b else a))
+          | _ -> assert false)
+        [ 62; 63; 64; 126; 127 ])
+    [ (Lazy.force s27m, 21); (Lazy.force s344, 22) ]
 
 (* ---------- machine API ---------- *)
 
@@ -253,19 +297,6 @@ let check_machine_mismatch_raises () =
     (Invalid_argument "Fault_simulation: machine compiled from a different circuit")
     (fun () -> ignore (Fs.split ~machine:m other ~faults ~vectors))
 
-let check_with_machine () =
-  let c = Lazy.force s27m in
-  let faults = Atpg.Fault.collapsed_faults c in
-  let vectors = random_vectors (Util.Rng.create 2) c 10 in
-  let d1 =
-    Fs.with_machine c (fun m ->
-        Alcotest.(check bool) "default engine is cpt" true (Fs.engine m = Fs.Cpt);
-        Alcotest.(check bool) "circuit accessor" true (Fs.circuit m == c);
-        fst (Fs.split ~machine:m c ~faults ~vectors))
-  in
-  let d2, _ = Fs.split c ~faults ~vectors in
-  Alcotest.(check (list (fault_t c))) "with_machine equals fresh" d1 d2
-
 (* ---------- telemetry counters ---------- *)
 
 let check_counters () =
@@ -276,20 +307,21 @@ let check_counters () =
   Telemetry.reset ();
   Telemetry.enable ();
   let get name = Option.value ~default:0 (Telemetry.Counter.find name) in
-  ignore (Fs.split ~machine:(Fs.make ~engine:Fs.Cpt c) c ~faults ~vectors);
+  (* the default engine: traces counted here show it is Cpt *)
+  ignore (Fs.split ~machine:(Fs.make c) c ~faults ~vectors);
   let traces = get "atpg.fault_sim.ffr_traces" in
   let events = get "atpg.fault_sim.stem_events" in
   let exits = get "atpg.fault_sim.early_exits" in
   ignore (Fs.split ~machine:(Fs.make ~engine:Fs.Cone c) c ~faults ~vectors);
   let events_after_cone = get "atpg.fault_sim.stem_events" in
-  (* two 64-pattern batches: the second batch must actually drop the
-     faults the first one detected *)
+  (* three batches (63 + 63 + 2 patterns): the later batches must
+     actually drop the faults the earlier ones detected *)
   let vectors_2b = random_vectors (Util.Rng.create 10) c 128 in
   ignore (Fs.split ~machine:(Fs.make c) c ~faults ~vectors:vectors_2b);
   let dropped = get "atpg.fault_sim.dropped_faults" in
   Telemetry.reset ();
   if not was_enabled then Telemetry.disable ();
-  Alcotest.(check bool) "ffr traces counted" true (traces > 0);
+  Alcotest.(check bool) "default engine traces ffrs" true (traces > 0);
   Alcotest.(check bool) "stem events counted" true (events > 0);
   Alcotest.(check bool) "early exits counted" true (exits > 0);
   Alcotest.(check int) "cone engine emits no stem events" events events_after_cone;
@@ -304,9 +336,10 @@ let suite =
     Alcotest.test_case "golden equivalence s1196" `Quick check_golden_s1196;
     Alcotest.test_case "effective_subset equals naive walk" `Quick
       check_effective_subset_is_naive;
+    Alcotest.test_case "split is per-vector union at word edges" `Quick
+      check_split_is_per_vector_union;
     Alcotest.test_case "machine circuit mismatch" `Quick
       check_machine_mismatch_raises;
-    Alcotest.test_case "with_machine" `Quick check_with_machine;
     Alcotest.test_case "engine counters" `Quick check_counters;
     QCheck_alcotest.to_alcotest prop_engines_agree;
   ]

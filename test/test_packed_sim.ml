@@ -83,29 +83,28 @@ let check_eval_bool_matches_gate_eval () =
       (Circuit.nodes c)
   done
 
-(* One bit-parallel sweep of s344 from random source words, checked
-   lane by lane against [eval_bool]. [lanes] bits per word: [set w b]
-   sets bit [b], [get w b] reads it. *)
-let check_sweep_matches_per_lane ~seed ~zero ~lanes ~set ~get sweep () =
+(* One [eval_lanes] sweep of s344 from random source words, checked
+   lane by lane against [eval_bool], for every lane of the word. *)
+let check_eval_lanes_matches_per_lane () =
   let c = Lazy.force s344 in
   let comp = Compiled.of_circuit c in
   let n = Circuit.node_count c in
-  let rng = Util.Rng.create seed in
-  let words = Array.make n zero in
+  let rng = Util.Rng.create 13 in
+  let words = Array.make n 0 in
   let lane_values = Array.make n false in
   for _ = 1 to 5 do
     Array.iter
       (fun id ->
-        let w = ref zero in
-        for b = 0 to lanes - 1 do
-          if Util.Rng.bool rng then w := set !w b
+        let w = ref 0 in
+        for b = 0 to Compiled.lanes - 1 do
+          if Util.Rng.bool rng then w := !w lor (1 lsl b)
         done;
         words.(id) <- !w)
       (Circuit.sources c);
-    sweep comp words;
-    for lane = 0 to lanes - 1 do
+    Compiled.eval_lanes comp words;
+    for lane = 0 to Compiled.lanes - 1 do
       for i = 0 to n - 1 do
-        lane_values.(i) <- get words.(i) lane
+        lane_values.(i) <- (words.(i) lsr lane) land 1 <> 0
       done;
       Array.iter
         (fun nd ->
@@ -117,20 +116,6 @@ let check_sweep_matches_per_lane ~seed ~zero ~lanes ~set ~get sweep () =
         (Circuit.nodes c)
     done
   done
-
-(* the fault-simulation kernel: 64 lanes per int64 *)
-let check_eval_word_matches_per_lane =
-  check_sweep_matches_per_lane ~seed:11 ~zero:0L ~lanes:64
-    ~set:(fun w b -> Int64.logor w (Int64.shift_left 1L b))
-    ~get:(fun w b -> Int64.logand (Int64.shift_right_logical w b) 1L <> 0L)
-    Compiled.eval_words
-
-(* the scan kernel: 63 lanes per native int *)
-let check_eval_lanes_matches_per_lane =
-  check_sweep_matches_per_lane ~seed:13 ~zero:0 ~lanes:Sim.Packed_sim.lanes
-    ~set:(fun w b -> w lor (1 lsl b))
-    ~get:(fun w b -> (w lsr b) land 1 <> 0)
-    Compiled.eval_lanes
 
 let check_packed_sim_toggle_counting () =
   let c = Lazy.force s27m in
@@ -560,8 +545,6 @@ let suite =
       check_compiled_mirrors_circuit;
     Alcotest.test_case "eval_bool equals gate eval" `Quick
       check_eval_bool_matches_gate_eval;
-    Alcotest.test_case "eval_word equals per-lane eval" `Quick
-      check_eval_word_matches_per_lane;
     Alcotest.test_case "eval_lanes equals per-lane eval" `Quick
       check_eval_lanes_matches_per_lane;
     Alcotest.test_case "packed toggle counting" `Quick
