@@ -90,7 +90,11 @@ let generate ?(config = default_config) c =
       done);
   (* Phase 2: PODEM per remaining fault, processed in chunks so that
      each chunk's vectors drop later faults before their turn. *)
-  let untestable = ref 0 and aborted = ref 0 in
+  let untestable = ref 0 in
+  (* the faults PODEM aborts or whose filled cube escapes: no later
+     vector is simulated against them here, and the final test set may
+     still detect them *)
+  let unresolved = ref [] in
   let budget = ref podem_budget in
   let rec deterministic () =
     match !remaining with
@@ -99,12 +103,12 @@ let generate ?(config = default_config) c =
     | _ ->
       (* build one chunk of up to [chunk_cubes] cubes; collect always
          consumes the faults it visits, so every iteration makes
-         progress *)
+         progress. The faults it does not reach once the budget runs
+         out stay queued: they end up [skipped], not counted detected. *)
       let cubes = ref [] and processed = ref [] in
       let rec collect n = function
         | [] -> []
-        | rest when n = 0 -> rest
-        | _ when !budget <= 0 -> []
+        | rest when n = 0 || !budget <= 0 -> rest
         | f :: rest ->
           decr budget;
           let bt0 =
@@ -126,7 +130,7 @@ let generate ?(config = default_config) c =
             incr untestable;
             collect n rest
           | Podem.Aborted ->
-            incr aborted;
+            unresolved := f :: !unresolved;
             collect n rest)
       in
       let rest = collect chunk_cubes !remaining in
@@ -137,36 +141,43 @@ let generate ?(config = default_config) c =
         Fault_simulation.split ~machine c ~faults:(rest @ !processed) ~vectors
       in
       (* faults whose cube was generated but that escaped detection
-         after filling are counted as aborted rather than retried.
+         after filling join the aborted ones rather than being retried.
          Collapsed faults are structurally distinct values, so a
          hashtable keyed on the fault itself matches [List.memq]
          membership without the quadratic rescans. *)
       let processed_tbl = Hashtbl.create 97 in
       List.iter (fun f -> Hashtbl.replace processed_tbl f ()) !processed;
-      let n_escaped = ref 0 in
       remaining :=
         List.filter
           (fun f ->
             if Hashtbl.mem processed_tbl f then begin
-              incr n_escaped;
+              unresolved := f :: !unresolved;
               false
             end
             else true)
           undet;
-      aborted := !aborted + !n_escaped;
       kept_rev := List.rev_append vectors !kept_rev;
       deterministic ()
   in
   Telemetry.Span.with_ ~name:"atpg.podem_phase" deterministic;
-  (* Phase 3: reverse-order static compaction over the whole set. *)
+  (* Phase 3: reverse-order static compaction over the whole set, then
+     one simulation of the unresolved faults against the final vectors:
+     the ones they detect are detected, the rest aborted. The vectors do
+     not change. *)
   let kept = List.rev !kept_rev in
-  let vectors =
+  let vectors, aborted =
     Telemetry.Span.with_ ~name:"atpg.compact_phase" (fun () ->
-        Fault_simulation.effective_subset ~machine c ~faults ~vectors:kept)
+        let vectors =
+          Fault_simulation.effective_subset ~machine c ~faults ~vectors:kept
+        in
+        let _, missed =
+          Fault_simulation.split ~machine c ~faults:!unresolved ~vectors
+        in
+        (vectors, List.length missed))
   in
   let skipped = List.length !remaining in
   let detected_total =
-    total_faults - skipped - !untestable - !aborted
+    total_faults - skipped - !untestable - aborted
   in
   let testable = total_faults - !untestable in
   Telemetry.Counter.add m_vectors (List.length vectors);
@@ -174,7 +185,7 @@ let generate ?(config = default_config) c =
   Telemetry.Counter.add m_untestable !untestable;
   (* aborted faults are the explicit "ATPG gave up" classification:
      the flow proceeds, but reports and chaos tests key off this *)
-  Telemetry.Counter.add m_aborted !aborted;
+  Telemetry.Counter.add m_aborted aborted;
   Telemetry.Counter.add m_skipped skipped;
   Telemetry.Log.debug "atpg.generate done"
     ~fields:
@@ -183,14 +194,14 @@ let generate ?(config = default_config) c =
         ("vectors", Telemetry.Json.Int (List.length vectors));
         ("faults", Telemetry.Json.Int total_faults);
         ("untestable", Telemetry.Json.Int !untestable);
-        ("aborted", Telemetry.Json.Int !aborted);
+        ("aborted", Telemetry.Json.Int aborted);
       ];
   {
     vectors;
     total_faults;
     detected = detected_total;
     untestable = !untestable;
-    aborted = !aborted;
+    aborted;
     skipped;
     coverage =
       (if testable = 0 then 1.0

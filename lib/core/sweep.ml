@@ -5,8 +5,11 @@ module Json = Telemetry.Json
    every cache key, which is exactly the clean invalidation story: /1
    entries become stale misses (deleted on sight), never mis-decodes.
    /3: the untestable count now includes the faults implication
-   refutes before PODEM searches, and the aborted count excludes them. *)
-let schema_version = "scanpower.sweep/3"
+   refutes before PODEM searches, and the aborted count excludes them.
+   /4: the detected count includes the aborted faults the final test
+   set detects, and faults PODEM never reaches are skipped, not
+   detected. *)
+let schema_version = "scanpower.sweep/4"
 
 type params = { seed : int }
 type point = { circuit : Circuit.t; params : params }

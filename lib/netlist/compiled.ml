@@ -47,6 +47,9 @@ type t = {
   fanout : int array;
   topo : int array;
   eval_order : int array;
+  eval_code : int array;
+      (* per [eval_order] position: opcode * 8 + fanin count, or
+         opcode * 8 for 8 fanins or more *)
   levels : int array;
   max_level : int;
   level_population : int array;
@@ -184,6 +187,13 @@ let of_circuit c =
         incr pos
       end)
     topo;
+  let eval_code =
+    Array.map
+      (fun id ->
+        let arity = fanin_off.(id + 1) - fanin_off.(id) in
+        (opcode.(id) * 8) + if arity < 8 then arity else 0)
+      eval_order
+  in
   let observable = compute_observable n opcode fanin_off fanin in
   let ffr_stem, stems = compute_ffr n opcode fanout_off fanout topo in
   let reaches_observable, idom, idom_depth =
@@ -199,6 +209,7 @@ let of_circuit c =
     fanout;
     topo;
     eval_order;
+    eval_code;
     levels;
     max_level;
     level_population;
@@ -304,20 +315,54 @@ let rec fold_or_lanes (w : int array) (fa : int array) i hi acc =
 let rec fold_xor_lanes (w : int array) (fa : int array) i hi acc =
   if i >= hi then acc else fold_xor_lanes w fa (i + 1) hi (acc lxor w.(fa.(i)))
 
+(* the folds, for every gate without a straight-line case in
+   [eval_lanes] *)
+let eval_lanes_generic t (words : int array) id =
+  let fa = t.fanin in
+  let lo = t.fanin_off.(id) and hi = t.fanin_off.(id + 1) in
+  let op = t.opcode.(id) in
+  if op = op_nand then lnot (fold_and_lanes words fa lo hi (-1))
+  else if op = op_nor then lnot (fold_or_lanes words fa lo hi 0)
+  else if op = op_not then lnot words.(fa.(lo))
+  else if op = op_and then fold_and_lanes words fa lo hi (-1)
+  else if op = op_or then fold_or_lanes words fa lo hi 0
+  else if op = op_buf || op = op_output then words.(fa.(lo))
+  else if op = op_xor then fold_xor_lanes words fa lo hi 0
+  else (* eval_order holds no source, so this is xnor *)
+    lnot (fold_xor_lanes words fa lo hi 0)
+
+(* The mapped library's cells (INV, NAND2-4, NOR2-4) are nearly every
+   gate the scan simulations sweep, so each has straight-line code on
+   its [eval_code]: pin words in registers, no fold call per pin. The
+   literals are [opcode * 8 + fanin count] with [op_not] = 4, [op_nand]
+   = 6 and [op_nor] = 8. *)
 let eval_lanes t (words : int array) =
-  let eo = t.eval_order and fa = t.fanin and off = t.fanin_off in
+  let eo = t.eval_order and code = t.eval_code in
+  let fa = t.fanin and off = t.fanin_off in
   for k = 0 to Array.length eo - 1 do
     let id = eo.(k) in
-    let lo = off.(id) and hi = off.(id + 1) in
-    let op = t.opcode.(id) in
+    let lo = off.(id) in
     words.(id) <-
-      (if op = op_nand then lnot (fold_and_lanes words fa lo hi (-1))
-       else if op = op_nor then lnot (fold_or_lanes words fa lo hi 0)
-       else if op = op_not then lnot words.(fa.(lo))
-       else if op = op_and then fold_and_lanes words fa lo hi (-1)
-       else if op = op_or then fold_or_lanes words fa lo hi 0
-       else if op = op_buf || op = op_output then words.(fa.(lo))
-       else if op = op_xor then fold_xor_lanes words fa lo hi 0
-       else (* eval_order holds no source, so this is xnor *)
-         lnot (fold_xor_lanes words fa lo hi 0))
+      (match code.(k) with
+      | 33 -> lnot words.(fa.(lo))
+      | 50 -> lnot (words.(fa.(lo)) land words.(fa.(lo + 1)))
+      | 51 ->
+        lnot
+          (words.(fa.(lo)) land words.(fa.(lo + 1)) land words.(fa.(lo + 2)))
+      | 52 ->
+        lnot
+          (words.(fa.(lo))
+          land words.(fa.(lo + 1))
+          land words.(fa.(lo + 2))
+          land words.(fa.(lo + 3)))
+      | 66 -> lnot (words.(fa.(lo)) lor words.(fa.(lo + 1)))
+      | 67 ->
+        lnot (words.(fa.(lo)) lor words.(fa.(lo + 1)) lor words.(fa.(lo + 2)))
+      | 68 ->
+        lnot
+          (words.(fa.(lo))
+          lor words.(fa.(lo + 1))
+          lor words.(fa.(lo + 2))
+          lor words.(fa.(lo + 3)))
+      | _ -> eval_lanes_generic t words id)
   done

@@ -145,6 +145,9 @@ val eval_lanes : t -> int array -> unit
 (** Two-valued bit-parallel sweep over every node of [eval_order], in
     place, on native [int] words: lane [l] of a node is bit [l] of its
     word, for the {!lanes} lanes of an OCaml [int]. No heap allocation.
+    INV and NAND/NOR with two to four pins (the mapped library's cells)
+    run straight-line code keyed on a per-gate code precomputed by
+    {!of_circuit}; every other gate runs a fold over its pins.
     The one word evaluator: the scan kernel ([Sim.Packed_sim] packs 63
     consecutive scan cycles per word) and fault simulation
     ([Atpg.Fault_simulation] packs 63 test vectors per word). *)

@@ -353,23 +353,28 @@ let window (a : int array) off =
 module Lane_counter = Sim.Packed_sim.Lane_counter
 
 (* Gates sharing one leakage table, which also fixes their arity (the
-   table has 2^arity states): their input pins, gate-major, and one
-   lane counter per input state but the last (whose count per lane is
-   whatever the other states leave of the group). *)
+   table has 2^arity states): their input pins, gate-major, and per
+   input state but the last (whose count per lane is whatever the other
+   states leave of the group) a buffer of the frame's varying-gate lane
+   masks, counted by the group's one lane counter. *)
 type leak_group = {
   tbl : float array;
   arity : int;
   n_gates : int;
   pins : int array;
-  counters : Lane_counter.t array;
+  counter : Lane_counter.t;
+  masks : int array;
+      (* state-major: state [s]'s masks at [s * n_gates ..], at most one
+         per gate *)
+  fill : int array; (* per state: masks buffered this frame *)
 }
 
 (* Splitting a frame's gates by input state. Input state [s] has bit
    [p] set iff pin [p] reads 1. A gate whose pins are each all-0 or
    all-1 over the frame's lanes [cm] is steady: it adds one to
-   [steady.(s)]. A varying gate adds each non-empty state mask but the
-   last state's to that state's lane counter and marks the state in
-   [varied]. Each split returns its group's number of varying gates.
+   [steady.(s)]. A varying gate buffers each non-empty state mask but
+   the last state's in that state's slots of the group's [masks]. Each
+   split returns its group's number of varying gates.
 
    The library has four widths (INV and NAND/NOR2-4), so each has its
    own straight-line split with the pin words in locals: without
@@ -380,13 +385,14 @@ type leak_group = {
 let[@inline] unsteady v cm = v lxor (cm land -(v land 1))
 
 (* one varying gate's lanes in state [s] *)
-let[@inline] add_state g varied s m =
+let[@inline] add_state g s m =
   if m <> 0 then begin
-    Lane_counter.add g.counters.(s) m;
-    varied.(s) <- true
+    let f = g.fill.(s) in
+    g.masks.((s * g.n_gates) + f) <- m;
+    g.fill.(s) <- f + 1
   end
 
-let split_1 g words cm steady varied =
+let split_1 g words cm steady =
   let pins = g.pins and n_varying = ref 0 in
   for k = 0 to g.n_gates - 1 do
     let a = words.(pins.(k)) land cm in
@@ -396,12 +402,12 @@ let split_1 g words cm steady varied =
     end
     else begin
       incr n_varying;
-      add_state g varied 0 (cm lxor a)
+      add_state g 0 (cm lxor a)
     end
   done;
   !n_varying
 
-let split_2 g words cm steady varied =
+let split_2 g words cm steady =
   let pins = g.pins and n_varying = ref 0 in
   for k = 0 to g.n_gates - 1 do
     let p = 2 * k in
@@ -413,14 +419,14 @@ let split_2 g words cm steady varied =
     else begin
       incr n_varying;
       let na = cm lxor a and nb = cm lxor b in
-      add_state g varied 0 (na land nb);
-      add_state g varied 1 (a land nb);
-      add_state g varied 2 (na land b)
+      add_state g 0 (na land nb);
+      add_state g 1 (a land nb);
+      add_state g 2 (na land b)
     end
   done;
   !n_varying
 
-let split_3 g words cm steady varied =
+let split_3 g words cm steady =
   let pins = g.pins and n_varying = ref 0 in
   for k = 0 to g.n_gates - 1 do
     let p = 3 * k in
@@ -437,18 +443,18 @@ let split_3 g words cm steady varied =
       let na = cm lxor a and nb = cm lxor b and nc = cm lxor c in
       let q0 = na land nb and q1 = a land nb and q2 = na land b in
       let q3 = a land b in
-      add_state g varied 0 (q0 land nc);
-      add_state g varied 1 (q1 land nc);
-      add_state g varied 2 (q2 land nc);
-      add_state g varied 3 (q3 land nc);
-      add_state g varied 4 (q0 land c);
-      add_state g varied 5 (q1 land c);
-      add_state g varied 6 (q2 land c)
+      add_state g 0 (q0 land nc);
+      add_state g 1 (q1 land nc);
+      add_state g 2 (q2 land nc);
+      add_state g 3 (q3 land nc);
+      add_state g 4 (q0 land c);
+      add_state g 5 (q1 land c);
+      add_state g 6 (q2 land c)
     end
   done;
   !n_varying
 
-let split_4 g words cm steady varied =
+let split_4 g words cm steady =
   let pins = g.pins and n_varying = ref 0 in
   for k = 0 to g.n_gates - 1 do
     let p = 4 * k in
@@ -476,21 +482,21 @@ let split_4 g words cm steady varied =
       let q3 = a land b in
       let r0 = nc land nd and r1 = c land nd and r2 = nc land d in
       let r3 = c land d in
-      add_state g varied 0 (q0 land r0);
-      add_state g varied 1 (q1 land r0);
-      add_state g varied 2 (q2 land r0);
-      add_state g varied 3 (q3 land r0);
-      add_state g varied 4 (q0 land r1);
-      add_state g varied 5 (q1 land r1);
-      add_state g varied 6 (q2 land r1);
-      add_state g varied 7 (q3 land r1);
-      add_state g varied 8 (q0 land r2);
-      add_state g varied 9 (q1 land r2);
-      add_state g varied 10 (q2 land r2);
-      add_state g varied 11 (q3 land r2);
-      add_state g varied 12 (q0 land r3);
-      add_state g varied 13 (q1 land r3);
-      add_state g varied 14 (q2 land r3)
+      add_state g 0 (q0 land r0);
+      add_state g 1 (q1 land r0);
+      add_state g 2 (q2 land r0);
+      add_state g 3 (q3 land r0);
+      add_state g 4 (q0 land r1);
+      add_state g 5 (q1 land r1);
+      add_state g 6 (q2 land r1);
+      add_state g 7 (q3 land r1);
+      add_state g 8 (q0 land r2);
+      add_state g 9 (q1 land r2);
+      add_state g 10 (q2 land r2);
+      add_state g 11 (q3 land r2);
+      add_state g 12 (q0 land r3);
+      add_state g 13 (q1 land r3);
+      add_state g 14 (q2 land r3)
     end
   done;
   !n_varying
@@ -517,9 +523,9 @@ let run_packed st c chain policy ~vectors ~on_response =
   in
   (* Leakage counting, per frame: a gate whose input state is the same
      on every lane of the frame (steady) adds one to its group's
-     per-state [steady] count; only a gate whose state varies goes
-     through the bit-sliced lane counters (per group and input state,
-     how many such gates sit in that state at each lane). Each lane's
+     per-state [steady] count; only a gate whose state varies has its
+     state masks buffered, and one bulk count per group and input state
+     gives how many such gates sit in that state at each lane. Each lane's
      total is recomputed from scratch from the exact per-lane integers
      (the scalar path integrates the same quantity incrementally; they
      agree to float tolerance). *)
@@ -548,10 +554,9 @@ let run_packed st c chain policy ~vectors ~on_response =
           pins =
             Array.concat
               (List.map (fun id -> Array.sub fanin fanin_off.(id) arity) gs);
-          counters =
-            Array.init
-              (Array.length tbl - 1)
-              (fun _ -> Lane_counter.create ~max:n_gates);
+          counter = Lane_counter.create ~max:n_gates;
+          masks = Array.make ((Array.length tbl - 1) * n_gates) 0;
+          fill = Array.make (Array.length tbl - 1) 0;
         })
       !raw
     |> Array.of_list
@@ -559,10 +564,8 @@ let run_packed st c chain policy ~vectors ~on_response =
   let max_states =
     Array.fold_left (fun m g -> max m (Array.length g.tbl)) 1 groups
   in
-  (* per input state of the group being counted: its steady gates, and
-     whether its lane counter got an add this frame *)
+  (* per input state of the group being counted: its steady gates *)
   let steady = Array.make max_states 0 in
-  let varied = Array.make max_states false in
   (* one state's per-lane counts, and per lane the varying gates counted
      in the states before the last *)
   let counts = Array.make frame_lanes 0 in
@@ -592,29 +595,29 @@ let run_packed st c chain policy ~vectors ~on_response =
       let n_states = Array.length g.tbl in
       let last = n_states - 1 in
       Array.fill steady 0 n_states 0;
-      Array.fill varied 0 n_states false;
       let n_varying =
         match g.arity with
-        | 1 -> split_1 g words cm steady varied
-        | 2 -> split_2 g words cm steady varied
-        | 3 -> split_3 g words cm steady varied
-        | _ -> split_4 g words cm steady varied
+        | 1 -> split_1 g words cm steady
+        | 2 -> split_2 g words cm steady
+        | 3 -> split_3 g words cm steady
+        | _ -> split_4 g words cm steady
       in
       (* the same per-lane integer and the same (group, state, lane)
          summation order whichever way a gate was counted *)
       if n_varying > 0 then Array.fill counted 0 count 0;
       for s = 0 to last - 1 do
         let coef = g.tbl.(s) and n0 = steady.(s) in
-        if varied.(s) then begin
-          let ctr = g.counters.(s) in
-          Lane_counter.read ctr counts;
+        let f = g.fill.(s) in
+        if f > 0 then begin
+          Lane_counter.count g.counter g.masks ~off:(s * g.n_gates) ~len:f
+            counts;
+          g.fill.(s) <- 0;
           for l = 0 to count - 1 do
             let v = counts.(l) in
             counted.(l) <- counted.(l) + v;
             let n = n0 + v in
             if n > 0 then na_lane.(l) <- na_lane.(l) +. (float_of_int n *. coef)
-          done;
-          Lane_counter.clear ctr
+          done
         end
         else add_steady ~count g.tbl s n0
       done;

@@ -50,9 +50,9 @@ type engine =
           per-cycle toggles are recovered from lane-to-lane XORs. Per
           frame, a gate whose input state is the same on every lane is
           counted once, in that state; only gates whose state varies
-          within the frame go through the per-state lane counters (per
-          leakage table and input state, how many gates sit in that
-          state at each lane). Produces bit-identical
+          within the frame have their per-state lane masks buffered
+          and bulk-counted (per leakage table and input state, how many
+          gates sit in that state at each lane). Produces bit-identical
           toggle counts, per-cycle series, dynamic power and responses;
           the static-power figures agree up to float accumulation
           order. *)

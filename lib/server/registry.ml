@@ -105,9 +105,10 @@ let trim t ~keep =
    detected cold start instead of a Marshal segfault; the magic pins
    the format version so an old snapshot read by a new binary is
    likewise just cold (/2: ATPG counts whose untestable faults include
-   the ones implication refutes). [Flow.prepared] is pure data (no closures), so
-   Marshal round-trips it. *)
-let snapshot_magic = "scanpower-registry-snapshot/2"
+   the ones implication refutes; /3: whose detected faults include the
+   aborted ones the final test set detects). [Flow.prepared] is pure
+   data (no closures), so Marshal round-trips it. *)
+let snapshot_magic = "scanpower-registry-snapshot/3"
 
 let snapshot t ~path =
   let entries =

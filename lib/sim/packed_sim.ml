@@ -4,35 +4,19 @@ let lanes = Compiled.lanes
 
 module Lane_counter = struct
   (* Plane [b] holds bit [b] of the count of every lane (lane [l] is bit
-     [l]). Adding a mask is a ripple carry through the planes: a half
-     adder per plane until the carry dies out. *)
-  type t = { max : int; planes : int array; mutable adds : int }
+     [l]). [count] keeps the weight-1, -2 and -4 planes in locals while
+     it carry-save adds eight masks per block; only the block's weight-8
+     carry ripples into the planes from plane 3 up. *)
+  type t = { max : int; planes : int array }
 
   let create ~max =
     if max < 0 then invalid_arg "Packed_sim.Lane_counter.create: negative max";
-    let bits = ref 1 in
+    (* at least the three planes [count] keeps in locals *)
+    let bits = ref 3 in
     while 1 lsl !bits <= max do
       incr bits
     done;
-    { max; planes = Array.make !bits 0; adds = 0 }
-
-  let clear t =
-    Array.fill t.planes 0 (Array.length t.planes) 0;
-    t.adds <- 0
-
-  (* no lane's count can exceed the number of adds, so bounding the
-     adds keeps every carry inside the planes *)
-  let add t m =
-    if t.adds >= t.max then invalid_arg "Packed_sim.Lane_counter.add: past max";
-    t.adds <- t.adds + 1;
-    let planes = t.planes in
-    let c = ref m and b = ref 0 in
-    while !c <> 0 do
-      let p = planes.(!b) in
-      planes.(!b) <- p lxor !c;
-      c := p land !c;
-      incr b
-    done
+    { max; planes = Array.make !bits 0 }
 
   (* [spread.(x)]: bit [i] of the byte [x] moved to bit [7 * i], the
      bottom of the [i]th 7-bit field *)
@@ -44,14 +28,13 @@ module Lane_counter = struct
         done;
         !r)
 
-  let read t out =
-    if Array.length out < lanes then
-      invalid_arg "Packed_sim.Lane_counter.read: array shorter than lanes";
+  (* the planes' per-lane counts of [len] masks into [out] *)
+  let read t ~len out =
     let planes = t.planes in
-    (* no count exceeds the adds, so the planes past their bit length
-       are zero *)
+    (* no count exceeds [len], so the planes past its bit length are
+       zero *)
     let n = ref 0 in
-    while !n < Array.length planes && 1 lsl !n <= t.adds do
+    while !n < Array.length planes && 1 lsl !n <= len do
       incr n
     done;
     let n = !n in
@@ -94,6 +77,78 @@ module Lane_counter = struct
         incr l
       done
     done
+
+  (* ripple a weight-8 carry word into the planes from plane 3 up *)
+  let carry8 planes c =
+    let c = ref c and b = ref 3 in
+    while !c <> 0 do
+      let p = planes.(!b) in
+      planes.(!b) <- p lxor !c;
+      c := p land !c;
+      incr b
+    done
+
+  (* Harley-Seal: a carry-save adder takes three words [a], [b], [c] of
+     one weight to their sum bits [u lxor c] (same weight) and their
+     carries [(a land b) lor (u land c)] (double weight), where
+     [u = a lxor b], branch-free. Seven of them take [ones], [twos],
+     [fours] and eight masks to new [ones], [twos], [fours] and one
+     weight-8 carry. *)
+  let count t (masks : int array) ~off ~len out =
+    if len > t.max then invalid_arg "Packed_sim.Lane_counter.count: past max";
+    if off < 0 || len < 0 || off > Array.length masks - len then
+      invalid_arg "Packed_sim.Lane_counter.count: slice outside the masks";
+    if Array.length out < lanes then
+      invalid_arg "Packed_sim.Lane_counter.count: array shorter than lanes";
+    let planes = t.planes in
+    (* no lane's count exceeds [len] <= [max], so the weight-8 carries
+       stay inside the planes *)
+    Array.fill planes 3 (Array.length planes - 3) 0;
+    let ones = ref 0 and twos = ref 0 and fours = ref 0 in
+    let i = ref off and stop = off + len in
+    while !i <= stop - 8 do
+      let k = !i in
+      let o = !ones and tw = !twos and f = !fours in
+      let m0 = masks.(k) and m1 = masks.(k + 1) in
+      let u = o lxor m0 in
+      let ta = (o land m0) lor (u land m1) and o = u lxor m1 in
+      let m2 = masks.(k + 2) and m3 = masks.(k + 3) in
+      let u = o lxor m2 in
+      let tb = (o land m2) lor (u land m3) and o = u lxor m3 in
+      let u = tw lxor ta in
+      let fa = (tw land ta) lor (u land tb) and tw = u lxor tb in
+      let m4 = masks.(k + 4) and m5 = masks.(k + 5) in
+      let u = o lxor m4 in
+      let ta = (o land m4) lor (u land m5) and o = u lxor m5 in
+      let m6 = masks.(k + 6) and m7 = masks.(k + 7) in
+      let u = o lxor m6 in
+      let tb = (o land m6) lor (u land m7) and o = u lxor m7 in
+      let u = tw lxor ta in
+      let fb = (tw land ta) lor (u land tb) and tw = u lxor tb in
+      let u = f lxor fa in
+      let e = (f land fa) lor (u land fb) and f = u lxor fb in
+      ones := o;
+      twos := tw;
+      fours := f;
+      if e <> 0 then carry8 planes e;
+      i := k + 8
+    done;
+    (* the last [len mod 8] masks: a half adder per weight *)
+    while !i < stop do
+      let m = masks.(!i) in
+      let c2 = !ones land m in
+      ones := !ones lxor m;
+      let c4 = !twos land c2 in
+      twos := !twos lxor c2;
+      let c8 = !fours land c4 in
+      fours := !fours lxor c4;
+      if c8 <> 0 then carry8 planes c8;
+      incr i
+    done;
+    planes.(0) <- !ones;
+    planes.(1) <- !twos;
+    planes.(2) <- !fours;
+    read t ~len out
 end
 
 type t = {
@@ -102,6 +157,7 @@ type t = {
   last : int array; (* 0 or 1: final-lane value of the previous frame *)
   toggles : int array;
   mutable total : int;
+  diffs : int array; (* the recording frame's non-zero node diffs *)
   counter : Lane_counter.t; (* per-lane toggles of the recording frame *)
   lane_toggles : int array; (* [lanes] *)
 }
@@ -114,6 +170,7 @@ let create comp =
     last = Array.make n 0;
     toggles = Array.make n 0;
     total = 0;
+    diffs = Array.make n 0;
     counter = Lane_counter.create ~max:n;
     lane_toggles = Array.make lanes 0;
   }
@@ -136,21 +193,26 @@ let h_step = Telemetry.Histogram.make "sim.packed.step_s"
 
 let step_untimed t ~count ~record =
   Compiled.eval_lanes t.comp t.words;
-  if record then Lane_counter.clear t.counter;
+  let words = t.words and last = t.last and toggles = t.toggles in
+  let diffs = t.diffs and n_diffs = ref 0 and total = ref t.total in
   let m = if count = lanes then -1 else (1 lsl count) - 1 in
   for id = 0 to Compiled.node_count t.comp - 1 do
-    let x = t.words.(id) in
+    let x = words.(id) in
     (* lane 0 diffs against the previous frame's final lane *)
-    let d = (x lxor ((x lsl 1) lor t.last.(id))) land m in
+    let d = (x lxor ((x lsl 1) lor last.(id))) land m in
     if record && d <> 0 then begin
       let p = popcount d in
-      t.toggles.(id) <- t.toggles.(id) + p;
-      t.total <- t.total + p;
-      Lane_counter.add t.counter d
+      toggles.(id) <- toggles.(id) + p;
+      total := !total + p;
+      diffs.(!n_diffs) <- d;
+      incr n_diffs
     end;
-    t.last.(id) <- (x lsr (count - 1)) land 1
+    last.(id) <- (x lsr (count - 1)) land 1
   done;
-  if record then Lane_counter.read t.counter t.lane_toggles
+  if record then begin
+    t.total <- !total;
+    Lane_counter.count t.counter diffs ~off:0 ~len:!n_diffs t.lane_toggles
+  end
 
 let step t ~count ~record =
   if count < 1 || count > lanes then

@@ -7,8 +7,9 @@
     ({!Netlist.Compiled.eval_lanes}) evaluates the whole combinational
     core once for all lanes. It then diffs every word against itself
     shifted by one lane (lane 0 against the final lane of the previous
-    frame), popcounts the diff for the per-node count and feeds it into
-    a {!Lane_counter} for the per-lane counts.
+    frame), popcounts every non-zero diff for the per-node count and buffers
+    it, and one {!Lane_counter.count} over the buffer gives the per-lane
+    counts.
 
     This is the engine under the packed scan-shift measurement in
     {!Scan.Scan_sim}: during shift the chain is a pure shift register,
@@ -23,31 +24,32 @@ open Netlist
 val lanes : int
 (** {!Netlist.Compiled.lanes} (63): lanes per frame. *)
 
-(** Per-lane counters for the {!lanes} lanes, bit-sliced: plane [b] is
-    one native [int] holding bit [b] of every lane's count, so adding a
-    lane mask is a few word operations and never allocates. *)
+(** Per-lane counting of lane masks, bit-sliced: plane [b] is one
+    native [int] holding bit [b] of every lane's count. A caller buffers
+    its masks (bit [l] of a mask is lane [l]) and counts them in one
+    call, so the carry-save adds run in registers inside this module
+    rather than one cross-module call per mask, which [-opaque] builds
+    never inline. *)
 module Lane_counter : sig
   type t
 
   val create : max:int -> t
-  (** Counters for up to [max] adds (so no lane exceeds [max]), all
-      zero. @raise Invalid_argument if [max] is negative. *)
+  (** Planes for counts up to [max].
+      @raise Invalid_argument if [max] is negative. *)
 
-  val clear : t -> unit
-  (** Zero every lane and the add count. *)
-
-  val add : t -> int -> unit
-  (** Add one to every lane whose bit is set in the mask (bit [l] is
-      lane [l]).
-      @raise Invalid_argument on the add past [max] since the last
-      {!clear}. *)
-
-  val read : t -> int array -> unit
-  (** [read t out] writes every lane's count into [out.(0 .. lanes-1)]:
-      the low seven planes eight lanes at a time through a byte table,
-      the planes above (counts of 128 or more) lane by lane, and only
-      up to the highest lane with a non-zero count. No allocation.
-      @raise Invalid_argument if [out] is shorter than {!lanes}. *)
+  val count : t -> int array -> off:int -> len:int -> int array -> unit
+  (** [count t masks ~off ~len out] writes into [out.(0 .. lanes-1)],
+      for every lane, how many of [masks.(off) .. masks.(off+len-1)]
+      have its bit set. Eight masks at a time go through seven
+      branch-free carry-save adders (Harley-Seal) with the weight-1, -2
+      and -4 planes in locals, and only each block's weight-8 carry
+      ripples into the planes; the last [len mod 8] masks take a half
+      adder per weight. The planes are then read out: the low seven
+      eight lanes at a time through a byte table, the ones above (counts
+      of 128 or more) lane by lane, and only up to the highest lane
+      with a non-zero count. No allocation.
+      @raise Invalid_argument if [len > max], if the slice is not inside
+      [masks], or if [out] is shorter than {!lanes}. *)
 end
 
 type t

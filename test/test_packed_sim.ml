@@ -172,10 +172,13 @@ let check_packed_sim_toggle_counting () =
     "total" (Array.fold_left ( + ) 0 expected)
     (Sim.Packed_sim.total_toggles ps)
 
-(* Property: the bit-sliced lane counter equals naive per-lane counting
-   for random masks (the all-lanes mask among them) confined to the
-   first 1..63 lanes, as a short frame's are, with counts past 127 (the
-   planes read lane by lane), and the add past [max] raises. *)
+(* Property: the lane counter's bulk count equals naive per-lane
+   counting for random masks (the all-lanes mask among them) confined
+   to the first 1..63 lanes, as a short frame's are. The masks sit in a
+   buffer between junk words, so the slice starts at a non-zero [off];
+   the lengths cover the eight-mask blocks, the scalar tail of a length
+   not a multiple of 8, and counts past 127 (the planes read lane by
+   lane); and a count of more than [max] masks raises. *)
 let prop_lane_counter =
   let lanes = Sim.Packed_sim.lanes in
   let mask =
@@ -193,29 +196,142 @@ let prop_lane_counter =
        QCheck.Gen.(
          int_range 1 lanes >>= fun width ->
          let within = if width = lanes then -1 else (1 lsl width) - 1 in
-         list_size (int_range 0 300) (map (fun m -> m land within) mask)))
-    (fun masks ->
+         quad
+           (list_size (int_range 0 300) (map (fun m -> m land within) mask))
+           (int_range 0 9) (int_range 0 9) (int_range 0 3)))
+    (fun (masks, before, after, slack) ->
       let module Lc = Sim.Packed_sim.Lane_counter in
       let n = List.length masks in
-      let ctr = Lc.create ~max:n in
+      (* junk around the slice: every lane set *)
+      let buf =
+        Array.concat
+          [ Array.make before (-1); Array.of_list masks; Array.make after (-1) ]
+      in
       let naive = Array.make lanes 0 in
       List.iter
         (fun m ->
-          Lc.add ctr m;
           for l = 0 to lanes - 1 do
             naive.(l) <- naive.(l) + ((m lsr l) land 1)
           done)
         masks;
+      let ctr = Lc.create ~max:(n + slack) in
       let got = Array.make lanes (-1) in
-      Lc.read ctr got;
+      Lc.count ctr buf ~off:before ~len:n got;
       Array.iteri
         (fun l want ->
           if got.(l) <> want then
             QCheck.Test.fail_reportf "lane %d: %d, naive %d" l got.(l) want)
         naive;
-      (match Lc.add ctr 1 with
-      | () -> QCheck.Test.fail_report "add past max did not raise"
-      | exception Invalid_argument _ -> ());
+      (* a second count on the same counter starts from zero *)
+      Lc.count ctr buf ~off:before ~len:n got;
+      if got <> naive then QCheck.Test.fail_report "recount differs";
+      (let tight = Lc.create ~max:n and buf = Array.append buf [| 1 |] in
+       match Lc.count tight buf ~off:before ~len:(n + 1) got with
+       | () -> QCheck.Test.fail_report "count past max did not raise"
+       | exception Invalid_argument _ -> ());
+      true)
+
+(* Past 127 on every lane, through blocks and a tail, at a non-zero
+   offset: 300 all-lanes masks count 300, and one more lane-0 mask
+   makes lane 0 count 301. *)
+let check_lane_counter_past_127 () =
+  let module Lc = Sim.Packed_sim.Lane_counter in
+  let lanes = Sim.Packed_sim.lanes in
+  let buf = Array.concat [ [| 0; 0; 0 |]; Array.make 300 (-1); [| 1 |] ] in
+  let ctr = Lc.create ~max:301 in
+  let got = Array.make lanes 0 in
+  Lc.count ctr buf ~off:3 ~len:301 got;
+  Alcotest.(check (array int))
+    "counts" (Array.init lanes (fun l -> if l = 0 then 301 else 300)) got;
+  Alcotest.check_raises "out shorter than lanes"
+    (Invalid_argument
+       "Packed_sim.Lane_counter.count: array shorter than lanes") (fun () ->
+      Lc.count ctr buf ~off:0 ~len:1 (Array.make (lanes - 1) 0));
+  Alcotest.check_raises "slice past the masks"
+    (Invalid_argument
+       "Packed_sim.Lane_counter.count: slice outside the masks") (fun () ->
+      Lc.count ctr buf ~off:4 ~len:301 got)
+
+(* Property: [eval_lanes] equals [eval_bool] lane by lane on random
+   circuits holding every logic gate kind at every fanin from 1 to 5
+   that the kind allows (BUF and NOT take one), plus output markers:
+   the straight-line INV and NAND/NOR2-4 cases and the generic folds
+   (AND/OR/XOR/XNOR, BUF, 5-input NAND/NOR) all run. Pins read earlier
+   nodes at random, repeats allowed. *)
+let prop_eval_lanes_random_circuits =
+  let lanes = Compiled.lanes in
+  let kinds =
+    Gate.[ (Buf, 1); (Not, 1) ]
+    @ List.concat_map
+        (fun k -> List.map (fun a -> (k, a)) [ 2; 3; 4; 5 ])
+        Gate.[ And; Nand; Or; Nor; Xor; Xnor ]
+  in
+  QCheck.Test.make ~name:"random circuits, every width: eval_lanes = eval_bool"
+    ~count:25 QCheck.int
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let module B = Circuit.Builder in
+      let b = B.create ~name:"random" () in
+      let n_in = 1 + Util.Rng.int rng 5 in
+      let ffs =
+        Array.init (Util.Rng.int rng 3) (fun i ->
+            B.declare_dff b (Printf.sprintf "ff%d" i))
+      in
+      let pool =
+        ref
+          (Array.to_list ffs
+          @ List.init n_in (fun i -> B.add_input b (Printf.sprintf "i%d" i)))
+      in
+      let pick () =
+        let p = Array.of_list !pool in
+        p.(Util.Rng.int rng (Array.length p))
+      in
+      (* every (kind, fanin) twice, in a random order, plus random gates *)
+      let extra =
+        List.init (Util.Rng.int rng 20) (fun _ ->
+            List.nth kinds (Util.Rng.int rng (List.length kinds)))
+      in
+      let todo =
+        List.map (fun x -> (Util.Rng.bits rng, x)) (kinds @ kinds @ extra)
+        |> List.sort compare |> List.map snd
+      in
+      List.iteri
+        (fun i (kind, arity) ->
+          let g =
+            B.add_gate b kind (Printf.sprintf "g%d" i)
+              (List.init arity (fun _ -> pick ()))
+          in
+          pool := g :: !pool;
+          if Util.Rng.int rng 4 = 0 then
+            ignore (B.add_output b (Printf.sprintf "o%d" i) g))
+        todo;
+      Array.iter (fun f -> B.connect_dff b f ~d:(pick ())) ffs;
+      let c = B.build b in
+      let comp = Compiled.of_circuit c in
+      let n = Circuit.node_count c in
+      let words = Array.make n 0 in
+      let word () =
+        Util.Rng.bits rng
+        lor (Util.Rng.bits rng lsl 30)
+        lor (Util.Rng.bits rng lsl 60)
+      in
+      Array.iter (fun id -> words.(id) <- word ()) (Circuit.sources c);
+      Compiled.eval_lanes comp words;
+      let values = Array.make n false in
+      for lane = 0 to lanes - 1 do
+        Array.iter
+          (fun id -> values.(id) <- (words.(id) lsr lane) land 1 <> 0)
+          (Circuit.sources c);
+        Array.iter
+          (fun id ->
+            if not (Compiled.is_source comp id) then begin
+              values.(id) <- Compiled.eval_bool comp values id;
+              if values.(id) <> ((words.(id) lsr lane) land 1 <> 0) then
+                QCheck.Test.fail_reportf "lane %d disagrees at %s" lane
+                  (Circuit.node c id).Circuit.name
+            end)
+          (Circuit.topo_order c)
+      done;
       true)
 
 (* ---------- engine equivalence ---------- *)
@@ -561,6 +677,9 @@ let suite =
       check_frame_boundaries;
     Alcotest.test_case "empty vector list" `Quick check_empty_vectors;
     Alcotest.test_case "validation parity" `Quick check_validation_parity;
+    Alcotest.test_case "lane counter counts past 127" `Quick
+      check_lane_counter_past_127;
     QCheck_alcotest.to_alcotest prop_lane_counter;
+    QCheck_alcotest.to_alcotest prop_eval_lanes_random_circuits;
     QCheck_alcotest.to_alcotest prop_engines_agree;
   ]

@@ -150,11 +150,11 @@ let check_snapshot_corruption () =
   Alcotest.(check int) "clobbered snapshot is a cold start" 0
     (R.restore r2 ~path);
   (* an intact snapshot of the previous format: its entries carry ATPG
-     counts with the old meaning of untestable and aborted *)
+     counts with the old meaning of detected and aborted *)
   let nl = String.index full '\n' in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
-        ("scanpower-registry-snapshot/1"
+        ("scanpower-registry-snapshot/2"
         ^ String.sub full nl (String.length full - nl)));
   let r_old = R.create ~capacity:8 () in
   Alcotest.(check int) "previous-format snapshot is a cold start" 0
