@@ -424,12 +424,16 @@ let ablation_multi_chain () =
   let vectors = Atpg.Pattern_gen.random_vectors ~seed:3 ~count:50 c in
   List.iter
     (fun k ->
-      let mc = Scan.Multi_chain.partition c ~chains:k in
-      let m = Scan.Multi_chain.measure mc ~policy:Scan.Scan_sim.traditional ~vectors in
+      let m =
+        Scan.Scan_sim.measure c
+          (Scan.Scan_chain.partition c ~chains:k)
+          Scan.Scan_sim.traditional ~vectors
+      in
       Format.printf
         "%2d chains: %5d cycles, %7d toggles, dyn/f %.3e uW/Hz, peak static %.2f uW@."
-        k m.Scan.Multi_chain.cycles m.Scan.Multi_chain.total_toggles
-        m.Scan.Multi_chain.dynamic_per_hz_uw m.Scan.Multi_chain.peak_static_uw)
+        k m.Scan.Scan_sim.cycles m.Scan.Scan_sim.total_toggles
+        m.Scan.Scan_sim.dynamic.Power.Switching.dynamic_per_hz_uw
+        m.Scan.Scan_sim.peak_static_uw)
     [ 1; 2; 4; 7; 21 ]
 
 (* (i) ATPG engines: plain PODEM vs SCOAP-guided PODEM (with and

@@ -34,13 +34,6 @@ let total_leakage_uw c values =
   (* nA x V = nW; convert to uW *)
   !na *. Techlib.Leakage_table.vdd /. 1000.0
 
-let average_leakage_uw c snapshots =
-  match snapshots with
-  | [] -> invalid_arg "Leakage.average_leakage_uw: no snapshots"
-  | _ ->
-    let sum = List.fold_left (fun acc v -> acc +. total_leakage_uw c v) 0.0 in
-    sum snapshots /. float_of_int (List.length snapshots)
-
 (* Probability of a packed fanin state under independent per-node
    one-probabilities. *)
 let state_probability nd p_one state =

@@ -25,11 +25,6 @@ val total_leakage_uw : Circuit.t -> bool array -> float
     @raise Invalid_argument if the circuit is not mapped or the value
     array has the wrong length. *)
 
-val average_leakage_uw : Circuit.t -> bool array list -> float
-(** Mean of [total_leakage_uw] over a list of node-value snapshots
-    (e.g. one per scan cycle).
-    @raise Invalid_argument on an empty list. *)
-
 val expected_gate_leakage_na : Circuit.t -> p_one:float array -> int -> float
 (** Expected leakage of gate [id] when each node [n] is 1 with
     independent probability [p_one.(n)]; the building block of the

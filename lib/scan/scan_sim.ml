@@ -46,6 +46,13 @@ let split_vector c chain vec =
     dffs;
   (pi, by_pos)
 
+(* (first chain position, length) of each chain *)
+let spans chain =
+  List.fold_left
+    (fun (start, acc) n -> (start + n, (start, n) :: acc))
+    (0, []) (Scan_chain.chain_lengths chain)
+  |> snd |> List.rev |> Array.of_list
+
 (* ------------------------------------------------------------------ *)
 (* Shared by both engines: validation, the per-cycle tallies and the   *)
 (* reduction to a [result].                                            *)
@@ -67,8 +74,9 @@ type stats = {
   chain_state : bool array; (* by chain position; the capture rewrites it *)
   first_pi : bool array; (* PI part of the first vector *)
   per_cycle : int array;
-      (* toggles of each counted cycle, in order: n_ff shifts and one
-         capture per vector, then the n_ff-cycle final shift-out *)
+      (* toggles of each counted cycle, in order: one shift per cell of
+         the longest chain and one capture per vector, then the final
+         shift-out *)
   mutable n_shift : int;
   mutable n_capture : int;
   leak : leak_sums;
@@ -109,7 +117,8 @@ let start ?init_state c chain policy ~vectors =
     first_pi;
     per_cycle =
       (let n_vec = List.length vectors in
-       Array.make ((n_vec * (n_ff + 1)) + if n_vec > 0 then n_ff else 0) 0);
+       let per_vec = Scan_chain.shift_cycles chain + 1 in
+       Array.make ((n_vec * per_vec) + if n_vec > 0 then per_vec - 1 else 0) 0);
     n_shift = 0;
     n_capture = 0;
     leak = { sum_shift = 0.0; sum_capture = 0.0; peak = 0.0 };
@@ -143,6 +152,7 @@ let[@inline] note_cycle st ~capture ~toggles ~na =
 type session = {
   circuit : Circuit.t;
   chain : Scan_chain.t;
+  spans : (int * int) array;
   policy : policy;
   st : stats;
   sim : Sim.Event_sim.t;
@@ -212,16 +222,21 @@ let pi_changes c pi_values =
   Array.to_list
     (Array.mapi (fun i id -> (id, pi_values.(i))) (Circuit.inputs c))
 
-(* One shift cycle: the chain moves by one, scan-in receives [bit].
-   With [hold_previous_capture] (enhanced scan: hold latches at every
-   scan-cell output) the pseudo-inputs keep their captured values while
-   the chain ripples internally, so the logic sees no shift activity at
-   all. *)
-let shift_cycle s bit =
+(* One shift cycle: every chain moves by one, chain [k]'s scan-in
+   receives [bits.(k)]. With [hold_previous_capture] (enhanced scan:
+   hold latches at every scan-cell output) the pseudo-inputs keep their
+   captured values while the chains ripple internally, so the logic
+   sees no shift activity at all. *)
+let shift_cycle s bits =
   let chain_state = s.st.chain_state in
   let n = Array.length chain_state in
-  Array.blit chain_state 0 chain_state 1 (n - 1);
-  chain_state.(0) <- bit;
+  Array.iteri
+    (fun k (start, len) ->
+      if len > 0 then begin
+        Array.blit chain_state start chain_state (start + 1) (len - 1);
+        chain_state.(start) <- bits.(k)
+      end)
+    s.spans;
   if not s.policy.hold_previous_capture then begin
     let changes = ref [] in
     for pos = 0 to n - 1 do
@@ -262,6 +277,7 @@ let run_scalar st c chain policy ~vectors ~on_response =
     {
       circuit = c;
       chain;
+      spans = spans chain;
       policy;
       st;
       sim = Sim.Event_sim.create c;
@@ -292,11 +308,12 @@ let run_scalar st c chain policy ~vectors ~on_response =
       List.iter (shift_cycle s) (Scan_chain.shift_in_sequence chain target_state);
       on_response (capture_cycle s pi))
     vectors;
-  (* final shift-out of the last response (scan-in pumped with zeros) *)
+  (* final shift-out of the last response (scan-ins pumped with zeros) *)
   if vectors <> [] then begin
     apply_sources s (pi_changes c (shift_pi policy st.first_pi));
-    for _ = 1 to Scan_chain.length chain do
-      shift_cycle s false
+    let zeros = Array.make (Scan_chain.chain_count chain) false in
+    for _ = 1 to Scan_chain.shift_cycles chain do
+      shift_cycle s zeros
     done
   end;
   (* invariant: the incremental leakage total equals a full recompute *)
@@ -313,13 +330,13 @@ let run_scalar st c chain policy ~vectors ~on_response =
 (*                                                                     *)
 (* The scalar protocol is a sequence of settled states: an uncounted   *)
 (* initial settle, then per vector a silent source pre-application     *)
-(* (the shift-mode PI pattern), [n_ff] shift cycles and one capture,   *)
-(* and a final shift-out segment.  Because the event simulator          *)
-(* evaluates every node at most once per change set, the toggles of a  *)
-(* cycle equal the Hamming distance between consecutive settled        *)
-(* states — so packing 63 consecutive settled states per word and      *)
-(* popcounting lane-to-lane XORs reproduces the scalar counts bit for  *)
-(* bit.                                                                *)
+(* (the shift-mode PI pattern), [n] shift cycles (n is the longest    *)
+(* chain's length) and one capture, and a final shift-out segment.     *)
+(* Because the event simulator evaluates every node at most once per   *)
+(* change set, the toggles of a cycle equal the Hamming distance       *)
+(* between consecutive settled states — so packing 63 consecutive      *)
+(* settled states per word and popcounting lane-to-lane XORs           *)
+(* reproduces the scalar counts bit for bit.                           *)
 (*                                                                     *)
 (* The one wrinkle is the silent pre-application: the scalar run       *)
 (* settles it as its own state (a node may toggle there and toggle     *)
@@ -327,28 +344,29 @@ let run_scalar st c chain policy ~vectors ~on_response =
 (* appends no per-cycle entry for it.  It is therefore modelled as a   *)
 (* distinct lane whose toggles merge into the next counted cycle.      *)
 (*                                                                     *)
-(* During shift, the flip-flop pseudo-input at chain position [j]      *)
-(* after [k] shifts is a pure function of the pre-shift chain contents *)
-(* S0 and the scan-in bits b: it equals A.(n-1-j+k) of the stream      *)
-(* A = [S0.(n-1); ...; S0.(0); b1; ...; bn].  Each flip-flop's shift   *)
-(* lanes are thus a one-word window into the packed stream — no        *)
+(* During shift, the pseudo-input of the cell at position [p] of a     *)
+(* chain of [m] cells after [k] shifts is a pure function of that      *)
+(* chain's pre-shift contents S0 and scan-in bits b: it equals         *)
+(* A.(m-1-p+k) of the chain's stream                                   *)
+(* A = [S0.(m-1); ...; S0.(0); b1; ...; bn], whose first n-m bits b    *)
+(* are the leading zeros of a short chain.  The chains' streams are    *)
+(* packed one after another, so each flip-flop's shift lanes are a     *)
+(* one-word window at its own offset into the packed stream — no       *)
 (* per-cycle chain array is materialised.                              *)
 (* ------------------------------------------------------------------ *)
-
-let frame_lanes = Sim.Packed_sim.lanes
 
 (* Lanes [lo..hi] inclusive (within a frame); 0 when empty. *)
 let mask_bits lo hi =
   if lo > hi then 0
   else
     let width = hi - lo + 1 in
-    (if width = frame_lanes then -1 else (1 lsl width) - 1) lsl lo
+    (if width = Compiled.lanes then -1 else (1 lsl width) - 1) lsl lo
 
-(* One frame of a bit stream packed [frame_lanes] bits per word,
+(* One frame of a bit stream packed [Compiled.lanes] bits per word,
    starting at bit [off]. *)
 let window (a : int array) off =
-  let w = off / frame_lanes and b = off mod frame_lanes in
-  if b = 0 then a.(w) else (a.(w) lsr b) lor (a.(w + 1) lsl (frame_lanes - b))
+  let w = off / Compiled.lanes and b = off mod Compiled.lanes in
+  if b = 0 then a.(w) else (a.(w) lsr b) lor (a.(w + 1) lsl (Compiled.lanes - b))
 
 module Lane_counter = Sim.Packed_sim.Lane_counter
 
@@ -568,9 +586,9 @@ let run_packed st c chain policy ~vectors ~on_response =
   let steady = Array.make max_states 0 in
   (* one state's per-lane counts, and per lane the varying gates counted
      in the states before the last *)
-  let counts = Array.make frame_lanes 0 in
-  let counted = Array.make frame_lanes 0 in
-  let na_lane = Array.make frame_lanes 0.0 in
+  let counts = Array.make Compiled.lanes 0 in
+  let counted = Array.make Compiled.lanes 0 in
+  let na_lane = Array.make Compiled.lanes 0.0 in
   (* [n] gates in state [s] of [tbl] on each of the first [count] lanes *)
   let add_steady ~count tbl s n =
     if n > 0 then begin
@@ -667,47 +685,63 @@ let run_packed st c chain policy ~vectors ~on_response =
   Array.iteri (fun j id -> words.(id) <- Bool.to_int ff_prev.(j)) ff_by_pos;
   Sim.Packed_sim.step ps ~count:1 ~record:false;
   let total_na = ref (settled_na ()) in
-  (* reusable packed shift stream A (see the header comment) *)
+  let n_shift = Scan_chain.shift_cycles chain in
+  (* per chain position: the stream offset of the cell's pre-shift bit
+     (see the header comment); chain [i]'s stream takes its [m] cells'
+     bits and [n_shift] scan-in bits *)
+  let off = Array.make n_ff 0 in
+  let stream_bits =
+    Array.fold_left
+      (fun at (start, m) ->
+        for p = 0 to m - 1 do
+          off.(start + p) <- at + m - 1 - p
+        done;
+        at + m + n_shift)
+      0 (spans chain)
+  in
+  (* reusable packed shift stream (see the header comment) *)
   let stream =
-    Array.make ((((2 * n_ff) + frame_lanes - 1) / frame_lanes) + 2) 0
+    Array.make (((stream_bits + Compiled.lanes - 1) / Compiled.lanes) + 2) 0
   in
   let seg_words = Array.length stream in
   let set_stream i v =
     if v then begin
-      let w = i / frame_lanes and b = i mod frame_lanes in
+      let w = i / Compiled.lanes and b = i mod Compiled.lanes in
       stream.(w) <- stream.(w) lor (1 lsl b)
     end
   in
   (* One segment: lane 0 = silent pre-application of [spi], lanes
-     1..n_ff the shift cycles, then (for a test segment, [cap = Some
-     (capture_pi, target)]) the capture lane.  [s0] is the chain before
+     1..n_shift the shift cycles, then (for a test segment, [cap = Some
+     (capture_pi, target)]) the capture lane.  [s0] is the chains before
      the first shift. A test segment scans [target] in, in the order of
      {!Scan_chain.shift_in_sequence}; the final shift-out scans in
      zeros. *)
   let run_segment ~spi ~cap ~s0 =
     Array.fill stream 0 seg_words 0;
-    for i = 0 to n_ff - 1 do
-      set_stream i s0.(n_ff - 1 - i)
+    for j = 0 to n_ff - 1 do
+      set_stream off.(j) s0.(j)
     done;
     (match cap with
     | Some (_, target) ->
-      for m = 1 to n_ff do
-        set_stream (n_ff - 1 + m) target.(n_ff - m)
+      for j = 0 to n_ff - 1 do
+        set_stream (off.(j) + n_shift) target.(j)
       done
     | None -> ());
     let has_cap = cap <> None in
-    let seg_len = 1 + n_ff + if has_cap then 1 else 0 in
-    let cap_s = if has_cap then n_ff + 1 else -1 in
+    let seg_len = 1 + n_shift + if has_cap then 1 else 0 in
+    let cap_s = if has_cap then n_shift + 1 else -1 in
     let base = ref 0 in
     while !base < seg_len do
       let b = !base in
-      let count = min frame_lanes (seg_len - b) in
+      let count = min Compiled.lanes (seg_len - b) in
       (* the frame carries segment lanes [b ..]; [m_ps] = pre-application
-         + shift lanes (segment lane <= n_ff), [m_shift] = real shift
-         cycles only (segment lanes 1..n_ff), [m_cap] = the capture lane
-         bit *)
-      let m_ps = mask_bits 0 (min (count - 1) (n_ff - b)) in
-      let m_shift = mask_bits (max 0 (1 - b)) (min (count - 1) (n_ff - b)) in
+         + shift lanes (segment lane <= n_shift), [m_shift] = real shift
+         cycles only (segment lanes 1..n_shift), [m_cap] = the capture
+         lane bit *)
+      let m_ps = mask_bits 0 (min (count - 1) (n_shift - b)) in
+      let m_shift =
+        mask_bits (max 0 (1 - b)) (min (count - 1) (n_shift - b))
+      in
       let cap_l = cap_s - b in
       let m_cap =
         if has_cap && cap_l >= 0 && cap_l < count then 1 lsl cap_l else 0
@@ -730,7 +764,7 @@ let run_packed st c chain policy ~vectors ~on_response =
             let shifts =
               match st.forced.(j) with
               | Some v -> if v then m_shift else 0
-              | None -> window stream (n_ff - 1 - j + b) land m_shift
+              | None -> window stream (off.(j) + b) land m_shift
             in
             if b = 0 && ff_prev.(j) then shifts lor 1 else shifts
           end
@@ -764,7 +798,7 @@ let run_packed st c chain policy ~vectors ~on_response =
       Array.blit response 0 st.chain_state 0 n_ff;
       on_response response)
     vectors;
-  (* final shift-out of the last response (scan-in pumped with zeros) *)
+  (* final shift-out of the last response (scan-ins pumped with zeros) *)
   if vectors <> [] then
     run_segment ~spi:(shift_pi policy st.first_pi) ~cap:None
       ~s0:st.chain_state;

@@ -1,12 +1,15 @@
 (** Cycle-accurate scan-shift power measurement.
 
     For every test vector the simulator replays the full test-per-scan
-    protocol: [length] shift cycles (simultaneously shifting the
-    previous response out and the next state in), then one capture
-    cycle with the test's primary-input part applied, with a final
-    shift-out after the last capture. Per-cycle node toggles accumulate
-    into the Eq. (1) dynamic figure; per-cycle leakage snapshots give
-    the average and peak static power during scan.
+    protocol: {!Scan_chain.shift_cycles} shift cycles, in each of which
+    every chain moves by one (simultaneously shifting the previous
+    response out and the next state in; a chain shorter than the
+    longest takes leading zeros so all chains are loaded at the
+    capture), then one capture cycle with the test's primary-input part
+    applied, with a final shift-out after the last capture. Per-cycle
+    node toggles accumulate into the Eq. (1) dynamic figure; per-cycle
+    leakage snapshots give the average and peak static power during
+    scan.
 
     The [policy] describes what the paper's hardware does during shift:
 
@@ -81,8 +84,10 @@ val measure :
   result
 (** [vectors] are fully-specified source assignments (positional over
     [Circuit.sources]): the PI part is applied at capture, the state
-    part is shifted in.  [engine] defaults to [Packed]; [Scalar] is
-    its test oracle.
+    part is shifted in.  [init_state] (default all zeros) is the chains'
+    contents before the first shift, indexed by chain position (see
+    {!Scan_chain}). [engine] defaults to [Packed]; [Scalar] is its test
+    oracle.
     @raise Invalid_argument on malformed vectors, forced non-dff nodes
     or an unmapped circuit. *)
 
@@ -94,6 +99,7 @@ val responses :
   policy ->
   vectors:bool array list ->
   bool array list
-(** Captured response (chain contents after each capture, by chain
-    position) per vector — used to check that the power-reduction
-    policies leave test behaviour untouched. *)
+(** Captured response per vector: the chains' contents after each
+    capture, indexed by chain position as [init_state] is (chain 0's
+    cells first), not in [Circuit.dffs] order. Used to check that the
+    power-reduction policies leave test behaviour untouched. *)

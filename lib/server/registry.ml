@@ -106,9 +106,10 @@ let trim t ~keep =
    the format version so an old snapshot read by a new binary is
    likewise just cold (/2: ATPG counts whose untestable faults include
    the ones implication refutes; /3: whose detected faults include the
-   aborted ones the final test set detects). [Flow.prepared] is pure
-   data (no closures), so Marshal round-trips it. *)
-let snapshot_magic = "scanpower-registry-snapshot/3"
+   aborted ones the final test set detects; /4: whose scan chain is a
+   partition into chains). [Flow.prepared] is pure data (no closures),
+   so Marshal round-trips it. *)
+let snapshot_magic = "scanpower-registry-snapshot/4"
 
 let snapshot t ~path =
   let entries =

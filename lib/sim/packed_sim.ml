@@ -1,7 +1,5 @@
 open Netlist
 
-let lanes = Compiled.lanes
-
 module Lane_counter = struct
   (* Plane [b] holds bit [b] of the count of every lane (lane [l] is bit
      [l]). [count] keeps the weight-1, -2 and -4 planes in locals while
@@ -64,10 +62,10 @@ module Lane_counter = struct
       out.(sh + 4) <- (acc lsr 28) land 127;
       out.(sh + 5) <- (acc lsr 35) land 127;
       out.(sh + 6) <- (acc lsr 42) land 127;
-      if sh + 7 < lanes then out.(sh + 7) <- (acc lsr 49) land 127
+      if sh + 7 < Compiled.lanes then out.(sh + 7) <- (acc lsr 49) land 127
     done;
-    let above = min lanes (8 * !bytes) in
-    Array.fill out above (lanes - above) 0;
+    let above = min Compiled.lanes (8 * !bytes) in
+    Array.fill out above (Compiled.lanes - above) 0;
     (* planes 7 and up (counts of 128 or more), lane by lane *)
     for b = 7 to n - 1 do
       let p = ref planes.(b) and l = ref 0 in
@@ -98,7 +96,7 @@ module Lane_counter = struct
     if len > t.max then invalid_arg "Packed_sim.Lane_counter.count: past max";
     if off < 0 || len < 0 || off > Array.length masks - len then
       invalid_arg "Packed_sim.Lane_counter.count: slice outside the masks";
-    if Array.length out < lanes then
+    if Array.length out < Compiled.lanes then
       invalid_arg "Packed_sim.Lane_counter.count: array shorter than lanes";
     let planes = t.planes in
     (* no lane's count exceeds [len] <= [max], so the weight-8 carries
@@ -159,7 +157,7 @@ type t = {
   mutable total : int;
   diffs : int array; (* the recording frame's non-zero node diffs *)
   counter : Lane_counter.t; (* per-lane toggles of the recording frame *)
-  lane_toggles : int array; (* [lanes] *)
+  lane_toggles : int array; (* [Compiled.lanes] *)
 }
 
 let create comp =
@@ -172,7 +170,7 @@ let create comp =
     total = 0;
     diffs = Array.make n 0;
     counter = Lane_counter.create ~max:n;
-    lane_toggles = Array.make lanes 0;
+    lane_toggles = Array.make Compiled.lanes 0;
   }
 
 let words t = t.words
@@ -195,7 +193,7 @@ let step_untimed t ~count ~record =
   Compiled.eval_lanes t.comp t.words;
   let words = t.words and last = t.last and toggles = t.toggles in
   let diffs = t.diffs and n_diffs = ref 0 and total = ref t.total in
-  let m = if count = lanes then -1 else (1 lsl count) - 1 in
+  let m = if count = Compiled.lanes then -1 else (1 lsl count) - 1 in
   for id = 0 to Compiled.node_count t.comp - 1 do
     let x = words.(id) in
     (* lane 0 diffs against the previous frame's final lane *)
@@ -215,7 +213,7 @@ let step_untimed t ~count ~record =
   end
 
 let step t ~count ~record =
-  if count < 1 || count > lanes then
+  if count < 1 || count > Compiled.lanes then
     invalid_arg "Packed_sim.step: bad lane count";
   if not (Telemetry.enabled ()) then step_untimed t ~count ~record
   else begin

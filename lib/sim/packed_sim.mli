@@ -21,9 +21,6 @@
 
 open Netlist
 
-val lanes : int
-(** {!Netlist.Compiled.lanes} (63): lanes per frame. *)
-
 (** Per-lane counting of lane masks, bit-sliced: plane [b] is one
     native [int] holding bit [b] of every lane's count. A caller buffers
     its masks (bit [l] of a mask is lane [l]) and counts them in one
@@ -49,7 +46,7 @@ module Lane_counter : sig
       of 128 or more) lane by lane, and only up to the highest lane
       with a non-zero count. No allocation.
       @raise Invalid_argument if [len > max], if the slice is not inside
-      [masks], or if [out] is shorter than {!lanes}. *)
+      [masks], or if [out] is shorter than {!Netlist.Compiled.lanes}. *)
 end
 
 type t
@@ -71,7 +68,7 @@ val step : t -> count:int -> record:bool -> unit
     ignored. *)
 
 val lane_toggles : t -> int array
-(** Length {!lanes}; entry [l] = total toggles in lane [l] of the
+(** Length {!Netlist.Compiled.lanes}; entry [l] = total toggles in lane [l] of the
     last recorded frame (aliased; rewritten by every recording
     {!step}). *)
 

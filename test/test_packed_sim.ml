@@ -130,7 +130,7 @@ let check_packed_sim_toggle_counting () =
   let expected = Array.make n 0 in
   let scalar = Array.make n false in
   for frame = 1 to 4 do
-    let count = 1 + Util.Rng.int rng Sim.Packed_sim.lanes in
+    let count = 1 + Util.Rng.int rng Compiled.lanes in
     let lanes = Array.init count (fun _ -> Array.make (Array.length sources) false) in
     Array.iter (fun lane -> Array.iteri (fun i _ -> lane.(i) <- Util.Rng.bool rng) lane) lanes;
     Array.iteri
@@ -142,7 +142,7 @@ let check_packed_sim_toggle_counting () =
         words.(id) <- !w)
       sources;
     Sim.Packed_sim.step ps ~count ~record:true;
-    let expected_lanes = Array.make Sim.Packed_sim.lanes 0 in
+    let expected_lanes = Array.make Compiled.lanes 0 in
     for l = 0 to count - 1 do
       Array.iteri (fun pos id -> scalar.(id) <- lanes.(l).(pos)) sources;
       Array.iter
@@ -180,7 +180,7 @@ let check_packed_sim_toggle_counting () =
    not a multiple of 8, and counts past 127 (the planes read lane by
    lane); and a count of more than [max] masks raises. *)
 let prop_lane_counter =
-  let lanes = Sim.Packed_sim.lanes in
+  let lanes = Compiled.lanes in
   let mask =
     let w21 = QCheck.Gen.int_bound 0x1FFFFF in
     QCheck.Gen.(
@@ -236,7 +236,7 @@ let prop_lane_counter =
    makes lane 0 count 301. *)
 let check_lane_counter_past_127 () =
   let module Lc = Sim.Packed_sim.Lane_counter in
-  let lanes = Sim.Packed_sim.lanes in
+  let lanes = Compiled.lanes in
   let buf = Array.concat [ [| 0; 0; 0 |]; Array.make 300 (-1); [| 1 |] ] in
   let ctr = Lc.create ~max:301 in
   let got = Array.make lanes 0 in
@@ -401,14 +401,57 @@ let policies c rng =
       } );
   ]
 
+(* The four policies above and one that forces every pseudo-input and
+   holds a constant PI pattern, so every shift lane applies the same
+   inputs. *)
+let all_policies c rng =
+  policies c rng
+  @ [
+      ( "all-forced",
+        {
+          Scan.Scan_sim.pi_during_shift =
+            Some (Array.make (Array.length (Circuit.inputs c)) false);
+          forced_pseudo =
+            Array.to_list (Circuit.dffs c)
+            |> List.map (fun id -> (id, Util.Rng.bool rng));
+          hold_previous_capture = false;
+        } );
+    ]
+
+(* A random partition: 1..n_ff non-empty chains over a shuffled cell
+   order. *)
+let random_partition rng c =
+  let cells = Array.copy (Circuit.dffs c) in
+  let n = Array.length cells in
+  for i = n - 1 downto 1 do
+    let j = Util.Rng.int rng (i + 1) in
+    let t = cells.(i) in
+    cells.(i) <- cells.(j);
+    cells.(j) <- t
+  done;
+  let k = 1 + Util.Rng.int rng n in
+  let lengths = Array.make k 1 in
+  for _ = 1 to n - k do
+    let i = Util.Rng.int rng k in
+    lengths.(i) <- lengths.(i) + 1
+  done;
+  let chains = ref [] and start = ref n in
+  for i = k - 1 downto 0 do
+    start := !start - lengths.(i);
+    chains := Array.sub cells !start lengths.(i) :: !chains
+  done;
+  Scan.Scan_chain.of_orders c !chains
+
 (* Scalar ≡ packed on [n_vectors] vectors drawn from [seed] (the same
    vectors as [Atpg.Pattern_gen.random_vectors ~seed ~count:n_vectors]).
-   [init_state] defaults to a seeded random chain state and [policies]
-   to the four above. *)
-let check_engines_agree_on ?init_state ?(policies = policies) name circuit
-    ~seed ~n_vectors =
+   [init_state] defaults to a seeded random chain state, [policies] to
+   the four above and [chain] to the natural chain. *)
+let check_engines_agree_on ?init_state ?(policies = policies) ?chain name
+    circuit ~seed ~n_vectors =
   let c = circuit in
-  let chain = Scan.Scan_chain.natural c in
+  let chain =
+    match chain with Some ch -> ch | None -> Scan.Scan_chain.natural c
+  in
   let rng = Util.Rng.create seed in
   let vectors = random_vectors rng c n_vectors in
   let init_state =
@@ -554,45 +597,48 @@ let check_golden_s27 () =
   check_engines_agree_on "s27" (Lazy.force s27m) ~seed:5 ~n_vectors:1
 
 (* Chains sized around the 63-lane frame. A test segment (silent lane +
-   n_ff shifts + capture) exactly fills one frame at 61 flip-flops,
-   spills one lane into a count = 1 frame at 62 and one or two lanes
-   into a third frame at 125/126; the capture-less shift-out segment
-   fills one frame exactly at 62, spills one lane at 63, fills two
-   frames exactly at 125 and spills one lane at 126. At 64 and 127 both
-   segments spill two or three lanes. The extra policy forces every
-   pseudo-input and holds a constant PI pattern, so every shift lane
-   applies the same inputs: in a frame of shift lanes only or of one
-   lane, every gate is steady, in one input state on all of the
-   frame's lanes. *)
+   n shifts + capture, n the longest chain) exactly fills one frame at
+   n = 61, spills one lane into a count = 1 frame at 62 and one or two
+   lanes into a third frame at 125/126; the capture-less shift-out
+   segment fills one frame exactly at 62, spills one lane at 63, fills
+   two frames exactly at 125 and spills one lane at 126. At 64 and 127
+   both segments spill two or three lanes. Under the all-forced policy
+   every shift lane applies the same inputs: in a frame of shift lanes
+   only or of one lane, every gate is steady, in one input state on all
+   of the frame's lanes. The two-chain cases put the same frame edges
+   under a partition: the longest chain sets n, and a much shorter
+   second chain shifts in leading zeros from its own part of the
+   stream. *)
 let check_frame_boundaries () =
-  let all_forced c rng =
-    ( "all-forced",
+  let circuit n_ff =
+    Circuits.generate
       {
-        Scan.Scan_sim.pi_during_shift =
-          Some (Array.make (Array.length (Circuit.inputs c)) false);
-        forced_pseudo =
-          Array.to_list (Circuit.dffs c)
-          |> List.map (fun id -> (id, Util.Rng.bool rng));
-        hold_previous_capture = false;
-      } )
+        Circuits.name = Printf.sprintf "frame%d" n_ff;
+        n_pi = 5;
+        n_po = 3;
+        n_ff;
+        n_gates = 120;
+        seed = n_ff;
+      }
   in
   List.iter
     (fun n_ff ->
-      let profile =
-        {
-          Circuits.name = Printf.sprintf "frame%d" n_ff;
-          n_pi = 5;
-          n_po = 3;
-          n_ff;
-          n_gates = 120;
-          seed = n_ff;
-        }
+      check_engines_agree_on (Printf.sprintf "frame%d" n_ff) (circuit n_ff)
+        ~policies:all_policies ~seed:n_ff ~n_vectors:3)
+    [ 61; 62; 63; 64; 125; 126; 127 ];
+  List.iter
+    (fun longest ->
+      let short = 1 + (longest / 20) in
+      let c = circuit (longest + short) in
+      let dffs = Circuit.dffs c in
+      let chain =
+        Scan.Scan_chain.of_orders c
+          [ Array.sub dffs 0 longest; Array.sub dffs longest short ]
       in
-      check_engines_agree_on profile.Circuits.name
-        (Circuits.generate profile)
-        ~policies:(fun c rng -> policies c rng @ [ all_forced c rng ])
-        ~seed:n_ff ~n_vectors:3)
-    [ 61; 62; 63; 64; 125; 126; 127 ]
+      check_engines_agree_on
+        (Printf.sprintf "frame%d+%d" longest short)
+        c ~chain ~policies:all_policies ~seed:longest ~n_vectors:3)
+    [ 62; 63; 64; 126; 127 ]
 
 let check_empty_vectors () =
   let c = Lazy.force s344 in
@@ -634,7 +680,8 @@ let check_validation_parity () =
     [ Scan.Scan_sim.Scalar; Scan.Scan_sim.Packed ]
 
 (* Property: on random generated circuits (mapped by construction) the
-   two engines agree for random vector sets and random policies. *)
+   two engines agree for random vector sets, random policies and random
+   chain partitions. *)
 let prop_engines_agree =
   QCheck.Test.make ~name:"packed engine equals scalar engine" ~count:12
     (QCheck.make
@@ -652,7 +699,9 @@ let prop_engines_agree =
         }
       in
       let c = Circuits.generate profile in
-      check_engines_agree_on profile.Circuits.name c ~seed ~n_vectors;
+      let chain = random_partition (Util.Rng.create (seed + 1)) c in
+      check_engines_agree_on profile.Circuits.name c ~chain
+        ~policies:all_policies ~seed ~n_vectors;
       true)
 
 let suite =

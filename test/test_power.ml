@@ -91,18 +91,6 @@ let check_gate_state_packing () =
       end)
     (Circuit.nodes c)
 
-let check_average_leakage () =
-  let c = Lazy.force mapped_s27 in
-  let v0 = settled c ~sources:(fun _ -> false) in
-  let v1 = settled c ~sources:(fun _ -> true) in
-  let l0 = Power.Leakage.total_leakage_uw c v0 in
-  let l1 = Power.Leakage.total_leakage_uw c v1 in
-  Alcotest.check (Alcotest.float 1e-9) "mean of two" ((l0 +. l1) /. 2.0)
-    (Power.Leakage.average_leakage_uw c [ v0; v1 ]);
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Leakage.average_leakage_uw: no snapshots") (fun () ->
-      ignore (Power.Leakage.average_leakage_uw c []))
-
 let check_expected_leakage_interpolates () =
   (* with all probabilities 0 or 1, the expectation equals the
      deterministic leakage *)
@@ -149,7 +137,6 @@ let suite =
       check_leakage_positive_and_state_dependent;
     Alcotest.test_case "leakage magnitude" `Quick check_leakage_magnitude;
     Alcotest.test_case "gate state packing" `Quick check_gate_state_packing;
-    Alcotest.test_case "average leakage" `Quick check_average_leakage;
     Alcotest.test_case "expected leakage interpolates" `Quick
       check_expected_leakage_interpolates;
     QCheck_alcotest.to_alcotest prop_total_is_sum_of_gates;

@@ -149,16 +149,20 @@ let check_snapshot_corruption () =
   let r2 = R.create ~capacity:8 () in
   Alcotest.(check int) "clobbered snapshot is a cold start" 0
     (R.restore r2 ~path);
-  (* an intact snapshot of the previous format: its entries carry ATPG
-     counts with the old meaning of detected and aborted *)
+  (* intact snapshots of previous formats: /2 entries carry ATPG counts
+     with the old meaning of detected and aborted, /3 entries a scan
+     chain of the single-chain layout *)
   let nl = String.index full '\n' in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc
-        ("scanpower-registry-snapshot/2"
-        ^ String.sub full nl (String.length full - nl)));
-  let r_old = R.create ~capacity:8 () in
-  Alcotest.(check int) "previous-format snapshot is a cold start" 0
-    (R.restore r_old ~path);
+  List.iter
+    (fun magic ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (magic ^ String.sub full nl (String.length full - nl)));
+      let r_old = R.create ~capacity:8 () in
+      Alcotest.(check int)
+        (magic ^ " snapshot is a cold start")
+        0 (R.restore r_old ~path))
+    [ "scanpower-registry-snapshot/2"; "scanpower-registry-snapshot/3" ];
   (* wrong magic *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not-a-snapshot/0\n");
