@@ -94,8 +94,7 @@ type engine = {
   fanin : int array;
   fanout_off : int array;
   fanout : int array;
-  topo : int array;
-  topo_pos : int array; (* node id -> index in [topo] *)
+  topo_pos : int array; (* node id -> topological index *)
   levels : int array;
   observable : bool array;
   source_pos : int array; (* node id -> source position, -1 off sources *)
@@ -105,12 +104,15 @@ type engine = {
   cost1 : int array;
   values : int array; (* node id -> five-valued code *)
   assigned : int array; (* source position -> 0 / 1 / X code *)
-  (* fault fanout cone in topological order, members marked by stamp:
-     the only region where a D can live *)
-  cone : int array;
-  mutable cone_len : int;
-  in_cone : int array;
-  mutable cone_stamp : int;
+  (* every node whose value left X, in order; popping an entry returns
+     its node to X. Each node is on it at most once (see [set]). *)
+  trail : int array;
+  mutable trail_len : int;
+  (* the nodes carrying D or D', in trail order: a pop removes them
+     from the top, so this is a stack too *)
+  d_nodes : int array;
+  mutable d_len : int;
+  mutable obs_d : int; (* observable nodes carrying D or D' *)
   (* level-bucketed propagation queue, flat: level [l] owns
      [bucket.(bucket_off.(l)) ..], sized by the level population *)
   bucket : int array;
@@ -125,10 +127,12 @@ type engine = {
   dec_node : int array;
   dec_value : int array;
   dec_flipped : bool array;
+  dec_mark : int array; (* trail length before the decision *)
   mutable depth : int;
   (* the fault under test *)
   mutable out_site : int; (* node whose output line is stuck, or -1 *)
   mutable pin_edge : int; (* CSR fanin slot of the stuck pin, or -1 *)
+  mutable pin_gate : int; (* gate of the stuck pin, or -1 *)
   mutable stuck : int;
   mutable act_node : int; (* line whose good value activates the fault *)
   (* per-fault search state *)
@@ -165,7 +169,6 @@ let make ?guide c =
     fanin = Compiled.fanin cc;
     fanout_off = Compiled.fanout_off cc;
     fanout = Compiled.fanout cc;
-    topo;
     topo_pos;
     levels = Compiled.levels cc;
     observable = Compiled.observable cc;
@@ -174,10 +177,11 @@ let make ?guide c =
     cost1;
     values = Array.make n vx;
     assigned = Array.make n_sources vx;
-    cone = Array.make n 0;
-    cone_len = 0;
-    in_cone = Array.make n 0;
-    cone_stamp = 0;
+    trail = Array.make n 0;
+    trail_len = 0;
+    d_nodes = Array.make n 0;
+    d_len = 0;
+    obs_d = 0;
     bucket = Array.make bucket_off.(n_levels) 0;
     bucket_off;
     bucket_len = Array.make n_levels 0;
@@ -188,9 +192,11 @@ let make ?guide c =
     dec_node = Array.make n_sources 0;
     dec_value = Array.make n_sources 0;
     dec_flipped = Array.make n_sources false;
+    dec_mark = Array.make n_sources 0;
     depth = 0;
     out_site = -1;
     pin_edge = -1;
+    pin_gate = -1;
     stuck = 0;
     act_node = 0;
     iterations = 0;
@@ -198,45 +204,56 @@ let make ?guide c =
     aborted = false;
   }
 
+(* Record a value change. Implication only ever refines: every table
+   is monotone in the order X < known, and the trail pops back to a
+   state implied from a subset of the current assignments before a
+   source is set again, so a change is always X -> known. The check
+   keeps the trail within its [n] slots if that ever stops holding. *)
+let set e id v =
+  if e.values.(id) <> vx then invalid_arg "Podem.set: overwrites a known value";
+  e.values.(id) <- v;
+  e.trail.(e.trail_len) <- id;
+  e.trail_len <- e.trail_len + 1;
+  if v >= 3 then begin
+    e.d_nodes.(e.d_len) <- id;
+    e.d_len <- e.d_len + 1;
+    if e.observable.(id) then e.obs_d <- e.obs_d + 1
+  end
+
+(* Return every node set since the trail held [mark] entries to X. *)
+let pop_to e mark =
+  for i = e.trail_len - 1 downto mark do
+    let id = e.trail.(i) in
+    if e.values.(id) >= 3 then begin
+      e.d_len <- e.d_len - 1;
+      if e.observable.(id) then e.obs_d <- e.obs_d - 1
+    end;
+    e.values.(id) <- vx
+  done;
+  e.trail_len <- mark
+
 (* Arm the engine for one fault. With every source X every node is X
-   (an injected stuck value only fixes the faulty half), so a refill
-   replaces the full implication. *)
+   (an injected stuck value only fixes the faulty half), so popping the
+   previous fault's whole trail replaces the full implication. *)
 let reset e fault =
-  Array.fill e.values 0 (Array.length e.values) vx;
+  pop_to e 0;
   Array.fill e.assigned 0 (Array.length e.assigned) vx;
   e.depth <- 0;
   e.iterations <- 0;
   e.backtracks <- 0;
   e.aborted <- false;
   e.stuck <- (if fault.Fault.stuck then 1 else 0);
-  (match fault.Fault.site with
+  match fault.Fault.site with
   | Fault.Output_line id ->
     e.out_site <- id;
     e.pin_edge <- -1;
+    e.pin_gate <- -1;
     e.act_node <- id
   | Fault.Input_pin (gid, pin) ->
     e.out_site <- -1;
     e.pin_edge <- e.fanin_off.(gid) + pin;
-    e.act_node <- e.fanin.(e.pin_edge));
-  (* the structural fanout cone, collected in one topological sweep
-     from the site; DFF nodes never propagate *)
-  e.cone_stamp <- e.cone_stamp + 1;
-  let mark = e.cone_stamp in
-  let site = Fault.site_node fault in
-  e.in_cone.(site) <- mark;
-  let len = ref 0 in
-  for p = e.topo_pos.(site) to Array.length e.topo - 1 do
-    let id = e.topo.(p) in
-    if e.in_cone.(id) = mark then begin
-      e.cone.(!len) <- id;
-      incr len;
-      for k = e.fanout_off.(id) to e.fanout_off.(id + 1) - 1 do
-        let succ = e.fanout.(k) in
-        if e.opcode.(succ) <> Compiled.op_dff then e.in_cone.(succ) <- mark
-      done
-    end
-  done;
-  e.cone_len <- !len
+    e.pin_gate <- gid;
+    e.act_node <- e.fanin.(e.pin_edge)
 
 (* Value of one node under the armed fault. Allocates nothing. *)
 let eval_node e id =
@@ -276,7 +293,7 @@ let schedule_fanouts e id =
 let imply_from e source =
   let v = eval_node e source in
   if v <> e.values.(source) then begin
-    e.values.(source) <- v;
+    set e source v;
     schedule_fanouts e source;
     let l = ref 1 in
     while e.queued > 0 do
@@ -288,7 +305,7 @@ let imply_from e source =
         e.pending.(id) <- false;
         let v = eval_node e id in
         if v <> e.values.(id) then begin
-          e.values.(id) <- v;
+          set e id v;
           schedule_fanouts e id
         end
       done;
@@ -296,14 +313,7 @@ let imply_from e source =
     done
   end
 
-let detected e =
-  let found = ref false and i = ref 0 in
-  while (not !found) && !i < e.cone_len do
-    let id = e.cone.(!i) in
-    if e.observable.(id) && e.values.(id) >= 3 then found := true;
-    incr i
-  done;
-  !found
+let detected e = e.obs_d > 0
 
 let activation_value e = 1 - e.stuck
 let act_good e = good_tbl.(e.values.(e.act_node))
@@ -343,21 +353,32 @@ and through_fanouts e k hi =
     || through_fanouts e (k + 1) hi
   end
 
-(* Propagation objective, encoded [2*node + value], or -1: the first
-   D-frontier gate of the cone (logic gate, X output, D on an input)
-   asks for the non-controlling value on its first X input, provided
-   some frontier gate still has an X-path to an observable. *)
+(* A D-frontier gate: a logic gate with an X output and a D on an
+   input. *)
+let frontier_gate e id =
+  e.opcode.(id) >= Compiled.op_buf && e.values.(id) = vx && sees_d e id
+
+(* Propagation objective, encoded [2*node + value], or -1: the
+   topologically first D-frontier gate asks for the non-controlling
+   value on its first X input, provided some frontier gate still has an
+   X-path to an observable. Every frontier gate is a fanout of a
+   D-carrying node or, for a pin fault, the faulted gate itself. *)
 let propagation_objective e =
   e.stamp <- e.stamp + 1;
-  let first = ref (-1) and path = ref false and i = ref 0 in
-  while (not !path) && !i < e.cone_len do
-    let id = e.cone.(!i) in
-    if e.opcode.(id) >= Compiled.op_buf && e.values.(id) = vx && sees_d e id
-    then begin
-      if !first < 0 then first := id;
-      path := reachable e id
-    end;
-    incr i
+  let first = ref (-1) and path = ref false in
+  if e.pin_gate >= 0 && frontier_gate e e.pin_gate then begin
+    first := e.pin_gate;
+    path := reachable e e.pin_gate
+  end;
+  for i = 0 to e.d_len - 1 do
+    let d = e.d_nodes.(i) in
+    for k = e.fanout_off.(d) to e.fanout_off.(d + 1) - 1 do
+      let g = e.fanout.(k) in
+      if frontier_gate e g then begin
+        if !first < 0 || e.topo_pos.(g) < e.topo_pos.(!first) then first := g;
+        if not !path then path := reachable e g
+      end
+    done
   done;
   if !first < 0 || not !path then -1
   else begin
@@ -398,7 +419,10 @@ let rec backtrace e id v =
   end
 
 (* Undo flipped decisions and flip the most recent unflipped one; false
-   when the space is exhausted or the backtrack limit is hit. *)
+   when the space is exhausted or the backtrack limit is hit. Both pop
+   the trail back to where the decision found it, which restores the
+   values implied without it; a flip then implies its new value from
+   there. *)
 let rec backtrack e limit =
   if e.depth = 0 then false
   else begin
@@ -406,8 +430,8 @@ let rec backtrack e limit =
     let src = e.dec_node.(top) in
     let pos = e.source_pos.(src) in
     if e.dec_flipped.(top) then begin
+      pop_to e e.dec_mark.(top);
       e.assigned.(pos) <- vx;
-      imply_from e src;
       e.depth <- top;
       backtrack e limit
     end
@@ -419,6 +443,7 @@ let rec backtrack e limit =
         false
       end
       else begin
+        pop_to e e.dec_mark.(top);
         let v' = 1 - e.dec_value.(top) in
         e.assigned.(pos) <- v';
         e.dec_value.(top) <- v';
@@ -459,6 +484,7 @@ let rec explore e ~backtrack_limit =
       e.dec_node.(e.depth) <- src;
       e.dec_value.(e.depth) <- v;
       e.dec_flipped.(e.depth) <- false;
+      e.dec_mark.(e.depth) <- e.trail_len;
       e.depth <- e.depth + 1;
       imply_from e src;
       explore e ~backtrack_limit

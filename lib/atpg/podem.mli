@@ -6,12 +6,18 @@
     One {!engine} serves every fault of a circuit. {!make} compiles the
     circuit once into the {!Netlist.Compiled} CSR arrays and allocates
     all scratch: source positions, observables, topological positions,
-    backtrace costs, five-valued values, the level buckets and the
-    decision stack. {!generate} re-arms that state for one fault (a
-    refill plus a stamped fault-cone sweep) and runs the search without
-    allocating until it returns. Five-valued gate evaluation folds 5x5
-    tables built from {!Netlist.Logic.Five}, so the search sees exactly
-    the D-algebra of that module.
+    backtrace costs, five-valued values, the value trail, the stack of
+    D-carrying nodes, the level buckets and the decision stack. Every
+    value change goes on the trail, and implication only ever turns X
+    into a known value, so backtracking pops the trail back to a
+    decision's mark instead of implying again, and {!generate} re-arms
+    the engine for the next fault by popping the previous fault's
+    trail. The search then runs without allocating until it returns.
+    Detection is a count of observable D-carrying nodes, and the
+    D-frontier comes from the fanouts of the D-carrying nodes.
+    Five-valued gate evaluation folds 5x5 tables built from
+    {!Netlist.Logic.Five}, so the search sees exactly the D-algebra of
+    that module.
 
     Before it searches, {!generate} runs the {!Implication} screen on
     the fault: a contradiction by implication alone proves the fault

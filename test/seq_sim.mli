@@ -1,6 +1,8 @@
-(** Cycle-based two-valued sequential simulation: apply a primary-input
-    vector, read outputs, clock the flip-flops. Used for functional
-    equivalence checks (techmap) and test-response computation. *)
+(** Test oracle: cycle-based two-valued sequential simulation. Apply a
+    primary-input vector, read outputs, clock the flip-flops. The tests
+    use it for functional equivalence checks (techmap, bench
+    round-trips, reordering) and as the reference for scan capture
+    responses. *)
 
 open Netlist
 

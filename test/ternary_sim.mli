@@ -1,7 +1,9 @@
-(** Levelised three-valued (0/1/X) simulation of the combinational
-    core. Values are dense arrays indexed by node id; flip-flop nodes
-    carry their present-state value and primary inputs their applied
-    value. *)
+(** Test oracle: levelised three-valued (0/1/X) simulation of the
+    combinational core on [Circuit.t], the reference for the library's
+    incremental implication ([Scanpower.Justify], [Scanpower.Tns]) and
+    the engine of {!Seq_sim}. Values are dense arrays indexed by node id;
+    flip-flop nodes carry their present-state value and primary inputs
+    their applied value. *)
 
 open Netlist
 

@@ -149,7 +149,7 @@ let check_circuit_functions () =
   for _ = 1 to 50 do
     let srcs = Util.Rng.bool_array rng (Array.length (Circuit.sources c)) in
     let values =
-      Sim.Ternary_sim.eval c
+      Ternary_sim.eval c
         ~inputs:(fun i -> Logic.of_bool srcs.(i))
         ~state:(fun i ->
           Logic.of_bool srcs.(Array.length (Circuit.inputs c) + i))
@@ -180,7 +180,7 @@ let check_exact_probabilities_vs_sampling () =
   for mask = 0 to (1 lsl n_src) - 1 do
     let srcs = Array.init n_src (fun i -> mask land (1 lsl i) <> 0) in
     let values =
-      Sim.Ternary_sim.eval c
+      Ternary_sim.eval c
         ~inputs:(fun i -> Logic.of_bool srcs.(i))
         ~state:(fun i ->
           Logic.of_bool srcs.(Array.length (Circuit.inputs c) + i))
@@ -230,8 +230,8 @@ let check_equivalence_mapper () =
 let check_equivalence_reorder () =
   let c = mapped "s382" in
   let c' = Circuit.copy c in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
-  Sim.Ternary_sim.propagate c values;
+  let values = Ternary_sim.make_values c Logic.X in
+  Ternary_sim.propagate c values;
   let _ = Scanpower.Input_reorder.optimize c' ~values in
   Alcotest.(check bool) "reordered circuit equivalent" true
     (Bdd.Circuit_bdd.equivalent c c')

@@ -121,14 +121,14 @@ let check_roundtrip () =
   let s = Circuit.stats c and s' = Circuit.stats c' in
   Alcotest.(check bool) "same stats" true (s = s');
   (* functional equivalence on a few vectors *)
-  let sim = Sim.Seq_sim.create c and sim' = Sim.Seq_sim.create c' in
+  let sim = Seq_sim.create c and sim' = Seq_sim.create c' in
   let rng = Util.Rng.create 5 in
   for _ = 1 to 20 do
     let v = Util.Rng.bool_array rng 4 in
     Alcotest.(check (array bool))
       "outputs equal"
-      (Sim.Seq_sim.step sim v)
-      (Sim.Seq_sim.step sim' v)
+      (Seq_sim.step sim v)
+      (Seq_sim.step sim' v)
   done
 
 (* Node-by-node circuit equality up to node numbering: same source /

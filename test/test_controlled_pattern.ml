@@ -54,11 +54,11 @@ let check_values_follow_from_assignment () =
      controlled-input assignment *)
   let c = mapped "s382" in
   let r = leak_directed c in
-  let fresh = Sim.Ternary_sim.make_values c Logic.X in
+  let fresh = Ternary_sim.make_values c Logic.X in
   List.iter
     (fun (id, v) -> fresh.(id) <- v)
     r.Scanpower.Controlled_pattern.assignment;
-  Sim.Ternary_sim.propagate c fresh;
+  Ternary_sim.propagate c fresh;
   Array.iteri
     (fun id v ->
       Alcotest.(check bool)
@@ -103,8 +103,8 @@ let check_blocking_reduces_transitions () =
     Array.to_list (Circuit.dffs c)
     |> List.filter (fun id -> not (Hashtbl.mem muxed id))
   in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
-  Sim.Ternary_sim.propagate c values;
+  let values = Ternary_sim.make_values c Logic.X in
+  Ternary_sim.propagate c values;
   let unblocked =
     Scanpower.Tns.compute c ~values ~seeds
       ~failed:(Array.make (Circuit.node_count c) false)

@@ -75,8 +75,8 @@ let check_ivc_picks_low_leakage () =
   let i1 = Circuit.Builder.add_gate b Gate.Not "i1" [ a ] in
   let _ = Circuit.Builder.add_output b "po" i1 in
   let c = Circuit.Builder.build b in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
-  Sim.Ternary_sim.propagate c values;
+  let values = Ternary_sim.make_values c Logic.X in
+  Ternary_sim.propagate c values;
   let filled = Scanpower.Ivc.fill ~candidates:8 ~seed:1 c ~values ~controlled:[ a ] in
   let t0 = Techlib.Leakage_table.leakage_na Techlib.Cell.Inv ~state:0 in
   let t1 = Techlib.Leakage_table.leakage_na Techlib.Cell.Inv ~state:1 in
@@ -86,8 +86,8 @@ let check_ivc_picks_low_leakage () =
 
 let check_ivc_deterministic () =
   let c = mapped "s344" in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
-  Sim.Ternary_sim.propagate c values;
+  let values = Ternary_sim.make_values c Logic.X in
+  Ternary_sim.propagate c values;
   let controlled = Array.to_list (Circuit.inputs c) in
   let f1 = Scanpower.Ivc.fill ~seed:9 c ~values ~controlled in
   let f2 = Scanpower.Ivc.fill ~seed:9 c ~values ~controlled in
@@ -122,10 +122,10 @@ let reorder_gadget () =
 
 let check_reorder_swaps_hot_nand () =
   let c = reorder_gadget () in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
+  let values = Ternary_sim.make_values c Logic.X in
   values.(Circuit.find c "a") <- Logic.One;
   values.(Circuit.find c "b") <- Logic.Zero;
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   let before = (Circuit.node c (Circuit.find c "g")).Circuit.fanins in
   let before = Array.copy before in
   let r = Scanpower.Input_reorder.optimize c ~values in
@@ -138,41 +138,41 @@ let check_reorder_swaps_hot_nand () =
 
 let check_reorder_leaves_optimal_alone () =
   let c = reorder_gadget () in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
+  let values = Ternary_sim.make_values c Logic.X in
   values.(Circuit.find c "a") <- Logic.Zero;
   values.(Circuit.find c "b") <- Logic.One;
   (* already the cheap "01" *)
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   let r = Scanpower.Input_reorder.optimize c ~values in
   Alcotest.(check int) "nothing to do" 0 r.Scanpower.Input_reorder.gates_reordered
 
 let check_reorder_preserves_function () =
   let c = mapped "s382" in
   let reference = Circuit.copy c in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
+  let values = Ternary_sim.make_values c Logic.X in
   let rng = Util.Rng.create 21 in
   Array.iter
     (fun id -> values.(id) <- Logic.of_bool (Util.Rng.bool rng))
     (Circuit.sources c);
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   let _ = Scanpower.Input_reorder.optimize c ~values in
   (* symmetric-pin permutation cannot change any function *)
   let n_pi = Array.length (Circuit.inputs c) in
-  let sim = Sim.Seq_sim.create c and sim' = Sim.Seq_sim.create reference in
+  let sim = Seq_sim.create c and sim' = Seq_sim.create reference in
   for _ = 1 to 40 do
     let v = Util.Rng.bool_array rng n_pi in
-    Alcotest.(check (array bool)) "same outputs" (Sim.Seq_sim.step sim' v)
-      (Sim.Seq_sim.step sim v)
+    Alcotest.(check (array bool)) "same outputs" (Seq_sim.step sim' v)
+      (Seq_sim.step sim v)
   done
 
 let check_reorder_never_increases_expected_leakage () =
   let c = mapped "s344" in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
+  let values = Ternary_sim.make_values c Logic.X in
   let rng = Util.Rng.create 5 in
   Array.iter
     (fun id -> if Util.Rng.bool rng then values.(id) <- Logic.of_bool (Util.Rng.bool rng))
     (Circuit.sources c);
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   let total_expected cc =
     let acc = ref 0.0 in
     Array.iter

@@ -7,8 +7,8 @@ let logic = Alcotest.testable Logic.pp Logic.equal
 let mapped_s27 = lazy (Techmap.Mapper.map (Circuits.s27 ()))
 
 let fresh_values c =
-  let v = Sim.Ternary_sim.make_values c Logic.X in
-  Sim.Ternary_sim.propagate c v;
+  let v = Ternary_sim.make_values c Logic.X in
+  Ternary_sim.propagate c v;
   v
 
 let engine ?(direction = Scanpower.Justify.Structural) c controllable =
@@ -67,7 +67,7 @@ let check_justify_respects_existing_assignment () =
   let values = fresh_values c in
   values.(a) <- Logic.Zero;
   (* pins g to 1 *)
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   Alcotest.(check bool) "conflicting objective fails" true
     (Scanpower.Justify.justify e ~values g Logic.Zero = None);
   (* and the input array is untouched *)
@@ -80,7 +80,7 @@ let check_already_satisfied () =
   let e = engine c [ a; b2 ] in
   let values = fresh_values c in
   values.(a) <- Logic.Zero;
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   match Scanpower.Justify.justify e ~values g Logic.One with
   | None -> Alcotest.fail "already satisfied"
   | Some v -> Alcotest.check logic "g" Logic.One v.(g)
@@ -134,9 +134,9 @@ let prop_justify_sound =
       | None -> true
       | Some v ->
         (* re-simulate from scratch with only the source assignments *)
-        let check = Sim.Ternary_sim.make_values c Logic.X in
+        let check = Ternary_sim.make_values c Logic.X in
         Array.iter (fun id -> check.(id) <- v.(id)) (Circuit.sources c);
-        Sim.Ternary_sim.propagate c check;
+        Ternary_sim.propagate c check;
         Logic.equal check.(nd.Circuit.id) target)
 
 (* A random netlist over every logic gate kind, with flip-flops feeding
@@ -196,9 +196,9 @@ let prop_implication_matches_full_sweep =
           Scanpower.Justify.set_source e work src v
         done;
         Scanpower.Justify.imply e work;
-        let oracle = Sim.Ternary_sim.make_values c Logic.X in
+        let oracle = Ternary_sim.make_values c Logic.X in
         Array.iter (fun id -> oracle.(id) <- work.(id)) sources;
-        Sim.Ternary_sim.propagate c oracle;
+        Ternary_sim.propagate c oracle;
         if not (Array.for_all2 Logic.equal oracle work) then ok := false
       done;
       !ok)

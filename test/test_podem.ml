@@ -98,23 +98,63 @@ let check_s27_sound () =
   ignore
     (check_refuted_undetectable "s27 mapped" (Techmap.Mapper.map (Circuits.s27 ())))
 
+(* A random generated circuit with 2..6 primary inputs and 1..[max_ff]
+   flip-flops, so few sources that every vector can be simulated. *)
+let small_circuit prefix ~max_ff (seed, n_gates) =
+  let name = Printf.sprintf "%s%d" prefix seed in
+  let profile =
+    {
+      Circuits.name;
+      n_pi = 2 + (seed mod 5);
+      n_po = 2;
+      n_ff = 1 + (seed mod max_ff);
+      n_gates;
+      seed;
+    }
+  in
+  (name, Circuits.generate profile)
+
+let seed_and_size = QCheck.make QCheck.Gen.(pair (int_range 0 10000) (int_range 10 80))
+
 let prop_refuted_undetectable =
   QCheck.Test.make ~name:"refuted faults are detected by no vector" ~count:25
-    (QCheck.make QCheck.Gen.(pair (int_range 0 10000) (int_range 10 80)))
-    (fun (seed, n_gates) ->
-      let name = Printf.sprintf "iprop%d" seed in
-      let c =
-        Circuits.generate
-          {
-            Circuits.name;
-            n_pi = 2 + (seed mod 5);
-            n_po = 2;
-            n_ff = 1 + (seed mod 7);
-            n_gates;
-            seed;
-          }
-      in
+    seed_and_size (fun p ->
+      let name, c = small_circuit "iprop" ~max_ff:7 p in
       ignore (check_refuted_undetectable name c);
+      true)
+
+(* The search alone is sound on random circuits small enough to
+   enumerate: every cube it returns detects its fault however the X
+   positions are filled (checked all-0 and all-1), and a fault it calls
+   [Untestable] is one it proved by exhausting the assignments, which
+   no vector detects. The backtrack limit is high enough that the
+   search on these circuits proves rather than aborts. *)
+let prop_search_sound =
+  QCheck.Test.make ~name:"search tests detect and search-untestable is undetectable"
+    ~count:25 seed_and_size (fun p ->
+      let name, c = small_circuit "sprop" ~max_ff:6 p in
+      let podem = Atpg.Podem.make ~guide:(Atpg.Scoap.compute c) c in
+      let untestable = ref [] in
+      List.iter
+        (fun f ->
+          match Atpg.Podem.search ~backtrack_limit:10_000 podem f with
+          | Atpg.Podem.Test cube ->
+            List.iter
+              (fun fill ->
+                let v = Array.map (fun x -> Option.value (Logic.to_bool x) ~default:fill) cube in
+                if Oracle.detected_by c ~faults:[ f ] ~vectors:[ v ] = [] then
+                  Alcotest.failf "%s: the cube for %s filled with %b does not detect it"
+                    name (Atpg.Fault.to_string c f) fill)
+              [ false; true ]
+          | Atpg.Podem.Untestable -> untestable := f :: !untestable
+          | Atpg.Podem.Aborted -> ())
+        (Atpg.Fault.collapsed_faults c);
+      let vectors = Oracle.all_vectors (Array.length (Circuit.sources c)) in
+      (match Oracle.detected_by c ~faults:!untestable ~vectors with
+      | [] -> ()
+      | f :: _ ->
+        Alcotest.failf "%s: search proves %s untestable, but a vector detects it" name
+          (Atpg.Fault.to_string c f));
       true)
 
 (* On the ten circuits of the flow-cold benchmark, the search alone,
@@ -142,12 +182,21 @@ let suite =
     Alcotest.test_case "golden s713" `Quick
       (golden "s713" ~tests:815 ~untestable:344 ~aborted:254
          ~md5:"e66b4ec077a017f45b94778139c3b85a");
+    (* the larger two hold most backtrack-limit aborts: s1494's 251
+       walk the flip/undo path of the search hardest *)
+    Alcotest.test_case "golden s1196" `Quick
+      (golden "s1196" ~tests:671 ~untestable:663 ~aborted:539
+         ~md5:"7994552b585ccaef17cf1f7c06c73332");
+    Alcotest.test_case "golden s1494" `Quick
+      (golden "s1494" ~tests:288 ~untestable:1687 ~aborted:251
+         ~md5:"c7b7925d3b61d402a82932b7354f0160");
     Alcotest.test_case "implication refutes a redundant OR" `Quick
       check_redundant_or;
     Alcotest.test_case "implication sound on every gate kind" `Quick
       check_all_kinds_sound;
     Alcotest.test_case "implication sound on s27" `Quick check_s27_sound;
     QCheck_alcotest.to_alcotest prop_refuted_undetectable;
+    QCheck_alcotest.to_alcotest prop_search_sound;
     Alcotest.test_case "no PODEM test for a refuted fault" `Slow
       check_flow_circuits_no_refuted_test;
   ]

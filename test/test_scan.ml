@@ -106,10 +106,10 @@ let check_responses_match_seq_sim () =
       let n_pi = Array.length (Circuit.inputs c) in
       let pi = Array.sub vec 0 n_pi in
       let st = Array.sub vec n_pi (Array.length vec - n_pi) in
-      let sim = Sim.Seq_sim.create ~init_state:st c in
-      let _ = Sim.Seq_sim.step sim pi in
+      let sim = Seq_sim.create ~init_state:st c in
+      let _ = Seq_sim.step sim pi in
       (* seq sim state order = Circuit.dffs order = chain order here *)
-      Alcotest.(check (array bool)) "capture = next state" (Sim.Seq_sim.state sim) resp)
+      Alcotest.(check (array bool)) "capture = next state" (Seq_sim.state sim) resp)
     vectors responses
 
 let check_cycle_counting () =

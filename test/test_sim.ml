@@ -14,7 +14,7 @@ let check_ternary_known_vector () =
      G8=AND(G14,G6)=0, G15=OR(G12,G8)=1, G16=OR(G3,G8)=0,
      G9=NAND(G16,G15)=1, G10=NOR(G14,G11)=0, G11=NOR(G5,G9)=0, G17=NOT(G11)=1 *)
   let values =
-    Sim.Ternary_sim.eval c ~inputs:(fun _ -> Logic.Zero) ~state:(fun _ -> Logic.Zero)
+    Ternary_sim.eval c ~inputs:(fun _ -> Logic.Zero) ~state:(fun _ -> Logic.Zero)
   in
   let v name = values.(Circuit.find c name) in
   Alcotest.check logic "G14" Logic.One (v "G14");
@@ -22,18 +22,18 @@ let check_ternary_known_vector () =
   Alcotest.check logic "G11" Logic.Zero (v "G11");
   Alcotest.check logic "G17" Logic.One (v "G17");
   Alcotest.check (Alcotest.array logic) "outputs" [| Logic.One |]
-    (Sim.Ternary_sim.outputs_of c values)
+    (Ternary_sim.outputs_of c values)
 
 let check_x_propagation () =
   let c = Lazy.force s27 in
   (* all X in gives X out *)
   let values =
-    Sim.Ternary_sim.eval c ~inputs:(fun _ -> Logic.X) ~state:(fun _ -> Logic.X)
+    Ternary_sim.eval c ~inputs:(fun _ -> Logic.X) ~state:(fun _ -> Logic.X)
   in
-  Alcotest.check logic "output X" Logic.X (Sim.Ternary_sim.outputs_of c values).(0);
+  Alcotest.check logic "output X" Logic.X (Ternary_sim.outputs_of c values).(0);
   (* but a controlling input pins some nodes: G0=0 forces G14=1 *)
   let values =
-    Sim.Ternary_sim.eval c
+    Ternary_sim.eval c
       ~inputs:(fun i -> if i = 0 then Logic.Zero else Logic.X)
       ~state:(fun _ -> Logic.X)
   in
@@ -43,7 +43,7 @@ let check_eval_vector_validation () =
   let c = Lazy.force s27 in
   Alcotest.check_raises "wrong pi count"
     (Invalid_argument "Ternary_sim.eval_vector: wrong number of input values")
-    (fun () -> ignore (Sim.Ternary_sim.eval_vector c [| Logic.X |] [| Logic.X; Logic.X; Logic.X |]))
+    (fun () -> ignore (Ternary_sim.eval_vector c [| Logic.X |] [| Logic.X; Logic.X; Logic.X |]))
 
 (* Event simulator agrees with a fresh full ternary evaluation after
    arbitrary source-change sequences. *)
@@ -71,7 +71,7 @@ let prop_event_sim_matches_full_eval =
         ignore (Sim.Event_sim.set_sources sim !changes);
         (* reference: full ternary evaluation *)
         let reference =
-          Sim.Ternary_sim.eval c
+          Ternary_sim.eval c
             ~inputs:(fun i -> Logic.of_bool current.((Circuit.inputs c).(i)))
             ~state:(fun i -> Logic.of_bool current.((Circuit.dffs c).(i)))
         in
@@ -133,24 +133,24 @@ let check_blocking_limits_toggles () =
 
 let check_seq_sim_state_evolution () =
   let c = Lazy.force s27 in
-  let sim = Sim.Seq_sim.create c in
+  let sim = Seq_sim.create c in
   Alcotest.(check (array bool)) "initial state" [| false; false; false |]
-    (Sim.Seq_sim.state sim);
+    (Seq_sim.state sim);
   let v = [| false; false; false; false |] in
-  let _ = Sim.Seq_sim.step sim v in
+  let _ = Seq_sim.step sim v in
   (* next state: G10=0, G11=0, G13=1 (from the hand evaluation above) *)
   Alcotest.(check (array bool)) "state after step" [| false; false; true |]
-    (Sim.Seq_sim.state sim);
+    (Seq_sim.state sim);
   (* outputs_only must not clock *)
-  let st = Sim.Seq_sim.state sim in
-  let _ = Sim.Seq_sim.outputs_only sim v in
-  Alcotest.(check (array bool)) "unclocked" st (Sim.Seq_sim.state sim)
+  let st = Seq_sim.state sim in
+  let _ = Seq_sim.outputs_only sim v in
+  Alcotest.(check (array bool)) "unclocked" st (Seq_sim.state sim)
 
 let check_seq_sim_run_length () =
   let c = Lazy.force s27 in
-  let sim = Sim.Seq_sim.create c in
+  let sim = Seq_sim.create c in
   let vs = List.init 5 (fun _ -> [| false; true; false; true |]) in
-  Alcotest.(check int) "five responses" 5 (List.length (Sim.Seq_sim.run sim vs))
+  Alcotest.(check int) "five responses" 5 (List.length (Seq_sim.run sim vs))
 
 let suite =
   [

@@ -17,12 +17,12 @@ let mapped_library_only c =
 (* Sequential co-simulation of original vs mapped on random stimuli. *)
 let equivalent ?(vectors = 50) ~seed c c' =
   let n_pi = Array.length (Circuit.inputs c) in
-  let sim = Sim.Seq_sim.create c and sim' = Sim.Seq_sim.create c' in
+  let sim = Seq_sim.create c and sim' = Seq_sim.create c' in
   let rng = Util.Rng.create seed in
   let ok = ref true in
   for _ = 1 to vectors do
     let v = Util.Rng.bool_array rng n_pi in
-    if Sim.Seq_sim.step sim v <> Sim.Seq_sim.step sim' v then ok := false
+    if Seq_sim.step sim v <> Seq_sim.step sim' v then ok := false
   done;
   !ok
 

@@ -16,8 +16,8 @@ let gadget () =
   Circuit.Builder.build b
 
 let fresh_values c =
-  let v = Sim.Ternary_sim.make_values c Logic.X in
-  Sim.Ternary_sim.propagate c v;
+  let v = Ternary_sim.make_values c Logic.X in
+  Ternary_sim.propagate c v;
   v
 
 let check_seed_becomes_tn () =
@@ -40,7 +40,7 @@ let check_controlling_value_blocks () =
   let values = fresh_values c in
   values.(a) <- Logic.Zero;
   (* controlling for NAND *)
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   let st = Scanpower.Tns.compute c ~values ~seeds:[ ff ] ~failed:(no_failed c) in
   Alcotest.(check (list int)) "tgs empty" [] st.Scanpower.Tns.tgs;
   Alcotest.(check bool) "g not tn" false st.Scanpower.Tns.tns.(g);
@@ -53,7 +53,7 @@ let check_noncontrolling_value_propagates () =
   let values = fresh_values c in
   values.(a) <- Logic.One;
   (* non-controlling: the transition passes through *)
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   let st = Scanpower.Tns.compute c ~values ~seeds:[ ff ] ~failed:(no_failed c) in
   Alcotest.(check (list int)) "tgs empty (resolved)" [] st.Scanpower.Tns.tgs;
   Alcotest.(check bool) "g is tn" true st.Scanpower.Tns.tns.(g);
@@ -72,7 +72,7 @@ let check_inverter_like_always_propagate () =
   let ff_id = Circuit.find c "ff" in
   let values = fresh_values c in
   values.(Circuit.find c "a") <- Logic.One;
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   let st = Scanpower.Tns.compute c ~values ~seeds:[ ff_id ] ~failed:(no_failed c) in
   (* XOR/XNOR cannot block: both downstream nodes toggle, TGS empty *)
   Alcotest.(check bool) "xor is tn" true st.Scanpower.Tns.tns.(Circuit.find c "x");
@@ -95,7 +95,7 @@ let check_definite_value_never_tn () =
   let ff = Circuit.find c "ff" and g = Circuit.find c "g" in
   let values = fresh_values c in
   values.(Circuit.find c "a") <- Logic.Zero;
-  Sim.Ternary_sim.propagate c values;
+  Ternary_sim.propagate c values;
   (* g = NAND(ff, 0) = 1 definite *)
   Alcotest.(check bool) "g definite" true (Logic.equal values.(g) Logic.One);
   let st = Scanpower.Tns.compute c ~values ~seeds:[ ff ] ~failed:(no_failed c) in
