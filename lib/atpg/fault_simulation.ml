@@ -85,13 +85,20 @@ let load_good m vectors =
   let srcs = Circuit.sources c in
   let count = List.length vectors in
   assert (count > 0 && count <= lanes);
-  Array.iteri
-    (fun pos id ->
-      let w = ref 0 in
-      List.iteri (fun vi vec -> if vec.(pos) then w := !w lor (1 lsl vi)) vectors;
-      m.good.(id) <- !w)
-    srcs;
-  Compiled.eval_lanes m.comp m.good;
+  let good = m.good in
+  Array.iter (fun id -> good.(id) <- 0) srcs;
+  (* one pass over the vectors: vector [vi] sets lane [vi] *)
+  List.iteri
+    (fun vi vec ->
+      let bit = 1 lsl vi in
+      for pos = 0 to Array.length srcs - 1 do
+        if vec.(pos) then begin
+          let id = srcs.(pos) in
+          good.(id) <- good.(id) lor bit
+        end
+      done)
+    vectors;
+  Compiled.eval_lanes m.comp good;
   if count = lanes then -1 else (1 lsl count) - 1
 
 (* Structural fanout cone of a node, in topological order. Cones are

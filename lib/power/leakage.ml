@@ -18,9 +18,7 @@ let tables c =
   Array.init (Circuit.node_count c) (fun id ->
       match cell_of c id with
       | None -> [||]
-      | Some cell ->
-        Array.init (Techlib.Leakage_table.n_states cell) (fun state ->
-            Techlib.Leakage_table.leakage_na cell ~state))
+      | Some cell -> Techlib.Leakage_table.row cell)
 
 let total_leakage_uw c values =
   if Array.length values <> Circuit.node_count c then

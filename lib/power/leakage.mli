@@ -17,7 +17,10 @@ val tables : Circuit.t -> float array array
 (** Node-indexed leakage tables: [(tables c).(id).(state)] is
     [gate_leakage_na] of gate [id] in packed input state [state]; [[||]]
     for non-logic nodes. Hot loops index these instead of looking the
-    cell up per evaluation.
+    cell up per evaluation. The rows are the library's
+    ({!Techlib.Leakage_table.row}): gates of one cell share one
+    physical row, so [==] on rows groups gates by cell. Rows are
+    read-only; never write to them.
     @raise Invalid_argument if the circuit is not mapped. *)
 
 val total_leakage_uw : Circuit.t -> bool array -> float

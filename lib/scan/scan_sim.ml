@@ -338,11 +338,22 @@ let run_scalar st c chain policy ~vectors ~on_response =
 (* settled states per word and popcounting lane-to-lane XORs           *)
 (* reproduces the scalar counts bit for bit.                           *)
 (*                                                                     *)
-(* The one wrinkle is the silent pre-application: the scalar run       *)
-(* settles it as its own state (a node may toggle there and toggle     *)
-(* back in shift cycle 1, counting twice) but snapshots no leakage and *)
-(* appends no per-cycle entry for it.  It is therefore modelled as a   *)
-(* distinct lane whose toggles merge into the next counted cycle.      *)
+(* The whole session is one lane stream: the settle lane, each         *)
+(* vector's segment (pre-application, n shifts, capture: n + 2 lanes)  *)
+(* and the final shift-out (n + 1 lanes), cut into frames of 63 lanes  *)
+(* wherever the segments start. Each lane has a role: silent (the      *)
+(* settle and every pre-application), shift or capture.  A silent lane *)
+(* snapshots no leakage and appends no per-cycle entry: the scalar run *)
+(* settles a pre-application as its own state (a node may toggle there *)
+(* and toggle back in shift cycle 1, counting twice), so its toggles   *)
+(* merge into the next counted cycle; the settle lane is lane 0 of the *)
+(* first frame and is stepped uncounted.                               *)
+(*                                                                     *)
+(* A segment's shift lanes read the chains the previous capture left.  *)
+(* A capture response depends only on the vector (PI and target        *)
+(* state), so the responses are computed first, 63 vectors per word   *)
+(* on scratch words: no segment waits for the frame that holds the     *)
+(* previous capture.                                                   *)
 (*                                                                     *)
 (* During shift, the pseudo-input of the cell at position [p] of a     *)
 (* chain of [m] cells after [k] shifts is a pure function of that      *)
@@ -552,7 +563,7 @@ let run_packed st c chain policy ~vectors ~on_response =
     Array.iter
       (fun id ->
         let tbl = leak_tbl.(id) in
-        match List.find_opt (fun (t, _) -> t = tbl) !raw with
+        match List.find_opt (fun (t, _) -> t == tbl) !raw with
         | Some (_, gids) -> gids := id :: !gids
         | None -> raw := (tbl, ref [ id ]) :: !raw)
       leak_gates;
@@ -600,11 +611,10 @@ let run_packed st c chain policy ~vectors ~on_response =
   in
   let silent_acc = ref 0 in
   (* Account one stepped frame: merge per-lane toggle counts into the
-     per-cycle series and rebuild the per-lane leakage totals.  [base]
-     is the segment lane of frame lane 0 (segment lane 0 = the silent
-     pre-application), [cap_s] the capture lane (-1 when the segment
-     has none). *)
-  let account ~base ~count ~cap_s =
+     per-cycle series and rebuild the per-lane leakage totals. Bit [l]
+     of [shift] / [cap] is set when lane [l] is a shift / capture cycle;
+     every other lane is silent. *)
+  let account ~count ~shift ~cap =
     (* the frame's lanes; the lanes above them are never read *)
     let cm = mask_bits 0 (count - 1) in
     Array.fill na_lane 0 count 0.0;
@@ -650,11 +660,13 @@ let run_packed st c chain policy ~vectors ~on_response =
       end
       else add_steady ~count g.tbl last n0
     done;
+    let counted_lanes = shift lor cap in
     for l = 0 to count - 1 do
-      let s = base + l in
-      if s = 0 then silent_acc := !silent_acc + lane_toggles.(l)
+      if (counted_lanes lsr l) land 1 = 0 then
+        silent_acc := !silent_acc + lane_toggles.(l)
       else begin
-        note_cycle st ~capture:(s = cap_s)
+        note_cycle st
+          ~capture:((cap lsr l) land 1 <> 0)
           ~toggles:(lane_toggles.(l) + !silent_acc)
           ~na:na_lane.(l);
         silent_acc := 0
@@ -679,12 +691,6 @@ let run_packed st c chain policy ~vectors ~on_response =
     Array.init n_ff (fun j ->
         match st.forced.(j) with Some v -> v | None -> st.chain_state.(j))
   in
-  (* initial settle (uncounted), in shift mode at the init chain state *)
-  let init_pi = shift_pi policy st.first_pi in
-  Array.iteri (fun i id -> words.(id) <- Bool.to_int init_pi.(i)) pi_ids;
-  Array.iteri (fun j id -> words.(id) <- Bool.to_int ff_prev.(j)) ff_by_pos;
-  Sim.Packed_sim.step ps ~count:1 ~record:false;
-  let total_na = ref (settled_na ()) in
   let n_shift = Scan_chain.shift_cycles chain in
   (* per chain position: the stream offset of the cell's pre-shift bit
      (see the header comment); chain [i]'s stream takes its [m] cells'
@@ -710,13 +716,36 @@ let run_packed st c chain policy ~vectors ~on_response =
       stream.(w) <- stream.(w) lor (1 lsl b)
     end
   in
+  (* The frame being filled: its first [fill] lanes are written into the
+     source words, and bits of [shift_lanes] / [cap_lanes] give their
+     roles. Lane 0 of the first frame is the settle, stepped uncounted. *)
+  let fill = ref 0 and shift_lanes = ref 0 and cap_lanes = ref 0 in
+  let from = ref 1 and total_na = ref 0.0 in
+  let flush () =
+    let count = !fill in
+    Sim.Packed_sim.step ps ~from:!from ~count;
+    account ~count ~shift:!shift_lanes ~cap:!cap_lanes;
+    total_na := na_lane.(count - 1);
+    Array.iter (fun id -> words.(id) <- 0) pi_ids;
+    Array.iter (fun id -> words.(id) <- 0) ff_by_pos;
+    fill := 0;
+    shift_lanes := 0;
+    cap_lanes := 0;
+    from := 0
+  in
+  (* the settle lane, in shift mode at the init chain state *)
+  let init_pi = shift_pi policy st.first_pi in
+  Array.iteri (fun i id -> words.(id) <- Bool.to_int init_pi.(i)) pi_ids;
+  Array.iteri (fun j id -> words.(id) <- Bool.to_int ff_prev.(j)) ff_by_pos;
+  fill := 1;
   (* One segment: lane 0 = silent pre-application of [spi], lanes
      1..n_shift the shift cycles, then (for a test segment, [cap = Some
      (capture_pi, target)]) the capture lane.  [s0] is the chains before
      the first shift. A test segment scans [target] in, in the order of
      {!Scan_chain.shift_in_sequence}; the final shift-out scans in
-     zeros. *)
-  let run_segment ~spi ~cap ~s0 =
+     zeros. The segment's lanes continue the frame from lane [fill];
+     every frame it fills is stepped. *)
+  let emit_segment ~spi ~cap ~s0 =
     Array.fill stream 0 seg_words 0;
     for j = 0 to n_ff - 1 do
       set_stream off.(j) s0.(j)
@@ -732,30 +761,32 @@ let run_packed st c chain policy ~vectors ~on_response =
     let cap_s = if has_cap then n_shift + 1 else -1 in
     let base = ref 0 in
     while !base < seg_len do
-      let b = !base in
-      let count = min Compiled.lanes (seg_len - b) in
-      (* the frame carries segment lanes [b ..]; [m_ps] = pre-application
-         + shift lanes (segment lane <= n_shift), [m_shift] = real shift
-         cycles only (segment lanes 1..n_shift), [m_cap] = the capture
-         lane bit *)
-      let m_ps = mask_bits 0 (min (count - 1) (n_shift - b)) in
+      let b = !base and f = !fill in
+      let count = min (Compiled.lanes - f) (seg_len - b) in
+      (* segment lanes [b .. b + count - 1] land on frame lanes [f ..]:
+         [m_ps] = pre-application + shift lanes (segment lane <=
+         n_shift), [m_shift] = real shift cycles only (segment lanes
+         1..n_shift), [m_cap] = the capture lane bit *)
+      let m_ps = mask_bits 0 (min (count - 1) (n_shift - b)) lsl f in
       let m_shift =
-        mask_bits (max 0 (1 - b)) (min (count - 1) (n_shift - b))
+        mask_bits (max 0 (1 - b)) (min (count - 1) (n_shift - b)) lsl f
       in
       let cap_l = cap_s - b in
       let m_cap =
-        if has_cap && cap_l >= 0 && cap_l < count then 1 lsl cap_l else 0
+        if has_cap && cap_l >= 0 && cap_l < count then 1 lsl (cap_l + f)
+        else 0
       in
       (match cap with
       | Some (cap_pi, _) ->
         Array.iteri
           (fun i id ->
             let w = if spi.(i) then m_ps else 0 in
-            words.(id) <- (if cap_pi.(i) then w lor m_cap else w))
+            words.(id) <-
+              words.(id) lor if cap_pi.(i) then w lor m_cap else w)
           pi_ids
       | None ->
         Array.iteri
-          (fun i id -> words.(id) <- (if spi.(i) then m_ps else 0))
+          (fun i id -> if spi.(i) then words.(id) <- words.(id) lor m_ps)
           pi_ids);
       for j = 0 to n_ff - 1 do
         let w =
@@ -764,44 +795,79 @@ let run_packed st c chain policy ~vectors ~on_response =
             let shifts =
               match st.forced.(j) with
               | Some v -> if v then m_shift else 0
-              | None -> window stream (off.(j) + b) land m_shift
+              | None -> (window stream (off.(j) + b) lsl f) land m_shift
             in
-            if b = 0 && ff_prev.(j) then shifts lor 1 else shifts
+            if b = 0 && ff_prev.(j) then shifts lor (1 lsl f) else shifts
           end
         in
-        words.(ff_by_pos.(j)) <-
-          (match cap with
+        let id = ff_by_pos.(j) in
+        words.(id) <-
+          (words.(id)
+          lor
+          match cap with
           | Some (_, target) when target.(j) -> w lor m_cap
           | _ -> w)
       done;
-      Sim.Packed_sim.step ps ~count ~record:true;
-      account ~base:b ~count ~cap_s;
-      total_na := na_lane.(count - 1);
-      base := b + count
+      shift_lanes := !shift_lanes lor m_shift;
+      cap_lanes := !cap_lanes lor m_cap;
+      fill := f + count;
+      base := b + count;
+      if !fill = Compiled.lanes then flush ()
     done
   in
-  List.iter
-    (fun vec ->
-      let pi, target = split_vector c chain vec in
-      run_segment ~spi:(shift_pi policy pi) ~cap:(Some (pi, target))
-        ~s0:st.chain_state;
-      (* the capture is the final stepped lane: read the response off the
-         D pins *)
-      let response = Array.make n_ff false in
-      Array.iter
-        (fun id ->
-          let d = fanin.(fanin_off.(id)) in
-          response.(Scan_chain.position_of chain id) <-
-            Sim.Packed_sim.final_value ps d)
-        (Circuit.dffs c);
-      Array.blit target 0 ff_prev 0 n_ff;
-      Array.blit response 0 st.chain_state 0 n_ff;
-      on_response response)
-    vectors;
+  (* The response pre-pass: the capture responses of up to 63 vectors,
+     one per lane of [scratch] (nothing is counted), into [resp]: bit
+     [k] of [resp.(j)] is what chain position [j] captures for the
+     block's vector [k]. *)
+  let scratch = Array.make n_nodes 0 in
+  let resp = Array.make n_ff 0 in
+  let d_by_pos = Array.map (fun id -> fanin.(fanin_off.(id))) ff_by_pos in
+  let respond block =
+    Array.iter (fun id -> scratch.(id) <- 0) pi_ids;
+    Array.iter (fun id -> scratch.(id) <- 0) ff_by_pos;
+    Array.iteri
+      (fun k (pi, target) ->
+        let bit = 1 lsl k in
+        Array.iteri
+          (fun i id -> if pi.(i) then scratch.(id) <- scratch.(id) lor bit)
+          pi_ids;
+        Array.iteri
+          (fun j id ->
+            if target.(j) then scratch.(id) <- scratch.(id) lor bit)
+          ff_by_pos)
+      block;
+    Compiled.eval_lanes comp scratch;
+    Array.iteri (fun j d -> resp.(j) <- scratch.(d)) d_by_pos
+  in
+  (* the next [k] vectors, split, and the rest *)
+  let rec take k acc = function
+    | v :: rest when k > 0 -> take (k - 1) (split_vector c chain v :: acc) rest
+    | rest -> (Array.of_list (List.rev acc), rest)
+  in
+  let rec blocks = function
+    | [] -> ()
+    | vs ->
+      let block, rest = take Compiled.lanes [] vs in
+      respond block;
+      Array.iteri
+        (fun k (pi, target) ->
+          emit_segment ~spi:(shift_pi policy pi) ~cap:(Some (pi, target))
+            ~s0:st.chain_state;
+          let response =
+            Array.init n_ff (fun j -> (resp.(j) lsr k) land 1 <> 0)
+          in
+          Array.blit target 0 ff_prev 0 n_ff;
+          Array.blit response 0 st.chain_state 0 n_ff;
+          on_response response)
+        block;
+      blocks rest
+  in
+  blocks vectors;
   (* final shift-out of the last response (scan-ins pumped with zeros) *)
   if vectors <> [] then
-    run_segment ~spi:(shift_pi policy st.first_pi) ~cap:None
+    emit_segment ~spi:(shift_pi policy st.first_pi) ~cap:None
       ~s0:st.chain_state;
+  if !fill > 0 then flush ();
   (* invariant: the per-lane leakage total equals a full recompute *)
   let full = settled_na () in
   assert (Float.abs (!total_na -. full) < 1e-6 *. Float.max 1.0 full);

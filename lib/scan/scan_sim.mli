@@ -50,7 +50,14 @@ type engine =
   | Packed
       (** 63 consecutive scan cycles per native [int] word
           ({!Sim.Packed_sim}; no allocation per frame or cycle):
-          per-cycle toggles are recovered from lane-to-lane XORs. Per
+          per-cycle toggles are recovered from lane-to-lane XORs. The
+          whole session is one lane stream — the initial settle, per
+          vector a silent pre-application, the shifts and the capture,
+          then the final shift-out — stepped 63 lanes a frame wherever
+          the vectors start, so a frame holds several vectors on a
+          short chain. The capture responses are computed first, 63
+          vectors per word, so no vector's shifts wait for the frame
+          holding the previous capture. Per
           frame, a gate whose input state is the same on every lane is
           counted once, in that state; only gates whose state varies
           within the frame have their per-state lane masks buffered

@@ -155,8 +155,8 @@ type t = {
   last : int array; (* 0 or 1: final-lane value of the previous frame *)
   toggles : int array;
   mutable total : int;
-  diffs : int array; (* the recording frame's non-zero node diffs *)
-  counter : Lane_counter.t; (* per-lane toggles of the recording frame *)
+  diffs : int array; (* the last frame's non-zero node diffs *)
+  counter : Lane_counter.t; (* per-lane toggles of the last frame *)
   lane_toggles : int array; (* [Compiled.lanes] *)
 }
 
@@ -189,16 +189,20 @@ let popcount x =
 
 let h_step = Telemetry.Histogram.make "sim.packed.step_s"
 
-let step_untimed t ~count ~record =
+let step_untimed t ~from ~count =
   Compiled.eval_lanes t.comp t.words;
   let words = t.words and last = t.last and toggles = t.toggles in
   let diffs = t.diffs and n_diffs = ref 0 and total = ref t.total in
-  let m = if count = Compiled.lanes then -1 else (1 lsl count) - 1 in
+  (* the counted lanes [from .. count - 1] *)
+  let m =
+    ((if count = Compiled.lanes then -1 else (1 lsl count) - 1) lsr from)
+    lsl from
+  in
   for id = 0 to Compiled.node_count t.comp - 1 do
     let x = words.(id) in
     (* lane 0 diffs against the previous frame's final lane *)
     let d = (x lxor ((x lsl 1) lor last.(id))) land m in
-    if record && d <> 0 then begin
+    if d <> 0 then begin
       let p = popcount d in
       toggles.(id) <- toggles.(id) + p;
       total := !total + p;
@@ -207,17 +211,16 @@ let step_untimed t ~count ~record =
     end;
     last.(id) <- (x lsr (count - 1)) land 1
   done;
-  if record then begin
-    t.total <- !total;
-    Lane_counter.count t.counter diffs ~off:0 ~len:!n_diffs t.lane_toggles
-  end
+  t.total <- !total;
+  Lane_counter.count t.counter diffs ~off:0 ~len:!n_diffs t.lane_toggles
 
-let step t ~count ~record =
+let step t ~from ~count =
   if count < 1 || count > Compiled.lanes then
     invalid_arg "Packed_sim.step: bad lane count";
-  if not (Telemetry.enabled ()) then step_untimed t ~count ~record
+  if from < 0 || from > count then invalid_arg "Packed_sim.step: bad first lane";
+  if not (Telemetry.enabled ()) then step_untimed t ~from ~count
   else begin
     let t0 = Telemetry.now () in
-    step_untimed t ~count ~record;
+    step_untimed t ~from ~count;
     Telemetry.Histogram.observe h_step (Telemetry.now () -. t0)
   end

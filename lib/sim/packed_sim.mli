@@ -59,18 +59,21 @@ val words : t -> int array
     writes the source entries; {!step} overwrites every non-source
     entry. *)
 
-val step : t -> count:int -> record:bool -> unit
-(** Evaluate one frame of [count] lanes (1..63). With [record], add
-    per-node toggle counts (against the previous frame's final lane)
-    into {!toggles} / {!total_toggles} and the frame's per-lane sums
-    into {!lane_toggles}. Without it (initial settle), only the frame
-    boundary state advances. Lanes at index [count] and above are
-    ignored. *)
+val step : t -> from:int -> count:int -> unit
+(** Evaluate one frame of [count] lanes (1..63) and count the toggles
+    of lanes [from .. count - 1]: per-node counts (lane 0 against the
+    previous frame's final lane) add into {!toggles} /
+    {!total_toggles}, and the frame's per-lane sums go to
+    {!lane_toggles}. The lanes below [from] settle without being
+    counted (a session's initial settle is lane 0 of its first frame,
+    stepped with [from = 1]); their {!lane_toggles} entries are 0.
+    Lanes at index [count] and above are ignored.
+    @raise Invalid_argument unless [1 <= count <= 63] and
+    [0 <= from <= count]. *)
 
 val lane_toggles : t -> int array
-(** Length {!Netlist.Compiled.lanes}; entry [l] = total toggles in lane [l] of the
-    last recorded frame (aliased; rewritten by every recording
-    {!step}). *)
+(** Length {!Netlist.Compiled.lanes}; entry [l] = total toggles in
+    lane [l] of the last frame (aliased; rewritten by every {!step}). *)
 
 val toggles : t -> int array
 (** Accumulated per-node toggle counts (aliased). *)

@@ -123,7 +123,7 @@ let tables =
               raw_cell_leakage cell s *. 1e9 *. calibration_scale) ))
     Cell.all
 
-let table cell =
+let row cell =
   match List.assoc_opt cell tables with
   | Some t -> t
   | None -> invalid_arg "Leakage_table: cell not in the library"
@@ -131,7 +131,7 @@ let table cell =
 let leakage_na cell ~state =
   if state < 0 || state >= n_states cell then
     invalid_arg "Leakage_table: state out of range";
-  (table cell).(state)
+  (row cell).(state)
 
 let leakage_power_nw cell ~state = leakage_na cell ~state *. vdd
 
@@ -155,7 +155,7 @@ let string_of_state cell state =
   String.init (Cell.fanin cell) (fun i -> if bit state i then '1' else '0')
 
 let extreme_state cmp cell =
-  let t = table cell in
+  let t = row cell in
   let best = ref 0 in
   for s = 1 to Array.length t - 1 do
     if cmp t.(s) t.(!best) then best := s
@@ -167,7 +167,7 @@ let max_leakage_state cell = extreme_state ( > ) cell
 
 let pp_table fmt cell =
   Format.fprintf fmt "%s:@." (Cell.name cell);
-  let t = table cell in
+  let t = row cell in
   Array.iteri
     (fun s v ->
       Format.fprintf fmt "  %s -> %7.1f nA@." (string_of_state cell s) v)

@@ -28,6 +28,12 @@ val leakage_na : Cell.t -> state:int -> float
     @raise Invalid_argument if [state] is out of range or [cell] is not
     in {!Cell.all}. *)
 
+val row : Cell.t -> float array
+(** The cell's calibrated table: [(row cell).(state)] is
+    [leakage_na cell ~state]. Every call returns the same physical
+    array, shared by all callers: read it, never write it.
+    @raise Invalid_argument if [cell] is not in {!Cell.all}. *)
+
 val leakage_power_nw : Cell.t -> state:int -> float
 (** [leakage_na * vdd]: static power in nW (Eq. (5) for one gate). *)
 

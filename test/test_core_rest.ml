@@ -96,6 +96,49 @@ let check_ivc_deterministic () =
   Alcotest.check (Alcotest.float 1e-12) "same score"
     f1.Scanpower.Ivc.expected_leakage_uw f2.Scanpower.Ivc.expected_leakage_uw
 
+(* The winner's score, recomputed one sample at a time: the sample
+   seeds IVC draws from, each free source drawn in source order, one
+   [eval_bool] sweep and a node-id-ordered leakage sum per sample, and
+   the mean over samples. IVC scores 63 samples per word, so 70 samples
+   take two words and must give the same float. *)
+let check_ivc_score_matches_per_sample () =
+  let c = mapped "s344" in
+  let values = Ternary_sim.make_values c Logic.X in
+  Ternary_sim.propagate c values;
+  let controlled =
+    Array.to_list (Circuit.inputs c) |> List.filteri (fun i _ -> i mod 2 = 0)
+  in
+  let seed = 5 and inner_samples = 70 in
+  let filled =
+    Scanpower.Ivc.fill ~candidates:4 ~inner_samples ~seed c ~values ~controlled
+  in
+  let won = filled.Scanpower.Ivc.values in
+  let comp = Compiled.of_circuit c in
+  let free =
+    List.filter
+      (fun id -> Logic.equal won.(id) Logic.X)
+      (Array.to_list (Circuit.sources c))
+  in
+  Alcotest.(check bool) "some sources stay free" true (free <> []);
+  let bools = Array.map (Logic.equal Logic.One) won in
+  let total = ref 0.0 in
+  for i = 0 to inner_samples - 1 do
+    let rng = Util.Rng.create ((seed * 7919) + i) in
+    List.iter (fun id -> bools.(id) <- Util.Rng.bool rng) free;
+    Array.iter
+      (fun id -> bools.(id) <- Compiled.eval_bool comp bools id)
+      (Compiled.eval_order comp);
+    let na = ref 0.0 in
+    for id = 0 to Circuit.node_count c - 1 do
+      na := !na +. Power.Leakage.gate_leakage_na c bools id
+    done;
+    total := !total +. (!na *. Techlib.Leakage_table.vdd /. 1000.0)
+  done;
+  let want = !total /. float_of_int inner_samples in
+  let got = filled.Scanpower.Ivc.expected_leakage_uw in
+  if Int64.bits_of_float want <> Int64.bits_of_float got then
+    Alcotest.failf "IVC score %h, per-sample %h" got want
+
 (* ---------- input reordering ---------- *)
 
 let check_expected_cell_leakage () =
@@ -291,6 +334,8 @@ let suite =
     Alcotest.test_case "ivc picks low leakage" `Quick check_ivc_picks_low_leakage;
     Alcotest.test_case "ivc deterministic" `Quick check_ivc_deterministic;
     Alcotest.test_case "expected cell leakage" `Quick check_expected_cell_leakage;
+    Alcotest.test_case "ivc score equals per-sample sum" `Quick
+      check_ivc_score_matches_per_sample;
     Alcotest.test_case "reorder swaps hot nand" `Quick check_reorder_swaps_hot_nand;
     Alcotest.test_case "reorder leaves optimal alone" `Quick
       check_reorder_leaves_optimal_alone;

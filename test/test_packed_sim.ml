@@ -141,7 +141,7 @@ let check_packed_sim_toggle_counting () =
         done;
         words.(id) <- !w)
       sources;
-    Sim.Packed_sim.step ps ~count ~record:true;
+    Sim.Packed_sim.step ps ~from:0 ~count;
     let expected_lanes = Array.make Compiled.lanes 0 in
     for l = 0 to count - 1 do
       Array.iteri (fun pos id -> scalar.(id) <- lanes.(l).(pos)) sources;
@@ -446,38 +446,43 @@ let random_partition rng c =
    vectors as [Atpg.Pattern_gen.random_vectors ~seed ~count:n_vectors]).
    [init_state] defaults to a seeded random chain state, [policies] to
    the four above and [chain] to the natural chain. *)
-let check_engines_agree_on ?init_state ?(policies = policies) ?chain name
-    circuit ~seed ~n_vectors =
+let check_engines_agree_on ?init_state ?(default_init = false)
+    ?(policies = policies) ?chain name circuit ~seed ~n_vectors =
   let c = circuit in
   let chain =
     match chain with Some ch -> ch | None -> Scan.Scan_chain.natural c
   in
   let rng = Util.Rng.create seed in
   let vectors = random_vectors rng c n_vectors in
+  (* [default_init]: both engines run without [init_state] *)
   let init_state =
-    match init_state with
-    | Some st -> st
-    | None ->
-      Array.init (Scan.Scan_chain.length chain) (fun _ -> Util.Rng.bool rng)
+    if default_init then None
+    else
+      match init_state with
+      | Some st -> Some st
+      | None ->
+        Some
+          (Array.init (Scan.Scan_chain.length chain) (fun _ ->
+               Util.Rng.bool rng))
   in
   List.iter
     (fun (tag, policy) ->
       let tag = Printf.sprintf "%s/%s/seed%d" name tag seed in
       let s =
-        Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Scalar ~init_state c chain
+        Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Scalar ?init_state c chain
           policy ~vectors
       in
       let p =
-        Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ~init_state c chain
+        Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ?init_state c chain
           policy ~vectors
       in
       check_results tag s p;
       let rs =
-        Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Scalar ~init_state c
+        Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Scalar ?init_state c
           chain policy ~vectors
       in
       let rp =
-        Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Packed ~init_state c
+        Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Packed ?init_state c
           chain policy ~vectors
       in
       Alcotest.(check (list (array bool))) (tag ^ " responses") rs rp)
@@ -640,6 +645,94 @@ let check_frame_boundaries () =
         c ~chain ~policies:all_policies ~seed:longest ~n_vectors:3)
     [ 62; 63; 64; 126; 127 ]
 
+(* The packed engine lays the session out as one lane stream: the
+   settle lane, then per vector a segment of n + 2 lanes (silent
+   pre-application, n shifts, capture; n the longest chain), then the
+   n + 1 lanes of the final shift-out, cut into frames of 63 lanes.
+   Vector [v]'s capture is stream lane (v + 1)(n + 2), and the session
+   ends after lane (V + 1)(n + 2) - 1 for V vectors. The cases below put
+   those lanes on the frame edges: with n + 2 dividing 63 (n = 1, 7, 19,
+   61) a capture falls on a frame's lane 0 and the session can end
+   exactly at a frame end (n = 61: always); n = 60 and n = 2 (vector 46)
+   put a capture on lane 62 and the next pre-application on lane 0.
+   Each runs under all five policies, with a random [init_state] and
+   without one, single-chain and split into two chains of which the
+   first is the longest. [session_edges] checks that the cases keep
+   covering every edge. *)
+let session_cases =
+  (* (n, vector counts) *)
+  [
+    (1, [ 20; 41; 4 ]);
+    (7, [ 6; 13; 3 ]);
+    (19, [ 2; 5; 4 ]);
+    (61, [ 1; 2 ]);
+    (60, [ 1; 2 ]);
+    (2, [ 47 ]);
+  ]
+
+let session_edges () =
+  let lanes = Compiled.lanes in
+  let cap62 = ref false and cap0 = ref false and pre0 = ref false in
+  let end_at_edge = ref false in
+  List.iter
+    (fun (n, counts) ->
+      List.iter
+        (fun nv ->
+          for v = 0 to nv - 1 do
+            let cap = (v + 1) * (n + 2) in
+            if cap mod lanes = lanes - 1 then cap62 := true;
+            if cap mod lanes = 0 then cap0 := true;
+            if (cap + 1) mod lanes = 0 then pre0 := true
+          done;
+          if (nv + 1) * (n + 2) mod lanes = 0 then end_at_edge := true)
+        counts)
+    session_cases;
+  Alcotest.(check (list bool))
+    "capture on lane 62, capture on lane 0, pre-application on lane 0, \
+     session ends at a frame end"
+    [ true; true; true; true ]
+    [ !cap62; !cap0; !pre0; !end_at_edge ]
+
+let check_session_packing () =
+  session_edges ();
+  List.iter
+    (fun (n, counts) ->
+      let circuit n_ff =
+        Circuits.generate
+          {
+            Circuits.name = Printf.sprintf "session%d" n_ff;
+            n_pi = 4;
+            n_po = 2;
+            n_ff;
+            n_gates = 40 + n_ff;
+            seed = 100 + n_ff;
+          }
+      in
+      let single = circuit n in
+      (* two chains: the longest ([n] cells) and one of about n / 3 *)
+      let short = 1 + (n / 3) in
+      let split = circuit (n + short) in
+      let dffs = Circuit.dffs split in
+      let two =
+        Scan.Scan_chain.of_orders split
+          [ Array.sub dffs 0 n; Array.sub dffs n short ]
+      in
+      List.iter
+        (fun n_vectors ->
+          List.iter
+            (fun default_init ->
+              let tag = if default_init then "/no-init" else "" in
+              check_engines_agree_on ~default_init ~policies:all_policies
+                (Printf.sprintf "session n=%d v=%d%s" n n_vectors tag)
+                single ~seed:(n + n_vectors) ~n_vectors;
+              check_engines_agree_on ~default_init ~policies:all_policies
+                ~chain:two
+                (Printf.sprintf "session n=%d+%d v=%d%s" n short n_vectors tag)
+                split ~seed:(n + n_vectors) ~n_vectors)
+            [ false; true ])
+        counts)
+    session_cases
+
 let check_empty_vectors () =
   let c = Lazy.force s344 in
   let chain = Scan.Scan_chain.natural c in
@@ -728,6 +821,8 @@ let suite =
     Alcotest.test_case "validation parity" `Quick check_validation_parity;
     Alcotest.test_case "lane counter counts past 127" `Quick
       check_lane_counter_past_127;
+    Alcotest.test_case "session packing at frame edges" `Quick
+      check_session_packing;
     QCheck_alcotest.to_alcotest prop_lane_counter;
     QCheck_alcotest.to_alcotest prop_eval_lanes_random_circuits;
     QCheck_alcotest.to_alcotest prop_engines_agree;

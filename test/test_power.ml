@@ -124,6 +124,33 @@ let prop_total_is_sum_of_gates =
       let total = Power.Leakage.total_leakage_uw c v in
       Float.abs ((!sum *. Techlib.Leakage_table.vdd /. 1000.0) -. total) < 1e-9)
 
+(* [tables] hands out the library's rows: every gate of a cell gets the
+   cell's one physical row (the packed scan simulator groups gates by
+   it), with [gate_leakage_na]'s values. *)
+let check_tables_share_cell_rows () =
+  let c = Lazy.force mapped_s27 in
+  let tables = Power.Leakage.tables c in
+  let values = Array.make (Circuit.node_count c) false in
+  Array.iteri
+    (fun id row ->
+      match Techmap.Mapper.cell_of_node c id with
+      | None -> Alcotest.(check int) "no row" 0 (Array.length row)
+      | Some cell ->
+        Alcotest.(check bool)
+          "the cell's shared row" true
+          (row == Techlib.Leakage_table.row cell);
+        Array.iteri
+          (fun s v ->
+            let nd = Circuit.node c id in
+            Array.iteri
+              (fun i f -> values.(f) <- s land (1 lsl i) <> 0)
+              nd.Circuit.fanins;
+            Alcotest.(check (float 0.0))
+              "row value" v
+              (Power.Leakage.gate_leakage_na c values id))
+          row)
+    tables
+
 let suite =
   [
     Alcotest.test_case "no toggles, no dynamic power" `Quick
@@ -140,4 +167,6 @@ let suite =
     Alcotest.test_case "expected leakage interpolates" `Quick
       check_expected_leakage_interpolates;
     QCheck_alcotest.to_alcotest prop_total_is_sum_of_gates;
+    Alcotest.test_case "tables share the cell rows" `Quick
+      check_tables_share_cell_rows;
   ]
