@@ -55,112 +55,6 @@ let prepare ?atpg_config c =
         atpg;
       })
 
-(* [prepare] is deterministic in the netlist content and the ATPG
-   configuration, and [evaluate] never mutates a [prepared] (the
-   reorder step works on a copy), so prepared results are safe to
-   share across [evaluate] calls — sweeping parameter points on one
-   circuit should pay for techmap + ATPG once. The memo key is the
-   content digest, not physical identity, so re-parsing the same
-   netlist still hits.
-
-   The registry is LRU-bounded when a capacity is set (the serving
-   daemon must not grow without bound across tenants); the default
-   capacity 0 means unbounded, preserving one-shot CLI behaviour.
-   Recency is a monotonic tick per entry; eviction scans for the
-   minimum — O(entries), fine at registry scale. *)
-let prepare_memo : (string, prepared * int ref) Hashtbl.t = Hashtbl.create 16
-let prepare_hits = Telemetry.Counter.make "flow.prepare_memo.hit"
-let prepare_misses = Telemetry.Counter.make "flow.prepare_memo.miss"
-let prepare_evictions = Telemetry.Counter.make "flow.prepare_memo.eviction"
-
-(* gauges mirror the running totals so one metrics snapshot shows
-   warm-vs-cold behaviour without diffing counter streams *)
-let g_entries = Telemetry.Gauge.make "flow.prepare_registry.entries"
-let g_hits = Telemetry.Gauge.make "flow.prepare_registry.hits"
-let g_misses = Telemetry.Gauge.make "flow.prepare_registry.misses"
-let g_evictions = Telemetry.Gauge.make "flow.prepare_registry.evictions"
-
-type prepare_stats = {
-  p_entries : int;
-  p_hits : int;
-  p_misses : int;
-  p_evictions : int;
-}
-
-let stat_hits = ref 0
-let stat_misses = ref 0
-let stat_evictions = ref 0
-let prepare_tick = ref 0
-let prepare_capacity = ref 0
-
-(* The memo is process-global state in a library: the program that
-   embeds it may call [prepare_cached] from more than one domain or
-   thread, so every table access takes this lock (a concurrent Hashtbl
-   resize during a read is memory-safe in OCaml 5 but not value-safe).
-   The expensive [prepare] itself runs outside the lock: two callers
-   racing on the same cold key both compute, and the second insert
-   wins — wasted work, never a wrong result, and no caller ever blocks
-   behind another circuit's ATPG. *)
-let prepare_mutex = Mutex.create ()
-
-let with_memo_lock f =
-  Mutex.lock prepare_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock prepare_mutex) f
-
-let publish_prepare_gauges () =
-  if Telemetry.enabled () then begin
-    Telemetry.Gauge.set g_entries (float_of_int (Hashtbl.length prepare_memo));
-    Telemetry.Gauge.set g_hits (float_of_int !stat_hits);
-    Telemetry.Gauge.set g_misses (float_of_int !stat_misses);
-    Telemetry.Gauge.set g_evictions (float_of_int !stat_evictions)
-  end
-
-let prepare_stats () =
-  with_memo_lock (fun () ->
-      {
-        p_entries = Hashtbl.length prepare_memo;
-        p_hits = !stat_hits;
-        p_misses = !stat_misses;
-        p_evictions = !stat_evictions;
-      })
-
-let evict_lru () =
-  let victim =
-    Hashtbl.fold
-      (fun key (_, tick) acc ->
-        match acc with
-        | Some (_, best) when best <= !tick -> acc
-        | _ -> Some (key, !tick))
-      prepare_memo None
-  in
-  match victim with
-  | None -> ()
-  | Some (key, _) ->
-    Hashtbl.remove prepare_memo key;
-    incr stat_evictions;
-    Telemetry.Counter.inc prepare_evictions
-
-let enforce_prepare_capacity () =
-  if !prepare_capacity > 0 then
-    while Hashtbl.length prepare_memo > !prepare_capacity do
-      evict_lru ()
-    done
-
-let set_prepare_capacity n =
-  with_memo_lock (fun () ->
-      prepare_capacity := n;
-      enforce_prepare_capacity ();
-      publish_prepare_gauges ())
-
-let clear_prepared () =
-  with_memo_lock (fun () ->
-      Hashtbl.reset prepare_memo;
-      stat_hits := 0;
-      stat_misses := 0;
-      stat_evictions := 0;
-      prepare_tick := 0;
-      publish_prepare_gauges ())
-
 let prepare_key ?atpg_config c =
   let cfg =
     match atpg_config with
@@ -173,35 +67,6 @@ let prepare_key ?atpg_config c =
   in
   Digest.to_hex
     (Digest.string (Bench_writer.to_string c ^ "\x00" ^ cfg_text))
-
-let prepare_cached ?atpg_config c =
-  let key = prepare_key ?atpg_config c in
-  let cached =
-    with_memo_lock (fun () ->
-        incr prepare_tick;
-        match Hashtbl.find_opt prepare_memo key with
-        | Some (p, tick) ->
-          tick := !prepare_tick;
-          incr stat_hits;
-          Telemetry.Counter.inc prepare_hits;
-          Some p
-        | None ->
-          incr stat_misses;
-          Telemetry.Counter.inc prepare_misses;
-          None)
-  in
-  let result =
-    match cached with
-    | Some p -> p
-    | None ->
-      let p = prepare ?atpg_config c in
-      with_memo_lock (fun () ->
-          Hashtbl.replace prepare_memo key (p, ref !prepare_tick);
-          enforce_prepare_capacity ());
-      p
-  in
-  with_memo_lock publish_prepare_gauges;
-  result
 
 type technique_result = {
   dynamic_per_hz_uw : float;
@@ -260,7 +125,17 @@ let result_of (m : Scan.Scan_sim.result) =
     total_toggles = m.Scan.Scan_sim.total_toggles;
   }
 
+(* sampled after every [evaluate], so a sweep worker reports its peak
+   heap whether its prepare ran or came from a registry *)
+let g_peak_heap = Telemetry.Gauge.make "flow.peak_heap_words"
+
+let record_peak_heap () =
+  if Telemetry.enabled () then
+    Telemetry.Gauge.observe_max g_peak_heap
+      (float_of_int (Gc.quick_stat ()).Gc.top_heap_words)
+
 let evaluate ?(engine = Scan.Scan_sim.Packed) ?(seed = 42) p =
+  Fun.protect ~finally:record_peak_heap @@ fun () ->
   Telemetry.Span.with_ ~name:"flow.evaluate" (fun () ->
   let span name fn = Telemetry.Span.with_ ~name fn in
   let c = p.circuit in
@@ -353,28 +228,10 @@ let evaluate ?(engine = Scan.Scan_sim.Packed) ?(seed = 42) p =
     enhanced_scan = result_of enh;
   })
 
-let g_peak_heap = Telemetry.Gauge.make "flow.peak_heap_words"
-
-let record_peak_heap () =
-  if Telemetry.enabled () then
-    Telemetry.Gauge.observe_max g_peak_heap
-      (float_of_int (Gc.quick_stat ()).Gc.top_heap_words)
-
 let run_benchmark ?atpg_config ?engine ?seed c =
   Telemetry.Span.with_ ~name:"flow.run_benchmark"
     ~fields:[ ("circuit", Telemetry.Json.String (Netlist.Circuit.name c)) ]
-    (fun () ->
-      Fun.protect
-        ~finally:record_peak_heap
-        (fun () -> evaluate ?engine ?seed (prepare ?atpg_config c)))
-
-let run_benchmark_cached ?atpg_config ?seed c =
-  Telemetry.Span.with_ ~name:"flow.run_benchmark"
-    ~fields:[ ("circuit", Telemetry.Json.String (Netlist.Circuit.name c)) ]
-    (fun () ->
-      Fun.protect
-        ~finally:record_peak_heap
-        (fun () -> evaluate ?seed (prepare_cached ?atpg_config c)))
+    (fun () -> evaluate ?engine ?seed (prepare ?atpg_config c))
 
 (* [base = 0] admits no percentage: returning 0.0 there made a
    regression from a zero baseline read as "no change", so it now

@@ -22,43 +22,14 @@ val prepare : ?atpg_config:Atpg.Pattern_gen.config -> Circuit.t -> prepared
     carrying {e all} diagnostics; warnings only reach the telemetry
     log. *)
 
-val prepare_cached : ?atpg_config:Atpg.Pattern_gen.config -> Circuit.t -> prepared
-(** Like {!prepare} but memoized (process-wide) on the netlist content
-    and the ATPG configuration, so sweeping flow-parameter points on
-    the same circuit runs techmap + ATPG once. Safe because
-    {!evaluate} never mutates a [prepared] — the reorder step works on
-    a copy. Telemetry counters [flow.prepare_memo.hit]/[.miss]/
-    [.eviction] track its effectiveness, and the gauges
-    [flow.prepare_registry.{entries,hits,misses,evictions}] mirror the
-    running totals so one metrics snapshot shows warm-vs-cold
-    behaviour. *)
-
 val prepare_key : ?atpg_config:Atpg.Pattern_gen.config -> Circuit.t -> string
-(** The content digest {!prepare_cached} memoizes on: netlist text
-    plus the ATPG configuration (seed and backtrack limit). Two circuits with the same key
-    produce the same [prepared] — the serving daemon keys its warm
-    machine registry on this. *)
-
-type prepare_stats = {
-  p_entries : int;  (** prepared circuits currently resident *)
-  p_hits : int;
-  p_misses : int;
-  p_evictions : int;
-}
-
-val prepare_stats : unit -> prepare_stats
-(** Running totals for the {!prepare_cached} registry since process
-    start (or the last {!clear_prepared}). *)
-
-val set_prepare_capacity : int -> unit
-(** Bound the registry to [n] prepared circuits, evicting
-    least-recently-used entries beyond it. [n <= 0] (the default)
-    means unbounded, the right choice for one-shot CLI runs; the
-    serving daemon sets its registry capacity here so a stream of
-    distinct tenant circuits cannot grow the heap without bound. *)
-
-val clear_prepared : unit -> unit
-(** Drop every resident entry and zero the statistics. For tests. *)
+(** The content digest of what {!prepare} depends on: the netlist text
+    plus the ATPG configuration (seed and backtrack limit). Two circuits
+    with the same key produce the same [prepared], and {!evaluate}
+    never mutates a [prepared] (the reorder step works on a copy), so
+    one [prepared] serves every evaluation under its key. {!Registry},
+    the one warm store of prepared circuits, is keyed on this; the
+    daemon's requests and {!Sweep.run}'s points both go through it. *)
 
 type technique_result = {
   dynamic_per_hz_uw : float;
@@ -108,7 +79,8 @@ val evaluate : ?engine:Scan.Scan_sim.engine -> ?seed:int -> prepared -> comparis
     {!Scan.Scan_sim.Packed}); [Scalar] replays the event-driven
     reference, the tests' oracle. Toggle counts, dynamic power and
     responses are identical between the two; the static averages agree
-    to float accumulation order. *)
+    to float accumulation order. On return it samples the
+    [flow.peak_heap_words] max-gauge. *)
 
 val run_benchmark :
   ?atpg_config:Atpg.Pattern_gen.config ->
@@ -117,16 +89,6 @@ val run_benchmark :
   Circuit.t ->
   comparison
 (** [prepare] followed by [evaluate]. *)
-
-val run_benchmark_cached :
-  ?atpg_config:Atpg.Pattern_gen.config ->
-  ?seed:int ->
-  Circuit.t ->
-  comparison
-(** [prepare_cached] followed by [evaluate]: identical results to
-    {!run_benchmark} (the preparation is deterministic), minus the
-    repeated ATPG when the same circuit is evaluated at several
-    parameter points in one process. *)
 
 val improvement : float -> float -> float
 (** [improvement base x] = percentage reduction of [x] versus [base]

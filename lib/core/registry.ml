@@ -1,7 +1,8 @@
 module Json = Telemetry.Json
 
-(* Global counters: one daemon per process, and the metrics snapshot
-   is the delivery vehicle for hit/miss/eviction visibility. *)
+(* Global counters: the metrics snapshot is the delivery vehicle for
+   hit/miss/eviction visibility; the per-registry totals are in
+   [stats]. *)
 let c_hits = Telemetry.Counter.make "server.registry.hit"
 let c_misses = Telemetry.Counter.make "server.registry.miss"
 let c_evictions = Telemetry.Counter.make "server.registry.eviction"
@@ -10,7 +11,7 @@ let g_entries = Telemetry.Gauge.make "server.registry.entries"
 type entry = {
   key : string;
   circuit_name : string;
-  prepared : Scanpower.Flow.prepared;
+  prepared : Flow.prepared;
   mutable entry_hits : int;
   mutable last_used : int;
 }
@@ -120,7 +121,7 @@ let snapshot t ~path =
   let payload =
     Marshal.to_string
       (entries
-        : (string * string * Scanpower.Flow.prepared * int) list)
+        : (string * string * Flow.prepared * int) list)
       []
   in
   let digest = Digest.to_hex (Digest.string payload) in
@@ -155,7 +156,7 @@ let restore t ~path =
             else begin
               let entries =
                 (Marshal.from_string payload 0
-                  : (string * string * Scanpower.Flow.prepared * int) list)
+                  : (string * string * Flow.prepared * int) list)
               in
               let restored = ref 0 in
               (* oldest-first insertion keeps the snapshot's LRU order;

@@ -1,11 +1,15 @@
-(** The warm machine registry: compiled (techmapped) circuits plus
-    their persistent ATPG outcome ({!Scanpower.Flow.prepared}), keyed
-    by {!Scanpower.Flow.prepare_key} — the digest of the netlist text
-    and the full ATPG configuration — with LRU eviction at a fixed
-    capacity. This is what turns a one-shot pipeline into a serving
-    layer: the expensive prepare (techmap + CPT fault-sim + PODEM)
-    runs once per distinct (netlist, config) and every later request
-    for it pays only {!Scanpower.Flow.evaluate}.
+(** The warm store of prepared circuits: compiled (techmapped) circuits
+    plus their persistent ATPG outcome ({!Flow.prepared}), keyed by
+    {!Flow.prepare_key} — the digest of the netlist text and the full
+    ATPG configuration — with LRU eviction at a fixed capacity. The
+    expensive prepare (techmap + CPT fault-sim + PODEM) runs once per
+    distinct (netlist, config) and every later use of it pays only
+    {!Flow.evaluate}. It is the only such store: the serving daemon's
+    [flow], [atpg] and [sweep-point] requests share one, and
+    {!Sweep.run} prepares each point through one.
+
+    A registry is plain mutable state with no lock: one owner (the
+    daemon loop, one sweep batch) uses it at a time.
 
     Hits, misses and evictions are mirrored into the telemetry
     counters [server.registry.{hit,miss,eviction}] and the gauge
@@ -30,8 +34,8 @@ val find_or_prepare :
   t ->
   key:string ->
   name:string ->
-  (unit -> Scanpower.Flow.prepared) ->
-  Scanpower.Flow.prepared * bool
+  (unit -> Flow.prepared) ->
+  Flow.prepared * bool
 (** Returns the resident machine and [true] on a hit; otherwise runs
     [build], inserts the result, evicts least-recently-used entries
     beyond capacity and returns [..., false]. A [build] that raises

@@ -148,7 +148,7 @@ type job_result = {
 
 type report = { results : job_result list; stats : Runner.stats }
 
-let job_of (point : point) =
+let job_of registry (point : point) =
   let id =
     Printf.sprintf "%s seed=%d" (Circuit.name point.circuit) point.params.seed
   in
@@ -169,9 +169,14 @@ let job_of (point : point) =
     cache_key = (if abort_atpg then None else Some (cache_key point));
     run =
       (fun ~attempt:_ ->
-        comparison_to_json
-          (Flow.run_benchmark_cached ?atpg_config ~seed:point.params.seed
-             point.circuit));
+        let c = point.circuit in
+        let prepared, _ =
+          Registry.find_or_prepare registry
+            ~key:(Flow.prepare_key ?atpg_config c)
+            ~name:(Circuit.name c)
+            (fun () -> Flow.prepare ?atpg_config c)
+        in
+        comparison_to_json (Flow.evaluate ~seed:point.params.seed prepared));
   }
 
 (* The journal header binds a checkpoint file to one batch: the result
@@ -256,7 +261,12 @@ let progress_events ~jobs ~total inner =
 let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
     ?(deadline_s = 0.0) ?(poison_threshold = 3) ?(handle_signals = false)
     ?cache ?journal_path ?(resume = false) ?(capture_telemetry = true)
-    ?(on_event = fun (_ : Runner.event) -> ()) points =
+    ?(on_event = fun (_ : Runner.event) -> ()) ?registry points =
+  (* points are circuit-major, so even a batch-local registry runs
+     techmap + ATPG once per circuit in sequential mode *)
+  let registry =
+    match registry with Some r -> r | None -> Registry.create ()
+  in
   let on_event = progress_events ~jobs ~total:(List.length points) on_event in
   let journal =
     match journal_path with
@@ -279,7 +289,8 @@ let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
   in
   let finally () = Option.iter Runner.Journal.close journal in
   let results, stats =
-    Fun.protect ~finally (fun () -> Runner.run ~config (List.map job_of points))
+    Fun.protect ~finally (fun () ->
+        Runner.run ~config (List.map (job_of registry) points))
   in
   let results =
     List.map2

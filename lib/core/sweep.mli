@@ -19,8 +19,9 @@ type point = { circuit : Circuit.t; params : params }
 
 val points : ?seeds:int list -> Circuit.t list -> point list
 (** Cross product, grouped per circuit (all seeds of a circuit are
-    adjacent so the in-process ATPG memo helps in sequential mode).
-    [seeds] defaults to [[42]], the flow's default seed. *)
+    adjacent, so in sequential mode {!run}'s registry prepares each
+    circuit once). [seeds] defaults to [[42]], the flow's default
+    seed. *)
 
 val cache_key : point -> string
 (** Content address: digest of the netlist ([Bench_writer.to_string]),
@@ -68,6 +69,7 @@ val run :
   ?resume:bool ->
   ?capture_telemetry:bool ->
   ?on_event:(Runner.event -> unit) ->
+  ?registry:Registry.t ->
   point list ->
   report
 (** Evaluate every point; [results] is in point order. Defaults:
@@ -75,6 +77,12 @@ val run :
     [poison_threshold = 3], signals not handled, no cache, no journal,
     [capture_telemetry = true]. With [jobs > 1] every attempt runs in
     a forked child (crash/timeout isolation, per-worker telemetry).
+
+    Each point is prepared through [registry] under
+    {!Flow.prepare_key}, so points sharing a circuit and ATPG
+    configuration run techmap + ATPG once; a forked attempt works on
+    its own copy of the registry, so its entries do not reach the
+    parent. Without [registry] the batch uses a fresh one of its own.
 
     [journal_path] opens a JSON-lines checkpoint journal (header =
     {!journal_meta}) that records every finished job as it completes;

@@ -1,7 +1,7 @@
 module Json = Telemetry.Json
 module E = Scanpower_errors
 module Events = Telemetry.Events
-module Flow = Scanpower.Flow
+module Registry = Scanpower.Registry
 
 (* request lifecycle counters; the gauge tracks instantaneous depth *)
 let c_received = Telemetry.Counter.make "server.requests.received"
@@ -579,7 +579,6 @@ let run ?(config = default_config) () =
   let request_stop _ = t.stop <- true in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle request_stop) in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle request_stop) in
-  Flow.set_prepare_capacity config.registry_capacity;
   log t
     (Json.Obj
        [

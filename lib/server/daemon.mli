@@ -24,13 +24,13 @@
     overloaded,deadline,abandoned}], [server.client_disconnects],
     [server.protocol_errors]; histograms [server.request_s],
     [server.queue_wait_s]; gauge [server.queue_depth] — beside the
-    {!Registry} metrics. *)
+    {!Scanpower.Registry} metrics. *)
 
 type config = {
   socket : string;  (** path; an unserved stale file is replaced *)
   registry_capacity : int;
-      (** warm machines kept resident (also bounds the
-          {!Scanpower.Flow.prepare_cached} memo) *)
+      (** warm machines kept resident in the one registry that
+          [flow], [atpg] and [sweep-point] requests share *)
   max_queue : int;  (** admission bound; beyond it → [overloaded] *)
   max_request_bytes : int;
       (** request-frame cap in bytes; past it the request is answered

@@ -2,6 +2,7 @@ module Json = Telemetry.Json
 module E = Scanpower_errors
 module Flow = Scanpower.Flow
 module Sweep = Scanpower.Sweep
+module Registry = Scanpower.Registry
 
 (* Idempotency: replayed requests (same "idem" key) return the stored
    Ok response instead of executing again. Bounded FIFO — dedup is a
@@ -165,12 +166,15 @@ let validate_value (req : Protocol.request) =
 (* One sweep point through the real [Sweep] machinery (sequential
    runner, in-process), so job identity — and with it the chaos
    injector's per-site keying and the Atpg_abort cache bypass — is
-   exactly the CLI's. The in-process path also keeps the
-   [Flow.prepare_cached] memo warm across requests. *)
-let sweep_point_value (req : Protocol.request) =
+   exactly the CLI's. The point prepares through the dispatcher's own
+   registry, so it shares warm entries with [flow] requests (same key:
+   default ATPG config), and trim, snapshot and [stats] see it. *)
+let sweep_point_value t (req : Protocol.request) =
   let c = require_circuit req in
   let points = Sweep.points ~seeds:[ req.Protocol.seed ] [ c ] in
-  let report = Sweep.run ~jobs:1 ~capture_telemetry:false points in
+  let report =
+    Sweep.run ~jobs:1 ~capture_telemetry:false ~registry:t.registry points
+  in
   match report.Sweep.results with
   | [ jr ] -> (
     match jr.Sweep.comparison with
@@ -203,7 +207,6 @@ let health_value t ~extra =
     @ extra)
 
 let stats_value t ~extra =
-  let p = Flow.prepare_stats () in
   Json.Obj
     ([
        ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
@@ -217,14 +220,6 @@ let stats_value t ~extra =
           ]);
        ("parallel", Json.Obj [ ("forked", Json.Int t.forked) ]);
        ("registry", Registry.stats_json t.registry);
-       ("prepare_registry",
-        Json.Obj
-          [
-            ("entries", Json.Int p.Flow.p_entries);
-            ("hits", Json.Int p.Flow.p_hits);
-            ("misses", Json.Int p.Flow.p_misses);
-            ("evictions", Json.Int p.Flow.p_evictions);
-          ]);
      ]
     @ extra)
 
@@ -302,7 +297,7 @@ let compute t ~extra (req : Protocol.request) =
   | Protocol.Flow -> flow_value t req
   | Protocol.Atpg -> atpg_value t req
   | Protocol.Validate -> validate_value req
-  | Protocol.Sweep_point -> sweep_point_value req
+  | Protocol.Sweep_point -> sweep_point_value t req
   | Protocol.Health -> health_value t ~extra
   | Protocol.Stats -> stats_value t ~extra
 

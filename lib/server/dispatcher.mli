@@ -1,7 +1,7 @@
 (** Request execution: one {!Protocol.request} in, one JSON value or
     one structured error out. The daemon loop owns admission and
     framing; this module owns the semantics of each request kind and
-    the warm {!Registry} they share.
+    the warm {!Scanpower.Registry} they share.
 
     Bit-identity contract: a [flow] request computes exactly what the
     one-shot [scanpower power] CLI computes for the same (circuit,
@@ -28,7 +28,7 @@ val create :
     [Worker_kill] fault-injection roll key, so a chaos spec that kills
     generation N deterministically spares the restarted N+1. *)
 
-val registry : t -> Registry.t
+val registry : t -> Scanpower.Registry.t
 
 val generation : t -> int
 

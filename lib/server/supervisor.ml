@@ -55,10 +55,6 @@ let rec wait_child pid =
 let run ?(config = default_config) () =
   if config.restart_budget < 1 then
     invalid_arg "Supervisor.run: restart_budget must be >= 1";
-  if Par.Domain_pool.fork_unavailable () then
-    E.raise_error ~code:E.Runtime ~stage:"server.supervisor"
-      "cannot supervise: this process has already spawned a domain, so \
-       fork is permanently unavailable (OCaml 5 ratchet)";
   (* token bucket: a crash spends one token; [restart_refill_s] of
      uptime earns one back, capped at the budget. A crash loop drains
      it in seconds and exits cleanly instead of storming. *)

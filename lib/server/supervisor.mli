@@ -22,9 +22,9 @@
     the [Worker_kill] fault-injection roll key so a spec that kills
     generation N deterministically spares N+1.
 
-    The supervisor parent never spawns domains (OCaml 5 permanently
-    forbids [fork] afterwards); {!run} refuses to start if this
-    process already has. *)
+    OCaml 5 refuses [fork] in a process that has ever spawned a
+    domain, so a program embedding the supervisor calls {!run} before
+    spawning any. *)
 
 type config = {
   daemon : Daemon.config;  (** per-generation daemon configuration *)
@@ -39,5 +39,5 @@ val default_config : config
 val run : ?config:config -> unit -> unit
 (** Supervise until the child drains cleanly. Raises
     {!Scanpower_errors.Error} with code [Runtime] when the restart
-    budget is exhausted or when fork is unavailable, and
-    [Invalid_argument] when [restart_budget < 1]. *)
+    budget is exhausted, and [Invalid_argument] when
+    [restart_budget < 1]. *)

@@ -13,7 +13,7 @@ module P = Scanpower_server.Protocol
 module D = Scanpower_server.Daemon
 module S = Scanpower_server.Supervisor
 module C = Scanpower_server.Client
-module R = Scanpower_server.Registry
+module R = Scanpower.Registry
 module E = Scanpower_errors
 module Json = Telemetry.Json
 module Events = Telemetry.Events

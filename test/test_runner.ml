@@ -355,22 +355,49 @@ let check_sweep_forked_matches_sequential () =
   Alcotest.(check (list string))
     "forked sweep = sequential sweep" (comparisons seq) (comparisons forked)
 
-let check_prepare_cached_reuse () =
+(* a sequential sweep over one circuit x 3 seeds prepares once: the
+   first point misses the registry, the other two hit, and every seed's
+   comparison is the one-shot flow's *)
+let check_sweep_registry_reuse () =
+  let module R = Scanpower.Registry in
+  let module Flow = Scanpower.Flow in
   let c = small_generated () in
-  let p1 = Scanpower.Flow.prepare_cached c in
-  let p2 = Scanpower.Flow.prepare_cached c in
-  Alcotest.(check bool) "same prepared result (no ATPG re-run)" true (p1 == p2);
-  (* a re-parsed copy of the same netlist hits too: the memo is keyed
-     by content, not physical identity *)
+  let seeds = [ 3; 5; 8 ] in
+  let reg = R.create () in
+  let report =
+    Scanpower.Sweep.run ~capture_telemetry:false ~registry:reg
+      (Scanpower.Sweep.points ~seeds [ c ])
+  in
+  let s = R.stats reg in
+  Alcotest.(check int) "one prepare" 1 s.R.s_misses;
+  Alcotest.(check int) "two warm points" 2 s.R.s_hits;
+  List.iter2
+    (fun seed (r : Scanpower.Sweep.job_result) ->
+      match r.Scanpower.Sweep.comparison with
+      | Ok cmp ->
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d = Flow.run_benchmark" seed)
+          0
+          (compare (Flow.run_benchmark ~seed c) cmp)
+      | Error m -> Alcotest.fail m)
+    seeds report.Scanpower.Sweep.results;
+  (* a re-parsed copy of the same netlist hits too: the registry is
+     keyed by content, not physical identity *)
   let c' =
     Netlist.Bench_parser.parse_string ~name:"swp"
       (Netlist.Bench_writer.to_string c)
   in
-  Alcotest.(check bool) "content-keyed" true (Scanpower.Flow.prepare_cached c' == p1);
+  let get c =
+    R.find_or_prepare reg ~key:(Flow.prepare_key c) ~name:"swp" (fun () ->
+        Alcotest.fail "a resident circuit must not be prepared again")
+  in
+  let p, _ = get c in
+  let p', hit = get c' in
+  Alcotest.(check bool) "content-keyed" true (hit && p' == p);
   (* evaluating twice off one prepared must be deterministic: evaluate
      does not mutate its input *)
-  let a = Scanpower.Flow.evaluate ~seed:5 p1 in
-  let b = Scanpower.Flow.evaluate ~seed:5 p1 in
+  let a = Flow.evaluate ~seed:5 p in
+  let b = Flow.evaluate ~seed:5 p in
   Alcotest.(check int) "evaluate is repeatable on a shared prepare" 0
     (compare a b)
 
@@ -396,5 +423,5 @@ let suite =
       check_sweep_golden_and_cache;
     Alcotest.test_case "sweep jobs=2 = jobs=1" `Quick
       check_sweep_forked_matches_sequential;
-    Alcotest.test_case "prepare_cached reuse" `Quick check_prepare_cached_reuse;
+    Alcotest.test_case "sweep registry reuse" `Quick check_sweep_registry_reuse;
   ]

@@ -12,7 +12,7 @@
 module P = Scanpower_server.Protocol
 module D = Scanpower_server.Daemon
 module C = Scanpower_server.Client
-module R = Scanpower_server.Registry
+module R = Scanpower.Registry
 module E = Scanpower_errors
 module Json = Telemetry.Json
 module Flow = Scanpower.Flow
@@ -146,6 +146,7 @@ let check_registry_lru () =
   let s = R.stats reg in
   Alcotest.(check int) "hits counted" 2 s.R.s_hits;
   Alcotest.(check int) "misses counted" 4 s.R.s_misses;
+  Alcotest.(check int) "c1's return evicted c2" 2 s.R.s_evictions;
   (* a failing build inserts nothing *)
   (match
      R.find_or_prepare reg ~key:"bad" ~name:"bad" (fun () -> failwith "boom")
@@ -155,52 +156,63 @@ let check_registry_lru () =
   Alcotest.(check int) "no half-entry" 2 (R.stats reg).R.s_entries
 
 (* ------------------------------------------------------------------ *)
-(* flow prepare registry stats (satellite: gauges + LRU bound)         *)
+(* flow prepare through the registry: stats + telemetry mirrors        *)
 (* ------------------------------------------------------------------ *)
 
+(* [Flow.prepare] keyed by [Flow.prepare_key] through a bounded
+   registry: the capacity bound holds under a cyclic working set one
+   larger than it, and the telemetry counters and gauge mirror the
+   registry's own totals *)
 let check_flow_prepare_stats () =
-  Flow.clear_prepared ();
-  Flow.set_prepare_capacity 2;
   Telemetry.reset ();
   Telemetry.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.disable ();
-      Flow.set_prepare_capacity 0;
-      Flow.clear_prepared ())
-    (fun () ->
-      let circuits =
-        List.init 3 (fun i -> small (Printf.sprintf "fp%d" i) (700 + i))
-      in
-      List.iter (fun c -> ignore (Flow.prepare_cached c)) circuits;
-      List.iter (fun c -> ignore (Flow.prepare_cached c)) circuits;
-      let s = Flow.prepare_stats () in
-      Alcotest.(check int) "bounded to capacity" 2 s.Flow.p_entries;
-      (* second pass: c0 was evicted by c2's insert, and re-preparing
-         it evicts c1, and so on — every second-pass lookup misses *)
-      Alcotest.(check int) "misses" 6 s.Flow.p_misses;
-      Alcotest.(check int) "hits" 0 s.Flow.p_hits;
-      Alcotest.(check int) "evictions" 4 s.Flow.p_evictions;
-      let gauge name =
-        match Telemetry.Gauge.find name with
-        | Some v -> int_of_float v
-        | None -> Alcotest.fail ("missing gauge " ^ name)
-      in
-      Alcotest.(check int) "entries gauge" 2
-        (gauge "flow.prepare_registry.entries");
-      Alcotest.(check int) "misses gauge" 6
-        (gauge "flow.prepare_registry.misses");
-      Alcotest.(check int) "evictions gauge" 4
-        (gauge "flow.prepare_registry.evictions");
-      (* unbounded + warm hit path *)
-      Flow.set_prepare_capacity 0;
-      List.iter (fun c -> ignore (Flow.prepare_cached c)) circuits;
-      List.iter (fun c -> ignore (Flow.prepare_cached c)) circuits;
-      let s = Flow.prepare_stats () in
-      Alcotest.(check int) "unbounded keeps all" 3 s.Flow.p_entries;
-      Alcotest.(check bool) "warm hits counted" true (s.Flow.p_hits >= 4);
-      Alcotest.(check int) "hits gauge tracks" s.Flow.p_hits
-        (gauge "flow.prepare_registry.hits"))
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  let circuits =
+    List.init 3 (fun i -> small (Printf.sprintf "fp%d" i) (700 + i))
+  in
+  let prepare_all reg =
+    List.iter
+      (fun c ->
+        ignore
+          (R.find_or_prepare reg ~key:(Flow.prepare_key c)
+             ~name:(Netlist.Circuit.name c) (fun () -> Flow.prepare c)))
+      circuits
+  in
+  let reg = R.create ~capacity:2 () in
+  prepare_all reg;
+  prepare_all reg;
+  let s = R.stats reg in
+  Alcotest.(check int) "bounded to capacity" 2 s.R.s_entries;
+  (* second pass: c0 was evicted by c2's insert, and re-preparing
+     it evicts c1, and so on — every second-pass lookup misses *)
+  Alcotest.(check int) "misses" 6 s.R.s_misses;
+  Alcotest.(check int) "hits" 0 s.R.s_hits;
+  Alcotest.(check int) "evictions" 4 s.R.s_evictions;
+  let counter name =
+    match Telemetry.Counter.find name with
+    | Some v -> v
+    | None -> Alcotest.fail ("missing counter " ^ name)
+  in
+  let entries_gauge () =
+    match Telemetry.Gauge.find "server.registry.entries" with
+    | Some v -> int_of_float v
+    | None -> Alcotest.fail "missing gauge server.registry.entries"
+  in
+  Alcotest.(check int) "entries gauge" 2 (entries_gauge ());
+  Alcotest.(check int) "miss counter" 6 (counter "server.registry.miss");
+  Alcotest.(check int) "eviction counter" 4
+    (counter "server.registry.eviction");
+  (* room for the whole working set: the second pass is all warm *)
+  let reg = R.create ~capacity:3 () in
+  prepare_all reg;
+  prepare_all reg;
+  let s = R.stats reg in
+  Alcotest.(check int) "keeps all" 3 s.R.s_entries;
+  Alcotest.(check int) "warm hits counted" 3 s.R.s_hits;
+  Alcotest.(check int) "no evictions" 0 s.R.s_evictions;
+  Alcotest.(check int) "entries gauge tracks" 3 (entries_gauge ());
+  Alcotest.(check int) "hit counter tracks" s.R.s_hits
+    (counter "server.registry.hit")
 
 (* ------------------------------------------------------------------ *)
 (* golden: daemon flow ≡ one-shot Flow.run_benchmark                   *)
@@ -254,6 +266,43 @@ let check_golden_bit_identity () =
             Alcotest.(check bool) "sweep-point ≡ direct Sweep.run" true
               (Json.equal direct_cmp c)
           | None -> Alcotest.fail "sweep-point value lacks a comparison")))
+
+(* a sweep point and a flow request on the same circuit share one
+   registry entry: the flow after the sweep point is warm, both answer
+   the same, and [stats] shows one store holding one entry *)
+let check_sweep_point_shares_registry () =
+  with_daemon (fun socket ->
+      with_client socket (fun client ->
+          let ask id kind =
+            expect_value id
+              (C.rpc client (P.make ~id ~circuit:"s27" ~seed:5 kind))
+          in
+          let sp = ask "sp" P.Sweep_point in
+          let flow = ask "flow" P.Flow in
+          Alcotest.(check bool) "flow after sweep-point hits" true
+            (Json.member "registry_hit" flow = Some (Json.Bool true));
+          (match (Json.member "comparison" sp, Json.member "comparison" flow) with
+          | Some a, Some b ->
+            Alcotest.(check bool) "sweep-point ≡ flow" true (Json.equal a b)
+          | _ -> Alcotest.fail "a value lacks its comparison");
+          let stats =
+            expect_value "stats" (C.rpc client (P.make ~id:"stats" P.Stats))
+          in
+          let entries =
+            Option.bind (Json.member "registry" stats) (Json.member "entries")
+          in
+          Alcotest.(check bool) "one resident entry" true
+            (entries = Some (Json.Int 1));
+          let stores =
+            match stats with
+            | Json.Obj fields ->
+              List.filter
+                (String.ends_with ~suffix:"registry")
+                (List.map fst fields)
+            | _ -> []
+          in
+          Alcotest.(check (list string)) "one store in stats" [ "registry" ]
+            stores))
 
 (* ------------------------------------------------------------------ *)
 (* robustness: hostile input never kills the daemon                    *)
@@ -572,6 +621,8 @@ let suite =
       check_flow_prepare_stats;
     Alcotest.test_case "golden: daemon ≡ one-shot flow" `Quick
       check_golden_bit_identity;
+    Alcotest.test_case "sweep-point shares the flow registry" `Quick
+      check_sweep_point_shares_registry;
     Alcotest.test_case "protocol robustness against hostile input" `Quick
       check_protocol_robustness;
     Alcotest.test_case "sessions keep idempotency keys apart" `Quick
