@@ -521,7 +521,7 @@ let validate_cmd =
 
 let sweep_cmd =
   let run names jobs seeds timeout retries backoff deadline no_cache
-      cache_dir journal resume out csv progress tele =
+      cache_dir out csv progress tele =
     let* metrics_out = tele in
     let names = if names = [] then Circuits.names else names in
     let* circuits =
@@ -596,7 +596,7 @@ let sweep_cmd =
       Fun.protect ~finally:stop_progress (fun () ->
           Scanpower.Sweep.run ~jobs ~timeout_s:timeout ~retries
             ~backoff_s:backoff ~deadline_s:deadline ~handle_signals:true ?cache
-            ?journal_path:journal ~resume ~on_event points)
+            ~on_event points)
     in
     let wall = Unix.gettimeofday () -. t0 in
     Format.printf "@.";
@@ -604,13 +604,10 @@ let sweep_cmd =
       (Scanpower.Sweep.rows report);
     let s = report.Scanpower.Sweep.stats in
     Format.printf
-      "@.pool: %d scheduled, %d computed, %d cache hit%s, %d journal hit%s, \
-       %d crash%s, %d timeout%s, %d retr%s, %d quarantined, %d failed%s — \
-       %.1fs wall@."
+      "@.pool: %d scheduled, %d computed, %d cache hit%s, %d crash%s, \
+       %d timeout%s, %d retr%s, %d quarantined, %d failed%s — %.1fs wall@."
       s.Runner.scheduled s.Runner.computed s.Runner.cache_hits
       (if s.Runner.cache_hits = 1 then "" else "s")
-      s.Runner.journal_hits
-      (if s.Runner.journal_hits = 1 then "" else "s")
       s.Runner.crashes
       (if s.Runner.crashes = 1 then "" else "es")
       s.Runner.timeouts
@@ -653,8 +650,11 @@ let sweep_cmd =
       value & opt int 4
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Parallel workers. 1 runs everything sequentially in-process; \
-             larger values fan jobs out over forked worker processes.")
+            "Parallel workers. 1 runs everything sequentially in-process \
+             and prepares (techmaps and ATPGs) each circuit once for all \
+             its seeds; larger values fan jobs out over forked worker \
+             processes, where every point prepares its circuit afresh, so \
+             many seeds of one circuit are cheaper with $(b,--jobs) 1.")
   in
   let seeds =
     Arg.(
@@ -699,24 +699,6 @@ let sweep_cmd =
       value & flag
       & info [ "no-cache" ] ~doc:"Recompute everything; touch no cache.")
   in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Checkpoint journal: every finished job is appended (and \
-             flushed) as it completes, so an interrupted sweep can be \
-             finished with $(b,--resume).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay the $(b,--journal) left by an interrupted run of the \
-             same sweep and recompute only the unfinished jobs.")
-  in
   let cache_dir =
     Arg.(
       value
@@ -754,15 +736,15 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:
          "Run the full flow over many circuits and seeds in parallel, with a \
-          content-addressed result cache and an optional checkpoint journal: \
-          a re-run recomputes only changed points, a crashed worker is \
-          retried without failing the sweep, and $(b,--resume) finishes an \
-          interrupted batch without redoing completed jobs.")
+          content-addressed result cache: every finished point is stored as \
+          it completes, so a re-run recomputes only changed or unfinished \
+          points (an interrupted sweep is finished by running it again), \
+          and a crashed worker is retried without failing the sweep.")
     Term.(
       term_result
         (const run $ names $ jobs $ seeds $ timeout $ retries
-       $ backoff $ deadline $ no_cache $ cache_dir $ journal $ resume $ out
-       $ csv $ progress $ telemetry_term))
+       $ backoff $ deadline $ no_cache $ cache_dir $ out $ csv $ progress
+       $ telemetry_term))
 
 (* ---- serve ---- *)
 

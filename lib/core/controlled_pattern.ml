@@ -4,11 +4,6 @@ let m_blocked = Telemetry.Counter.make "core.controlled_pattern.blocked_gates"
 let m_failed = Telemetry.Counter.make "core.controlled_pattern.failed_gates"
 let m_tns_rounds = Telemetry.Counter.make "core.controlled_pattern.tns_rounds"
 
-type config = {
-  direction : Justify.direction;
-  backtrack_limit : int;
-}
-
 type outcome = {
   values : Logic.t array;
   controlled : int list;

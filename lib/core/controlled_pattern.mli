@@ -12,11 +12,6 @@
 
 open Netlist
 
-type config = {
-  direction : Justify.direction;
-  backtrack_limit : int;
-}
-
 type outcome = {
   values : Logic.t array;
       (** final three-valued assignment, fully propagated *)

@@ -179,20 +179,6 @@ let job_of registry (point : point) =
         comparison_to_json (Flow.evaluate ~seed:point.params.seed prepared));
   }
 
-(* The journal header binds a checkpoint file to one batch: the result
-   schema plus a digest of the (sorted) job identities. A resume
-   against a different point set or schema refuses to reuse the file
-   rather than serving answers for the wrong question. *)
-let journal_meta points =
-  let keys = List.sort String.compare (List.map cache_key points) in
-  Json.Obj
-    [
-      ("schema", Json.String schema_version);
-      ("points", Json.Int (List.length points));
-      ("keys_digest",
-       Json.String (Digest.to_hex (Digest.string (String.concat "\n" keys))));
-    ]
-
 (* ETA from the pool's observed job-latency distribution: the p50 is
    robust to one straggler circuit, and dividing by the worker count
    assumes the remaining jobs keep all lanes busy — optimistic near the
@@ -260,7 +246,7 @@ let progress_events ~jobs ~total inner =
 
 let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
     ?(deadline_s = 0.0) ?(poison_threshold = 3) ?(handle_signals = false)
-    ?cache ?journal_path ?(resume = false) ?(capture_telemetry = true)
+    ?cache ?(capture_telemetry = true)
     ?(on_event = fun (_ : Runner.event) -> ()) ?registry points =
   (* points are circuit-major, so even a batch-local registry runs
      techmap + ATPG once per circuit in sequential mode *)
@@ -268,30 +254,15 @@ let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
     match registry with Some r -> r | None -> Registry.create ()
   in
   let on_event = progress_events ~jobs ~total:(List.length points) on_event in
-  let journal =
-    match journal_path with
-    | None -> None
-    | Some path -> (
-      try
-        Some (Runner.Journal.open_ ~path ~meta:(journal_meta points) ~resume)
-      with Sys_error msg ->
-        raise
-          (Errors.Error
-             (Errors.make ~code:Errors.Io ~stage:"sweep.journal" msg)))
-  in
   let config =
     {
       Runner.default_config with
       jobs; timeout_s; retries; backoff_s; deadline_s;
-      poison_threshold; handle_signals; cache; journal; capture_telemetry;
+      poison_threshold; handle_signals; cache; capture_telemetry;
       on_event;
     }
   in
-  let finally () = Option.iter Runner.Journal.close journal in
-  let results, stats =
-    Fun.protect ~finally (fun () ->
-        Runner.run ~config (List.map (job_of registry) points))
-  in
+  let results, stats = Runner.run ~config (List.map (job_of registry) points) in
   let results =
     List.map2
       (fun (point : point) (r : Runner.result) ->

@@ -27,6 +27,11 @@ val cache_key : point -> string
 (** Content address: digest of the netlist ([Bench_writer.to_string]),
     the parameter point and {!schema_version}. *)
 
+val atpg_to_json : Flow.atpg_summary -> Telemetry.Json.t
+(** The ATPG summary as one object: its derived ["status"], the fault
+    counts and the coverage. {!comparison_to_json} embeds it under
+    ["atpg"]; the daemon's [atpg] response splices in its fields. *)
+
 val comparison_to_json : Flow.comparison -> Telemetry.Json.t
 (** Embeds the ATPG summary (with its derived ["status"]) beside the
     four technique results. *)
@@ -50,12 +55,6 @@ type job_result = {
 
 type report = { results : job_result list; stats : Runner.stats }
 
-val journal_meta : point list -> Telemetry.Json.t
-(** The checkpoint-journal header for a batch: {!schema_version} plus
-    a digest of the sorted cache keys, so a [--resume] against a
-    different point set (or schema) starts the journal over instead of
-    serving answers for the wrong batch. *)
-
 val run :
   ?jobs:int ->
   ?timeout_s:float ->
@@ -65,8 +64,6 @@ val run :
   ?poison_threshold:int ->
   ?handle_signals:bool ->
   ?cache:Runner.Cache.t ->
-  ?journal_path:string ->
-  ?resume:bool ->
   ?capture_telemetry:bool ->
   ?on_event:(Runner.event -> unit) ->
   ?registry:Registry.t ->
@@ -74,7 +71,7 @@ val run :
   report
 (** Evaluate every point; [results] is in point order. Defaults:
     [jobs = 1], no timeout, [retries = 1], no backoff, no deadline,
-    [poison_threshold = 3], signals not handled, no cache, no journal,
+    [poison_threshold = 3], signals not handled, no cache,
     [capture_telemetry = true]. With [jobs > 1] every attempt runs in
     a forked child (crash/timeout isolation, per-worker telemetry).
 
@@ -84,14 +81,9 @@ val run :
     its own copy of the registry, so its entries do not reach the
     parent. Without [registry] the batch uses a fresh one of its own.
 
-    [journal_path] opens a JSON-lines checkpoint journal (header =
-    {!journal_meta}) that records every finished job as it completes;
-    with [resume = true] a journal left by an interrupted run of the
-    {e same} batch is replayed first and only unfinished jobs are
-    recomputed (composing with, and consulted before, the
-    content-addressed [cache]). The journal is closed (flushed) even
-    if the run raises. Raises {!Errors.Error} (code [Io]) when the
-    journal file cannot be opened. *)
+    With a [cache], each finished point is stored as it completes, so
+    re-running a batch that was killed mid-run serves the finished
+    points from the cache and recomputes only the rest. *)
 
 val rows : report -> Report.row list
 (** Table I rows of the successful results, in point order. *)

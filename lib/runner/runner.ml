@@ -1,6 +1,5 @@
 module Cache = Cache
 module Fault_inject = Fault_inject
-module Journal = Journal
 module Json = Telemetry.Json
 
 type job = {
@@ -49,7 +48,6 @@ type stats = {
   scheduled : int;
   cache_hits : int;
   cache_misses : int;
-  journal_hits : int;
   computed : int;
   crashes : int;
   timeouts : int;
@@ -65,7 +63,6 @@ let stats_to_json s =
       ("scheduled", Json.Int s.scheduled);
       ("cache_hits", Json.Int s.cache_hits);
       ("cache_misses", Json.Int s.cache_misses);
-      ("journal_hits", Json.Int s.journal_hits);
       ("computed", Json.Int s.computed);
       ("crashes", Json.Int s.crashes);
       ("timeouts", Json.Int s.timeouts);
@@ -85,7 +82,6 @@ type config = {
   poison_threshold : int;
   handle_signals : bool;
   cache : Cache.t option;
-  journal : Journal.t option;
   capture_telemetry : bool;
   on_event : event -> unit;
 }
@@ -101,7 +97,6 @@ let default_config =
     poison_threshold = 3;
     handle_signals = false;
     cache = None;
-    journal = None;
     capture_telemetry = false;
     on_event = ignore;
   }
@@ -238,7 +233,6 @@ type acc = {
   mutable a_scheduled : int;
   mutable a_cache_hits : int;
   mutable a_cache_misses : int;
-  mutable a_journal_hits : int;
   mutable a_computed : int;
   mutable a_crashes : int;
   mutable a_timeouts : int;
@@ -253,7 +247,6 @@ let freeze a =
     scheduled = a.a_scheduled;
     cache_hits = a.a_cache_hits;
     cache_misses = a.a_cache_misses;
-    journal_hits = a.a_journal_hits;
     computed = a.a_computed;
     crashes = a.a_crashes;
     timeouts = a.a_timeouts;
@@ -270,7 +263,6 @@ let mirror_to_telemetry s =
   add "runner.jobs.failed" s.failed;
   add "runner.cache.hit" s.cache_hits;
   add "runner.cache.miss" s.cache_misses;
-  add "runner.journal.hit" s.journal_hits;
   add "runner.worker.crash" s.crashes;
   add "runner.worker.timeout" s.timeouts;
   add "runner.worker.quarantined" s.quarantined;
@@ -297,7 +289,6 @@ let run ?(config = default_config) job_list =
       a_scheduled = n;
       a_cache_hits = 0;
       a_cache_misses = 0;
-      a_journal_hits = 0;
       a_computed = 0;
       a_crashes = 0;
       a_timeouts = 0;
@@ -349,69 +340,42 @@ let run ?(config = default_config) job_list =
     else fun () -> ()
   in
 
-  let journal_key job =
-    match job.cache_key with Some k -> k | None -> job.id
-  in
-
   let finished i outcome =
     results.(i) <- Some outcome;
     cfg.on_event (Finished { job = jobs.(i); outcome })
   in
 
-  (* checkpoint/cache pass: answer what we can without running anything.
-     The journal wins over the cache so a --resume works even with the
-     cache disabled; cache hits are copied into the journal so the
-     checkpoint stays complete on its own. *)
+  (* cache pass: answer what we can without running anything *)
   Array.iteri
     (fun i job ->
-      let jkey = journal_key job in
-      let serve blob ~journal_hit =
-        if journal_hit then acc.a_journal_hits <- acc.a_journal_hits + 1
-        else begin
+      match (cfg.cache, job.cache_key) with
+      | Some cache, Some key -> (
+        match Cache.find cache key with
+        | Some blob ->
           acc.a_cache_hits <- acc.a_cache_hits + 1;
-          match cfg.journal with
-          | Some j -> Journal.record_done j ~key:jkey blob
-          | None -> ()
-        end;
-        let value =
-          Option.value ~default:Json.Null (Json.member "value" blob)
-        in
-        let telemetry =
-          match Json.member "telemetry" blob with
-          | None | Some Json.Null -> None
-          | Some t -> Some t
-        in
-        finished i
-          (Done
-             { value; telemetry; from_cache = true; attempts = 0;
-               duration_s = 0.0 })
-      in
-      match
-        match cfg.journal with
-        | Some j -> Journal.find j jkey
-        | None -> None
-      with
-      | Some blob -> serve blob ~journal_hit:true
-      | None -> (
-        match (cfg.cache, job.cache_key) with
-        | Some cache, Some key -> (
-          match Cache.find cache key with
-          | Some blob -> serve blob ~journal_hit:false
-          | None ->
-            acc.a_cache_misses <- acc.a_cache_misses + 1;
-            push_pending (i, 1, 0.0))
-        | _ -> push_pending (i, 1, 0.0)))
+          let value =
+            Option.value ~default:Json.Null (Json.member "value" blob)
+          in
+          let telemetry =
+            match Json.member "telemetry" blob with
+            | None | Some Json.Null -> None
+            | Some t -> Some t
+          in
+          finished i
+            (Done
+               { value; telemetry; from_cache = true; attempts = 0;
+                 duration_s = 0.0 })
+        | None ->
+          acc.a_cache_misses <- acc.a_cache_misses + 1;
+          push_pending (i, 1, 0.0))
+      | _ -> push_pending (i, 1, 0.0))
     jobs;
 
   let succeed i ~attempt ~started value telemetry =
     acc.a_computed <- acc.a_computed + 1;
-    let blob = cache_blob value telemetry in
     (match (cfg.cache, jobs.(i).cache_key) with
-    | Some cache, Some key -> Cache.store cache key blob
+    | Some cache, Some key -> Cache.store cache key (cache_blob value telemetry)
     | _ -> ());
-    (match cfg.journal with
-    | Some j -> Journal.record_done j ~key:(journal_key jobs.(i)) blob
-    | None -> ());
     let duration_s = Unix.gettimeofday () -. started in
     Telemetry.Histogram.observe h_job duration_s;
     (* a freshly computed worker snapshot (shipped back over the result
@@ -455,24 +419,16 @@ let run ?(config = default_config) job_list =
     else begin
       acc.a_failed <- acc.a_failed + 1;
       if poisoned then acc.a_quarantined <- acc.a_quarantined + 1;
-      (match cfg.journal with
-      | Some j -> Journal.record_failed j ~key:(journal_key jobs.(i)) signature
-      | None -> ());
       finished i (Failed { attempts = attempt; last = failure; quarantined = poisoned })
     end
   in
   (* batch cut short (signal or deadline): everything unfinished —
      still-pending attempts plus [reaped] just-killed workers — fails
-     with [failure] and is journalled as unfinished work *)
+     with [failure] *)
   let flush_unfinished failure reaped =
     if failure = Interrupted then acc.a_interrupted <- true;
     let cut (i, attempts) =
       acc.a_failed <- acc.a_failed + 1;
-      (match cfg.journal with
-      | Some j ->
-        Journal.record_failed j ~key:(journal_key jobs.(i))
-          (failure_to_string failure)
-      | None -> ());
       finished i (Failed { attempts; last = failure; quarantined = false })
     in
     List.iter (fun (i, attempt, _) -> cut (i, attempt - 1)) !pending;

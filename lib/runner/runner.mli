@@ -1,6 +1,6 @@
 (** Parallel job runner: fan a batch of independent jobs out over a
     pool of forked worker processes, with a content-addressed result
-    cache, a checkpoint journal, per-job timeout and retry, and crash
+    cache, per-job timeout and retry, and crash
     isolation — a worker dying on one job never takes the batch down.
 
     The unit of work is a {!job}: an id, an optional cache key, and a
@@ -29,10 +29,9 @@
     When a {!Cache.t} is supplied, jobs whose key hits are answered
     without spawning anything, and freshly computed values are stored
     on completion — so an identical re-run does zero recomputation.
-    A {!Journal.t} additionally records every finished job as a
-    flushed JSON line; on a resumed journal, recorded jobs are served
-    from it ({!stats}[.journal_hits]) before the cache is even
-    consulted, which is what gives [sweep --resume] restart-from-kill.
+    Each value is stored the moment its job finishes, so the cache is
+    also the checkpoint: re-running a batch that was killed mid-run
+    recomputes only the jobs that had not finished.
 
     Chaos engineering: the worker paths honour the {!Fault_inject}
     sites ([Child_crash], [Child_exit], [Child_hang],
@@ -44,7 +43,7 @@
     (span tree, counters) back beside the value; pool-level counts are
     mirrored into the process-wide telemetry counters
     ([runner.jobs.scheduled], [runner.jobs.computed],
-    [runner.cache.hit], [runner.cache.miss], [runner.journal.hit],
+    [runner.cache.hit], [runner.cache.miss],
     [runner.worker.crash], [runner.worker.timeout],
     [runner.worker.quarantined], [runner.retry], [runner.jobs.failed],
     [runner.interrupted]) when telemetry is enabled. In sequential
@@ -54,7 +53,6 @@
 
 module Cache : module type of Cache
 module Fault_inject : module type of Fault_inject
-module Journal : module type of Journal
 
 type job = {
   id : string;  (** for events and reports; need not be unique *)
@@ -79,8 +77,8 @@ type outcome =
       telemetry : Telemetry.Json.t option;
           (** the worker's metrics snapshot (or the one stored beside
               a cached value) when capture is on *)
-      from_cache : bool;  (** served by the cache or the journal *)
-      attempts : int;  (** 0 when served from cache/journal *)
+      from_cache : bool;  (** served by the cache *)
+      attempts : int;  (** 0 when served from cache *)
       duration_s : float;  (** wall clock of the successful attempt *)
     }
   | Failed of {
@@ -107,7 +105,6 @@ type stats = {
   scheduled : int;  (** total jobs submitted *)
   cache_hits : int;
   cache_misses : int;  (** jobs that had a key but no entry *)
-  journal_hits : int;  (** jobs served from a resumed checkpoint journal *)
   computed : int;  (** attempts that produced a value *)
   crashes : int;
   timeouts : int;
@@ -134,15 +131,14 @@ type config = {
   handle_signals : bool;
       (** catch SIGINT/SIGTERM, reap children, return partial results *)
   cache : Cache.t option;
-  journal : Journal.t option;
   capture_telemetry : bool;
   on_event : event -> unit;  (** called in the parent, in scheduling order *)
 }
 
 val default_config : config
 (** [jobs = 1], no timeout, [retries = 1], no backoff, no deadline,
-    [poison_threshold = 3], signals not handled, no cache, no journal,
-    no capture, events ignored. *)
+    [poison_threshold = 3], signals not handled, no cache, no capture,
+    events ignored. *)
 
 val retry_delay_s : config -> id:string -> attempt:int -> float
 (** The exact delay inserted before the retry that follows failed

@@ -111,21 +111,19 @@ let atpg_value t (req : Protocol.request) =
       ~name:(Netlist.Circuit.name c)
       (fun () -> Flow.prepare ~atpg_config:config c)
   in
-  let s = Flow.atpg_summary_of prepared.Flow.atpg in
+  let summary =
+    match Sweep.atpg_to_json (Flow.atpg_summary_of prepared.Flow.atpg) with
+    | Json.Obj fields -> fields
+    | _ -> []
+  in
   Json.Obj
-    [
-      ("circuit", Json.String (Netlist.Circuit.name c));
-      ("seed", Json.Int req.Protocol.seed);
-      ("registry_hit", Json.Bool hit);
-      ("n_vectors", Json.Int (List.length prepared.Flow.vectors));
-      ("total_faults", Json.Int s.Flow.total_faults);
-      ("detected", Json.Int s.Flow.detected);
-      ("untestable", Json.Int s.Flow.untestable);
-      ("aborted", Json.Int s.Flow.aborted);
-      ("skipped", Json.Int s.Flow.skipped);
-      ("coverage", Json.Float s.Flow.coverage);
-      ("status", Json.String (Flow.atpg_status s));
-    ]
+    ([
+       ("circuit", Json.String (Netlist.Circuit.name c));
+       ("seed", Json.Int req.Protocol.seed);
+       ("registry_hit", Json.Bool hit);
+       ("n_vectors", Json.Int (List.length prepared.Flow.vectors));
+     ]
+    @ summary)
 
 let diagnostic_json (d : Netlist.Validate.diagnostic) =
   Json.Obj

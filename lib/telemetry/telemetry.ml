@@ -185,13 +185,8 @@ module Span = struct
         ("depth", Json.Int (List.length !stack));
       ]
 
-  (* The span stack is a plain global: concurrent pushes from worker
-     domains would corrupt the tree (and misattribute GC deltas), so
-     span recording is main-domain-only. Worker-domain work is timed
-     by counters/histograms instead, whose word-sized races only lose
-     the odd increment. *)
   let with_ ?(fields = []) ~name fn =
-    if (not !on) || not (Domain.is_main_domain ()) then fn ()
+    if not !on then fn ()
     else begin
       let st = Gc.quick_stat () in
       let sp =

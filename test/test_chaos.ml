@@ -246,33 +246,22 @@ let check_deadline_partial () =
 (* SIGINT: reap children, return a partial report                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Whether [path] holds a complete journal line recording [key] as
-   done. Read-only: the writer is never disturbed. *)
-let journal_has_done path key =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> false
-  | text ->
-    (* a line still being written does not parse *)
-    List.exists
-      (fun line ->
-        match Json.of_string line with
-        | Ok obj ->
-          Json.member "key" obj = Some (Json.String key)
-          && Json.member "status" obj = Some (Json.String "ok")
-        | Error _ -> false)
-      (String.split_on_char '\n' text)
-
 let check_sigint_partial_report () =
   with_tmp_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
-  let journal_path = Filename.concat dir "sigint.journal" in
+  let cache = Runner.Cache.create ~dir:(Filename.concat dir "cache") () in
+  let quick_key = Runner.Cache.key ~schema:"sigint" ~parts:[ "quick" ] in
+  (* the entry appears by atomic rename, so existing means complete *)
+  let quick_stored () =
+    Sys.file_exists (Runner.Cache.entry_path cache quick_key)
+  in
   let timed_out = Filename.concat dir "killer-timed-out" in
   let quick =
-    { Runner.id = "quick"; cache_key = None;
+    { Runner.id = "quick"; cache_key = Some quick_key;
       run = (fun ~attempt:_ -> Json.String "done") }
   in
   (* a worker that interrupts its own pool once [quick]'s result is
-     checkpointed: after it fires, every unfinished job must come back
+     cached: after it fires, every unfinished job must come back
      Interrupted, not hang for 30 s *)
   let killer =
     {
@@ -280,13 +269,10 @@ let check_sigint_partial_report () =
       run =
         (fun ~attempt:_ ->
           let deadline = Unix.gettimeofday () +. 10.0 in
-          while
-            (not (journal_has_done journal_path "quick"))
-            && Unix.gettimeofday () < deadline
-          do
+          while (not (quick_stored ())) && Unix.gettimeofday () < deadline do
             Unix.sleepf 0.005
           done;
-          if not (journal_has_done journal_path "quick") then
+          if not (quick_stored ()) then
             close_out (open_out timed_out);
           Unix.kill (Unix.getppid ()) Sys.sigint;
           Unix.sleepf 30.0;
@@ -302,21 +288,16 @@ let check_sigint_partial_report () =
           Json.Int i);
     }
   in
-  let journal =
-    Runner.Journal.open_ ~path:journal_path ~meta:(Json.String "sigint")
-      ~resume:false
-  in
   let cfg =
     { Runner.default_config with
-      jobs = 2; retries = 0; handle_signals = true; journal = Some journal }
+      jobs = 2; retries = 0; handle_signals = true; cache = Some cache }
   in
   let t0 = Unix.gettimeofday () in
   let results, stats =
     Runner.run ~config:cfg (quick :: killer :: List.init 2 sleeper)
   in
-  Runner.Journal.close journal;
   if Sys.file_exists timed_out then
-    Alcotest.fail "quick's journal entry did not appear within 10 s";
+    Alcotest.fail "quick's cache entry did not appear within 10 s";
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "partial report, not a 30 s hang" true (elapsed < 10.0);
   Alcotest.(check bool) "interrupted flag set" true stats.Runner.interrupted;
@@ -335,68 +316,99 @@ let check_sigint_partial_report () =
     (List.length cut)
 
 (* ------------------------------------------------------------------ *)
-(* SIGKILL + --resume: only unfinished jobs are recomputed             *)
+(* SIGKILL, then re-run: the cache serves every finished point         *)
 (* ------------------------------------------------------------------ *)
 
-(* Number of complete ('\n'-terminated) lines in [path]; 0 while the
-   file does not exist yet. Read-only: the writer is never disturbed. *)
-let complete_lines path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> String.fold_left (fun n ch -> if ch = '\n' then n + 1 else n) 0 text
-  | exception Sys_error _ -> 0
-
-let check_kill_and_resume () =
+let check_kill_and_rerun () =
   with_tmp_dir @@ fun dir ->
   Unix.mkdir dir 0o755;
-  let journal = Filename.concat dir "sweep.journal" in
+  let cache_dir = Filename.concat dir "cache" in
   let circuits =
     List.init 10 (fun i -> small ~gates:45 (Printf.sprintf "kr%d" i) (300 + i))
   in
   let points = Sweep.points circuits in
+  let keys = List.map Sweep.cache_key points in
+  (* A hang spec under which the first point finishes and a later one
+     hangs. The rolls are a pure function of the seed and the job's
+     "<id>#<attempt>", and with no timeout a hung worker never comes
+     back, so the batch is still running, whatever the timing, when
+     the kill lands. *)
+  let hangs spec =
+    FI.with_spec (Some spec) (fun () ->
+        List.map
+          (fun (p : Sweep.point) ->
+            FI.fires FI.Child_hang
+              ~key:
+                (Printf.sprintf "%s seed=%d#1"
+                   (Netlist.Circuit.name p.Sweep.circuit)
+                   p.Sweep.params.Sweep.seed))
+          points)
+  in
+  let spec =
+    let rec search seed =
+      let spec = { FI.seed; rates = [ (FI.Child_hang, 0.3) ] } in
+      match hangs spec with
+      | false :: rest when List.mem true rest -> spec
+      | _ -> search (seed + 1)
+    in
+    search 1
+  in
+  let stored () =
+    let cache = Runner.Cache.create ~dir:cache_dir () in
+    List.length
+      (List.filter
+         (fun k -> Sys.file_exists (Runner.Cache.entry_path cache k))
+         keys)
+  in
   flush stdout;
   flush stderr;
   let pid = Unix.fork () in
   if pid = 0 then begin
-    (try ignore (Sweep.run ~jobs:2 ~journal_path:journal points)
+    (* its own process group, so one kill also takes the hung workers *)
+    ignore (Unix.setsid ());
+    (try
+       FI.with_spec (Some spec) (fun () ->
+           ignore
+             (Sweep.run ~jobs:2
+                ~cache:(Runner.Cache.create ~dir:cache_dir ())
+                points))
      with _ -> ());
     Unix._exit 0
   end;
-  (* kill point: the journal holds its header and at least one
-     completed job *)
+  (* kill point: at least one finished point is in the cache *)
   let deadline = Unix.gettimeofday () +. 10.0 in
-  while complete_lines journal < 2 && Unix.gettimeofday () < deadline do
+  while stored () = 0 && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.005
   done;
-  let checkpointed = complete_lines journal >= 2 in
+  (* a child that has not yet called setsid is in our group: kill it
+     alone first, then the group it may have made *)
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] pid);
-  if not checkpointed then
-    Alcotest.fail "no job reached the journal within 10 s";
-  (* whatever the child checkpointed before dying is the contract:
-     the resumed run replays exactly that and computes only the rest *)
-  let journaled =
-    let j =
-      Runner.Journal.open_ ~path:journal ~meta:(Sweep.journal_meta points)
-        ~resume:true
-    in
-    let n = Runner.Journal.completed j in
-    Runner.Journal.close j;
-    n
-  in
+  (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "the sweep was still running when killed" true
+    (status = Unix.WSIGNALED Sys.sigkill);
+  (* whatever the killed run stored is the contract: the re-run serves
+     exactly that and computes only the rest *)
+  let cached = stored () in
+  if cached = 0 then Alcotest.fail "no point reached the cache within 10 s";
   Telemetry.reset ();
   Telemetry.enable ();
-  let r = Sweep.run ~jobs:2 ~journal_path:journal ~resume:true points in
+  let r =
+    Sweep.run ~jobs:2 ~cache:(Runner.Cache.create ~dir:cache_dir ()) points
+  in
   let computed_counter = Telemetry.Counter.find "runner.jobs.computed" in
   Telemetry.disable ();
-  Alcotest.(check bool) "resumed batch completes" true (Sweep.all_ok r);
-  Alcotest.(check int) "checkpointed jobs served from the journal" journaled
-    r.Sweep.stats.Runner.journal_hits;
-  Alcotest.(check int) "only unfinished jobs recomputed"
-    (List.length points - journaled)
-    r.Sweep.stats.Runner.computed;
+  let stats = r.Sweep.stats in
+  Alcotest.(check bool) "re-run completes" true (Sweep.all_ok r);
+  Alcotest.(check int) "finished points served from the cache" cached
+    stats.Runner.cache_hits;
+  Alcotest.(check int) "only unfinished points recomputed"
+    (List.length points - cached)
+    stats.Runner.computed;
+  Alcotest.(check bool) "the hung point was recomputed" true
+    (stats.Runner.computed > 0);
   Alcotest.(check (option int)) "runner.jobs.computed agrees"
-    (Some (List.length points - journaled))
-    computed_counter
+    (Some stats.Runner.computed) computed_counter
 
 (* ------------------------------------------------------------------ *)
 (* forced ATPG aborts: classified, reported, never cached              *)
@@ -462,58 +474,6 @@ let check_atpg_abort_injection_bypasses_cache () =
           < d.Scanpower.Flow.atpg.Scanpower.Flow.aborted)
       | _ -> Alcotest.fail "expected Ok results on both runs")
     r1.Sweep.results r2.Sweep.results
-
-(* ------------------------------------------------------------------ *)
-(* the journal itself                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let check_journal_roundtrip () =
-  with_tmp_dir @@ fun dir ->
-  Unix.mkdir dir 0o755;
-  let path = Filename.concat dir "j.journal" in
-  let meta = Json.Obj [ ("batch", Json.String "t1") ] in
-  let j = Runner.Journal.open_ ~path ~meta ~resume:false in
-  Runner.Journal.record_done j ~key:"a" (Json.Int 1);
-  Runner.Journal.record_failed j ~key:"b" "boom";
-  Runner.Journal.record_done j ~key:"b" (Json.Int 2);
-  Runner.Journal.close j;
-  let j2 = Runner.Journal.open_ ~path ~meta ~resume:true in
-  (match Runner.Journal.find j2 "a" with
-  | Some (Json.Int 1) -> ()
-  | _ -> Alcotest.fail "a must replay");
-  (match Runner.Journal.find j2 "b" with
-  | Some (Json.Int 2) -> ()
-  | _ -> Alcotest.fail "b's failure must be superseded by its later success");
-  Alcotest.(check int) "completed" 2 (Runner.Journal.completed j2);
-  Runner.Journal.close j2;
-  (* a torn trailing line (SIGKILL mid-append) must not lose the
-     records before it *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"key\":\"c\",\"status\":\"ok\",\"blo";
-  close_out oc;
-  let j3 = Runner.Journal.open_ ~path ~meta ~resume:true in
-  Alcotest.(check int) "torn tail ignored" 2 (Runner.Journal.completed j3);
-  Alcotest.(check bool) "torn record absent" true
-    (Runner.Journal.find j3 "c" = None);
-  Runner.Journal.close j3;
-  (* a journal written for a different batch must start over, never
-     serve answers for the wrong inputs *)
-  let other = Json.Obj [ ("batch", Json.String "t2") ] in
-  let j4 = Runner.Journal.open_ ~path ~meta:other ~resume:true in
-  Alcotest.(check int) "foreign journal discarded" 0
-    (Runner.Journal.completed j4);
-  Runner.Journal.close j4
-
-let check_journal_meta_binds_batch () =
-  let c1 = small "jm1" 500 and c2 = small "jm2" 501 in
-  let m1 = Sweep.journal_meta (Sweep.points [ c1 ]) in
-  let m2 = Sweep.journal_meta (Sweep.points [ c2 ]) in
-  let m12 = Sweep.journal_meta (Sweep.points [ c1; c2 ]) in
-  Alcotest.(check bool) "different circuits, different meta" true (m1 <> m2);
-  Alcotest.(check bool) "different point sets, different meta" true
-    (m1 <> m12 && m2 <> m12);
-  Alcotest.(check bool) "meta is stable" true
-    (m1 = Sweep.journal_meta (Sweep.points [ c1 ]))
 
 (* ------------------------------------------------------------------ *)
 (* the daemon under fault injection: bit-identical to one-shot         *)
@@ -602,14 +562,10 @@ let suite =
       check_deadline_partial;
     Alcotest.test_case "sigint reaps and reports partial" `Quick
       check_sigint_partial_report;
-    Alcotest.test_case "sigkill then --resume recomputes only the rest" `Quick
-      check_kill_and_resume;
+    Alcotest.test_case "sigkill then re-run recomputes only the rest" `Quick
+      check_kill_and_rerun;
     Alcotest.test_case "forced atpg abort degrades gracefully" `Quick
       check_atpg_abort_degrades_gracefully;
     Alcotest.test_case "injected atpg abort bypasses the cache" `Quick
       check_atpg_abort_injection_bypasses_cache;
-    Alcotest.test_case "journal roundtrip, torn tail, foreign meta" `Quick
-      check_journal_roundtrip;
-    Alcotest.test_case "journal meta binds the batch" `Quick
-      check_journal_meta_binds_batch;
   ]

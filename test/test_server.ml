@@ -304,6 +304,37 @@ let check_sweep_point_shares_registry () =
           Alcotest.(check (list string)) "one store in stats" [ "registry" ]
             stores))
 
+(* The atpg response splices in the sweep's ATPG summary, so its
+   summary keys cannot drift from a flow's [comparison.atpg]. *)
+let check_atpg_summary_keys () =
+  with_daemon (fun socket ->
+      with_client socket (fun client ->
+          let ask id kind =
+            expect_value id
+              (C.rpc client (P.make ~id ~circuit:"s27" ~seed:5 kind))
+          in
+          let keys = function
+            | Json.Obj fields -> List.sort String.compare (List.map fst fields)
+            | _ -> Alcotest.fail "expected an object"
+          in
+          let atpg = ask "atpg" P.Atpg in
+          let flow = ask "flow" P.Flow in
+          let flow_summary =
+            match
+              Option.bind (Json.member "comparison" flow) (Json.member "atpg")
+            with
+            | Some a -> keys a
+            | None -> Alcotest.fail "flow lacks comparison.atpg"
+          in
+          let envelope =
+            [ "circuit"; "idem_executions"; "n_vectors"; "registry_hit"; "seed" ]
+          in
+          let atpg_summary =
+            List.filter (fun k -> not (List.mem k envelope)) (keys atpg)
+          in
+          Alcotest.(check (list string)) "atpg summary keys = flow's"
+            flow_summary atpg_summary))
+
 (* ------------------------------------------------------------------ *)
 (* robustness: hostile input never kills the daemon                    *)
 (* ------------------------------------------------------------------ *)
@@ -623,6 +654,8 @@ let suite =
       check_golden_bit_identity;
     Alcotest.test_case "sweep-point shares the flow registry" `Quick
       check_sweep_point_shares_registry;
+    Alcotest.test_case "atpg summary keys match flow's" `Quick
+      check_atpg_summary_keys;
     Alcotest.test_case "protocol robustness against hostile input" `Quick
       check_protocol_robustness;
     Alcotest.test_case "sessions keep idempotency keys apart" `Quick
