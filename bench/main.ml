@@ -352,9 +352,19 @@ let ablation_glitch () =
       let c = Techmap.Mapper.map (Circuits.by_name name) in
       let timing = Sta.analyze c in
       let gsim = Sta.Glitch_sim.create timing in
-      let esim = Sim.Event_sim.create c in
       Sta.Glitch_sim.init gsim (fun _ -> false);
-      Sim.Event_sim.init esim (fun _ -> false);
+      (* settled toggles: one lane per change set; lane 0 of the first
+         frame is the all-zero settle, stepped uncounted *)
+      let srcs = Netlist.Circuit.sources c in
+      let psim = Sim.Packed_sim.create (Netlist.Compiled.of_circuit c) in
+      let words = Sim.Packed_sim.words psim in
+      let lane = ref 1 and from = ref 1 in
+      let flush () =
+        Sim.Packed_sim.step psim ~from:!from ~count:!lane;
+        Array.iter (fun id -> words.(id) <- 0) srcs;
+        lane := 0;
+        from := 0
+      in
       let rng = Util.Rng.create 23 in
       let current = Array.make (Netlist.Circuit.node_count c) false in
       for _ = 1 to 200 do
@@ -364,13 +374,16 @@ let ablation_glitch () =
             if Util.Rng.bool rng then begin
               current.(id) <- not current.(id);
               changes := (id, current.(id)) :: !changes
-            end)
-          (Netlist.Circuit.sources c);
+            end;
+            if current.(id) then words.(id) <- words.(id) lor (1 lsl !lane))
+          srcs;
         ignore (Sta.Glitch_sim.apply gsim !changes);
-        ignore (Sim.Event_sim.set_sources esim !changes)
+        incr lane;
+        if !lane = Netlist.Compiled.lanes then flush ()
       done;
+      if !lane > 0 then flush ();
       let glitchy = Sta.Glitch_sim.total_transitions gsim in
-      let settled = Sim.Event_sim.total_toggles esim in
+      let settled = Sim.Packed_sim.total_toggles psim in
       Format.printf "%-8s settled %7d | with glitches %7d | factor %.2fx@."
         name settled glitchy
         (float_of_int glitchy /. float_of_int (max 1 settled)))

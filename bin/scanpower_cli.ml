@@ -810,9 +810,7 @@ let serve_cmd =
     Arg.(
       value
       & opt int Scanpower_server.Protocol.max_line_default
-      & info
-          [ "max-request-bytes"; "max-line" ]
-          ~docv:"BYTES"
+      & info [ "max-request-bytes" ] ~docv:"BYTES"
           ~doc:
             "Cap on one request frame (inline netlists included); past it \
              the request is answered with a $(b,validation) error and the \
@@ -907,8 +905,8 @@ let serve_cmd =
 let client_cmd =
   let module P = Scanpower_server.Protocol in
   let module C = Scanpower_server.Client in
-  let run socket kind_s spec seed deadline stream isolation repeat
-      connect_timeout retry_for tele =
+  let run socket kind_s spec seed deadline stream isolation repeat retry_for
+      tele =
     let* metrics_out = tele in
     let* kind =
       match P.kind_of_string kind_s with
@@ -935,10 +933,9 @@ let client_cmd =
       E.raise_error ~code:E.Usage ~stage:"client"
         (P.kind_to_string kind ^ " needs a circuit name or a .bench path");
     (* the resilient session reconnects and replays through daemon
-       restarts; --connect-timeout is folded into its retry window *)
-    let session =
-      C.session ~retry_for_s:(Float.max retry_for connect_timeout) socket
-    in
+       restarts (and waits out a daemon still starting) within its
+       retry window *)
+    let session = C.session ~retry_for_s:retry_for socket in
     Fun.protect
       ~finally:(fun () -> C.close_session session)
       (fun () ->
@@ -1015,19 +1012,14 @@ let client_cmd =
              measurements); the exit code reflects the last failure, if \
              any.")
   in
-  let connect_timeout =
-    Arg.(
-      value & opt float 10.0
-      & info [ "connect-timeout" ] ~docv:"SECONDS"
-          ~doc:"Keep retrying the connect for this long (daemon startup).")
-  in
   let retry_for =
     Arg.(
       value & opt float 10.0
       & info [ "retry-for" ] ~docv:"SECONDS"
           ~doc:
-            "Total resilience window per request: reconnect + replay on a \
-             torn or reset connection (a daemon restarting under \
+            "Total resilience window per request: connect retries while \
+             the daemon starts, reconnect + replay on a torn or reset \
+             connection (a daemon restarting under \
              supervision), and backoff + re-send on retryable \
              $(b,overloaded)/$(b,degraded) errors. Idempotency keys \
              guarantee a replay never double-executes.")
@@ -1043,8 +1035,7 @@ let client_cmd =
     Term.(
       term_result
         (const run $ socket_arg $ kind_arg $ spec_arg $ seed_arg $ deadline
-       $ stream $ isolation $ repeat $ connect_timeout $ retry_for
-       $ telemetry_term))
+       $ stream $ isolation $ repeat $ retry_for $ telemetry_term))
 
 let main_cmd =
   let doc =

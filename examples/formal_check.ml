@@ -64,9 +64,20 @@ let () =
   Format.printf "@.== zero-delay vs transport-delay activity@.";
   let timing = Sta.analyze circuit in
   let gsim = Sta.Glitch_sim.create timing in
-  let esim = Sim.Event_sim.create circuit in
   Sta.Glitch_sim.init gsim (fun _ -> false);
-  Sim.Event_sim.init esim (fun _ -> false);
+  (* the zero-delay count: one 63-wide lane per input change, each
+     lane's settled state diffed against the one before; lane 0 of the
+     first frame is the all-zero start, stepped uncounted *)
+  let sources = Circuit.sources circuit in
+  let psim = Sim.Packed_sim.create (Compiled.of_circuit circuit) in
+  let words = Sim.Packed_sim.words psim in
+  let lane = ref 1 and from = ref 1 in
+  let flush () =
+    Sim.Packed_sim.step psim ~from:!from ~count:!lane;
+    Array.iter (fun id -> words.(id) <- 0) sources;
+    lane := 0;
+    from := 0
+  in
   let rng = Util.Rng.create 2 in
   let current = Array.make (Circuit.node_count circuit) false in
   for _ = 1 to 300 do
@@ -76,13 +87,16 @@ let () =
         if Util.Rng.bool rng then begin
           current.(id) <- not current.(id);
           changes := (id, current.(id)) :: !changes
-        end)
-      (Circuit.sources circuit);
+        end;
+        if current.(id) then words.(id) <- words.(id) lor (1 lsl !lane))
+      sources;
     ignore (Sta.Glitch_sim.apply gsim !changes);
-    ignore (Sim.Event_sim.set_sources esim !changes)
+    incr lane;
+    if !lane = Compiled.lanes then flush ()
   done;
+  if !lane > 0 then flush ();
   let glitchy = Sta.Glitch_sim.total_transitions gsim in
-  let settled = Sim.Event_sim.total_toggles esim in
+  let settled = Sim.Packed_sim.total_toggles psim in
   Format.printf
     "300 random input changes: %d settled transitions, %d with glitches (factor %.2fx)@."
     settled glitchy

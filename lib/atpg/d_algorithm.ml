@@ -9,7 +9,7 @@ type result =
 exception Conflict
 exception Out_of_budget
 
-type engine = {
+type t = {
   circuit : Circuit.t;
   fault : Fault.t;
   assigned : F.five option array; (* decisions / requirements per node *)

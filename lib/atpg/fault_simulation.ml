@@ -10,28 +10,16 @@ let m_early_exits = Telemetry.Counter.make "atpg.fault_sim.early_exits"
 let m_dominator_hits = Telemetry.Counter.make "atpg.fault_sim.dominator_hits"
 let m_dropped = Telemetry.Counter.make "atpg.fault_sim.dropped_faults"
 
-type engine =
-  | Cone  (** full-cone resimulation per fault: the golden reference *)
-  | Cpt  (** FFR critical-path tracing + event-driven stem propagation *)
-
 type machine = {
-  engine : engine;
   comp : Compiled.t;
   good : int array; (* node id -> packed good values *)
-  observables : int array;
-  cones : int array option array; (* site node -> topo-sorted cone *)
   (* stamped per-fault scratch: faulty value of a node is valid only
      when its stamp matches the machine's current stamp *)
   faulty : int array;
   faulty_stamp : int array;
   mutable stamp : int;
-  (* stamped scratch for cone construction (no per-site allocation
-     until the cone is interned) *)
-  cone_mark : int array;
-  mutable cone_stamp : int;
-  cone_buf : int array;
-  (* Cpt engine state, all validated against [batch] (bumped by every
-     batch load) so nothing is cleared between batches *)
+  (* critical-path-tracing state, all validated against [batch] (bumped
+     by every batch load) so nothing is cleared between batches *)
   mutable batch : int;
   obs_w : int array; (* stem/dominator -> patterns where a flip is observed *)
   obs_stamp : int array;
@@ -43,28 +31,15 @@ type machine = {
   path_buf : int array; (* FFR climb scratch *)
 }
 
-let observables c =
-  let dpins =
-    Array.to_list (Circuit.dffs c)
-    |> List.map (fun id -> (Circuit.node c id).Circuit.fanins.(0))
-  in
-  Array.of_list (Array.to_list (Circuit.outputs c) @ dpins)
-
-let make ?(engine = Cpt) c =
+let make c =
   let n = Circuit.node_count c in
   let comp = Compiled.of_circuit c in
   {
-    engine;
     comp;
     good = Array.make n 0;
-    observables = observables c;
-    cones = Array.make n None;
     faulty = Array.make n 0;
     faulty_stamp = Array.make n 0;
     stamp = 0;
-    cone_mark = Array.make n 0;
-    cone_stamp = 0;
-    cone_buf = Array.make n 0;
     batch = 0;
     obs_w = Array.make n 0;
     obs_stamp = Array.make n 0;
@@ -101,39 +76,9 @@ let load_good m vectors =
   Compiled.eval_lanes m.comp good;
   if count = lanes then -1 else (1 lsl count) - 1
 
-(* Structural fanout cone of a node, in topological order. Cones are
-   interned per site in a dense array (the former per-site Hashtbl);
-   construction reuses machine-level stamped scratch. *)
-let cone m site =
-  match m.cones.(site) with
-  | Some arr -> arr
-  | None ->
-    m.cone_stamp <- m.cone_stamp + 1;
-    let stamp = m.cone_stamp in
-    let mark = m.cone_mark in
-    let opcode = Compiled.opcode m.comp in
-    let fanout_off = Compiled.fanout_off m.comp in
-    let fanout = Compiled.fanout m.comp in
-    mark.(site) <- stamp;
-    let len = ref 0 in
-    Array.iter
-      (fun id ->
-        if mark.(id) = stamp then begin
-          m.cone_buf.(!len) <- id;
-          incr len;
-          for i = fanout_off.(id) to fanout_off.(id + 1) - 1 do
-            let succ = fanout.(i) in
-            if opcode.(succ) <> Compiled.op_dff then mark.(succ) <- stamp
-          done
-        end)
-      (Compiled.topo m.comp);
-    let arr = Array.sub m.cone_buf 0 !len in
-    m.cones.(site) <- Some arr;
-    arr
-
 (* Faulty-machine value of a fanin: the per-fault scratch when the
-   node sits inside the cone already visited this stamp, the good
-   machine otherwise. *)
+   node was evaluated under the current stamp, the good machine
+   otherwise. *)
 let[@inline] sel m stamp f =
   if m.faulty_stamp.(f) = stamp then m.faulty.(f) else m.good.(f)
 
@@ -155,7 +100,7 @@ let rec fold_xor_sel m stamp (fa : int array) i hi ov_pin ov_word acc =
     let v = if i = ov_pin then ov_word else sel m stamp fa.(i) in
     fold_xor_sel m stamp fa (i + 1) hi ov_pin ov_word (acc lxor v)
 
-(* Bitwise evaluation of one cone node against the stamped faulty
+(* Bitwise evaluation of one node against the stamped faulty
    scratch, with pin [ov_pin] (absolute index into the CSR fanin
    array, or -1) forced to [ov_word]. Allocation-free: no fanin-value
    array is materialised. *)
@@ -180,48 +125,6 @@ let eval_faulty m stamp id ov_pin ov_word =
   else if op = Compiled.op_xnor then
     lnot (fold_xor_sel m stamp fa lo hi ov_pin ov_word 0)
   else invalid_arg "Fault_simulation: source eval"
-
-(* Full-cone reference: resimulate the fault's entire output cone and
-   XOR at the observables. Bit i of the result is set iff valid
-   pattern i detects the fault. *)
-let fault_detection_word_cone m mask (f : Fault.t) =
-  let site = Fault.site_node f in
-  let cone_nodes = cone m site in
-  let stuck_word = if f.Fault.stuck then -1 else 0 in
-  m.stamp <- m.stamp + 1;
-  let stamp = m.stamp in
-  let fanin_off = Compiled.fanin_off m.comp in
-  let det = ref 0 in
-  (match f.Fault.site with
-  | Fault.Output_line fid ->
-    Array.iter
-      (fun id ->
-        let w =
-          if fid = id then stuck_word
-          else if Compiled.is_source m.comp id then m.good.(id)
-          else eval_faulty m stamp id (-1) 0
-        in
-        m.faulty.(id) <- w;
-        m.faulty_stamp.(id) <- stamp)
-      cone_nodes
-  | Fault.Input_pin (gid, pin) ->
-    Array.iter
-      (fun id ->
-        let w =
-          if Compiled.is_source m.comp id then m.good.(id)
-          else
-            let ov_pin = if gid = id then fanin_off.(id) + pin else -1 in
-            eval_faulty m stamp id ov_pin stuck_word
-        in
-        m.faulty.(id) <- w;
-        m.faulty_stamp.(id) <- stamp)
-      cone_nodes);
-  Array.iter
-    (fun ob ->
-      if m.faulty_stamp.(ob) = stamp then
-        det := !det lor (m.faulty.(ob) lxor m.good.(ob)))
-    m.observables;
-  !det land mask
 
 (* Evaluate gate [g] with the single node [nnode] flipped against the
    good machine: a fresh stamp means [sel] reads good values for every
@@ -368,8 +271,10 @@ let rec obs_of m start =
    a pin fault the activation and pin-local sensitization collapse
    into one overridden evaluation of the gate (its output differs from
    good exactly on patterns where the stuck pin both differs from the
-   driver and flips the gate). *)
-let fault_detection_word_cpt m mask (f : Fault.t) =
+   driver and flips the gate). Bit [v] of the result is set iff valid
+   pattern [v] of [mask] detects the fault. *)
+let fault_detection_word m mask (f : Fault.t) =
+  Telemetry.Counter.inc m_words;
   let ffr_stem = Compiled.ffr_stem m.comp in
   let reaches = Compiled.reaches_observable m.comp in
   let stuck_word = if f.Fault.stuck then -1 else 0 in
@@ -397,14 +302,6 @@ let fault_detection_word_cpt m mask (f : Fault.t) =
       end
   in
   det land mask
-
-(* Detection word of [f] against the currently loaded batch: bit [v]
-   is set iff valid pattern [v] of [mask] detects the fault. *)
-let fault_detection_word m mask (f : Fault.t) =
-  Telemetry.Counter.inc m_words;
-  match m.engine with
-  | Cone -> fault_detection_word_cone m mask f
-  | Cpt -> fault_detection_word_cpt m mask f
 
 let rec batches = function
   | [] -> []

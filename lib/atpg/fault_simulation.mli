@@ -3,44 +3,34 @@
     Patterns are packed {!Netlist.Compiled.lanes} (63) to a native
     [int] word, swept through the good machine by
     {!Netlist.Compiled.eval_lanes}, and compared against it at the
-    observable lines (primary outputs and flip-flop D pins). Two
-    engines share the machine:
-
-    - {!Cpt} (default): critical path tracing inside each fanout-free
-      region composes activation and sensitization up to the FFR stem
-      lane-wise, then propagates the stem's difference word
-      event-driven through per-level buckets, exiting as soon as the
-      difference dies or the event frontier collapses onto a
-      propagation dominator whose observability is already memoized
-      for the batch. Exact: bit-identical to the reference.
-    - {!Cone}: the full-cone-per-fault reference — re-simulate the
-      fault's entire structural output cone and XOR at observables.
-      It is the test oracle for {!Cpt}.
+    observable lines (primary outputs and flip-flop D pins) by critical
+    path tracing: inside each fanout-free region, activation and
+    sensitization compose lane-wise up to the FFR stem; the stem's
+    difference word then propagates event-driven through per-level
+    buckets, exiting as soon as the difference dies or the event
+    frontier collapses onto a propagation dominator whose
+    observability is already memoized for the batch. The result is
+    exact: the tests hold it fault for fault to a full-cone
+    resimulation oracle.
 
     Faults detected by one 63-pattern batch are dropped from every
-    later batch. Neither result depends on the batch width: {!split}'s
+    later batch. No result depends on the batch width: {!split}'s
     detected set is the union of what each vector detects, and
     {!effective_subset} equals the one-vector-at-a-time reverse walk.
     All entry points accept an optional persistent {!machine} so a
     caller running many rounds over one circuit (ATPG phases, sweeps)
-    pays for compilation, cone interning, and FFR/dominator tables
-    once. *)
+    pays for compilation and FFR/dominator tables once. *)
 
 open Netlist
 
-type engine =
-  | Cone  (** full-cone resimulation per fault: the golden reference *)
-  | Cpt  (** FFR critical-path tracing + event-driven stem propagation *)
-
 type machine
 (** Persistent per-circuit simulation state: the compiled CSR form,
-    packed good values, interned fanout cones, and the stamped scratch
-    the engines evaluate against. Reusable across any number of
-    vector batches; not thread-safe. *)
+    packed good values and the stamped scratch the fault evaluation
+    runs against. Reusable across any number of vector batches; not
+    thread-safe. *)
 
-val make : ?engine:engine -> Circuit.t -> machine
-(** Compile [c] and allocate all scratch. [engine] defaults to
-    {!Cpt}. *)
+val make : Circuit.t -> machine
+(** Compile [c] and allocate all scratch. *)
 
 val split :
   ?machine:machine ->

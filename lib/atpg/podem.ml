@@ -87,7 +87,7 @@ let controlling =
       | Some Logic.One -> 1
       | Some Logic.X | None -> -1)
 
-type engine = {
+type t = {
   screen : Implication.t;
   opcode : int array;
   fanin_off : int array;

@@ -3,7 +3,7 @@
     primary inputs and flip-flop outputs; observable lines: primary
     outputs and flip-flop D pins).
 
-    One {!engine} serves every fault of a circuit. {!make} compiles the
+    One {!t} serves every fault of a circuit. {!make} compiles the
     circuit once into the {!Netlist.Compiled} CSR arrays and allocates
     all scratch: source positions, observables, topological positions,
     backtrace costs, five-valued values, the value trail, the stack of
@@ -34,17 +34,17 @@ type result =
           exhausted the input space. *)
   | Aborted  (** Backtrack or iteration limit exceeded. *)
 
-type engine
+type t
 (** Per-circuit PODEM state; reusable across any number of faults, not
     thread-safe. *)
 
-val make : ?guide:Scoap.t -> Circuit.t -> engine
+val make : ?guide:Scoap.t -> Circuit.t -> t
 (** [make c] builds the engine for [c]. With [guide] (computed on [c]),
     backtrace decisions follow SCOAP controllabilities instead of
     circuit depth. The engine works on a compiled snapshot of [c]:
     rebuild it after {!Circuit.permute_fanins}. *)
 
-val generate : ?backtrack_limit:int -> engine -> Fault.t -> result
+val generate : ?backtrack_limit:int -> t -> Fault.t -> result
 (** Run PODEM for one fault of the engine's circuit. [backtrack_limit]
     defaults to 100. A fixed cap of 400 search iterations bounds the
     total work per fault (hard-to-prove redundant faults otherwise
@@ -52,7 +52,7 @@ val generate : ?backtrack_limit:int -> engine -> Fault.t -> result
     screen refutes returns [Untestable] without a search and counts no
     decision or backtrack. *)
 
-val search : ?backtrack_limit:int -> engine -> Fault.t -> result
+val search : ?backtrack_limit:int -> t -> Fault.t -> result
 (** {!generate} without the implication screen: the search alone, the
     reference the screen is checked against. A fault the screen
     refutes gets [Untestable] or [Aborted] here, never a [Test]. *)

@@ -134,7 +134,7 @@ let record_peak_heap () =
     Telemetry.Gauge.observe_max g_peak_heap
       (float_of_int (Gc.quick_stat ()).Gc.top_heap_words)
 
-let evaluate ?(engine = Scan.Scan_sim.Packed) ?(seed = 42) p =
+let evaluate ?(seed = 42) p =
   Fun.protect ~finally:record_peak_heap @@ fun () ->
   Telemetry.Span.with_ ~name:"flow.evaluate" (fun () ->
   let span name fn = Telemetry.Span.with_ ~name fn in
@@ -144,14 +144,14 @@ let evaluate ?(engine = Scan.Scan_sim.Packed) ?(seed = 42) p =
   (* 1. traditional scan *)
   let trad =
     span "scan_sim.traditional" (fun () ->
-        Scan.Scan_sim.measure ~engine c chain Scan.Scan_sim.traditional
+        Scan.Scan_sim.measure c chain Scan.Scan_sim.traditional
           ~vectors)
   in
   (* enhanced scan ([5]/hold latches): full isolation, but at a latch
      per cell and a speed penalty the paper's structure avoids *)
   let enh =
     span "scan_sim.enhanced" (fun () ->
-        Scan.Scan_sim.measure ~engine c chain Scan.Scan_sim.enhanced_scan
+        Scan.Scan_sim.measure c chain Scan.Scan_sim.enhanced_scan
           ~vectors)
   in
   (* 2. input control baseline [8] *)
@@ -165,7 +165,7 @@ let evaluate ?(engine = Scan.Scan_sim.Packed) ?(seed = 42) p =
   in
   let ic_m =
     span "scan_sim.input_control" (fun () ->
-        Scan.Scan_sim.measure ~engine c chain ic_policy ~vectors)
+        Scan.Scan_sim.measure c chain ic_policy ~vectors)
   in
   (* 3. proposed structure *)
   let mux = span "mux_select" (fun () -> Mux_insertion.select c) in
@@ -202,7 +202,7 @@ let evaluate ?(engine = Scan.Scan_sim.Packed) ?(seed = 42) p =
   in
   let prop_m =
     span "scan_sim.proposed" (fun () ->
-        Scan.Scan_sim.measure ~engine c' chain prop_policy ~vectors)
+        Scan.Scan_sim.measure c' chain prop_policy ~vectors)
   in
   Telemetry.Log.debug "flow.evaluate done"
     ~fields:
@@ -228,10 +228,10 @@ let evaluate ?(engine = Scan.Scan_sim.Packed) ?(seed = 42) p =
     enhanced_scan = result_of enh;
   })
 
-let run_benchmark ?atpg_config ?engine ?seed c =
+let run_benchmark ?atpg_config ?seed c =
   Telemetry.Span.with_ ~name:"flow.run_benchmark"
     ~fields:[ ("circuit", Telemetry.Json.String (Netlist.Circuit.name c)) ]
-    (fun () -> evaluate ?engine ?seed (prepare ?atpg_config c))
+    (fun () -> evaluate ?seed (prepare ?atpg_config c))
 
 (* [base = 0] admits no percentage: returning 0.0 there made a
    regression from a zero baseline read as "no change", so it now

@@ -74,17 +74,14 @@ type comparison = {
           which is exactly what the paper's method avoids *)
 }
 
-val evaluate : ?engine:Scan.Scan_sim.engine -> ?seed:int -> prepared -> comparison
-(** [engine] selects the scan-simulation kernel (default
-    {!Scan.Scan_sim.Packed}); [Scalar] replays the event-driven
-    reference, the tests' oracle. Toggle counts, dynamic power and
-    responses are identical between the two; the static averages agree
-    to float accumulation order. On return it samples the
-    [flow.peak_heap_words] max-gauge. *)
+val evaluate : ?seed:int -> prepared -> comparison
+(** Measure traditional scan, enhanced scan, input control and the
+    proposed structure on the prepared vectors. [seed] (default 42)
+    seeds the C-algorithm ([seed + 1]) and the IVC fill ([seed + 2]).
+    On return it samples the [flow.peak_heap_words] max-gauge. *)
 
 val run_benchmark :
   ?atpg_config:Atpg.Pattern_gen.config ->
-  ?engine:Scan.Scan_sim.engine ->
   ?seed:int ->
   Circuit.t ->
   comparison

@@ -256,8 +256,7 @@ let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
   let on_event = progress_events ~jobs ~total:(List.length points) on_event in
   let config =
     {
-      Runner.default_config with
-      jobs; timeout_s; retries; backoff_s; deadline_s;
+      Runner.jobs; timeout_s; retries; backoff_s; deadline_s;
       poison_threshold; handle_signals; cache; capture_telemetry;
       on_event;
     }

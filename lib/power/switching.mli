@@ -21,7 +21,7 @@ val switched_cap : Circuit.t -> int -> float
     pad load is already in the driver's load). *)
 
 val of_toggles : Circuit.t -> toggles:int array -> cycles:int -> report
-(** Fold per-node toggle counts (as produced by {!Sim.Event_sim}) into
+(** Fold per-node toggle counts (as produced by {!Sim.Packed_sim}) into
     the Eq. (1) figure.
     @raise Invalid_argument if [cycles <= 0] or array length mismatch. *)
 

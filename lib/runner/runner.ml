@@ -77,7 +77,6 @@ type config = {
   timeout_s : float;
   retries : int;
   backoff_s : float;
-  backoff_max_s : float;
   deadline_s : float;
   poison_threshold : int;
   handle_signals : bool;
@@ -92,7 +91,6 @@ let default_config =
     timeout_s = 0.0;
     retries = 1;
     backoff_s = 0.0;
-    backoff_max_s = 30.0;
     deadline_s = 0.0;
     poison_threshold = 3;
     handle_signals = false;
@@ -107,15 +105,18 @@ let hash01 s =
   Int64.to_float (Int64.of_string ("0x" ^ String.sub hex 0 13))
   /. 4503599627370496.0 (* 16^13 *)
 
+(* cap on a job's exponential retry backoff *)
+let backoff_cap_s = 30.0
+
 (* Exponential backoff with deterministic jitter: the delay after a
    given attempt of a given job is always the same number, so a chaos
    run replays exactly, yet two jobs failing together do not retry in
    lockstep. *)
-let retry_delay_s cfg ~id ~attempt =
-  if cfg.backoff_s <= 0.0 then 0.0
+let retry_delay_s ~base_s ~cap_s ~id ~attempt =
+  if base_s <= 0.0 then 0.0
   else begin
-    let base = cfg.backoff_s *. (2.0 ** float_of_int (max 0 (attempt - 1))) in
-    let capped = Float.min cfg.backoff_max_s base in
+    let base = base_s *. (2.0 ** float_of_int (max 0 (attempt - 1))) in
+    let capped = Float.min cap_s base in
     capped *. (0.5 +. (0.5 *. hash01 (Printf.sprintf "backoff|%s|%d" id attempt)))
   end
 
@@ -413,7 +414,10 @@ let run ?(config = default_config) job_list =
       (Attempt_failed { job = jobs.(i); attempt; failure; will_retry });
     if will_retry then begin
       acc.a_retries <- acc.a_retries + 1;
-      let delay = retry_delay_s cfg ~id:jobs.(i).id ~attempt in
+      let delay =
+        retry_delay_s ~base_s:cfg.backoff_s ~cap_s:backoff_cap_s
+          ~id:jobs.(i).id ~attempt
+      in
       push_pending (i, attempt + 1, Unix.gettimeofday () +. delay)
     end
     else begin

@@ -14,9 +14,9 @@
     while workers run, so a large result cannot deadlock the pool).
 
     Resilience knobs, all defaulting to the forgiving PR-2 behaviour:
-    retries wait [backoff_s * 2^(attempt-1)] (capped at
-    [backoff_max_s]) scaled by a deterministic per-(job, attempt)
-    jitter in [0.5, 1.0); [deadline_s > 0] bounds the {e whole batch}
+    retries wait [backoff_s * 2^(attempt-1)] (capped at 30 s) scaled
+    by a deterministic per-(job, attempt) jitter in [0.5, 1.0);
+    [deadline_s > 0] bounds the {e whole batch}
     — when it expires, live workers are reaped and every unfinished
     job fails with [Deadline_exceeded]; a job failing with the {e same}
     failure string [poison_threshold] times in a row is quarantined
@@ -124,7 +124,6 @@ type config = {
   retries : int;  (** extra attempts after the first *)
   backoff_s : float;
       (** base retry delay; [<= 0] = retry immediately (the default) *)
-  backoff_max_s : float;  (** cap on the exponential backoff *)
   deadline_s : float;  (** whole-batch budget; [<= 0] = none *)
   poison_threshold : int;
       (** consecutive identical failures before quarantine; [<= 0] = off *)
@@ -140,9 +139,13 @@ val default_config : config
     [poison_threshold = 3], signals not handled, no cache, no capture,
     events ignored. *)
 
-val retry_delay_s : config -> id:string -> attempt:int -> float
+val retry_delay_s :
+  base_s:float -> cap_s:float -> id:string -> attempt:int -> float
 (** The exact delay inserted before the retry that follows failed
-    [attempt] of job [id] — deterministic, exposed for tests. *)
+    [attempt] of job [id]: [base_s * 2^(attempt-1)], capped at [cap_s],
+    scaled by a jitter in [0.5, 1.0) that is a pure function of [id]
+    and [attempt]; 0 when [base_s <= 0]. {!run} passes [backoff_s] and
+    a 30 s cap; the daemon client paces its reconnects with it too. *)
 
 val run : ?config:config -> job list -> result list * stats
 (** Run every job; results come back in submission order regardless of

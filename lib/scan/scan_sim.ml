@@ -16,8 +16,6 @@ let traditional =
 let enhanced_scan =
   { pi_during_shift = None; forced_pseudo = []; hold_previous_capture = true }
 
-type engine = Scalar | Packed
-
 type result = {
   cycles : int;
   shift_cycles : int;
@@ -54,8 +52,7 @@ let spans chain =
   |> snd |> List.rev |> Array.of_list
 
 (* ------------------------------------------------------------------ *)
-(* Shared by both engines: validation, the per-cycle tallies and the   *)
-(* reduction to a [result].                                            *)
+(* Validation, the per-cycle tallies and the reduction to a [result].  *)
 (* ------------------------------------------------------------------ *)
 
 (* Leakage tallies in microwatts. An all-float record stores its fields
@@ -66,8 +63,8 @@ type leak_sums = {
   mutable peak : float;
 }
 
-(* The validated inputs of one run and everything it tallies. Both
-   engines fill the same record, cycle by cycle through [note_cycle]. *)
+(* The validated inputs of one run and everything it tallies, filled
+   cycle by cycle through [note_cycle]. *)
 type stats = {
   forced : bool option array;
       (* by chain position: the pseudo-input pinned during shift *)
@@ -84,7 +81,6 @@ type stats = {
   mutable total : int;
 }
 
-(* The one validation path: both engines fail with the same messages. *)
 let start ?init_state c chain policy ~vectors =
   let n_ff = Scan_chain.length chain in
   let forced = Array.make n_ff None in
@@ -146,205 +142,24 @@ let[@inline] note_cycle st ~capture ~toggles ~na =
   if uw > leak.peak then leak.peak <- uw
 
 (* ------------------------------------------------------------------ *)
-(* Scalar engine: event-driven replay of every cycle, the oracle.      *)
-(* ------------------------------------------------------------------ *)
-
-type session = {
-  circuit : Circuit.t;
-  chain : Scan_chain.t;
-  spans : (int * int) array;
-  policy : policy;
-  st : stats;
-  sim : Sim.Event_sim.t;
-  (* incremental leakage bookkeeping: per-gate current leakage and the
-     running total, updated only for gates whose fanins toggled *)
-  gate_leak_na : float array;
-  mutable total_leak_na : float;
-  touched_stamp : int array;
-  mutable stamp : int;
-  mutable toggles_at_last_cycle : int;
-}
-
-(* Recompute every gate's leakage from the simulator's values. *)
-let rebuild_leakage s =
-  let values = Sim.Event_sim.values s.sim in
-  s.total_leak_na <- 0.0;
-  Array.iter
-    (fun nd ->
-      if Gate.is_logic nd.Circuit.kind then begin
-        let l = Power.Leakage.gate_leakage_na s.circuit values nd.Circuit.id in
-        s.gate_leak_na.(nd.Circuit.id) <- l;
-        s.total_leak_na <- s.total_leak_na +. l
-      end)
-    (Circuit.nodes s.circuit)
-
-(* Refresh only the gates reading a node that toggled this cycle. *)
-let refresh_leakage s =
-  let values = Sim.Event_sim.values s.sim in
-  s.stamp <- s.stamp + 1;
-  let stamp = s.stamp in
-  Sim.Event_sim.iter_last_changes s.sim (fun id ->
-      Array.iter
-        (fun succ ->
-          if s.touched_stamp.(succ) <> stamp then begin
-            s.touched_stamp.(succ) <- stamp;
-            let nd = Circuit.node s.circuit succ in
-            if Gate.is_logic nd.Circuit.kind then begin
-              let l = Power.Leakage.gate_leakage_na s.circuit values succ in
-              s.total_leak_na <-
-                s.total_leak_na -. s.gate_leak_na.(succ) +. l;
-              s.gate_leak_na.(succ) <- l
-            end
-          end)
-        (Circuit.node s.circuit id).Circuit.fanouts)
-
-let after_cycle s ~capture =
-  let total = Sim.Event_sim.total_toggles s.sim in
-  note_cycle s.st ~capture
-    ~toggles:(total - s.toggles_at_last_cycle)
-    ~na:s.total_leak_na;
-  s.toggles_at_last_cycle <- total
-
-(* Pseudo-input value presented to the logic for the flip-flop at chain
-   position [pos] while Shift Enable is high. *)
-let shift_value s pos =
-  match s.st.forced.(pos) with
-  | Some v -> v
-  | None -> s.st.chain_state.(pos)
-
-(* every source application immediately folds its toggles into the
-   leakage bookkeeping, so consecutive change sets are never lost *)
-let apply_sources s changes =
-  ignore (Sim.Event_sim.set_sources s.sim changes);
-  refresh_leakage s
-
-let pi_changes c pi_values =
-  Array.to_list
-    (Array.mapi (fun i id -> (id, pi_values.(i))) (Circuit.inputs c))
-
-(* One shift cycle: every chain moves by one, chain [k]'s scan-in
-   receives [bits.(k)]. With [hold_previous_capture] (enhanced scan:
-   hold latches at every scan-cell output) the pseudo-inputs keep their
-   captured values while the chains ripple internally, so the logic
-   sees no shift activity at all. *)
-let shift_cycle s bits =
-  let chain_state = s.st.chain_state in
-  let n = Array.length chain_state in
-  Array.iteri
-    (fun k (start, len) ->
-      if len > 0 then begin
-        Array.blit chain_state start chain_state (start + 1) (len - 1);
-        chain_state.(start) <- bits.(k)
-      end)
-    s.spans;
-  if not s.policy.hold_previous_capture then begin
-    let changes = ref [] in
-    for pos = 0 to n - 1 do
-      let id = Scan_chain.cell_at s.chain pos in
-      changes := (id, shift_value s pos) :: !changes
-    done;
-    apply_sources s !changes
-  end;
-  after_cycle s ~capture:false
-
-(* Capture cycle: multiplexers select the scan cells again, the test's
-   PI part is applied, the logic settles and the response is captured
-   back into the chain. *)
-let capture_cycle s pi_values =
-  let c = s.circuit in
-  let chain_state = s.st.chain_state in
-  let n = Array.length chain_state in
-  let changes = ref (pi_changes c pi_values) in
-  for pos = 0 to n - 1 do
-    let id = Scan_chain.cell_at s.chain pos in
-    changes := (id, chain_state.(pos)) :: !changes
-  done;
-  apply_sources s !changes;
-  after_cycle s ~capture:true;
-  (* capture: chain now holds the combinational response *)
-  let values = Sim.Event_sim.values s.sim in
-  let response = Array.make n false in
-  Array.iter
-    (fun id ->
-      let d = (Circuit.node c id).Circuit.fanins.(0) in
-      response.(Scan_chain.position_of s.chain id) <- values.(d))
-    (Circuit.dffs c);
-  Array.blit response 0 chain_state 0 n;
-  response
-
-let run_scalar st c chain policy ~vectors ~on_response =
-  let s =
-    {
-      circuit = c;
-      chain;
-      spans = spans chain;
-      policy;
-      st;
-      sim = Sim.Event_sim.create c;
-      gate_leak_na = Array.make (Circuit.node_count c) 0.0;
-      total_leak_na = 0.0;
-      touched_stamp = Array.make (Circuit.node_count c) 0;
-      stamp = 0;
-      toggles_at_last_cycle = 0;
-    }
-  in
-  (* initial settle (not counted): shift mode, chain at init state *)
-  let init_pi = shift_pi policy st.first_pi in
-  let pi_pos = Hashtbl.create 16 in
-  Array.iteri (fun i id -> Hashtbl.replace pi_pos id i) (Circuit.inputs c);
-  Sim.Event_sim.init s.sim (fun id ->
-      match Hashtbl.find_opt pi_pos id with
-      | Some i -> init_pi.(i)
-      | None ->
-        (* a flip-flop *)
-        shift_value s (Scan_chain.position_of chain id));
-  rebuild_leakage s;
-  List.iter
-    (fun vec ->
-      let pi, target_state = split_vector c chain vec in
-      (* drive the shift-mode PI pattern (counted: it is a real change
-         after the previous capture) *)
-      apply_sources s (pi_changes c (shift_pi policy pi));
-      List.iter (shift_cycle s) (Scan_chain.shift_in_sequence chain target_state);
-      on_response (capture_cycle s pi))
-    vectors;
-  (* final shift-out of the last response (scan-ins pumped with zeros) *)
-  if vectors <> [] then begin
-    apply_sources s (pi_changes c (shift_pi policy st.first_pi));
-    let zeros = Array.make (Scan_chain.chain_count chain) false in
-    for _ = 1 to Scan_chain.shift_cycles chain do
-      shift_cycle s zeros
-    done
-  end;
-  (* invariant: the incremental leakage total equals a full recompute *)
-  let accumulated = s.total_leak_na in
-  rebuild_leakage s;
-  assert (
-    Float.abs (accumulated -. s.total_leak_na)
-    < 1e-6 *. Float.max 1.0 s.total_leak_na);
-  st.per_node <- Array.copy (Sim.Event_sim.toggle_counts s.sim);
-  st.total <- Sim.Event_sim.total_toggles s.sim
-
-(* ------------------------------------------------------------------ *)
-(* Packed engine: 63 cycles per native-int word.                       *)
+(* The session, 63 cycles per native-int word.                         *)
 (*                                                                     *)
-(* The scalar protocol is a sequence of settled states: an uncounted   *)
-(* initial settle, then per vector a silent source pre-application     *)
-(* (the shift-mode PI pattern), [n] shift cycles (n is the longest    *)
-(* chain's length) and one capture, and a final shift-out segment.     *)
-(* Because the event simulator evaluates every node at most once per   *)
-(* change set, the toggles of a cycle equal the Hamming distance       *)
-(* between consecutive settled states — so packing 63 consecutive      *)
-(* settled states per word and popcounting lane-to-lane XORs           *)
-(* reproduces the scalar counts bit for bit.                           *)
+(* The protocol is a sequence of settled states: an uncounted initial  *)
+(* settle, then per vector a silent source pre-application (the        *)
+(* shift-mode PI pattern), [n] shift cycles (n is the longest chain's  *)
+(* length) and one capture, and a final shift-out segment. A cycle's   *)
+(* toggles are the Hamming distance between consecutive settled        *)
+(* states (every node settles once per cycle, glitches are not         *)
+(* modelled), so packing 63 consecutive settled states per word and    *)
+(* popcounting lane-to-lane XORs counts them exactly.                  *)
 (*                                                                     *)
 (* The whole session is one lane stream: the settle lane, each         *)
 (* vector's segment (pre-application, n shifts, capture: n + 2 lanes)  *)
 (* and the final shift-out (n + 1 lanes), cut into frames of 63 lanes  *)
 (* wherever the segments start. Each lane has a role: silent (the      *)
 (* settle and every pre-application), shift or capture.  A silent lane *)
-(* snapshots no leakage and appends no per-cycle entry: the scalar run *)
-(* settles a pre-application as its own state (a node may toggle there *)
+(* snapshots no leakage and appends no per-cycle entry: a              *)
+(* pre-application settles as its own state (a node may toggle there   *)
 (* and toggle back in shift cycle 1, counting twice), so its toggles   *)
 (* merge into the next counted cycle; the settle lane is lane 0 of the *)
 (* first frame and is stepped uncounted.                               *)
@@ -530,7 +345,7 @@ let split_4 g words cm steady =
   done;
   !n_varying
 
-let run_packed st c chain policy ~vectors ~on_response =
+let run_session st c chain policy ~vectors ~on_response =
   let n_ff = Scan_chain.length chain in
   let n_nodes = Circuit.node_count c in
   let comp = Compiled.of_circuit c in
@@ -541,8 +356,8 @@ let run_packed st c chain policy ~vectors ~on_response =
   let fanin = Compiled.fanin comp in
   let pi_ids = Circuit.inputs c in
   let ff_by_pos = Array.init n_ff (Scan_chain.cell_at chain) in
-  (* per-gate leakage tables (input state -> nA); building them performs
-     the same mapped-circuit check as the scalar path *)
+  (* per-gate leakage tables (input state -> nA); building them checks
+     that the circuit is mapped *)
   let leak_tbl = Power.Leakage.tables c in
   let leak_gates =
     Array.of_list
@@ -555,9 +370,7 @@ let run_packed st c chain policy ~vectors ~on_response =
      per-state [steady] count; only a gate whose state varies has its
      state masks buffered, and one bulk count per group and input state
      gives how many such gates sit in that state at each lane. Each lane's
-     total is recomputed from scratch from the exact per-lane integers
-     (the scalar path integrates the same quantity incrementally; they
-     agree to float tolerance). *)
+     total is recomputed from scratch from the exact per-lane integers. *)
   let groups =
     let raw = ref [] in
     Array.iter
@@ -876,11 +689,9 @@ let run_packed st c chain policy ~vectors ~on_response =
 
 (* ------------------------------------------------------------------ *)
 
-let run engine ?init_state c chain policy ~vectors ~on_response =
+let run ?init_state c chain policy ~vectors ~on_response =
   let st = start ?init_state c chain policy ~vectors in
-  (match engine with
-  | Scalar -> run_scalar st c chain policy ~vectors ~on_response
-  | Packed -> run_packed st c chain policy ~vectors ~on_response);
+  run_session st c chain policy ~vectors ~on_response;
   Telemetry.Counter.inc m_sessions;
   Telemetry.Counter.add m_cycles (st.n_shift + st.n_capture);
   Telemetry.Counter.add m_toggles st.total;
@@ -888,8 +699,8 @@ let run engine ?init_state c chain policy ~vectors ~on_response =
 
 let mean sum n = if n = 0 then 0.0 else sum /. float_of_int n
 
-let measure ?(engine = Packed) ?init_state c chain policy ~vectors =
-  let st = run engine ?init_state c chain policy ~vectors ~on_response:ignore in
+let measure ?init_state c chain policy ~vectors =
+  let st = run ?init_state c chain policy ~vectors ~on_response:ignore in
   let cycles = max (st.n_shift + st.n_capture) 1 in
   {
     cycles;
@@ -903,10 +714,10 @@ let measure ?(engine = Packed) ?init_state c chain policy ~vectors =
     avg_capture_static_uw = mean st.leak.sum_capture st.n_capture;
   }
 
-let responses ?(engine = Packed) ?init_state c chain policy ~vectors =
+let responses ?init_state c chain policy ~vectors =
   let acc = ref [] in
   let (_ : stats) =
-    run engine ?init_state c chain policy ~vectors ~on_response:(fun r ->
+    run ?init_state c chain policy ~vectors ~on_response:(fun r ->
         acc := Array.copy r :: !acc)
   in
   List.rev !acc

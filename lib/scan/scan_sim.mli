@@ -19,7 +19,23 @@
       pattern (restored to the test values for each capture cycle);
     - the proposed structure: additionally, multiplexed scan-cell
       outputs are forced to chosen constants while Shift Enable is
-      high. *)
+      high.
+
+    The simulation packs 63 consecutive scan cycles per native [int]
+    word ({!Sim.Packed_sim}; no allocation per frame or cycle), and
+    per-cycle toggles are recovered from lane-to-lane XORs: a cycle's
+    toggles are the Hamming distance between consecutive settled
+    states. The whole session is one lane stream — the initial settle,
+    per vector a silent pre-application, the shifts and the capture,
+    then the final shift-out — stepped 63 lanes a frame wherever the
+    vectors start, so a frame holds several vectors on a short chain.
+    The capture responses are computed first, 63 vectors per word, so
+    no vector's shifts wait for the frame holding the previous capture.
+    Per frame, a gate whose input state is the same on every lane is
+    counted once, in that state; only gates whose state varies within
+    the frame have their per-state lane masks buffered and bulk-counted
+    (per leakage table and input state, how many gates sit in that
+    state at each lane). *)
 
 open Netlist
 
@@ -43,30 +59,6 @@ val traditional : policy
 
 val enhanced_scan : policy
 
-type engine =
-  | Scalar
-      (** Event-driven replay of every cycle ({!Sim.Event_sim}): the
-          golden reference implementation. *)
-  | Packed
-      (** 63 consecutive scan cycles per native [int] word
-          ({!Sim.Packed_sim}; no allocation per frame or cycle):
-          per-cycle toggles are recovered from lane-to-lane XORs. The
-          whole session is one lane stream — the initial settle, per
-          vector a silent pre-application, the shifts and the capture,
-          then the final shift-out — stepped 63 lanes a frame wherever
-          the vectors start, so a frame holds several vectors on a
-          short chain. The capture responses are computed first, 63
-          vectors per word, so no vector's shifts wait for the frame
-          holding the previous capture. Per
-          frame, a gate whose input state is the same on every lane is
-          counted once, in that state; only gates whose state varies
-          within the frame have their per-state lane masks buffered
-          and bulk-counted (per leakage table and input state, how many
-          gates sit in that state at each lane). Produces bit-identical
-          toggle counts, per-cycle series, dynamic power and responses;
-          the static-power figures agree up to float accumulation
-          order. *)
-
 type result = {
   cycles : int;  (** total clock cycles simulated *)
   shift_cycles : int;
@@ -82,7 +74,6 @@ type result = {
 }
 
 val measure :
-  ?engine:engine ->
   ?init_state:bool array ->
   Circuit.t ->
   Scan_chain.t ->
@@ -93,13 +84,11 @@ val measure :
     [Circuit.sources]): the PI part is applied at capture, the state
     part is shifted in.  [init_state] (default all zeros) is the chains'
     contents before the first shift, indexed by chain position (see
-    {!Scan_chain}). [engine] defaults to [Packed]; [Scalar] is its test
-    oracle.
+    {!Scan_chain}).
     @raise Invalid_argument on malformed vectors, forced non-dff nodes
     or an unmapped circuit. *)
 
 val responses :
-  ?engine:engine ->
   ?init_state:bool array ->
   Circuit.t ->
   Scan_chain.t ->

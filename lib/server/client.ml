@@ -7,8 +7,8 @@ type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
    deterministic jitter, so a fleet of clients reconnecting to a
    restarted daemon does not arrive in lockstep yet every chaos run
    replays exactly *)
-let backoff_config =
-  { Runner.default_config with Runner.backoff_s = 0.05; backoff_max_s = 2.0 }
+let backoff_delay_s ~id ~attempt =
+  Runner.retry_delay_s ~base_s:0.05 ~cap_s:2.0 ~id ~attempt
 
 let connect ?(retry_for_s = 0.0) path =
   let deadline = Unix.gettimeofday () +. retry_for_s in
@@ -23,7 +23,7 @@ let connect ?(retry_for_s = 0.0) path =
       if now < deadline then begin
         (* daemon still starting (or restarting under supervision):
            back off until the bind lands *)
-        let delay = Runner.retry_delay_s backoff_config ~id:path ~attempt:n in
+        let delay = backoff_delay_s ~id:path ~attempt:n in
         Unix.sleepf (Float.min (Float.max delay 0.01) (deadline -. now));
         attempt (n + 1)
       end
@@ -216,16 +216,12 @@ let call ?on_event s req =
       | Error e when transport_error e ->
         drop_conn s;
         s.replays <- s.replays + 1;
-        let delay =
-          Runner.retry_delay_s backoff_config ~id:req.Protocol.id ~attempt:n
-        in
+        let delay = backoff_delay_s ~id:req.Protocol.id ~attempt:n in
         Unix.sleepf (Float.min (Float.max delay 0.01) (Float.max 0.0 (deadline -. Unix.gettimeofday ())));
         attempt (n + 1)
       | Error e when retryable e ->
         s.replays <- s.replays + 1;
-        let delay =
-          Runner.retry_delay_s backoff_config ~id:req.Protocol.id ~attempt:n
-        in
+        let delay = backoff_delay_s ~id:req.Protocol.id ~attempt:n in
         Unix.sleepf (Float.min (Float.max delay 0.01) (Float.max 0.0 (deadline -. Unix.gettimeofday ())));
         attempt (n + 1)
       | Error _ as err -> err

@@ -333,10 +333,14 @@ let handle t ?(extra = []) ?deadline_left (req : Protocol.request) =
   (* Mid-request SIGKILL chaos: the roll key includes the supervisor
      generation, so a spec that kills generation N lets the restarted
      generation N+1 serve the replay (Fault_inject.fires is pure in
-     the key, so tests pick such seeds deterministically). *)
+     the key, so tests pick such seeds deterministically). Only a
+     request that names a circuit rolls, the same rule as fork
+     isolation: [health]/[stats] read the daemon's own state, which a
+     kill would reset before the replay could report it. *)
   if
-    Runner.Fault_inject.fires Runner.Fault_inject.Worker_kill
-      ~key:(Printf.sprintf "%s#gen%d" req.Protocol.id t.generation)
+    Protocol.needs_circuit req.Protocol.kind
+    && Runner.Fault_inject.fires Runner.Fault_inject.Worker_kill
+         ~key:(Printf.sprintf "%s#gen%d" req.Protocol.id t.generation)
   then Unix.kill (Unix.getpid ()) Sys.sigkill;
   let result =
     match req.Protocol.idem with

@@ -11,13 +11,13 @@
     it, and one {!Lane_counter.count} over the buffer gives the per-lane
     counts.
 
-    This is the engine under the packed scan-shift measurement in
+    This is the engine under the scan-shift measurement in
     {!Scan.Scan_sim}: during shift the chain is a pure shift register,
     so every lane's pseudo-input values are known in advance and 63
-    shift cycles cost one combinational sweep. Toggle counts are
-    bit-identical to replaying the same cycles one by one through
-    {!Event_sim} (both count settled-state Hamming distance between
-    consecutive cycles). *)
+    shift cycles cost one combinational sweep. A toggle count is the
+    settled-state Hamming distance between consecutive lanes (zero
+    delay: no glitches), the same count as replaying the cycles one by
+    one through an event-driven simulator. *)
 
 open Netlist
 

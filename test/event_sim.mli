@@ -1,11 +1,12 @@
 (** Event-driven two-valued simulator with per-node toggle counting.
 
-    This is the workhorse of the scan-power measurement: the scan
-    simulator applies one source change set per shift/capture cycle and
-    the accumulated per-node toggle counts feed the switching-activity
-    term of Eq. (1). Events propagate level by level, so a change that
-    gets blocked (by a controlling side-input) costs nothing further —
-    exactly the effect the paper's transition-blocking vector exploits. *)
+    The engine of the scan-replay oracle ({!Scan_oracle}), which
+    applies one source change set per shift/capture cycle and folds the
+    accumulated per-node toggle counts into the switching-activity term
+    of Eq. (1). Events propagate level by level, so a change that gets
+    blocked (by a controlling side-input) costs nothing further —
+    exactly the effect the paper's transition-blocking vector
+    exploits. *)
 
 open Netlist
 

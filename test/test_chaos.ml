@@ -194,21 +194,19 @@ let check_varied_failures_not_poisoned () =
 (* ------------------------------------------------------------------ *)
 
 let check_backoff_deterministic () =
-  let cfg =
-    { Runner.default_config with backoff_s = 0.1; backoff_max_s = 1.0 }
-  in
-  let d1 = Runner.retry_delay_s cfg ~id:"j" ~attempt:1 in
+  let delay = Runner.retry_delay_s ~base_s:0.1 ~cap_s:1.0 in
+  let d1 = delay ~id:"j" ~attempt:1 in
   Alcotest.(check (float 0.0)) "same inputs, same delay" d1
-    (Runner.retry_delay_s cfg ~id:"j" ~attempt:1);
+    (delay ~id:"j" ~attempt:1);
   Alcotest.(check bool) "jitter stays within [base/2, base)" true
     (d1 >= 0.05 && d1 < 0.1);
-  let d5 = Runner.retry_delay_s cfg ~id:"j" ~attempt:5 in
-  Alcotest.(check bool) "capped by backoff_max_s" true
+  let d5 = delay ~id:"j" ~attempt:5 in
+  Alcotest.(check bool) "capped by cap_s" true
     (d5 >= 0.5 && d5 <= 1.0);
   Alcotest.(check bool) "different jobs are desynchronized" true
-    (Runner.retry_delay_s cfg ~id:"k" ~attempt:1 <> d1);
+    (delay ~id:"k" ~attempt:1 <> d1);
   Alcotest.(check (float 0.0)) "no backoff when disabled" 0.0
-    (Runner.retry_delay_s Runner.default_config ~id:"j" ~attempt:3)
+    (Runner.retry_delay_s ~base_s:0.0 ~cap_s:30.0 ~id:"j" ~attempt:3)
 
 (* ------------------------------------------------------------------ *)
 (* whole-batch deadline                                                *)

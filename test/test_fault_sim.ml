@@ -1,10 +1,10 @@
-(* Fault-simulation engines: the critical-path-tracing engine (FFR
-   sensitization + event-driven stem propagation, the default) must
-   reproduce the full-cone reference exactly, fault by fault; the
-   structural preprocessing behind it (FFR stems, propagation
-   dominators, observability reachability) is checked against
-   brute-force definitions; and effective_subset against the naive
-   serial reverse-compaction walk it replaces. *)
+(* Fault simulation: the critical-path-tracing simulator (FFR
+   sensitization + event-driven stem propagation) must reproduce the
+   full-cone oracle ({!Oracle}) exactly, fault by fault; the structural
+   preprocessing behind it (FFR stems, propagation dominators,
+   observability reachability) is checked against brute-force
+   definitions; and effective_subset against the naive serial
+   reverse-compaction walk it replaces. *)
 
 open Netlist
 module Fs = Atpg.Fault_simulation
@@ -136,44 +136,65 @@ let check_preprocessing () =
            }))
     [ 1; 2; 3 ]
 
-(* ---------- engine equivalence ---------- *)
+(* ---------- oracle equivalence ---------- *)
 
-(* CPT ≡ Cone on [n_vectors] vectors drawn from [seed] (the same vectors
-   as [Atpg.Pattern_gen.random_vectors ~seed ~count:n_vectors]). With
-   [reuse] (the default) the same machines then run again on a second
-   vector set, and effective_subset and coverage are compared too. *)
+(* One vector at a time, last to first, keeping a vector iff it detects
+   a fault no later-kept vector detects: the textbook (quadratic)
+   reverse compaction that effective_subset vectorises, on the oracle's
+   full fault x vector detection matrix. *)
+let naive_reverse_compaction c ~faults ~vectors =
+  let rows = Oracle.detection_matrix c ~faults ~vectors in
+  let covered = Array.make (List.length faults) false in
+  let keep = ref [] in
+  List.iteri
+    (fun k v ->
+      let row = rows.(Array.length rows - 1 - k) in
+      let newly = ref false in
+      Array.iteri
+        (fun i hit ->
+          if hit && not covered.(i) then begin
+            covered.(i) <- true;
+            newly := true
+          end)
+        row;
+      if !newly then keep := v :: !keep)
+    (List.rev vectors);
+  !keep
+
+(* CPT ≡ the oracle on [n_vectors] vectors drawn from [seed] (the same
+   vectors as [Atpg.Pattern_gen.random_vectors ~seed ~count:n_vectors]).
+   With [reuse] (the default) the same machine then runs again on a
+   second vector set, and effective_subset and coverage are compared
+   too. *)
 let check_split_agrees ?(reuse = true) tag c ~seed ~n_vectors =
   let faults = Atpg.Fault.collapsed_faults c in
   let rng = Util.Rng.create seed in
   let vectors = random_vectors rng c n_vectors in
-  let m_cone = Fs.make ~engine:Fs.Cone c in
-  let m_cpt = Fs.make ~engine:Fs.Cpt c in
-  let det_cone, undet_cone =
-    Fs.split ~machine:m_cone c ~faults ~vectors
-  in
-  let det_cpt, undet_cpt = Fs.split ~machine:m_cpt c ~faults ~vectors in
+  let m = Fs.make c in
+  let det_oracle, undet_oracle = Oracle.split c ~faults ~vectors in
+  let det_cpt, undet_cpt = Fs.split ~machine:m c ~faults ~vectors in
   Alcotest.(check (list (fault_t c)))
-    (tag ^ " detected identical") det_cone det_cpt;
+    (tag ^ " detected identical") det_oracle det_cpt;
   Alcotest.(check (list (fault_t c)))
-    (tag ^ " undetected identical") undet_cone undet_cpt;
+    (tag ^ " undetected identical") undet_oracle undet_cpt;
   if reuse then begin
-    (* same machines again on a different vector set: persistent state
-       (memos, stamps, interned cones) must not leak across runs *)
+    (* the same machine again on a different vector set: persistent
+       state (memos, stamps) must not leak across runs *)
     let vectors2 = random_vectors rng c (max 1 (n_vectors / 2)) in
-    let d1, _ = Fs.split ~machine:m_cone c ~faults ~vectors:vectors2 in
-    let d2, _ = Fs.split ~machine:m_cpt c ~faults ~vectors:vectors2 in
+    let d1 = Oracle.detected_by c ~faults ~vectors:vectors2 in
+    let d2, _ = Fs.split ~machine:m c ~faults ~vectors:vectors2 in
     let d3, _ = Fs.split c ~faults ~vectors:vectors2 in
-    Alcotest.(check (list (fault_t c))) (tag ^ " reuse cone") d1 d2;
+    Alcotest.(check (list (fault_t c))) (tag ^ " reuse") d1 d2;
     Alcotest.(check (list (fault_t c))) (tag ^ " reuse vs fresh") d1 d3;
-    (* effective_subset bit-identical across engines *)
-    let e_cone = Fs.effective_subset ~machine:m_cone c ~faults ~vectors in
-    let e_cpt = Fs.effective_subset ~machine:m_cpt c ~faults ~vectors in
     Alcotest.(check (list (array bool)))
-      (tag ^ " effective_subset identical") e_cone e_cpt;
+      (tag ^ " effective_subset identical")
+      (naive_reverse_compaction c ~faults ~vectors)
+      (Fs.effective_subset ~machine:m c ~faults ~vectors);
     Alcotest.(check bool)
       (tag ^ " coverage identical") true
-      (Fs.coverage ~machine:m_cone c ~faults ~vectors
-      = Fs.coverage ~machine:m_cpt c ~faults ~vectors)
+      (Fs.coverage ~machine:m c ~faults ~vectors
+      = float_of_int (List.length det_oracle)
+        /. float_of_int (List.length faults))
   end
 
 let check_golden_s27 () =
@@ -187,7 +208,7 @@ let check_golden_s344 () =
 let check_golden_s1196 () =
   check_split_agrees "s1196/seed5" (Lazy.force s1196) ~seed:5 ~n_vectors:40
 
-let prop_engines_agree =
+let prop_oracle_agrees =
   QCheck.Test.make ~name:"cpt engine equals cone engine" ~count:15
     (QCheck.make
        QCheck.Gen.(triple (int_range 0 10000) (int_range 1 70) (int_range 10 80)))
@@ -208,37 +229,16 @@ let prop_engines_agree =
 
 (* ---------- effective_subset vs the naive serial walk ---------- *)
 
-let naive_reverse_compaction c ~faults ~vectors =
-  (* one vector at a time, last to first, with fault dropping — the
-     textbook (quadratic) formulation effective_subset vectorises *)
-  let m = Fs.make ~engine:Fs.Cone c in
-  let covered = Hashtbl.create 97 in
-  let keep = ref [] in
-  List.iter
-    (fun v ->
-      let live = List.filter (fun f -> not (Hashtbl.mem covered f)) faults in
-      let det, _ = Fs.split ~machine:m c ~faults:live ~vectors:[ v ] in
-      if det <> [] then begin
-        List.iter (fun f -> Hashtbl.replace covered f ()) det;
-        keep := v :: !keep
-      end)
-    (List.rev vectors);
-  !keep
-
 let check_effective_subset_is_naive () =
   List.iter
     (fun (c, seed, n_vectors) ->
       let faults = Atpg.Fault.collapsed_faults c in
       let rng = Util.Rng.create seed in
       let vectors = random_vectors rng c n_vectors in
-      let expected = naive_reverse_compaction c ~faults ~vectors in
-      List.iter
-        (fun engine ->
-          let got =
-            Fs.effective_subset ~machine:(Fs.make ~engine c) c ~faults ~vectors
-          in
-          Alcotest.(check (list (array bool))) "naive reverse walk" expected got)
-        [ Fs.Cone; Fs.Cpt ])
+      Alcotest.(check (list (array bool)))
+        "naive reverse walk"
+        (naive_reverse_compaction c ~faults ~vectors)
+        (Fs.effective_subset c ~faults ~vectors))
     [ (Lazy.force s27m, 11, 90); (Lazy.force s344, 12, 30);
       (Lazy.force s344, 13, 130) ]
 
@@ -307,13 +307,10 @@ let check_counters () =
   Telemetry.reset ();
   Telemetry.enable ();
   let get name = Option.value ~default:0 (Telemetry.Counter.find name) in
-  (* the default engine: traces counted here show it is Cpt *)
   ignore (Fs.split ~machine:(Fs.make c) c ~faults ~vectors);
   let traces = get "atpg.fault_sim.ffr_traces" in
   let events = get "atpg.fault_sim.stem_events" in
   let exits = get "atpg.fault_sim.early_exits" in
-  ignore (Fs.split ~machine:(Fs.make ~engine:Fs.Cone c) c ~faults ~vectors);
-  let events_after_cone = get "atpg.fault_sim.stem_events" in
   (* three batches (63 + 63 + 2 patterns): the later batches must
      actually drop the faults the earlier ones detected *)
   let vectors_2b = random_vectors (Util.Rng.create 10) c 128 in
@@ -321,10 +318,9 @@ let check_counters () =
   let dropped = get "atpg.fault_sim.dropped_faults" in
   Telemetry.reset ();
   if not was_enabled then Telemetry.disable ();
-  Alcotest.(check bool) "default engine traces ffrs" true (traces > 0);
+  Alcotest.(check bool) "ffr traces counted" true (traces > 0);
   Alcotest.(check bool) "stem events counted" true (events > 0);
   Alcotest.(check bool) "early exits counted" true (exits > 0);
-  Alcotest.(check int) "cone engine emits no stem events" events events_after_cone;
   Alcotest.(check bool) "dropped faults counted" true (dropped > 0)
 
 let suite =
@@ -341,5 +337,5 @@ let suite =
     Alcotest.test_case "machine circuit mismatch" `Quick
       check_machine_mismatch_raises;
     Alcotest.test_case "engine counters" `Quick check_counters;
-    QCheck_alcotest.to_alcotest prop_engines_agree;
+    QCheck_alcotest.to_alcotest prop_oracle_agrees;
   ]

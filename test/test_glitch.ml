@@ -62,11 +62,11 @@ let check_final_values_match_zero_delay () =
   let c = mapped "s344" in
   let timing = Sta.analyze c in
   let gsim = Sta.Glitch_sim.create timing in
-  let esim = Sim.Event_sim.create c in
+  let esim = Event_sim.create c in
   let rng = Util.Rng.create 13 in
   let current = Array.make (Circuit.node_count c) false in
   Sta.Glitch_sim.init gsim (fun _ -> false);
-  Sim.Event_sim.init esim (fun _ -> false);
+  Event_sim.init esim (fun _ -> false);
   for _ = 1 to 25 do
     let changes = ref [] in
     Array.iter
@@ -77,20 +77,20 @@ let check_final_values_match_zero_delay () =
         end)
       (Circuit.sources c);
     ignore (Sta.Glitch_sim.apply gsim !changes);
-    ignore (Sim.Event_sim.set_sources esim !changes);
+    ignore (Event_sim.set_sources esim !changes);
     Alcotest.(check bool) "same settled values" true
-      (Sta.Glitch_sim.values gsim = Sim.Event_sim.values esim)
+      (Sta.Glitch_sim.values gsim = Event_sim.values esim)
   done
 
 let check_glitch_factor_at_least_one () =
   let c = mapped "s344" in
   let timing = Sta.analyze c in
   let gsim = Sta.Glitch_sim.create timing in
-  let esim = Sim.Event_sim.create c in
+  let esim = Event_sim.create c in
   let rng = Util.Rng.create 17 in
   let current = Array.make (Circuit.node_count c) false in
   Sta.Glitch_sim.init gsim (fun _ -> false);
-  Sim.Event_sim.init esim (fun _ -> false);
+  Event_sim.init esim (fun _ -> false);
   for _ = 1 to 25 do
     let changes = ref [] in
     Array.iter
@@ -101,10 +101,10 @@ let check_glitch_factor_at_least_one () =
         end)
       (Circuit.sources c);
     ignore (Sta.Glitch_sim.apply gsim !changes);
-    ignore (Sim.Event_sim.set_sources esim !changes)
+    ignore (Event_sim.set_sources esim !changes)
   done;
   let glitchy = Sta.Glitch_sim.total_transitions gsim in
-  let settled = Sim.Event_sim.total_toggles esim in
+  let settled = Event_sim.total_toggles esim in
   Alcotest.(check bool)
     (Printf.sprintf "glitchy %d >= settled %d" glitchy settled)
     true (glitchy >= settled)

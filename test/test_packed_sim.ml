@@ -1,9 +1,10 @@
 (* Compiled circuit form and 63-lane packed scan simulation: structural
    invariants of the CSR arrays, kernel-level cross-validation against
-   the scalar evaluators, and golden engine equivalence — the packed
-   scan engine must reproduce the event-driven reference exactly
-   (toggles, per-cycle series, dynamic power, responses) with static
-   power agreeing to float accumulation order. *)
+   the scalar evaluators, and golden equivalence — the packed scan
+   simulator must reproduce the event-driven scan oracle
+   ({!Scan_oracle}) exactly (toggles, per-cycle series, dynamic power,
+   responses) with static power agreeing to float accumulation
+   order. *)
 
 open Netlist
 
@@ -334,7 +335,7 @@ let prop_eval_lanes_random_circuits =
       done;
       true)
 
-(* ---------- engine equivalence ---------- *)
+(* ---------- oracle equivalence ---------- *)
 
 let close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.abs a)
 
@@ -361,7 +362,7 @@ let check_results tag (s : Scan.Scan_sim.result) (p : Scan.Scan_sim.result) =
   List.iter
     (fun (what, a, b) ->
       if not (close a b) then
-        Alcotest.failf "%s %s: scalar %.17g vs packed %.17g" tag what a b)
+        Alcotest.failf "%s %s: oracle %.17g vs packed %.17g" tag what a b)
     [
       ("avg static", s.Scan.Scan_sim.avg_static_uw, p.Scan.Scan_sim.avg_static_uw);
       ("peak static", s.Scan.Scan_sim.peak_static_uw, p.Scan.Scan_sim.peak_static_uw);
@@ -442,11 +443,11 @@ let random_partition rng c =
   done;
   Scan.Scan_chain.of_orders c !chains
 
-(* Scalar ≡ packed on [n_vectors] vectors drawn from [seed] (the same
+(* Oracle ≡ packed on [n_vectors] vectors drawn from [seed] (the same
    vectors as [Atpg.Pattern_gen.random_vectors ~seed ~count:n_vectors]).
    [init_state] defaults to a seeded random chain state, [policies] to
    the four above and [chain] to the natural chain. *)
-let check_engines_agree_on ?init_state ?(default_init = false)
+let check_oracle_agrees_on ?init_state ?(default_init = false)
     ?(policies = policies) ?chain name circuit ~seed ~n_vectors =
   let c = circuit in
   let chain =
@@ -454,7 +455,7 @@ let check_engines_agree_on ?init_state ?(default_init = false)
   in
   let rng = Util.Rng.create seed in
   let vectors = random_vectors rng c n_vectors in
-  (* [default_init]: both engines run without [init_state] *)
+  (* [default_init]: both simulators run without [init_state] *)
   let init_state =
     if default_init then None
     else
@@ -468,42 +469,32 @@ let check_engines_agree_on ?init_state ?(default_init = false)
   List.iter
     (fun (tag, policy) ->
       let tag = Printf.sprintf "%s/%s/seed%d" name tag seed in
-      let s =
-        Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Scalar ?init_state c chain
-          policy ~vectors
-      in
-      let p =
-        Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ?init_state c chain
-          policy ~vectors
-      in
+      let s = Scan_oracle.measure ?init_state c chain policy ~vectors in
+      let p = Scan.Scan_sim.measure ?init_state c chain policy ~vectors in
       check_results tag s p;
-      let rs =
-        Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Scalar ?init_state c
-          chain policy ~vectors
-      in
+      let rs = Scan_oracle.responses ?init_state c chain policy ~vectors in
       let rp =
-        Scan.Scan_sim.responses ~engine:Scan.Scan_sim.Packed ?init_state c
-          chain policy ~vectors
+        Scan.Scan_sim.responses ?init_state c chain policy ~vectors
       in
       Alcotest.(check (list (array bool))) (tag ^ " responses") rs rp)
     (policies c rng)
 
 let check_golden_s344 () =
-  check_engines_agree_on "s344" (Lazy.force s344) ~seed:1 ~n_vectors:12;
-  check_engines_agree_on "s344" (Lazy.force s344) ~seed:2 ~n_vectors:7
+  check_oracle_agrees_on "s344" (Lazy.force s344) ~seed:1 ~n_vectors:12;
+  check_oracle_agrees_on "s344" (Lazy.force s344) ~seed:2 ~n_vectors:7
 
 let check_golden_s1196 () =
-  check_engines_agree_on "s1196" (Lazy.force s1196) ~seed:3 ~n_vectors:6
+  check_oracle_agrees_on "s1196" (Lazy.force s1196) ~seed:3 ~n_vectors:6
 
 let check_golden_s1423 () =
   (* 74 flip-flops: every segment (launch + shifts + capture = 76
      lanes) spans two frames *)
-  check_engines_agree_on "s1423" (Circuits.by_name "s1423") ~seed:6
+  check_oracle_agrees_on "s1423" (Circuits.by_name "s1423") ~seed:6
     ~n_vectors:5
 
-(* The packed engine's static figures on s1423, bit for bit: the same
-   circuit, vectors, init state and policies as the s1423 golden
-   equivalence above. The scalar oracle integrates leakage in another
+(* The packed simulator's static figures on s1423, bit for bit: the
+   same circuit, vectors, init state and policies as the s1423 golden
+   equivalence above. The scan oracle integrates leakage in another
    order and agrees only to float tolerance, so these pins are what
    holds a rewrite of the leakage accounting to bit-identical statics. *)
 let s1423_statics_pinned =
@@ -537,10 +528,7 @@ let check_s1423_statics_bit_exact () =
   List.iter2
     (fun (tag, policy) (tag', (avg, peak, cap)) ->
       Alcotest.(check string) "policy order" tag' tag;
-      let r =
-        Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ~init_state c chain
-          policy ~vectors
-      in
+      let r = Scan.Scan_sim.measure ~init_state c chain policy ~vectors in
       List.iter
         (fun (what, want, got) ->
           if Int64.bits_of_float want <> Int64.bits_of_float got then
@@ -593,13 +581,13 @@ let cells_circuit =
 let check_golden_cells () =
   let c = Lazy.force cells_circuit in
   Alcotest.(check bool) "mapped" true (Techmap.Mapper.is_mapped c);
-  check_engines_agree_on "cells" c ~seed:8 ~n_vectors:9;
-  check_engines_agree_on "cells" c ~seed:9 ~n_vectors:2
+  check_oracle_agrees_on "cells" c ~seed:8 ~n_vectors:9;
+  check_oracle_agrees_on "cells" c ~seed:9 ~n_vectors:2
 
 let check_golden_s27 () =
   (* chain shorter than a word: every segment fits one frame *)
-  check_engines_agree_on "s27" (Lazy.force s27m) ~seed:4 ~n_vectors:20;
-  check_engines_agree_on "s27" (Lazy.force s27m) ~seed:5 ~n_vectors:1
+  check_oracle_agrees_on "s27" (Lazy.force s27m) ~seed:4 ~n_vectors:20;
+  check_oracle_agrees_on "s27" (Lazy.force s27m) ~seed:5 ~n_vectors:1
 
 (* Chains sized around the 63-lane frame. A test segment (silent lane +
    n shifts + capture, n the longest chain) exactly fills one frame at
@@ -628,7 +616,7 @@ let check_frame_boundaries () =
   in
   List.iter
     (fun n_ff ->
-      check_engines_agree_on (Printf.sprintf "frame%d" n_ff) (circuit n_ff)
+      check_oracle_agrees_on (Printf.sprintf "frame%d" n_ff) (circuit n_ff)
         ~policies:all_policies ~seed:n_ff ~n_vectors:3)
     [ 61; 62; 63; 64; 125; 126; 127 ];
   List.iter
@@ -640,12 +628,12 @@ let check_frame_boundaries () =
         Scan.Scan_chain.of_orders c
           [ Array.sub dffs 0 longest; Array.sub dffs longest short ]
       in
-      check_engines_agree_on
+      check_oracle_agrees_on
         (Printf.sprintf "frame%d+%d" longest short)
         c ~chain ~policies:all_policies ~seed:longest ~n_vectors:3)
     [ 62; 63; 64; 126; 127 ]
 
-(* The packed engine lays the session out as one lane stream: the
+(* The packed simulator lays the session out as one lane stream: the
    settle lane, then per vector a segment of n + 2 lanes (silent
    pre-application, n shifts, capture; n the longest chain), then the
    n + 1 lanes of the final shift-out, cut into frames of 63 lanes.
@@ -722,10 +710,10 @@ let check_session_packing () =
           List.iter
             (fun default_init ->
               let tag = if default_init then "/no-init" else "" in
-              check_engines_agree_on ~default_init ~policies:all_policies
+              check_oracle_agrees_on ~default_init ~policies:all_policies
                 (Printf.sprintf "session n=%d v=%d%s" n n_vectors tag)
                 single ~seed:(n + n_vectors) ~n_vectors;
-              check_engines_agree_on ~default_init ~policies:all_policies
+              check_oracle_agrees_on ~default_init ~policies:all_policies
                 ~chain:two
                 (Printf.sprintf "session n=%d+%d v=%d%s" n short n_vectors tag)
                 split ~seed:(n + n_vectors) ~n_vectors)
@@ -736,13 +724,9 @@ let check_session_packing () =
 let check_empty_vectors () =
   let c = Lazy.force s344 in
   let chain = Scan.Scan_chain.natural c in
-  let s =
-    Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Scalar c chain
-      Scan.Scan_sim.traditional ~vectors:[]
-  in
+  let s = Scan_oracle.measure c chain Scan.Scan_sim.traditional ~vectors:[] in
   let p =
-    Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed c chain
-      Scan.Scan_sim.traditional ~vectors:[]
+    Scan.Scan_sim.measure c chain Scan.Scan_sim.traditional ~vectors:[]
   in
   check_results "empty" s p;
   Alcotest.(check int) "no cycles beyond floor" 1 p.Scan.Scan_sim.cycles;
@@ -753,12 +737,10 @@ let check_validation_parity () =
   let chain = Scan.Scan_chain.natural c in
   let bad_vec = [ Array.make 3 false ] in
   List.iter
-    (fun engine ->
+    (fun measure ->
       Alcotest.check_raises "vector length"
         (Invalid_argument "Scan_sim: vector length mismatch") (fun () ->
-          ignore
-            (Scan.Scan_sim.measure ~engine c chain Scan.Scan_sim.traditional
-               ~vectors:bad_vec));
+          ignore (measure c chain Scan.Scan_sim.traditional ~vectors:bad_vec));
       Alcotest.check_raises "forced non-dff"
         (Invalid_argument "Scan_sim: forced node is not a flip-flop")
         (fun () ->
@@ -769,13 +751,16 @@ let check_validation_parity () =
               hold_previous_capture = false;
             }
           in
-          ignore (Scan.Scan_sim.measure ~engine c chain policy ~vectors:[])))
-    [ Scan.Scan_sim.Scalar; Scan.Scan_sim.Packed ]
+          ignore (measure c chain policy ~vectors:[])))
+    [
+      Scan_oracle.measure ?init_state:None;
+      Scan.Scan_sim.measure ?init_state:None;
+    ]
 
 (* Property: on random generated circuits (mapped by construction) the
-   two engines agree for random vector sets, random policies and random
-   chain partitions. *)
-let prop_engines_agree =
+   packed simulator agrees with the oracle for random vector sets,
+   random policies and random chain partitions. *)
+let prop_oracle_agrees =
   QCheck.Test.make ~name:"packed engine equals scalar engine" ~count:12
     (QCheck.make
        QCheck.Gen.(
@@ -793,7 +778,7 @@ let prop_engines_agree =
       in
       let c = Circuits.generate profile in
       let chain = random_partition (Util.Rng.create (seed + 1)) c in
-      check_engines_agree_on profile.Circuits.name c ~chain
+      check_oracle_agrees_on profile.Circuits.name c ~chain
         ~policies:all_policies ~seed ~n_vectors;
       true)
 
@@ -825,5 +810,5 @@ let suite =
       check_session_packing;
     QCheck_alcotest.to_alcotest prop_lane_counter;
     QCheck_alcotest.to_alcotest prop_eval_lanes_random_circuits;
-    QCheck_alcotest.to_alcotest prop_engines_agree;
+    QCheck_alcotest.to_alcotest prop_oracle_agrees;
   ]

@@ -243,13 +243,11 @@ let check_socket_fault_sites () =
 
 (* [FI.fires] is pure in (seed, site, key), so we can search for a
    seed under which generation 1 is killed mid-request and generation
-   2 (and every other id we use) is spared — making the chaos run
-   fully deterministic. *)
+   2 (and every other flow id we use) is spared — making the chaos run
+   fully deterministic. [health]/[stats] requests never roll. *)
 let find_kill_seed () =
   let fire_ids = [ "kill-me#gen1" ] in
-  let spare_ids =
-    [ "warm#gen1"; "kill-me#gen2"; "st#gen2"; "h#gen1"; "h#gen2" ]
-  in
+  let spare_ids = [ "warm#gen1"; "kill-me#gen2" ] in
   let ok seed =
     let spec = { FI.seed; rates = [ (FI.Worker_kill, 0.5) ] } in
     FI.with_spec (Some spec) (fun () ->
@@ -374,7 +372,9 @@ let check_supervisor_budget_exhausted () =
            ~finally:(fun () -> C.close client)
            (fun () ->
              ignore
-               (C.rpc client (P.make ~id:(Printf.sprintf "boom%d" i) P.Health)))
+               (C.rpc client
+                  (P.make ~id:(Printf.sprintf "boom%d" i) ~circuit:"s27"
+                     P.Validate)))
        with _ -> ());
       Unix.sleepf 0.05;
       hammer (i + 1)
@@ -384,6 +384,56 @@ let check_supervisor_budget_exhausted () =
   | Unix.WEXITED 4 -> ()
   | Unix.WEXITED n -> Alcotest.failf "expected exit 4, got exit %d" n
   | _ -> Alcotest.fail "supervisor must exit, not die of a signal"
+
+(* Under a kill rate of 1, only a request that names a circuit rolls
+   the kill: [health] and [stats] are answered by generation 1 (their
+   answers describe the daemon they ran on, so a kill there would
+   replay them on a fresh generation), and a [validate] is what ends
+   it. *)
+let check_kill_spares_health_and_stats () =
+  let pid, socket =
+    start_supervised
+      ~spec:{ FI.seed = 1; rates = [ (FI.Worker_kill, 1.0) ] }
+      ~budget:2 ~refill:0.0 ()
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (stop pid))
+    (fun () ->
+      let generation label v =
+        match member_int v "generation" with
+        | Some g -> g
+        | None -> Alcotest.failf "%s: no generation" label
+      in
+      let client = C.connect ~retry_for_s:10.0 socket in
+      Fun.protect
+        ~finally:(fun () -> C.close client)
+        (fun () ->
+          List.iter
+            (fun (id, kind) ->
+              let v = expect_value id (C.rpc client (P.make ~id kind)) in
+              Alcotest.(check int) (id ^ " on generation 1") 1
+                (generation id v))
+            [ ("h1", P.Health); ("st1", P.Stats); ("h2", P.Health) ];
+          (* the kill resets the connection, or closes it before a
+             response arrives *)
+          let answered =
+            try
+              Result.is_ok
+                (C.rpc client (P.make ~id:"v1" ~circuit:"s27" P.Validate))
+            with Sys_error _ -> false
+          in
+          Alcotest.(check bool) "validate kills generation 1" false answered);
+      (* the supervisor restarts and the next generation answers health;
+         the session replays it if it first reaches the dying
+         generation's socket *)
+      let session = C.session ~retry_for_s:10.0 socket in
+      Fun.protect
+        ~finally:(fun () -> C.close_session session)
+        (fun () ->
+          let v =
+            expect_value "h3" (C.call session (P.make ~id:"h3" P.Health))
+          in
+          Alcotest.(check int) "health on generation 2" 2 (generation "h3" v)))
 
 (* ------------------------------------------------------------------ *)
 (* memory watchdog: degraded mode sheds compute, keeps health alive    *)
@@ -682,6 +732,8 @@ let suite =
       check_supervisor_restart_replay;
     Alcotest.test_case "restart budget exhausted exits 4" `Slow
       check_supervisor_budget_exhausted;
+    Alcotest.test_case "kill spares health and stats" `Slow
+      check_kill_spares_health_and_stats;
     Alcotest.test_case "degraded mode sheds compute" `Slow check_degraded_mode;
     Alcotest.test_case "torn write replay dedupes" `Slow
       check_torn_write_replay;

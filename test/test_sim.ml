@@ -53,10 +53,10 @@ let prop_event_sim_matches_full_eval =
     (fun (seed, steps) ->
       let c = Techmap.Mapper.map (Lazy.force s27) in
       let rng = Util.Rng.create seed in
-      let sim = Sim.Event_sim.create c in
+      let sim = Event_sim.create c in
       let sources = Circuit.sources c in
       let current = Array.make (Circuit.node_count c) false in
-      Sim.Event_sim.init sim (fun _ -> false);
+      Event_sim.init sim (fun _ -> false);
       let ok = ref true in
       for _ = 1 to steps do
         (* flip a random subset of sources *)
@@ -68,14 +68,14 @@ let prop_event_sim_matches_full_eval =
               changes := (id, current.(id)) :: !changes
             end)
           sources;
-        ignore (Sim.Event_sim.set_sources sim !changes);
+        ignore (Event_sim.set_sources sim !changes);
         (* reference: full ternary evaluation *)
         let reference =
           Ternary_sim.eval c
             ~inputs:(fun i -> Logic.of_bool current.((Circuit.inputs c).(i)))
             ~state:(fun i -> Logic.of_bool current.((Circuit.dffs c).(i)))
         in
-        let actual = Sim.Event_sim.values sim in
+        let actual = Event_sim.values sim in
         Array.iteri
           (fun id v ->
             match Logic.to_bool reference.(id) with
@@ -87,33 +87,33 @@ let prop_event_sim_matches_full_eval =
 
 let check_toggle_counting () =
   let c = Techmap.Mapper.map (Lazy.force s27) in
-  let sim = Sim.Event_sim.create c in
-  Sim.Event_sim.init sim (fun _ -> false);
-  Alcotest.(check int) "no toggles after init" 0 (Sim.Event_sim.total_toggles sim);
+  let sim = Event_sim.create c in
+  Event_sim.init sim (fun _ -> false);
+  Alcotest.(check int) "no toggles after init" 0 (Event_sim.total_toggles sim);
   let g0 = Circuit.find c "G0" in
-  let caused = Sim.Event_sim.set_sources sim [ (g0, true) ] in
+  let caused = Event_sim.set_sources sim [ (g0, true) ] in
   Alcotest.(check bool) "some toggles" true (caused > 0);
-  Alcotest.(check int) "total matches" caused (Sim.Event_sim.total_toggles sim);
+  Alcotest.(check int) "total matches" caused (Event_sim.total_toggles sim);
   (* flipping back doubles the count *)
-  let caused2 = Sim.Event_sim.set_sources sim [ (g0, false) ] in
+  let caused2 = Event_sim.set_sources sim [ (g0, false) ] in
   Alcotest.(check int) "same cone both ways" caused caused2;
   (* no-change set_sources costs nothing *)
-  let caused3 = Sim.Event_sim.set_sources sim [ (g0, false) ] in
+  let caused3 = Event_sim.set_sources sim [ (g0, false) ] in
   Alcotest.(check int) "no-op" 0 caused3;
-  Sim.Event_sim.reset_counts sim;
-  Alcotest.(check int) "reset" 0 (Sim.Event_sim.total_toggles sim)
+  Event_sim.reset_counts sim;
+  Alcotest.(check int) "reset" 0 (Event_sim.total_toggles sim)
 
 let check_event_sim_rejects_non_source () =
   let c = Techmap.Mapper.map (Lazy.force s27) in
-  let sim = Sim.Event_sim.create c in
-  Sim.Event_sim.init sim (fun _ -> false);
+  let sim = Event_sim.create c in
+  Event_sim.init sim (fun _ -> false);
   let gate =
     Array.to_list (Circuit.nodes c)
     |> List.find (fun nd -> Gate.is_logic nd.Circuit.kind)
   in
   Alcotest.check_raises "non-source"
     (Invalid_argument "Event_sim.set_sources: not a source node") (fun () ->
-      ignore (Sim.Event_sim.set_sources sim [ (gate.Circuit.id, true) ]))
+      ignore (Event_sim.set_sources sim [ (gate.Circuit.id, true) ]))
 
 let check_blocking_limits_toggles () =
   (* a controlling side input suppresses downstream activity:
@@ -126,9 +126,9 @@ let check_blocking_limits_toggles () =
   let h = Circuit.Builder.add_gate b Gate.Not "h" [ g ] in
   let _ = Circuit.Builder.add_output b "po" h in
   let c = Circuit.Builder.build b in
-  let sim = Sim.Event_sim.create c in
-  Sim.Event_sim.init sim (fun _ -> false);
-  let caused = Sim.Event_sim.set_sources sim [ (a, true) ] in
+  let sim = Event_sim.create c in
+  Event_sim.init sim (fun _ -> false);
+  let caused = Event_sim.set_sources sim [ (a, true) ] in
   Alcotest.(check int) "only the source toggles" 1 caused
 
 let check_seq_sim_state_evolution () =

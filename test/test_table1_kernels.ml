@@ -1,8 +1,8 @@
 (* The Table I kernels on every circuit of the paper's Table I, with
    the vectors [Atpg.Pattern_gen.random_vectors ~seed:7 ~count:20]: the
-   CPT fault simulator must agree with the Cone oracle fault for fault,
-   the packed scan simulator with the scalar one on every toggle count
-   under traditional scan from the reset chain state, and the node,
+   CPT fault simulator must agree with the full-cone oracle fault for
+   fault, the packed scan simulator with the scan oracle on every toggle
+   count under traditional scan from the reset chain state, and the node,
    fault, detection, cycle and toggle counts are pinned. A change to
    either kernel that moves a count fails here. *)
 
@@ -48,7 +48,7 @@ let n_vectors = 20
 let check name expected () =
   let c = Circuits.by_name name in
   Test_fault_sim.check_split_agrees ~reuse:false name c ~seed ~n_vectors;
-  Test_packed_sim.check_engines_agree_on
+  Test_packed_sim.check_oracle_agrees_on
     ~init_state:(Array.make (Array.length (Netlist.Circuit.dffs c)) false)
     ~policies:(fun _ _ -> [ ("traditional", Scan.Scan_sim.traditional) ])
     name c ~seed ~n_vectors;

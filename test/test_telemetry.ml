@@ -191,44 +191,43 @@ let check_flow_bit_identical_on_off () =
 
 (* Golden values, telemetry disabled, s344 at the default seed 42. Hex
    float literals are exact: any drift — however small — means the
-   flow's numbers moved. [Scalar] pins the event-driven reference
-   engine to the pre-telemetry seed build; [Packed] pins the production
-   engine to its own output before its lane counting was rewritten.
-   The two agree exactly on toggles and dynamic power and to
-   accumulation order on statics (the packed-sim suite checks that). *)
-let s344_goldens =
-  (* (dynamic/f, static, peak static, toggles) for traditional, input
-     control, proposed and enhanced scan *)
+   flow's numbers moved. The oracle goldens pin the event-driven scan
+   oracle ({!Scan_oracle}), run on the four structures [Flow.evaluate]
+   measures, to the pre-telemetry seed build; the packed goldens pin
+   [Flow.run_benchmark] to its own output before its lane counting was
+   rewritten. The two agree exactly on toggles and dynamic power and to
+   accumulation order on statics (the packed-sim suite checks that).
+   Each is (dynamic/f, static, peak static, toggles) for traditional,
+   input control, proposed and enhanced scan. *)
+let s344_oracle_goldens =
   [
-    ( Scan.Scan_sim.Scalar,
-      [
-        (0x1.d9de3c0fa8189p-25, 0x1.ee052d0f39c79p+4, 0x1.23adaa635ba18p+5, 18654);
-        (0x1.b4b4b8847d70bp-25, 0x1.ec114ab14076ep+4, 0x1.21e69437d1ae3p+5, 18484);
-        (0x1.b69c4ead2a6d3p-27, 0x1.9e84c88ceddc6p+4, 0x1.1fdc64d51f761p+5, 4054);
-        (0x1.db5e0be0a176ep-28, 0x1.fcecb06f1562fp+4, 0x1.21e69437d1aa9p+5, 2290);
-      ] );
-    ( Scan.Scan_sim.Packed,
-      [
-        (0x1.d9de3c0fa8189p-25, 0x1.ee052d0f39c4ap+4, 0x1.23adaa635b9e6p+5, 18654);
-        (0x1.b4b4b8847d70bp-25, 0x1.ec114ab14074ap+4, 0x1.21e69437d1aa6p+5, 18484);
-        (0x1.b69c4ead2a6d3p-27, 0x1.9e84c88ceddd3p+4, 0x1.1fdc64d51f773p+5, 4054);
-        (0x1.db5e0be0a176ep-28, 0x1.fcecb06f1562fp+4, 0x1.21e69437d1aa6p+5, 2290);
-      ] );
+    (0x1.d9de3c0fa8189p-25, 0x1.ee052d0f39c79p+4, 0x1.23adaa635ba18p+5, 18654);
+    (0x1.b4b4b8847d70bp-25, 0x1.ec114ab14076ep+4, 0x1.21e69437d1ae3p+5, 18484);
+    (0x1.b69c4ead2a6d3p-27, 0x1.9e84c88ceddc6p+4, 0x1.1fdc64d51f761p+5, 4054);
+    (0x1.db5e0be0a176ep-28, 0x1.fcecb06f1562fp+4, 0x1.21e69437d1aa9p+5, 2290);
   ]
 
-let check_s344_identical_to_seed engine () =
-  T.disable ();
-  T.reset ();
-  let cmp = Scanpower.Flow.run_benchmark ~engine (Circuits.by_name "s344") in
+let s344_packed_goldens =
+  [
+    (0x1.d9de3c0fa8189p-25, 0x1.ee052d0f39c4ap+4, 0x1.23adaa635b9e6p+5, 18654);
+    (0x1.b4b4b8847d70bp-25, 0x1.ec114ab14074ap+4, 0x1.21e69437d1aa6p+5, 18484);
+    (0x1.b69c4ead2a6d3p-27, 0x1.9e84c88ceddd3p+4, 0x1.1fdc64d51f773p+5, 4054);
+    (0x1.db5e0be0a176ep-28, 0x1.fcecb06f1562fp+4, 0x1.21e69437d1aa6p+5, 2290);
+  ]
+
+let technique_of (m : Scan.Scan_sim.result) =
+  {
+    Scanpower.Flow.dynamic_per_hz_uw =
+      m.Scan.Scan_sim.dynamic.Power.Switching.dynamic_per_hz_uw;
+    static_uw = m.Scan.Scan_sim.avg_static_uw;
+    peak_static_uw = m.Scan.Scan_sim.peak_static_uw;
+    total_toggles = m.Scan.Scan_sim.total_toggles;
+  }
+
+let check_techniques results goldens =
   let f = Alcotest.testable (fun fmt x -> Format.fprintf fmt "%h" x)
       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
   in
-  Alcotest.(check int) "n_vectors" 35 cmp.Scanpower.Flow.n_vectors;
-  Alcotest.(check int) "n_dffs" 15 cmp.Scanpower.Flow.n_dffs;
-  Alcotest.(check int) "n_muxable" 14 cmp.Scanpower.Flow.n_muxable;
-  Alcotest.(check int) "blocked_gates" 2 cmp.Scanpower.Flow.blocked_gates;
-  Alcotest.(check int) "failed_gates" 0 cmp.Scanpower.Flow.failed_gates;
-  Alcotest.(check int) "reordered_gates" 30 cmp.Scanpower.Flow.reordered_gates;
   List.iter2
     (fun (tag, (t : Scanpower.Flow.technique_result))
          (dyn, static, peak, toggles) ->
@@ -238,13 +237,95 @@ let check_s344_identical_to_seed engine () =
         t.Scanpower.Flow.peak_static_uw;
       Alcotest.(check int)
         (tag ^ " toggles") toggles t.Scanpower.Flow.total_toggles)
-    [
-      ("traditional", cmp.Scanpower.Flow.traditional);
-      ("input_control", cmp.Scanpower.Flow.input_control);
-      ("proposed", cmp.Scanpower.Flow.proposed);
-      ("enhanced_scan", cmp.Scanpower.Flow.enhanced_scan);
-    ]
-    (List.assoc engine s344_goldens)
+    results goldens
+
+let techniques (cmp : Scanpower.Flow.comparison) =
+  [
+    ("traditional", cmp.Scanpower.Flow.traditional);
+    ("input_control", cmp.Scanpower.Flow.input_control);
+    ("proposed", cmp.Scanpower.Flow.proposed);
+    ("enhanced_scan", cmp.Scanpower.Flow.enhanced_scan);
+  ]
+
+(* The four scan structures [Flow.evaluate ~seed] measures, as
+   (circuit, policy) in the order of [techniques], rebuilt from public
+   calls with its seeds (+1 for the C-algorithm, +2 for IVC) and the
+   copy it reorders. *)
+let flow_structures ~seed (p : Scanpower.Flow.prepared) =
+  let c = p.Scanpower.Flow.circuit in
+  let ic = Scanpower.C_algorithm.find ~seed:(seed + 1) c in
+  let mux = Scanpower.Mux_insertion.select c in
+  let cp =
+    Scanpower.Controlled_pattern.find
+      ~direction:
+        (Scanpower.Justify.Leakage_directed (Power.Observability.compute c))
+      c ~muxable:mux.Scanpower.Mux_insertion.muxable
+  in
+  let filled =
+    Scanpower.Ivc.fill ~seed:(seed + 2) c
+      ~values:cp.Scanpower.Controlled_pattern.values
+      ~controlled:cp.Scanpower.Controlled_pattern.controlled
+  in
+  let values = filled.Scanpower.Ivc.values in
+  let concrete id = values.(id) = Netlist.Logic.One in
+  let c' = Netlist.Circuit.copy c in
+  ignore (Scanpower.Input_reorder.optimize c' ~values);
+  let shift_pattern pattern forced_pseudo =
+    {
+      Scan.Scan_sim.pi_during_shift = Some pattern;
+      forced_pseudo;
+      hold_previous_capture = false;
+    }
+  in
+  [
+    (c, Scan.Scan_sim.traditional);
+    (c, shift_pattern ic.Scanpower.C_algorithm.pi_pattern []);
+    ( c',
+      shift_pattern
+        (Array.map concrete (Netlist.Circuit.inputs c))
+        (List.map
+           (fun id -> (id, concrete id))
+           mux.Scanpower.Mux_insertion.muxable) );
+    (c, Scan.Scan_sim.enhanced_scan);
+  ]
+
+let check_s344_counts (cmp : Scanpower.Flow.comparison) =
+  Alcotest.(check int) "n_vectors" 35 cmp.Scanpower.Flow.n_vectors;
+  Alcotest.(check int) "n_dffs" 15 cmp.Scanpower.Flow.n_dffs;
+  Alcotest.(check int) "n_muxable" 14 cmp.Scanpower.Flow.n_muxable;
+  Alcotest.(check int) "blocked_gates" 2 cmp.Scanpower.Flow.blocked_gates;
+  Alcotest.(check int) "failed_gates" 0 cmp.Scanpower.Flow.failed_gates;
+  Alcotest.(check int) "reordered_gates" 30 cmp.Scanpower.Flow.reordered_gates
+
+(* The scan oracle on s344's four structures. The packed simulator on
+   the same rebuild must reproduce [Flow.evaluate] bit for bit, which
+   shows the rebuild is the flow's. *)
+let check_s344_identical_to_seed () =
+  T.disable ();
+  T.reset ();
+  let p = Scanpower.Flow.prepare (Circuits.by_name "s344") in
+  let cmp = Scanpower.Flow.evaluate p in
+  check_s344_counts cmp;
+  let chain = p.Scanpower.Flow.chain and vectors = p.Scanpower.Flow.vectors in
+  let structures = flow_structures ~seed:42 p in
+  let run measure =
+    List.map2
+      (fun (tag, _) (c, policy) ->
+        (tag, technique_of (measure c chain policy ~vectors)))
+      (techniques cmp) structures
+  in
+  Alcotest.(check bool) "rebuilt structures are the flow's" true
+    (run (Scan.Scan_sim.measure ?init_state:None) = techniques cmp);
+  check_techniques
+    (run (Scan_oracle.measure ?init_state:None))
+    s344_oracle_goldens
+
+let check_s344_packed_golden () =
+  T.disable ();
+  T.reset ();
+  let cmp = Scanpower.Flow.run_benchmark (Circuits.by_name "s344") in
+  check_s344_counts cmp;
+  check_techniques (techniques cmp) s344_packed_goldens
 
 (* ---------- histograms ---------- *)
 
@@ -613,9 +694,9 @@ let suite =
     Alcotest.test_case "flow bit-identical on vs off" `Quick
       check_flow_bit_identical_on_off;
     Alcotest.test_case "s344 identical to seed" `Slow
-      (check_s344_identical_to_seed Scan.Scan_sim.Scalar);
+      check_s344_identical_to_seed;
     Alcotest.test_case "s344 packed engine golden" `Slow
-      (check_s344_identical_to_seed Scan.Scan_sim.Packed);
+      check_s344_packed_golden;
     Alcotest.test_case "histogram percentiles" `Quick
       check_histogram_percentiles;
     Alcotest.test_case "histogram disabled dropped" `Quick
