@@ -148,36 +148,77 @@ type job_result = {
 
 type report = { results : job_result list; stats : Runner.stats }
 
+let job_id (point : point) =
+  Printf.sprintf "%s seed=%d" (Circuit.name point.circuit) point.params.seed
+
+(* A forced-abort injection legitimately changes the result (coverage
+   drops, vectors differ), so the job must bypass the shared cache: an
+   injected entry stored under the content address would outlive the
+   chaos run and poison clean sweeps. *)
+let abort_atpg (point : point) =
+  Runner.Fault_inject.(fires Atpg_abort ~key:(job_id point ^ "#atpg"))
+
+let atpg_config (point : point) =
+  if abort_atpg point then
+    Some { Atpg.Pattern_gen.default_config with backtrack_limit = 0 }
+  else None
+
+let prepare registry (point : point) =
+  let c = point.circuit and atpg_config = atpg_config point in
+  fst
+    (Registry.find_or_prepare registry
+       ~key:(Flow.prepare_key ?atpg_config c)
+       ~name:(Circuit.name c)
+       (fun () -> Flow.prepare ?atpg_config c))
+
 let job_of registry (point : point) =
-  let id =
-    Printf.sprintf "%s seed=%d" (Circuit.name point.circuit) point.params.seed
-  in
-  (* A forced-abort injection legitimately changes the result (coverage
-     drops, vectors differ), so the job must bypass the shared cache:
-     an injected entry stored under the content address would outlive
-     the chaos run and poison clean sweeps. *)
-  let abort_atpg =
-    Runner.Fault_inject.(fires Atpg_abort ~key:(id ^ "#atpg"))
-  in
-  let atpg_config =
-    if abort_atpg then
-      Some { Atpg.Pattern_gen.default_config with backtrack_limit = 0 }
-    else None
-  in
   {
-    Runner.id;
-    cache_key = (if abort_atpg then None else Some (cache_key point));
+    Runner.id = job_id point;
+    cache_key = (if abort_atpg point then None else Some (cache_key point));
     run =
       (fun ~attempt:_ ->
-        let c = point.circuit in
-        let prepared, _ =
-          Registry.find_or_prepare registry
-            ~key:(Flow.prepare_key ?atpg_config c)
-            ~name:(Circuit.name c)
-            (fun () -> Flow.prepare ?atpg_config c)
-        in
-        comparison_to_json (Flow.evaluate ~seed:point.params.seed prepared));
+        comparison_to_json
+          (Flow.evaluate ~seed:point.params.seed (prepare registry point)));
   }
+
+(* Forked attempts work on copies of [registry], so a circuit prepared
+   in one never reaches the next: before the pool forks, prepare in
+   [registry] each circuit (and ATPG configuration) that two or more
+   points will compute, so that they all inherit it. A circuit with one
+   such point keeps its preparation in its own worker, in parallel with
+   the others. Points whose result is cached compute nothing. A failed
+   preparation is left to the points' own attempts to report. *)
+let prepare_shared ?cache registry points =
+  let computes (point : point) =
+    match cache with
+    | Some c when not (abort_atpg point) ->
+      not (Sys.file_exists (Runner.Cache.entry_path c (cache_key point)))
+    | Some _ | None -> true
+  in
+  let keyed =
+    List.filter_map
+      (fun (point : point) ->
+        if computes point then
+          Some
+            ( Flow.prepare_key ?atpg_config:(atpg_config point) point.circuit,
+              point )
+        else None)
+      points
+  in
+  let count = Hashtbl.create 16 in
+  List.iter
+    (fun (key, _) ->
+      Hashtbl.replace count key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt count key)))
+    keyed;
+  (* in point order, so the batch prepares as it would run *)
+  List.iter
+    (fun (key, point) ->
+      if Hashtbl.find count key >= 2 then begin
+        Hashtbl.replace count key 0;
+        try ignore (prepare registry point) with _ -> ()
+      end)
+    keyed
 
 (* ETA from the pool's observed job-latency distribution: the p50 is
    robust to one straggler circuit, and dividing by the worker count
@@ -261,6 +302,7 @@ let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
       on_event;
     }
   in
+  if jobs > 1 then prepare_shared ?cache registry points;
   let results, stats = Runner.run ~config (List.map (job_of registry) points) in
   let results =
     List.map2

@@ -77,9 +77,14 @@ val run :
 
     Each point is prepared through [registry] under
     {!Flow.prepare_key}, so points sharing a circuit and ATPG
-    configuration run techmap + ATPG once; a forked attempt works on
+    configuration run techmap + ATPG once. A forked attempt works on
     its own copy of the registry, so its entries do not reach the
-    parent. Without [registry] the batch uses a fresh one of its own.
+    parent: with [jobs > 1], each circuit that two or more points will
+    compute (their results not in [cache]) is prepared in [registry]
+    before the pool forks, and their attempts inherit it, while a
+    circuit with one such point is prepared by that point's own attempt,
+    in parallel with the others. Without [registry] the batch uses a
+    fresh one of its own.
 
     With a [cache], each finished point is stored as it completes, so
     re-running a batch that was killed mid-run serves the finished

@@ -148,6 +148,64 @@ val eval_lanes : t -> int array -> unit
     INV and NAND/NOR with two to four pins (the mapped library's cells)
     run straight-line code keyed on a per-gate code precomputed by
     {!of_circuit}; every other gate runs a fold over its pins.
-    The one word evaluator: the scan kernel ([Sim.Packed_sim] packs 63
-    consecutive scan cycles per word) and fault simulation
-    ([Atpg.Fault_simulation] packs 63 test vectors per word). *)
+    The one word evaluator: fault simulation ([Atpg.Fault_simulation]
+    packs 63 test vectors per word) and the scan kernel's first frame
+    ([Sim.Packed_sim] packs 63 consecutive scan cycles per word). *)
+
+(** {1 Event-driven word evaluation}
+
+    A run of frames of words in which most nodes keep one value
+    evaluates only what each frame's changes can reach. Between frames
+    every non-source word that did not change holds the broadcast of
+    its node's value on all 63 lanes, so it is right for any later
+    frame, whatever that frame's lane count. The nodes to evaluate are
+    marked by {!eval_order} position, 32 positions to a bitmap word. A
+    word with few marks evaluates its marked nodes one by one and
+    marks the consumers of each node that changed; a word with many
+    evaluates all of its nodes in one run and, if any changed, marks
+    every consumer of its nodes; a frame whose sources changed in many
+    places marks every position at once. Evaluating a node whose inputs
+    did not change is harmless: it comes out as its broadcast. *)
+
+type events
+(** The state an event-driven run of frames carries from one frame to
+    the next, and what the last frame evaluated. *)
+
+val events : t -> events
+(** Before the first frame: that frame evaluates every node. *)
+
+val eval_events :
+  t -> int array -> base:int array -> count:int -> events -> unit
+(** [eval_events t words ~base ~count ev] steps one frame of [count]
+    lanes (1..63). The caller has written the source words, and
+    [base.(id)] (0 or 1) is each node's value in the previous frame's
+    final lane (0 for every node before the first frame).
+
+    The call extends each source word past lane [count - 1] with that
+    lane's value and lists the {!active} sources: those whose word, on
+    the frame's lanes, is not the broadcast of [base.(id)]. It then
+    evaluates, by the code of {!eval_lanes} and in {!eval_order}, the
+    non-source nodes that the active nodes can reach, following each
+    active node to its consumers, and lists the active ones; every
+    other non-source node holds the broadcast of its value on all 63
+    lanes. So on the frame's lanes every word is the one a full
+    {!eval_lanes} sweep gives, and only the listed nodes can have
+    toggled.
+
+    Between frames the caller leaves the non-source words alone and
+    sets [base] to each active node's final-lane value; the next frame
+    restores the active nodes that it does not evaluate to the
+    broadcast of that value. No heap allocation.
+    @raise Invalid_argument unless [1 <= count <= 63], or if [ev] or
+    [base] is not sized for [t]. *)
+
+val active : events -> int array
+(** The last frame's active nodes, entries [0 .. active_count ev - 1]:
+    the sources first, then the others in {!eval_order} (aliased). A
+    node is active when its word, on the frame's lanes, is not the
+    broadcast of [base.(id)]. *)
+
+val active_count : events -> int
+
+val evaluations : events -> int
+(** Node evaluations over all frames. *)

@@ -24,12 +24,14 @@ let status_fields = function
   | Unix.WSTOPPED s -> [ ("stopped", Json.Int s) ]
 
 (* The monitored child: reset inherited handlers (the parent's forward
-   SIGTERM to a pid that does not exist on this side of the fork), run
-   the daemon, flush every buffered sink, and _exit so the parent's
-   at_exit machinery never runs twice. *)
-let child_main config ~generation =
+   SIGTERM to a pid that does not exist on this side of the fork), then
+   unblock the signals the fork ran with blocked ([mask] is the mask
+   before), run the daemon, flush every buffered sink, and _exit so the
+   parent's at_exit machinery never runs twice. *)
+let child_main config ~generation ~mask =
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigint Sys.Signal_default;
+  ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
   let code =
     try
       let daemon_config = { config.daemon with Daemon.generation } in
@@ -69,10 +71,11 @@ let run ?(config = default_config) () =
           (!tokens +. ((now -. !last_refill) /. config.restart_refill_s));
     last_refill := now
   in
-  let stop = ref false in
+  (* the signal that asked us to stop, forwarded to the live child *)
+  let stop = ref None in
   let child_pid = ref None in
   let forward signal _ =
-    stop := true;
+    stop := Some signal;
     match !child_pid with
     | Some pid -> ( try Unix.kill pid signal with _ -> ())
     | None -> ()
@@ -90,12 +93,23 @@ let run ?(config = default_config) () =
     (fun () ->
       let generation = ref 0 in
       let finished = ref false in
-      while not !finished do
+      (* A signal that lands while no child is registered (after a
+         crash, or around [fork]) reaches no child: the loop starts no
+         generation after one, and a child forked meanwhile is sent
+         the signal once it is registered. *)
+      while not !finished && Option.is_none !stop do
         incr generation;
+        (* SIGTERM and SIGINT wait while the child is forked, so none
+           reaches a child that still runs our handlers *)
+        let mask = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ] in
         match Unix.fork () with
-        | 0 -> child_main config ~generation:!generation
+        | 0 -> child_main config ~generation:!generation ~mask
         | pid ->
           child_pid := Some pid;
+          ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
+          (match !stop with
+          | Some signal -> ( try Unix.kill pid signal with _ -> ())
+          | None -> ());
           log config
             (Json.Obj
                [
@@ -109,7 +123,7 @@ let run ?(config = default_config) () =
           | Unix.WEXITED 0 ->
             (* the daemon drained and exited on its own terms *)
             finished := true
-          | status when !stop ->
+          | status when Option.is_some !stop ->
             (* we asked it to die; however it went down, we are done *)
             log config
               (Json.Obj
@@ -141,4 +155,6 @@ let run ?(config = default_config) () =
             (* let the dead child's socket file settle; the next
                generation's bind path probes and replaces it *)
             Unix.sleepf 0.05)
-      done)
+      done;
+      if not !finished then
+        log config (Json.Obj [ ("event", Json.String "supervisor.stopped") ]))

@@ -158,6 +158,7 @@ type t = {
   diffs : int array; (* the last frame's non-zero node diffs *)
   counter : Lane_counter.t; (* per-lane toggles of the last frame *)
   lane_toggles : int array; (* [Compiled.lanes] *)
+  ev : Compiled.events; (* the event-driven frame *)
 }
 
 let create comp =
@@ -171,6 +172,7 @@ let create comp =
     diffs = Array.make n 0;
     counter = Lane_counter.create ~max:n;
     lane_toggles = Array.make Compiled.lanes 0;
+    ev = Compiled.events comp;
   }
 
 let words t = t.words
@@ -178,6 +180,9 @@ let lane_toggles t = t.lane_toggles
 let toggles t = t.toggles
 let total_toggles t = t.total
 let final_value t id = t.last.(id) <> 0
+let active t = Compiled.active t.ev
+let active_count t = Compiled.active_count t.ev
+let node_evals t = Compiled.evaluations t.ev
 
 (* set bits of a 63-bit native int (branch-free SWAR; the top byte
    holds the sum, at most 63) *)
@@ -189,16 +194,20 @@ let popcount x =
 
 let h_step = Telemetry.Histogram.make "sim.packed.step_s"
 
+(* A frame: {!Compiled.eval_events} evaluates what the active sources
+   reach and lists the active nodes; only they can toggle. *)
 let step_untimed t ~from ~count =
-  Compiled.eval_lanes t.comp t.words;
-  let words = t.words and last = t.last and toggles = t.toggles in
-  let diffs = t.diffs and n_diffs = ref 0 and total = ref t.total in
+  Compiled.eval_events t.comp t.words ~base:t.last ~count t.ev;
   (* the counted lanes [from .. count - 1] *)
   let m =
     ((if count = Compiled.lanes then -1 else (1 lsl count) - 1) lsr from)
     lsl from
   in
-  for id = 0 to Compiled.node_count t.comp - 1 do
+  let words = t.words and last = t.last and toggles = t.toggles in
+  let active = Compiled.active t.ev and diffs = t.diffs in
+  let n_diffs = ref 0 and total = ref t.total in
+  for i = 0 to Compiled.active_count t.ev - 1 do
+    let id = active.(i) in
     let x = words.(id) in
     (* lane 0 diffs against the previous frame's final lane *)
     let d = (x lxor ((x lsl 1) lor last.(id))) land m in

@@ -104,6 +104,42 @@ let check_chaos_sweep_bit_identical () =
   Alcotest.(check bool) "recovery counters nonzero" true
     (s.Runner.crashes + s.Runner.timeouts + s.Runner.retries > 0)
 
+(* A forked sweep prepares each circuit that several points share once,
+   in the parent's registry, before it forks: the three seeds of one
+   circuit find it there, the parent's registry holds one prepared
+   circuit built by one miss, no job's telemetry shows a preparation,
+   and the results are those of the in-process sweep. *)
+let rec has_span name = function
+  | Json.Obj fields ->
+    List.exists
+      (fun (k, v) -> (k = "name" && v = Json.String name) || has_span name v)
+      fields
+  | Json.List l -> List.exists (has_span name) l
+  | _ -> false
+
+let check_forked_sweep_prepares_once () =
+  let points = Sweep.points ~seeds:[ 1; 2; 3 ] [ small "once" 300 ] in
+  let registry = Scanpower.Registry.create () in
+  let forked = Sweep.run ~jobs:2 ~registry points in
+  let sequential = Sweep.run ~jobs:1 ~capture_telemetry:false points in
+  let st = Scanpower.Registry.stats registry in
+  Alcotest.(check (pair int int))
+    "parent registry: one entry, one miss" (1, 1)
+    (st.Scanpower.Registry.s_entries, st.Scanpower.Registry.s_misses);
+  List.iter2
+    (fun (a : Sweep.job_result) (b : Sweep.job_result) ->
+      (match a.Sweep.telemetry with
+      | Some t ->
+        Alcotest.(check bool)
+          (a.Sweep.circuit ^ ": no flow.prepare in the job") false
+          (has_span "flow.prepare" t)
+      | None -> ());
+      match (a.Sweep.comparison, b.Sweep.comparison) with
+      | Ok x, Ok y ->
+        Alcotest.(check int) "forked = in-process" 0 (compare x y)
+      | _ -> Alcotest.fail "expected two Ok results")
+    forked.Sweep.results sequential.Sweep.results
+
 (* ------------------------------------------------------------------ *)
 (* corrupt cache entries are quarantined and recomputed                *)
 (* ------------------------------------------------------------------ *)
@@ -545,6 +581,8 @@ let check_daemon_chaos_bit_identical () =
 
 let suite =
   [
+    Alcotest.test_case "forked sweep prepares a shared circuit once" `Quick
+      check_forked_sweep_prepares_once;
     Alcotest.test_case "chaos sweep bit-identical to clean" `Quick
       check_chaos_sweep_bit_identical;
     Alcotest.test_case "daemon under injection bit-identical to one-shot"

@@ -757,6 +757,190 @@ let check_validation_parity () =
       Scan.Scan_sim.measure ?init_state:None;
     ]
 
+(* ---------- event-driven frames ---------- *)
+
+(* Step [frames] through the packed simulator — each a lane count, a
+   first counted lane and a function from (source position, its value
+   in the previous frame's final lane) to the source's lane word — and
+   check every frame against a lane-by-lane scalar replay: every node's
+   word on the frame's lanes, the per-lane and per-node toggle counts,
+   the active list (exactly the nodes whose lanes are not all their
+   previous final value), and the broadcast word of every other
+   non-source node. *)
+let check_event_frames name c frames =
+  let comp = Compiled.of_circuit c in
+  let ps = Sim.Packed_sim.create comp in
+  let words = Sim.Packed_sim.words ps in
+  let sources = Circuit.sources c in
+  let n = Circuit.node_count c in
+  let prev = Array.make n false in
+  let expected = Array.make n 0 in
+  let scalar = Array.make n false in
+  List.iteri
+    (fun frame (count, from, source_word) ->
+      let tag = Printf.sprintf "%s frame %d" name frame in
+      Array.iteri
+        (fun pos id -> words.(id) <- source_word pos prev.(id))
+        sources;
+      let lanes = Array.map (fun id -> words.(id)) sources in
+      Sim.Packed_sim.step ps ~from ~count;
+      let expected_lanes = Array.make Compiled.lanes 0 in
+      let active = Array.make n false in
+      let start = Array.copy prev in
+      for l = 0 to count - 1 do
+        Array.iteri
+          (fun pos id -> scalar.(id) <- (lanes.(pos) lsr l) land 1 <> 0)
+          sources;
+        Array.iter
+          (fun id ->
+            if not (Compiled.is_source comp id) then
+              scalar.(id) <- Compiled.eval_bool comp scalar id)
+          (Circuit.topo_order c);
+        for i = 0 to n - 1 do
+          if (words.(i) lsr l) land 1 <> 0 <> scalar.(i) then
+            Alcotest.failf "%s: node %d lane %d" tag i l;
+          if scalar.(i) <> start.(i) then active.(i) <- true;
+          if scalar.(i) <> prev.(i) && l >= from then begin
+            expected.(i) <- expected.(i) + 1;
+            expected_lanes.(l) <- expected_lanes.(l) + 1
+          end
+        done;
+        Array.blit scalar 0 prev 0 n
+      done;
+      Alcotest.(check (array int))
+        (tag ^ " per-lane toggles")
+        expected_lanes
+        (Array.copy (Sim.Packed_sim.lane_toggles ps));
+      let listed = Array.make n false in
+      for i = 0 to Sim.Packed_sim.active_count ps - 1 do
+        listed.((Sim.Packed_sim.active ps).(i)) <- true
+      done;
+      Alcotest.(check (array bool)) (tag ^ " active nodes") active listed;
+      for i = 0 to n - 1 do
+        if (not active.(i)) && not (Compiled.is_source comp i) then
+          Alcotest.(check int)
+            (Printf.sprintf "%s: quiet node %d is a broadcast" tag i)
+            (if prev.(i) then -1 else 0)
+            words.(i)
+      done)
+    frames;
+  Alcotest.(check (array int))
+    (name ^ " per-node toggles") expected
+    (Array.copy (Sim.Packed_sim.toggles ps));
+  Alcotest.(check int)
+    (name ^ " total") (Array.fold_left ( + ) 0 expected)
+    (Sim.Packed_sim.total_toggles ps)
+
+(* Frames that the scan sessions produce and a few they do not: a frame
+   in which nothing changes; one whose sources change only on a late
+   lane (a capture lane), then a quiet frame, so the nodes active in one
+   frame are quiet in the next; a short frame followed by a full one and
+   a full one by a one-lane frame; one source toggling on every lane
+   (sparse) and every source random (dense). s344 has few bitmap words
+   of positions; the generated circuit has enough for dense and sparse
+   words in one frame. *)
+let check_event_driven_frames () =
+  let rng = Util.Rng.create 31 in
+  let word () =
+    Util.Rng.bits rng lor (Util.Rng.bits rng lsl 30) lor (Util.Rng.bits rng lsl 60)
+  in
+  let keep _ v = if v then -1 else 0 in
+  let random _ _ = word () in
+  (* source 0 flips from lane [l] on *)
+  let flip_from l pos v =
+    let w = keep pos v in
+    if pos = 0 then w lxor (-1 lsl l) else w
+  in
+  let one_toggling pos v = if pos = 1 then word () else keep pos v in
+  let frames =
+    [
+      (63, 1, random);
+      (63, 0, keep);
+      (63, 0, flip_from 40);
+      (63, 0, keep);
+      (5, 0, random);
+      (63, 0, random);
+      (1, 0, flip_from 0);
+      (17, 0, keep);
+      (63, 0, one_toggling);
+      (40, 0, one_toggling);
+      (63, 0, random);
+      (63, 2, random);
+    ]
+  in
+  check_event_frames "s344" (Lazy.force s344) frames;
+  check_event_frames "gen600"
+    (Circuits.generate
+       {
+         Circuits.name = "gen600";
+         n_pi = 8;
+         n_po = 6;
+         n_ff = 30;
+         n_gates = 600;
+         seed = 11;
+       })
+    frames
+
+(* Scan sessions whose frames exercise the event-driven edges, each
+   against the scan oracle: enhanced scan on 130 cells, where a
+   segment spans frames with no change at all; the all-forced policy
+   with 60 cells, where the first capture lands on a frame's last lane
+   so that frame changes only there; and a proposed structure with a
+   single unmuxed cell, whose shifting cone is the only activity
+   between captures. *)
+let check_event_driven_sessions () =
+  let generated n_ff =
+    Circuits.generate
+      {
+        Circuits.name = Printf.sprintf "event%d" n_ff;
+        n_pi = 4;
+        n_po = 2;
+        n_ff;
+        n_gates = 40 + n_ff;
+        seed = 300 + n_ff;
+      }
+  in
+  check_oracle_agrees_on "quiet frames" (generated 130)
+    ~policies:(fun _ _ -> [ ("enhanced", Scan.Scan_sim.enhanced_scan) ])
+    ~seed:1 ~n_vectors:3;
+  let capture_last c rng =
+    [
+      ( "all-forced",
+        {
+          Scan.Scan_sim.pi_during_shift =
+            Some (Array.make (Array.length (Circuit.inputs c)) false);
+          forced_pseudo =
+            Array.to_list (Circuit.dffs c)
+            |> List.map (fun id -> (id, Util.Rng.bool rng));
+          hold_previous_capture = false;
+        } );
+    ]
+  in
+  check_oracle_agrees_on "capture on the last lane" (generated 60)
+    ~policies:capture_last ~seed:2 ~n_vectors:2;
+  let one_unmuxed c rng =
+    let dffs = Circuit.dffs c in
+    let free = Util.Rng.int rng (Array.length dffs) in
+    [
+      ( "one unmuxed cell",
+        {
+          Scan.Scan_sim.pi_during_shift =
+            Some
+              (Array.init (Array.length (Circuit.inputs c)) (fun _ ->
+                   Util.Rng.bool rng));
+          forced_pseudo =
+            Array.to_list dffs
+            |> List.filteri (fun i _ -> i <> free)
+            |> List.map (fun id -> (id, Util.Rng.bool rng));
+          hold_previous_capture = false;
+        } );
+    ]
+  in
+  check_oracle_agrees_on "s344" (Lazy.force s344) ~policies:one_unmuxed
+    ~seed:3 ~n_vectors:9;
+  check_oracle_agrees_on "s1423" (Circuits.by_name "s1423")
+    ~policies:one_unmuxed ~seed:4 ~n_vectors:3
+
 (* Property: on random generated circuits (mapped by construction) the
    packed simulator agrees with the oracle for random vector sets,
    random policies and random chain partitions. *)
@@ -808,6 +992,9 @@ let suite =
       check_lane_counter_past_127;
     Alcotest.test_case "session packing at frame edges" `Quick
       check_session_packing;
+    Alcotest.test_case "event-driven frames" `Quick check_event_driven_frames;
+    Alcotest.test_case "event-driven sessions" `Quick
+      check_event_driven_sessions;
     QCheck_alcotest.to_alcotest prop_lane_counter;
     QCheck_alcotest.to_alcotest prop_eval_lanes_random_circuits;
     QCheck_alcotest.to_alcotest prop_oracle_agrees;

@@ -385,6 +385,118 @@ let check_supervisor_budget_exhausted () =
   | Unix.WEXITED n -> Alcotest.failf "expected exit 4, got exit %d" n
   | _ -> Alcotest.fail "supervisor must exit, not die of a signal"
 
+(* A SIGTERM that reaches the supervisor while it has no child — in
+   the pause after a crash, or around the next fork — must still stop
+   it: it starts no further generation, or signals the one it just
+   forked. Generation 1 kills itself on its first request; the test
+   sends SIGTERM as soon as the supervisor logs the restart, usually
+   inside that pause, and the supervisor and every child it forked must
+   be gone (the log pipe's last writer closed) within a bound. A
+   supervisor that forks generation 2 unsignalled waits on it forever. *)
+let check_supervisor_stops_after_crash () =
+  let r, w = Unix.pipe ~cloexec:false () in
+  let socket = sock_path () in
+  flush stdout;
+  flush stderr;
+  let pid = Unix.fork () in
+  if pid = 0 then begin
+    Unix.close r;
+    FI.set (Some { FI.seed = 1; rates = [ (FI.Worker_kill, 1.0) ] });
+    let log = Unix.out_channel_of_descr w in
+    let daemon = { D.default_config with D.socket; log = Some log } in
+    let code =
+      try
+        S.run
+          ~config:{ S.daemon; restart_budget = 5; restart_refill_s = 0.0 }
+          ();
+        0
+      with
+      | E.Error e -> E.exit_code e.E.code
+      | _ -> 4
+    in
+    (try flush log with _ -> ());
+    Unix._exit code
+  end;
+  Unix.close w;
+  (* the log's events, line by line, read with a deadline *)
+  let pending = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let events = Queue.create () and eof = ref false in
+  let read_until deadline =
+    let rec go () =
+      let left = deadline -. Unix.gettimeofday () in
+      if (not !eof) && Queue.is_empty events && left > 0.0 then begin
+        (match Unix.select [ r ] [] [] left with
+        | [], _, _ -> ()
+        | _ -> (
+          match Unix.read r chunk 0 (Bytes.length chunk) with
+          | 0 -> eof := true
+          | n ->
+            Buffer.add_subbytes pending chunk 0 n;
+            let lines = String.split_on_char '\n' (Buffer.contents pending) in
+            let rec split = function
+              | [ rest ] ->
+                Buffer.clear pending;
+                Buffer.add_string pending rest
+              | line :: more ->
+                (match Json.of_string line with
+                | Ok j -> Queue.add j events
+                | Error _ -> ());
+                split more
+              | [] -> ()
+            in
+            split lines));
+        go ()
+      end
+    in
+    go ()
+  in
+  let children = ref [] in
+  let next_event deadline =
+    read_until deadline;
+    match Queue.take_opt events with
+    | Some j ->
+      (match (Json.member "event" j, member_int j "pid") with
+      | Some (Json.String "supervisor.child_started"), Some child ->
+        children := child :: !children
+      | _ -> ());
+      Some j
+    | None -> None
+  in
+  let cleanup () =
+    List.iter (fun c -> try Unix.kill c Sys.sigkill with _ -> ()) !children;
+    kill_hard pid;
+    Unix.close r
+  in
+  Fun.protect ~finally:cleanup (fun () ->
+      (try
+         let client = C.connect ~retry_for_s:30.0 socket in
+         Fun.protect
+           ~finally:(fun () -> C.close client)
+           (fun () ->
+             ignore
+               (C.rpc client (P.make ~id:"boom" ~circuit:"s27" P.Validate)))
+       with _ -> ());
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      let rec await_restart () =
+        match next_event deadline with
+        | None -> Alcotest.fail "no supervisor.restart within 30 s"
+        | Some j ->
+          if Json.member "event" j <> Some (Json.String "supervisor.restart")
+          then await_restart ()
+      in
+      await_restart ();
+      Unix.kill pid Sys.sigterm;
+      let deadline = Unix.gettimeofday () +. 20.0 in
+      while (not !eof) && Unix.gettimeofday () < deadline do
+        ignore (next_event deadline)
+      done;
+      Alcotest.(check bool)
+        "supervisor tree gone within 20 s of SIGTERM" true !eof;
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "supervisor exited %d" n
+      | _ -> Alcotest.fail "supervisor must exit, not die of a signal")
+
 (* Under a kill rate of 1, only a request that names a circuit rolls
    the kill: [health] and [stats] are answered by generation 1 (their
    answers describe the daemon they ran on, so a kill there would
@@ -732,6 +844,8 @@ let suite =
       check_supervisor_restart_replay;
     Alcotest.test_case "restart budget exhausted exits 4" `Slow
       check_supervisor_budget_exhausted;
+    Alcotest.test_case "sigterm after a crash stops the supervisor" `Slow
+      check_supervisor_stops_after_crash;
     Alcotest.test_case "kill spares health and stats" `Slow
       check_kill_spares_health_and_stats;
     Alcotest.test_case "degraded mode sheds compute" `Slow check_degraded_mode;
