@@ -506,7 +506,6 @@ let debruijn =
    whole *)
 let dense = 12
 
-
 (* The active nodes of the last frame at the positions [r] of bitmap
    word [wi] back to the broadcast of their final lane, as the lanes
    above it already are. *)
