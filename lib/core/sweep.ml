@@ -183,12 +183,14 @@ let job_of registry (point : point) =
 
 (* Forked attempts work on copies of [registry], so a circuit prepared
    in one never reaches the next: before the pool forks, prepare in
-   [registry] each circuit (and ATPG configuration) that two or more
-   points will compute, so that they all inherit it. A circuit with one
-   such point keeps its preparation in its own worker, in parallel with
-   the others. Points whose result is cached compute nothing. A failed
+   [registry] each circuit (and ATPG configuration) that at least
+   [jobs] points will compute, so that they all inherit it. Preparing
+   it in every attempt would cost at least one preparation's wall time
+   per circuit on [jobs] workers anyway; a circuit with fewer such
+   points keeps its preparations in its workers, in parallel with the
+   others. Points whose result is cached compute nothing. A failed
    preparation is left to the points' own attempts to report. *)
-let prepare_shared ?cache registry points =
+let prepare_shared ?cache ~jobs registry points =
   let computes (point : point) =
     match cache with
     | Some c when not (abort_atpg point) ->
@@ -214,7 +216,7 @@ let prepare_shared ?cache registry points =
   (* in point order, so the batch prepares as it would run *)
   List.iter
     (fun (key, point) ->
-      if Hashtbl.find count key >= 2 then begin
+      if Hashtbl.find count key >= max 2 jobs then begin
         Hashtbl.replace count key 0;
         try ignore (prepare registry point) with _ -> ()
       end)
@@ -302,7 +304,7 @@ let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
       on_event;
     }
   in
-  if jobs > 1 then prepare_shared ?cache registry points;
+  if jobs > 1 then prepare_shared ?cache ~jobs registry points;
   let results, stats = Runner.run ~config (List.map (job_of registry) points) in
   let results =
     List.map2

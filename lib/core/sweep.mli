@@ -79,12 +79,12 @@ val run :
     {!Flow.prepare_key}, so points sharing a circuit and ATPG
     configuration run techmap + ATPG once. A forked attempt works on
     its own copy of the registry, so its entries do not reach the
-    parent: with [jobs > 1], each circuit that two or more points will
-    compute (their results not in [cache]) is prepared in [registry]
-    before the pool forks, and their attempts inherit it, while a
-    circuit with one such point is prepared by that point's own attempt,
-    in parallel with the others. Without [registry] the batch uses a
-    fresh one of its own.
+    parent: with [jobs > 1], each circuit that at least [jobs] points
+    will compute (their results not in [cache]) is prepared in
+    [registry] before the pool forks, and their attempts inherit it,
+    while a circuit with fewer such points is prepared by their own
+    attempts, in parallel with the others. Without [registry] the batch
+    uses a fresh one of its own.
 
     With a [cache], each finished point is stored as it completes, so
     re-running a batch that was killed mid-run serves the finished

@@ -423,7 +423,7 @@ let position_sets ~n_words ~n_sets ~bound =
 let events t =
   let n = t.n and eo = t.eval_order in
   let n_eval = Array.length eo in
-  let n_words = ((n_eval - 1) lsr 5) + 1 in
+  let n_words = (n_eval + 31) lsr 5 in
   let position = Array.make n (-1) in
   Array.iteri (fun k id -> position.(id) <- k) eo;
   let n_edges = Array.length t.fanout in
@@ -589,8 +589,11 @@ let sweep_sparse t (words : int array) base mask ev wi =
 let eval_events t (words : int array) ~base ~count ev =
   if count < 1 || count > lanes then
     invalid_arg "Compiled.eval_events: bad lane count";
-  if Array.length ev.active <> t.n || Array.length base <> t.n then
-    invalid_arg "Compiled.eval_events: events not sized for this circuit";
+  if
+    Array.length ev.active <> t.n
+    || Array.length ev.dirty <> (Array.length t.eval_order + 31) lsr 5
+    || Array.length base <> t.n
+  then invalid_arg "Compiled.eval_events: events not sized for this circuit";
   let dirty = ev.dirty and active = ev.active in
   let mask = if count = lanes then -1 else (1 lsl count) - 1 in
   if not ev.primed then begin
