@@ -443,12 +443,11 @@ let run_session st c chain policy ~vectors ~on_response =
          (List.init n_nodes Fun.id))
   in
   (* Leakage counting, per frame: a gate whose input state is the same
-     on every lane of the frame (steady) is one of its group's
+     on every lane of the frame (steady) adds one to its group's
      per-state [steady] count; only a gate whose state varies has its
      state masks buffered, and one bulk count per group and input state
-     gives how many such gates sit in that state at each lane. Each
-     lane's total is recomputed from scratch from the exact per-lane
-     integers. *)
+     gives how many such gates sit in that state at each lane. Each lane's
+     total is recomputed from scratch from the exact per-lane integers. *)
   let groups =
     let raw = ref [] in
     Array.iter
@@ -458,27 +457,28 @@ let run_session st c chain policy ~vectors ~on_response =
         | Some (_, gids) -> gids := id :: !gids
         | None -> raw := (tbl, ref [ id ]) :: !raw)
       leak_gates;
-    List.rev !raw
-    |> List.map (fun (tbl, gids) ->
-           let gs = List.rev !gids in
-           let arity = fanin_off.(List.hd gs + 1) - fanin_off.(List.hd gs) in
-           if arity < 1 || arity > 4 then
-             invalid_arg
-               (Printf.sprintf "Scan_sim: no leakage split for a %d-input gate"
-                  arity);
-           let n_gates = List.length gs in
-           {
-             tbl;
-             arity;
-             n_gates;
-             pins =
-               Array.concat
-                 (List.map (fun id -> Array.sub fanin fanin_off.(id) arity) gs);
-             counter = Lane_counter.create ~max:n_gates;
-             masks = Array.make ((Array.length tbl - 1) * n_gates) 0;
-             fill = Array.make (Array.length tbl - 1) 0;
-             steady = Array.make (Array.length tbl) 0;
-           })
+    List.rev_map
+      (fun (tbl, gids) ->
+        let gs = List.rev !gids in
+        let arity = fanin_off.(List.hd gs + 1) - fanin_off.(List.hd gs) in
+        if arity < 1 || arity > 4 then
+          invalid_arg
+            (Printf.sprintf "Scan_sim: no leakage split for a %d-input gate"
+               arity);
+        let n_gates = List.length gs in
+        {
+          tbl;
+          arity;
+          n_gates;
+          pins =
+            Array.concat
+              (List.map (fun id -> Array.sub fanin fanin_off.(id) arity) gs);
+          counter = Lane_counter.create ~max:n_gates;
+          masks = Array.make ((Array.length tbl - 1) * n_gates) 0;
+          fill = Array.make (Array.length tbl - 1) 0;
+          steady = Array.make (Array.length tbl) 0;
+        })
+      !raw
     |> Array.of_list
   in
   (* Sets of groups are bitmaps: group [gi] is bit [gi], and the groups
@@ -494,7 +494,6 @@ let run_session st c chain policy ~vectors ~on_response =
   (* the groups in which a gate varied in the last frame; the first
      frame splits every group *)
   let vary = ref every in
-  let n_leak = Array.length leak_gates in
   (* one state's per-lane counts, and per lane the varying gates counted
      in the states before the last *)
   let counts = Array.make Compiled.lanes 0 in
@@ -546,13 +545,9 @@ let run_session st c chain policy ~vectors ~on_response =
     let todo = ref !vary in
     vary := 0;
     let active = Sim.Packed_sim.active ps in
-    let n_active = Sim.Packed_sim.active_count ps in
-    (* when the active nodes are many they reach every group *)
-    if 4 * n_active > n_leak then todo := every
-    else
-      for i = 0 to n_active - 1 do
-        todo := !todo lor feeds.(active.(i))
-      done;
+    for i = 0 to Sim.Packed_sim.active_count ps - 1 do
+      todo := !todo lor feeds.(active.(i))
+    done;
     (* Until a group has a varying gate, every lane's total is the same
        sum: one scalar stands for all of them, with the same additions
        in the same order. *)
