@@ -149,8 +149,9 @@ val eval_lanes : t -> int array -> unit
     run straight-line code keyed on a per-gate code precomputed by
     {!of_circuit}; every other gate runs a fold over its pins.
     The one word evaluator: fault simulation ([Atpg.Fault_simulation]
-    packs 63 test vectors per word) and the scan kernel's first frame
-    ([Sim.Packed_sim] packs 63 consecutive scan cycles per word). *)
+    packs 63 test vectors per word) calls it, and {!eval_events} runs
+    the same code on the nodes a scan frame reaches ([Sim.Packed_sim]
+    packs 63 consecutive scan cycles per word). *)
 
 (** {1 Event-driven word evaluation}
 

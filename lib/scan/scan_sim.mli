@@ -35,7 +35,10 @@
     counted once, in that state; only gates whose state varies within
     the frame have their per-state lane masks buffered and bulk-counted
     (per leakage table and input state, how many gates sit in that
-    state at each lane). *)
+    state at each lane). Frames are event-driven: a frame evaluates and
+    diffs only what its changed sources reach, and a leakage table's
+    gates keep last frame's counts when none of their inputs changed
+    and none of them varied the frame before. *)
 
 open Netlist
 
