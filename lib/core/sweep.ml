@@ -216,7 +216,7 @@ let prepare_shared ?cache ~jobs registry points =
   (* in point order, so the batch prepares as it would run *)
   List.iter
     (fun (key, point) ->
-      if Hashtbl.find count key >= max 2 jobs then begin
+      if Hashtbl.find count key >= jobs then begin
         Hashtbl.replace count key 0;
         try ignore (prepare registry point) with _ -> ()
       end)
