@@ -496,11 +496,13 @@ let popcount32 x =
   let x = (x + (x lsr 4)) land 0x0F0F0F0F in
   ((x * 0x01010101) lsr 24) land 63
 
-(* [debruijn.(((b * 0x077CB531) land 0xFFFFFFFF) lsr 27)] is the
-   index of the one set bit of the 32-bit word [b] *)
+(* the index of the one set bit of the 32-bit word [b], by a de Bruijn
+   multiply *)
 let debruijn =
   [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let[@inline] bit_index b = debruijn.(((b * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
 (* a bitmap word with at least this many marked positions is swept
    whole *)
@@ -514,9 +516,7 @@ let[@inline] restore t (words : int array) wi r =
   while !r <> 0 do
     let b = !r land - !r in
     r := !r lxor b;
-    let id =
-      t.eval_order.((wi lsl 5) + debruijn.(((b * 0x077CB531) land 0xFFFFFFFF) lsr 27))
-    in
+    let id = t.eval_order.((wi lsl 5) + bit_index b) in
     words.(id) <- words.(id) asr (lanes - 1)
   done
 
@@ -572,7 +572,7 @@ let sweep_sparse t (words : int array) base mask ev wi =
     let d = dirty.(wi) in
     let b = d land -d in
     dirty.(wi) <- d lxor b;
-    let k = lo + debruijn.(((b * 0x077CB531) land 0xFFFFFFFF) lsr 27) in
+    let k = lo + bit_index b in
     let id = eo.(k) in
     let x = word t words id t.eval_code.(k) in
     words.(id) <- x;

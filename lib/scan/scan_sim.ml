@@ -485,11 +485,14 @@ let run_session st c chain policy ~vectors ~on_response =
      past the 62nd, were there any (there is one table per library
      cell), share bit 62. *)
   let bit gi = 1 lsl min gi 62 in
-  let every = Array.fold_left ( lor ) 0 (Array.mapi (fun gi _ -> bit gi) groups) in
+  let every =
+    Array.fold_left ( lor ) 0 (Array.mapi (fun gi _ -> bit gi) groups)
+  in
   (* per node: the groups of the gates it feeds *)
   let feeds = Array.make n_nodes 0 in
   Array.iteri
-    (fun gi g -> Array.iter (fun id -> feeds.(id) <- feeds.(id) lor bit gi) g.pins)
+    (fun gi g ->
+      Array.iter (fun id -> feeds.(id) <- feeds.(id) lor bit gi) g.pins)
     groups;
   (* the groups in which a gate varied in the last frame; the first
      frame splits every group *)
@@ -613,7 +616,8 @@ let run_session st c chain policy ~vectors ~on_response =
           let coef = g.tbl.(last) in
           for i = 0 to !n_reps - 1 do
             let l = reps.(i) in
-            na_lane.(l) <- na_lane.(l) +. (float_of_int (n0 - counted.(l)) *. coef)
+            na_lane.(l) <-
+              na_lane.(l) +. (float_of_int (n0 - counted.(l)) *. coef)
           done
         end
         else add_steady g.tbl last n0

@@ -101,7 +101,9 @@ let run ?(config = default_config) () =
         incr generation;
         (* SIGTERM and SIGINT wait while the child is forked, so none
            reaches a child that still runs our handlers *)
-        let mask = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ] in
+        let mask =
+          Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]
+        in
         match Unix.fork () with
         | 0 -> child_main config ~generation:!generation ~mask
         | pid ->

@@ -842,7 +842,9 @@ let check_event_frames name c frames =
 let check_event_driven_frames () =
   let rng = Util.Rng.create 31 in
   let word () =
-    Util.Rng.bits rng lor (Util.Rng.bits rng lsl 30) lor (Util.Rng.bits rng lsl 60)
+    Util.Rng.bits rng
+    lor (Util.Rng.bits rng lsl 30)
+    lor (Util.Rng.bits rng lsl 60)
   in
   let keep _ v = if v then -1 else 0 in
   let random _ _ = word () in
