@@ -548,9 +548,13 @@ let run_session st c chain policy ~vectors ~on_response =
     let todo = ref !vary in
     vary := 0;
     let active = Sim.Packed_sim.active ps in
-    for i = 0 to Sim.Packed_sim.active_count ps - 1 do
-      todo := !todo lor feeds.(active.(i))
-    done;
+    let n_active = Sim.Packed_sim.active_count ps in
+    (* a frame with that many active nodes reaches every group *)
+    if 4 * n_active > Array.length leak_gates then todo := every
+    else
+      for i = 0 to n_active - 1 do
+        todo := !todo lor feeds.(active.(i))
+      done;
     (* Until a group has a varying gate, every lane's total is the same
        sum: one scalar stands for all of them, with the same additions
        in the same order. *)
