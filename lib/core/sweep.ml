@@ -189,8 +189,10 @@ let job_of registry (point : point) =
    per circuit on [jobs] workers anyway; a circuit with fewer such
    points keeps its preparations in its workers, in parallel with the
    others. Points whose result is cached compute nothing. A failed
-   preparation is left to the points' own attempts to report. *)
-let prepare_shared ?cache ~jobs registry points =
+   preparation is left to the points' own attempts to report. Each
+   preparation starts only while [stop ()] is false, and emits a
+   [sweep.prepare_started] progress event. *)
+let prepare_shared ?cache ~jobs ~stop registry points =
   let computes (point : point) =
     match cache with
     | Some c when not (abort_atpg point) ->
@@ -215,10 +217,17 @@ let prepare_shared ?cache ~jobs registry points =
     keyed;
   (* in point order, so the batch prepares as it would run *)
   List.iter
-    (fun (key, point) ->
-      if Hashtbl.find count key >= jobs then begin
+    (fun (key, (point : point)) ->
+      let n = Hashtbl.find count key in
+      if n >= jobs && not (stop ()) then begin
         Hashtbl.replace count key 0;
-        try ignore (prepare registry point) with _ -> ()
+        if Telemetry.Events.has_subscribers () then
+          Telemetry.Events.emit "sweep.prepare_started"
+            [
+              ("circuit", Json.String (Circuit.name point.circuit));
+              ("points", Json.Int n);
+            ];
+        try ignore (prepare registry point) with Errors.Error _ -> ()
       end)
     keyed
 
@@ -304,8 +313,12 @@ let run ?(jobs = 1) ?(timeout_s = 0.0) ?(retries = 1) ?(backoff_s = 0.0)
       on_event;
     }
   in
-  if jobs > 1 then prepare_shared ?cache ~jobs registry points;
-  let results, stats = Runner.run ~config (List.map (job_of registry) points) in
+  let setup ~stop =
+    if jobs > 1 then prepare_shared ?cache ~jobs ~stop registry points
+  in
+  let results, stats =
+    Runner.run ~config ~setup (List.map (job_of registry) points)
+  in
   let results =
     List.map2
       (fun (point : point) (r : Runner.result) ->

@@ -83,8 +83,13 @@ val run :
     will compute (their results not in [cache]) is prepared in
     [registry] before the pool forks, and their attempts inherit it,
     while a circuit with fewer such points is prepared by their own
-    attempts, in parallel with the others. Without [registry] the batch
-    uses a fresh one of its own.
+    attempts, in parallel with the others. These shared preparations
+    run in the calling process under the batch's signal handling and
+    deadline (a signal or the deadline stops them before the next
+    circuit and fails every point unfinished), not under [timeout_s]
+    or crash isolation; each emits a [sweep.prepare_started] progress
+    event ([circuit], [points]). Without [registry] the batch uses a
+    fresh one of its own.
 
     With a [cache], each finished point is stored as it completes, so
     re-running a batch that was killed mid-run serves the finished

@@ -359,15 +359,12 @@ let[@inline] word t (words : int array) id code =
       lor words.(fa.(lo + 3)))
   | _ -> eval_lanes_generic t words id
 
-(* [eval_order] positions [lo .. hi - 1] *)
-let eval_range t (words : int array) lo hi =
+let eval_lanes t (words : int array) =
   let eo = t.eval_order and code = t.eval_code in
-  for k = lo to hi - 1 do
+  for k = 0 to Array.length eo - 1 do
     let id = eo.(k) in
     words.(id) <- word t words id code.(k)
   done
-
-let eval_lanes t words = eval_range t words 0 (Array.length t.eval_order)
 
 (* Event-driven frames mark [eval_order] positions in a bitmap of 32
    positions per word: position [p] is bit [p land 31] of word
@@ -379,10 +376,6 @@ type events = {
   wake_pairs : int array;
       (* per node, CSR: its consumers' positions, as pairs [word lsl 32
          lor bits] *)
-  union_off : int array;
-  union_pairs : int array;
-      (* per bitmap word: its nodes' consumers' positions in later
-         words *)
   dirty : int array; (* the positions to evaluate *)
   was : int array; (* the positions active in the last frame *)
   active : int array; (* the last frame's active nodes, sources first *)
@@ -391,73 +384,40 @@ type events = {
   mutable primed : bool; (* a frame has been stepped *)
 }
 
-(* Sets of positions as CSR lists of (word, bits) pairs, each packed as
-   [word lsl 32 lor bits]: [add p] puts position [p] in the set being
-   built and [close ()] ends it. At most [bound] pairs in all. *)
-let position_sets ~n_words ~n_sets ~bound =
-  let bits = Array.make n_words 0 and touched = Array.make n_words 0 in
-  let n_touched = ref 0 in
-  let off = Array.make (n_sets + 1) 0 and pairs = Array.make bound 0 in
-  let n_pairs = ref 0 and set = ref 0 in
-  let add p =
-    let w = p lsr 5 in
-    if bits.(w) = 0 then begin
-      touched.(!n_touched) <- w;
-      incr n_touched
-    end;
-    bits.(w) <- bits.(w) lor (1 lsl (p land 31))
-  in
-  let close () =
-    for j = 0 to !n_touched - 1 do
-      let w = touched.(j) in
-      pairs.(!n_pairs) <- (w lsl 32) lor bits.(w);
-      incr n_pairs;
-      bits.(w) <- 0
-    done;
-    n_touched := 0;
-    incr set;
-    off.(!set) <- !n_pairs
-  in
-  (add, close, fun () -> (off, Array.sub pairs 0 !n_pairs))
-
 let events t =
   let n = t.n and eo = t.eval_order in
   let n_eval = Array.length eo in
   let n_words = (n_eval + 31) lsr 5 in
   let position = Array.make n (-1) in
   Array.iteri (fun k id -> position.(id) <- k) eo;
-  let n_edges = Array.length t.fanout in
-  (* per node: its consumers' positions (a flip-flop has none) *)
-  let add, close, finish = position_sets ~n_words ~n_sets:n ~bound:n_edges in
+  (* per node: its consumers' positions (a flip-flop has none), one
+     pair per bitmap word they touch *)
+  let bits = Array.make n_words 0 and touched = Array.make n_words 0 in
+  let wake_off = Array.make (n + 1) 0 in
+  let wake_pairs = Array.make (Array.length t.fanout) 0 in
+  let n_pairs = ref 0 in
   for id = 0 to n - 1 do
+    let n_touched = ref 0 in
     for j = t.fanout_off.(id) to t.fanout_off.(id + 1) - 1 do
       let p = position.(t.fanout.(j)) in
-      if p >= 0 then add p
+      if p >= 0 then begin
+        let w = p lsr 5 in
+        if bits.(w) = 0 then begin
+          touched.(!n_touched) <- w;
+          incr n_touched
+        end;
+        bits.(w) <- bits.(w) lor (1 lsl (p land 31))
+      end
     done;
-    close ()
-  done;
-  let wake_off, wake_pairs = finish () in
-  (* per bitmap word: its nodes' consumers' positions in later words *)
-  let add, close, finish =
-    position_sets ~n_words ~n_sets:n_words ~bound:n_edges
-  in
-  for wi = 0 to n_words - 1 do
-    for k = wi lsl 5 to min n_eval ((wi + 1) lsl 5) - 1 do
-      let id = eo.(k) in
-      for j = t.fanout_off.(id) to t.fanout_off.(id + 1) - 1 do
-        let p = position.(t.fanout.(j)) in
-        if p >= 0 && p lsr 5 > wi then add p
-      done
+    for j = 0 to !n_touched - 1 do
+      let w = touched.(j) in
+      wake_pairs.(!n_pairs) <- (w lsl 32) lor bits.(w);
+      incr n_pairs;
+      bits.(w) <- 0
     done;
-    close ()
+    wake_off.(id + 1) <- !n_pairs
   done;
-  let union_off, union_pairs = finish () in
-  (* the first frame evaluates every node *)
-  let dirty = Array.make n_words 0xFFFFFFFF in
-  if n_eval land 31 <> 0 then
-    dirty.(n_words - 1) <- (1 lsl (n_eval land 31)) - 1;
-  let n_sources = n - n_eval in
-  let sources = Array.make n_sources 0 and at = ref 0 in
+  let sources = Array.make (n - n_eval) 0 and at = ref 0 in
   for id = 0 to n - 1 do
     if position.(id) < 0 then begin
       sources.(!at) <- id;
@@ -468,9 +428,7 @@ let events t =
     sources;
     wake_off;
     wake_pairs;
-    union_off;
-    union_pairs;
-    dirty;
+    dirty = Array.make n_words 0;
     was = Array.make n_words 0;
     active = Array.make n 0;
     n_active = 0;
@@ -482,20 +440,6 @@ let active ev = ev.active
 let active_count ev = ev.n_active
 let evaluations ev = ev.evals
 
-let[@inline] add_marks dirty off pairs i =
-  for j = off.(i) to off.(i + 1) - 1 do
-    let p = pairs.(j) in
-    let w = p lsr 32 in
-    dirty.(w) <- dirty.(w) lor (p land 0xFFFFFFFF)
-  done
-
-(* set bits of a 32-bit word *)
-let popcount32 x =
-  let x = x - ((x lsr 1) land 0x55555555) in
-  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
-  ((x * 0x01010101) lsr 24) land 63
-
 (* the index of the one set bit of the 32-bit word [b], by a de Bruijn
    multiply *)
 let debruijn =
@@ -504,9 +448,14 @@ let debruijn =
 
 let[@inline] bit_index b = debruijn.(((b * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
-(* a bitmap word with at least this many marked positions is swept
-   whole *)
-let dense = 12
+(* mark the consumers of node [id] *)
+let[@inline] wake ev id =
+  let dirty = ev.dirty and pairs = ev.wake_pairs in
+  for j = ev.wake_off.(id) to ev.wake_off.(id + 1) - 1 do
+    let p = pairs.(j) in
+    let w = p lsr 32 in
+    dirty.(w) <- dirty.(w) lor (p land 0xFFFFFFFF)
+  done
 
 (* The active nodes of the last frame at the positions [r] of bitmap
    word [wi] back to the broadcast of their final lane, as the lanes
@@ -524,46 +473,30 @@ let[@inline] restore t (words : int array) wi r =
    from [b]: none when [x] is the broadcast of [b] there *)
 let[@inline] lane_changes x b mask = (x lxor ((x lsl 1) lor b)) land mask
 
-(* Append the active nodes of positions [lo .. hi - 1] to [ev.active];
-   returns them as bits from [lo]. *)
-let list_active t (words : int array) base mask ev lo hi =
-  let eo = t.eval_order and active = ev.active in
-  let n = ref ev.n_active and was = ref 0 in
-  for k = lo to hi - 1 do
+(* Evaluate every node and list the active ones. *)
+let sweep_all t (words : int array) base mask ev =
+  let eo = t.eval_order and active = ev.active and was = ev.was in
+  eval_lanes t words;
+  ev.evals <- ev.evals + Array.length eo;
+  Array.fill was 0 (Array.length was) 0;
+  let n = ref ev.n_active in
+  for k = 0 to Array.length eo - 1 do
     let id = eo.(k) in
     let a = Bool.to_int (lane_changes words.(id) base.(id) mask <> 0) in
     (* branch-free: the slot past the list takes every node, and only
        an active one is kept *)
     active.(!n) <- id;
     n := !n + a;
-    was := !was lor (a lsl (k - lo))
+    was.(k lsr 5) <- was.(k lsr 5) lor (a lsl (k land 31))
   done;
-  ev.n_active <- !n;
-  !was
+  ev.n_active <- !n
 
-(* Evaluate every position of the dense bitmap words [w0 .. w1 - 1] in
-   order (an unmarked node comes out unchanged), list their active
-   nodes, and, when [wake], for each word with any, mark every later
-   consumer of its nodes: a superset of the active ones' consumers. *)
-let sweep_dense t (words : int array) base mask ev ~wake w0 w1 =
-  let n_eval = Array.length t.eval_order in
-  eval_range t words (w0 lsl 5) (min n_eval (w1 lsl 5));
-  for wi = w0 to w1 - 1 do
-    let lo = wi lsl 5 in
-    let hi = min n_eval (lo + 32) in
-    let was = list_active t words base mask ev lo hi in
-    ev.evals <- ev.evals + (hi - lo);
-    if wake && was <> 0 then add_marks ev.dirty ev.union_off ev.union_pairs wi;
-    ev.was.(wi) <- was;
-    ev.dirty.(wi) <- 0
-  done
-
-(* Evaluate the marked positions of bitmap word [wi], a sparse one:
-   first restore its nodes that were active in the last frame, then take
-   its lowest marked position each time and mark the consumers of each
-   active node, so the marks its nodes make on later positions of the
-   word are seen. *)
-let sweep_sparse t (words : int array) base mask ev wi =
+(* Evaluate the marked positions of bitmap word [wi]: first restore its
+   nodes that were active in the last frame, then take its lowest
+   marked position each time and mark the consumers of each active
+   node, so the marks its nodes make on later positions of the word are
+   seen. *)
+let sweep_marked t (words : int array) base mask ev wi =
   let eo = t.eval_order and dirty = ev.dirty and active = ev.active in
   let lo = wi lsl 5 and n = ref ev.n_active in
   restore t words wi ev.was.(wi);
@@ -581,7 +514,7 @@ let sweep_sparse t (words : int array) base mask ev wi =
       active.(!n) <- id;
       incr n;
       ev.was.(wi) <- ev.was.(wi) lor b;
-      add_marks dirty ev.wake_off ev.wake_pairs id
+      wake ev id
     end
   done;
   ev.n_active <- !n
@@ -594,15 +527,8 @@ let eval_events t (words : int array) ~base ~count ev =
     || Array.length ev.dirty <> (Array.length t.eval_order + 31) lsr 5
     || Array.length base <> t.n
   then invalid_arg "Compiled.eval_events: events not sized for this circuit";
-  let dirty = ev.dirty and active = ev.active in
+  let active = ev.active and was = ev.was in
   let mask = if count = lanes then -1 else (1 lsl count) - 1 in
-  if not ev.primed then begin
-    for k = 0 to Array.length t.eval_order - 1 do
-      let id = t.eval_order.(k) in
-      words.(id) <- -base.(id)
-    done;
-    ev.primed <- true
-  end;
   (* each source's lanes from [count] up take its final lane, so every
      word evaluated from them does too *)
   let n = ref 0 and sources = ev.sources in
@@ -617,37 +543,25 @@ let eval_events t (words : int array) ~base ~count ev =
     end
   done;
   ev.n_active <- !n;
-  (* A word is swept whole when [dense] of its positions are marked. A
-     frame whose sources changed in many places marks every position:
-     the marks would fill most words anyway. Positions only ever mark
-     later positions, so the words go in order, and a word's nodes that
-     were active in the last frame are restored before any later word
-     reads them. *)
-  let n_words = Array.length dirty and wi = ref 0 in
-  let all = 8 * !n > Array.length sources in
-  if all then Array.fill dirty 0 n_words 0xFFFFFFFF
-  else
+  (* The first frame, and a frame whose sources changed in many places,
+     evaluates every node in one run: its marks would reach most of
+     them, and one by one a node costs two to three times as much. *)
+  if (not ev.primed) || 8 * !n > Array.length sources then begin
+    sweep_all t words base mask ev;
+    ev.primed <- true
+  end
+  else begin
     for i = 0 to !n - 1 do
-      add_marks dirty ev.wake_off ev.wake_pairs active.(i)
+      wake ev active.(i)
     done;
-  while !wi < n_words do
-    let w0 = !wi in
-    let d = dirty.(w0) in
-    if popcount32 d >= dense then begin
-      let w1 = ref (w0 + 1) in
-      while !w1 < n_words && popcount32 dirty.(!w1) >= dense do
-        incr w1
-      done;
-      (* with every position marked, no marks are left to make *)
-      sweep_dense t words base mask ev ~wake:(not all) w0 !w1;
-      wi := !w1
-    end
-    else begin
-      if d <> 0 then sweep_sparse t words base mask ev w0
-      else if ev.was.(w0) <> 0 then begin
-        restore t words w0 ev.was.(w0);
-        ev.was.(w0) <- 0
-      end;
-      wi := w0 + 1
-    end
-  done
+    (* Positions only mark later positions, so the words go in order,
+       and a word's nodes that were active in the last frame are
+       restored before any later word reads them. *)
+    for wi = 0 to Array.length was - 1 do
+      if ev.dirty.(wi) <> 0 then sweep_marked t words base mask ev wi
+      else if was.(wi) <> 0 then begin
+        restore t words wi was.(wi);
+        was.(wi) <- 0
+      end
+    done
+  end

@@ -280,7 +280,7 @@ let cache_blob value telemetry =
       ("telemetry", match telemetry with Some t -> t | None -> Json.Null);
     ]
 
-let run ?(config = default_config) job_list =
+let run ?(config = default_config) ?(setup = fun ~stop:_ -> ()) job_list =
   let cfg = config in
   let jobs = Array.of_list job_list in
   let n = Array.length jobs in
@@ -625,8 +625,11 @@ let run ?(config = default_config) job_list =
 
   Fun.protect ~finally:restore_signals (fun () ->
       if pending_empty () then ()
-      else if cfg.jobs <= 1 || not Sys.unix then sequential ()
-      else forked ());
+      else begin
+        setup ~stop:(fun () ->
+            !interrupted || Unix.gettimeofday () > batch_deadline);
+        if cfg.jobs <= 1 || not Sys.unix then sequential () else forked ()
+      end);
 
   let stats = freeze acc in
   mirror_to_telemetry stats;

@@ -147,8 +147,22 @@ val retry_delay_s :
     and [attempt]; 0 when [base_s <= 0]. {!run} passes [backoff_s] and
     a 30 s cap; the daemon client paces its reconnects with it too. *)
 
-val run : ?config:config -> job list -> result list * stats
+val run :
+  ?config:config ->
+  ?setup:(stop:(unit -> bool) -> unit) ->
+  job list ->
+  result list * stats
 (** Run every job; results come back in submission order regardless of
     completion order. Never raises for a job-level failure — those are
     [Failed] outcomes; [run] itself only raises on pool-level misuse
-    (and then reaps every live worker first). *)
+    (and then reaps every live worker first).
+
+    [setup], when some job is not answered from the cache, runs in the
+    calling process before the first attempt, so forked attempts
+    inherit what it builds. It runs under the batch's signal handling
+    and deadline but outside any attempt: no timeout or crash
+    isolation. [stop ()] turns true once SIGINT/SIGTERM has arrived
+    (with [handle_signals]) or the batch deadline has passed; [setup]
+    should check it between steps and return, and the batch then fails
+    every unfinished job as usual. An exception from [setup] propagates
+    out of [run]. *)

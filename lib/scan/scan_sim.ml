@@ -232,10 +232,7 @@ type leak_group = {
    all-1 over the frame's lanes [cm] is steady: it adds one to
    [steady.(s)]. A varying gate buffers each non-empty state mask but
    the last state's in that state's slots of the group's [masks]. Each
-   split returns its group's number of varying gates. In a frame with
-   [few] changes (every pin changes on two lanes at most) the 3- and
-   4-pin splits build a varying gate's masks from its runs of lanes
-   ({!add_runs}).
+   split returns its group's number of varying gates.
 
    The library has four widths (INV and NAND/NOR2-4), so each has its
    own straight-line split with the pin words in locals: without
@@ -254,44 +251,6 @@ let[@inline] add_state g s m =
   let f = g.fill.(s) in
   g.masks.((s * g.n_gates) + f) <- m;
   g.fill.(s) <- f + Bool.to_int (m <> 0)
-
-(* The lanes within [cm] where the lane word [v] differs from the lane
-   before, lane 0 left out. *)
-let[@inline] changes v cm = (v lxor (v lsl 1)) land cm land lnot 1
-
-(* the input state at lane bit [x] of a gate with pins [a] .. [d] *)
-let[@inline] state_at3 a b c x =
-  Bool.to_int (a land x <> 0)
-  lor (Bool.to_int (b land x <> 0) lsl 1)
-  lor (Bool.to_int (c land x <> 0) lsl 2)
-
-let[@inline] state_at4 a b c d x =
-  state_at3 a b c x lor (Bool.to_int (d land x <> 0) lsl 3)
-
-(* A varying gate whose pins change on one or two lanes of the frame
-   (the bits [b1] and [b2], [b2] = 0 for one) holds one input state on
-   each run of lanes between them ([s0], [s1], [s2]): its state masks
-   are those runs, the first and the third merged when their states
-   are the same. The masks are the ones the pin-pair products give,
-   from a few operations rather than one per input state. *)
-let[@inline] add_runs g cm ~b1 ~b2 s0 s1 s2 =
-  let last = Array.length g.tbl - 1 in
-  let m0 = b1 - 1 in
-  if b2 = 0 then begin
-    if s0 <> last then add_state g s0 m0;
-    if s1 <> last then add_state g s1 (cm land lnot m0)
-  end
-  else begin
-    let m2 = cm land lnot (b2 - 1) in
-    if s0 = s2 then begin
-      if s0 <> last then add_state g s0 (m0 lor m2)
-    end
-    else begin
-      if s0 <> last then add_state g s0 m0;
-      if s2 <> last then add_state g s2 m2
-    end;
-    if s1 <> last then add_state g s1 ((b2 - 1) land lnot m0)
-  end
 
 let split_1 g words cm steady =
   let pins = g.pins and n_varying = ref 0 in
@@ -327,7 +286,7 @@ let split_2 g words cm steady =
   done;
   !n_varying
 
-let split_3 g words cm steady ~few =
+let split_3 g words cm steady =
   let pins = g.pins and n_varying = ref 0 in
   for k = 0 to g.n_gates - 1 do
     let p = 3 * k in
@@ -340,31 +299,22 @@ let split_3 g words cm steady ~few =
     end
     else begin
       incr n_varying;
-      if few then begin
-        let ch = changes a cm lor changes b cm lor changes c cm in
-        let r = ch land (ch - 1) in
-        let b1 = ch land -ch and b2 = r land -r in
-        add_runs g cm ~b1 ~b2 (state_at3 a b c 1) (state_at3 a b c b1)
-          (state_at3 a b c b2)
-      end
-      else begin
-        (* pin-pair masks of pins 0 and 1, by their state *)
-        let na = cm lxor a and nb = cm lxor b and nc = cm lxor c in
-        let q0 = na land nb and q1 = a land nb and q2 = na land b in
-        let q3 = a land b in
-        add_state g 0 (q0 land nc);
-        add_state g 1 (q1 land nc);
-        add_state g 2 (q2 land nc);
-        add_state g 3 (q3 land nc);
-        add_state g 4 (q0 land c);
-        add_state g 5 (q1 land c);
-        add_state g 6 (q2 land c)
-      end
+      (* pin-pair masks of pins 0 and 1, by their state *)
+      let na = cm lxor a and nb = cm lxor b and nc = cm lxor c in
+      let q0 = na land nb and q1 = a land nb and q2 = na land b in
+      let q3 = a land b in
+      add_state g 0 (q0 land nc);
+      add_state g 1 (q1 land nc);
+      add_state g 2 (q2 land nc);
+      add_state g 3 (q3 land nc);
+      add_state g 4 (q0 land c);
+      add_state g 5 (q1 land c);
+      add_state g 6 (q2 land c)
     end
   done;
   !n_varying
 
-let split_4 g words cm steady ~few =
+let split_4 g words cm steady =
   let pins = g.pins and n_varying = ref 0 in
   for k = 0 to g.n_gates - 1 do
     let p = 4 * k in
@@ -384,40 +334,29 @@ let split_4 g words cm steady ~few =
     end
     else begin
       incr n_varying;
-      if few then begin
-        let ch =
-          changes a cm lor changes b cm lor changes c cm lor changes d cm
-        in
-        let r = ch land (ch - 1) in
-        let b1 = ch land -ch and b2 = r land -r in
-        add_runs g cm ~b1 ~b2 (state_at4 a b c d 1) (state_at4 a b c d b1)
-          (state_at4 a b c d b2)
-      end
-      else begin
-        (* pin-pair masks of pins 0, 1 ([q]) and pins 2, 3 ([r]), by
-           their state; state [s] is [q (s land 3) land r (s lsr 2)] *)
-        let na = cm lxor a and nb = cm lxor b in
-        let nc = cm lxor c and nd = cm lxor d in
-        let q0 = na land nb and q1 = a land nb and q2 = na land b in
-        let q3 = a land b in
-        let r0 = nc land nd and r1 = c land nd and r2 = nc land d in
-        let r3 = c land d in
-        add_state g 0 (q0 land r0);
-        add_state g 1 (q1 land r0);
-        add_state g 2 (q2 land r0);
-        add_state g 3 (q3 land r0);
-        add_state g 4 (q0 land r1);
-        add_state g 5 (q1 land r1);
-        add_state g 6 (q2 land r1);
-        add_state g 7 (q3 land r1);
-        add_state g 8 (q0 land r2);
-        add_state g 9 (q1 land r2);
-        add_state g 10 (q2 land r2);
-        add_state g 11 (q3 land r2);
-        add_state g 12 (q0 land r3);
-        add_state g 13 (q1 land r3);
-        add_state g 14 (q2 land r3)
-      end
+      (* pin-pair masks of pins 0, 1 ([q]) and pins 2, 3 ([r]), by
+         their state; state [s] is [q (s land 3) land r (s lsr 2)] *)
+      let na = cm lxor a and nb = cm lxor b in
+      let nc = cm lxor c and nd = cm lxor d in
+      let q0 = na land nb and q1 = a land nb and q2 = na land b in
+      let q3 = a land b in
+      let r0 = nc land nd and r1 = c land nd and r2 = nc land d in
+      let r3 = c land d in
+      add_state g 0 (q0 land r0);
+      add_state g 1 (q1 land r0);
+      add_state g 2 (q2 land r0);
+      add_state g 3 (q3 land r0);
+      add_state g 4 (q0 land r1);
+      add_state g 5 (q1 land r1);
+      add_state g 6 (q2 land r1);
+      add_state g 7 (q3 land r1);
+      add_state g 8 (q0 land r2);
+      add_state g 9 (q1 land r2);
+      add_state g 10 (q2 land r2);
+      add_state g 11 (q3 land r2);
+      add_state g 12 (q0 land r3);
+      add_state g 13 (q1 land r3);
+      add_state g 14 (q2 land r3)
     end
   done;
   !n_varying
@@ -502,17 +441,11 @@ let run_session st c chain policy ~vectors ~on_response =
   let counts = Array.make Compiled.lanes 0 in
   let counted = Array.make Compiled.lanes 0 in
   let na_lane = Array.make Compiled.lanes 0.0 in
-  (* The frame's first lane and each lane whose sources differ from the
-     lane before: every other lane repeats its predecessor's states and
-     leakage, so the per-lane sums are taken on [reps] only, in the same
-     order, and copied along. *)
-  let reps = Array.make Compiled.lanes 0 and n_reps = ref 0 in
-  (* [n] gates in state [s] of [tbl] on each lane of [reps] *)
-  let add_steady tbl s n =
+  (* [n] gates in state [s] of [tbl] on each of the first [count] lanes *)
+  let add_steady ~count tbl s n =
     if n > 0 then begin
       let x = float_of_int n *. tbl.(s) in
-      for i = 0 to !n_reps - 1 do
-        let l = reps.(i) in
+      for l = 0 to count - 1 do
         na_lane.(l) <- na_lane.(l) +. x
       done
     end
@@ -525,24 +458,7 @@ let run_session st c chain policy ~vectors ~on_response =
   let account ~count ~shift ~cap =
     (* the frame's lanes; the lanes above them are never read *)
     let cm = mask_bits 0 (count - 1) in
-    let starts = ref 1 in
-    for i = 0 to Array.length pi_ids - 1 do
-      let w = words.(pi_ids.(i)) in
-      starts := !starts lor (w lxor (w lsl 1))
-    done;
-    for j = 0 to n_ff - 1 do
-      let w = words.(ff_by_pos.(j)) in
-      starts := !starts lor (w lxor (w lsl 1))
-    done;
-    n_reps := 0;
-    for l = 0 to count - 1 do
-      if (!starts lsr l) land 1 <> 0 then begin
-        reps.(!n_reps) <- l;
-        incr n_reps
-      end
-    done;
-    (* every gate's pins change on two lanes at most *)
-    let few = !n_reps <= 3 in
+    Array.fill na_lane 0 count 0.0;
     (* the groups to split: those in which a gate varied in the last
        frame, and those with an active pin *)
     let todo = ref !vary in
@@ -555,10 +471,6 @@ let run_session st c chain policy ~vectors ~on_response =
       for i = 0 to n_active - 1 do
         todo := !todo lor feeds.(active.(i))
       done;
-    (* Until a group has a varying gate, every lane's total is the same
-       sum: one scalar stands for all of them, with the same additions
-       in the same order. *)
-    let uniform = ref 0.0 and per_lane = ref false in
     for gi = 0 to Array.length groups - 1 do
       let g = groups.(gi) in
       let n_states = Array.length g.tbl in
@@ -573,70 +485,43 @@ let run_session st c chain policy ~vectors ~on_response =
             match g.arity with
             | 1 -> split_1 g words cm steady
             | 2 -> split_2 g words cm steady
-            | 3 -> split_3 g words cm steady ~few
-            | _ -> split_4 g words cm steady ~few
+            | 3 -> split_3 g words cm steady
+            | _ -> split_4 g words cm steady
           in
           if nv > 0 then vary := !vary lor bit gi;
           nv
         end
       in
-      if n_varying > 0 && not !per_lane then begin
-        let u = !uniform in
-        for i = 0 to !n_reps - 1 do
-          na_lane.(reps.(i)) <- u
-        done;
-        per_lane := true
-      end;
-      if not !per_lane then
-        for s = 0 to last do
-          let n = steady.(s) in
-          if n > 0 then uniform := !uniform +. (float_of_int n *. g.tbl.(s))
-        done
-      else begin
-        (* the same per-lane integer and the same (group, state, lane)
-           summation order whichever way a gate was counted *)
-        if n_varying > 0 then Array.fill counted 0 count 0;
-        for s = 0 to last - 1 do
-          let coef = g.tbl.(s) and n0 = steady.(s) in
-          let f = g.fill.(s) in
-          if f > 0 then begin
-            Lane_counter.count g.counter g.masks ~off:(s * g.n_gates) ~len:f
-              counts;
-            g.fill.(s) <- 0;
-            for i = 0 to !n_reps - 1 do
-              let l = reps.(i) in
-              let v = counts.(l) in
-              counted.(l) <- counted.(l) + v;
-              (* adding 0.0 for no gates leaves the sum as it is:
-                 branch-free *)
-              na_lane.(l) <- na_lane.(l) +. (float_of_int (n0 + v) *. coef)
-            done
-          end
-          else add_steady g.tbl s n0
-        done;
-        (* the last state holds every varying gate the others did not *)
-        let n0 = steady.(last) + n_varying in
-        if n_varying > 0 then begin
-          let coef = g.tbl.(last) in
-          for i = 0 to !n_reps - 1 do
-            let l = reps.(i) in
-            na_lane.(l) <-
-              na_lane.(l) +. (float_of_int (n0 - counted.(l)) *. coef)
+      (* the same per-lane integer and the same (group, state, lane)
+         summation order whichever way a gate was counted *)
+      if n_varying > 0 then Array.fill counted 0 count 0;
+      for s = 0 to last - 1 do
+        let coef = g.tbl.(s) and n0 = steady.(s) in
+        let f = g.fill.(s) in
+        if f > 0 then begin
+          Lane_counter.count g.counter g.masks ~off:(s * g.n_gates) ~len:f
+            counts;
+          g.fill.(s) <- 0;
+          for l = 0 to count - 1 do
+            let v = counts.(l) in
+            counted.(l) <- counted.(l) + v;
+            (* adding 0.0 for no gates leaves the sum as it is:
+               branch-free *)
+            na_lane.(l) <- na_lane.(l) +. (float_of_int (n0 + v) *. coef)
           done
         end
-        else add_steady g.tbl last n0
-      end
-    done;
-    if not !per_lane then begin
-      let u = !uniform in
-      for l = 0 to count - 1 do
-        na_lane.(l) <- u
-      done
-    end
-    else
-      for l = 1 to count - 1 do
-        if (!starts lsr l) land 1 = 0 then na_lane.(l) <- na_lane.(l - 1)
+        else add_steady ~count g.tbl s n0
       done;
+      (* the last state holds every varying gate the others did not *)
+      let n0 = steady.(last) + n_varying in
+      if n_varying > 0 then begin
+        let coef = g.tbl.(last) in
+        for l = 0 to count - 1 do
+          na_lane.(l) <- na_lane.(l) +. (float_of_int (n0 - counted.(l)) *. coef)
+        done
+      end
+      else add_steady ~count g.tbl last n0
+    done;
     let counted_lanes = shift lor cap in
     for l = 0 to count - 1 do
       if (counted_lanes lsr l) land 1 = 0 then

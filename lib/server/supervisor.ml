@@ -105,6 +105,9 @@ let run ?(config = default_config) () =
           Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]
         in
         match Unix.fork () with
+        | exception e ->
+          ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
+          raise e
         | 0 -> child_main config ~generation:!generation ~mask
         | pid ->
           child_pid := Some pid;

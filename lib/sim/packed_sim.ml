@@ -26,10 +26,6 @@ module Lane_counter = struct
         done;
         !r)
 
-  (* lane [i]'s count from its 7-bit fields in [lo] and [hi] *)
-  let[@inline] field lo hi i =
-    ((lo lsr (7 * i)) land 127) lor (((hi lsr (7 * i)) land 127) lsl 7)
-
   (* the planes' per-lane counts of [len] masks into [out] *)
   let read t ~len out =
     let planes = t.planes in
@@ -40,12 +36,10 @@ module Lane_counter = struct
       incr n
     done;
     let n = !n in
-    let any = ref 0 and any_hi = ref 0 in
+    let any = ref 0 in
     for b = 0 to n - 1 do
-      any := !any lor planes.(b);
-      if b >= 7 then any_hi := !any_hi lor planes.(b)
+      any := !any lor planes.(b)
     done;
-    let any_hi = !any_hi in
     (* the bytes of lanes up to the highest set one: a short frame
        costs only its own lanes *)
     let bytes = ref 0 in
@@ -53,34 +47,27 @@ module Lane_counter = struct
       incr bytes
     done;
     (* planes 0-6, eight lanes at a time: the sum of their spread bytes,
-       each shifted by its plane, holds eight lanes' 7-bit counts; planes
-       7-13 (counts of 128 or more) the same way, as the counts' next 7
-       bits *)
+       each shifted by its plane, holds eight lanes' 7-bit counts *)
     for j = 0 to !bytes - 1 do
       let sh = 8 * j in
       let acc = ref 0 in
       for b = 0 to min n 7 - 1 do
         acc := !acc + (spread.((planes.(b) lsr sh) land 255) lsl b)
       done;
-      let hi = ref 0 in
-      if any_hi <> 0 then
-        for b = 7 to min n 14 - 1 do
-          hi := !hi + (spread.((planes.(b) lsr sh) land 255) lsl (b - 7))
-        done;
-      let acc = !acc and hi = !hi in
-      out.(sh) <- field acc hi 0;
-      out.(sh + 1) <- field acc hi 1;
-      out.(sh + 2) <- field acc hi 2;
-      out.(sh + 3) <- field acc hi 3;
-      out.(sh + 4) <- field acc hi 4;
-      out.(sh + 5) <- field acc hi 5;
-      out.(sh + 6) <- field acc hi 6;
-      if sh + 7 < Compiled.lanes then out.(sh + 7) <- field acc hi 7
+      let acc = !acc in
+      out.(sh) <- acc land 127;
+      out.(sh + 1) <- (acc lsr 7) land 127;
+      out.(sh + 2) <- (acc lsr 14) land 127;
+      out.(sh + 3) <- (acc lsr 21) land 127;
+      out.(sh + 4) <- (acc lsr 28) land 127;
+      out.(sh + 5) <- (acc lsr 35) land 127;
+      out.(sh + 6) <- (acc lsr 42) land 127;
+      if sh + 7 < Compiled.lanes then out.(sh + 7) <- (acc lsr 49) land 127
     done;
     let above = min Compiled.lanes (8 * !bytes) in
     Array.fill out above (Compiled.lanes - above) 0;
-    (* planes 14 and up (counts of 16384 or more), lane by lane *)
-    for b = 14 to n - 1 do
+    (* planes 7 and up (counts of 128 or more), lane by lane *)
+    for b = 7 to n - 1 do
       let p = ref planes.(b) and l = ref 0 in
       while !p <> 0 do
         out.(!l) <- out.(!l) lor ((!p land 1) lsl b);

@@ -49,10 +49,9 @@ module Lane_counter : sig
       and -4 planes in locals, and only each block's weight-8 carry
       ripples into the planes; the last [len mod 8] masks take a half
       adder per weight. The planes are then read out: the low seven
-      eight lanes at a time through a byte table, the next seven (counts
-      of 128 or more) the same way when any is non-zero, the ones above
-      lane by lane, and only up to the highest lane with a non-zero
-      count. No allocation.
+      eight lanes at a time through a byte table, the ones above (counts
+      of 128 or more) lane by lane, and only up to the highest lane
+      with a non-zero count. No allocation.
       @raise Invalid_argument if [len > max], if the slice is not inside
       [masks], or if [out] is shorter than {!Netlist.Compiled.lanes}. *)
 end

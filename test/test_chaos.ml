@@ -349,6 +349,78 @@ let check_sigint_partial_report () =
   Alcotest.(check int) "everything unfinished is Interrupted" 3
     (List.length cut)
 
+(* SIGINT while a forked sweep prepares its shared circuits, sent when
+   the first preparation starts: no later circuit is prepared, no job
+   runs, and every point comes back interrupted. A handler of the
+   test's own catches the signal should it arrive outside the batch's
+   handling. *)
+let check_sigint_during_shared_prepare () =
+  let points =
+    Sweep.points ~seeds:[ 1; 2 ] [ small "prep-a" 301; small "prep-b" 302 ]
+  in
+  let registry = Scanpower.Registry.create () in
+  let leaked = ref false and started = ref [] in
+  let saved =
+    Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> leaked := true))
+  in
+  let sub =
+    Telemetry.Events.subscribe (fun ev ->
+        if ev.Telemetry.Events.name = "sweep.prepare_started" then begin
+          started := ev :: !started;
+          Unix.kill (Unix.getpid ()) Sys.sigint
+        end)
+  in
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.Events.unsubscribe sub;
+        Sys.set_signal Sys.sigint saved)
+      (fun () -> Sweep.run ~jobs:2 ~handle_signals:true ~registry points)
+  in
+  Alcotest.(check bool) "caught by the batch" false !leaked;
+  Alcotest.(check int) "one preparation started" 1 (List.length !started);
+  Alcotest.(check bool) "interrupted" true report.Sweep.stats.Runner.interrupted;
+  Alcotest.(check int)
+    "one circuit prepared" 1
+    (Scanpower.Registry.stats registry).Scanpower.Registry.s_entries;
+  List.iter
+    (fun (r : Sweep.job_result) ->
+      match r.Sweep.comparison with
+      | Error msg ->
+        Alcotest.(check string)
+          (r.Sweep.circuit ^ ": interrupted")
+          (Runner.failure_to_string Runner.Interrupted)
+          msg
+      | Ok _ -> Alcotest.fail "no point may run after the interrupt")
+    report.Sweep.results
+
+(* The batch deadline covers [setup]: a setup that outlives it sees
+   [stop ()] turn true, and every job fails Deadline_exceeded. *)
+let check_deadline_covers_setup () =
+  let job i =
+    { Runner.id = Printf.sprintf "j%d" i; cache_key = None;
+      run = (fun ~attempt:_ -> Json.Int i) }
+  in
+  let stopped = ref false in
+  let setup ~stop =
+    let t_end = Unix.gettimeofday () +. 5.0 in
+    while (not (stop ())) && Unix.gettimeofday () < t_end do
+      Unix.sleepf 0.01
+    done;
+    stopped := stop ()
+  in
+  let cfg =
+    { Runner.default_config with jobs = 2; retries = 0; deadline_s = 0.1 }
+  in
+  let results, _ = Runner.run ~config:cfg ~setup (List.init 3 job) in
+  Alcotest.(check bool) "stop () turned true" true !stopped;
+  List.iter
+    (fun r ->
+      match r.Runner.outcome with
+      | Runner.Failed { last = Runner.Deadline_exceeded; _ } -> ()
+      | _ -> Alcotest.fail "every job must fail with Deadline_exceeded")
+    results
+
 (* ------------------------------------------------------------------ *)
 (* SIGKILL, then re-run: the cache serves every finished point         *)
 (* ------------------------------------------------------------------ *)
@@ -598,6 +670,10 @@ let suite =
       check_deadline_partial;
     Alcotest.test_case "sigint reaps and reports partial" `Quick
       check_sigint_partial_report;
+    Alcotest.test_case "sigint during shared preparation" `Quick
+      check_sigint_during_shared_prepare;
+    Alcotest.test_case "deadline covers setup" `Quick
+      check_deadline_covers_setup;
     Alcotest.test_case "sigkill then re-run recomputes only the rest" `Quick
       check_kill_and_rerun;
     Alcotest.test_case "forced atpg abort degrades gracefully" `Quick

@@ -234,7 +234,9 @@ let prop_lane_counter =
 
 (* Past 127 on every lane, through blocks and a tail, at a non-zero
    offset: 300 all-lanes masks count 300, and one more lane-0 mask
-   makes lane 0 count 301. *)
+   makes lane 0 count 301. Then past 16383 on some lanes (plane 14 and
+   up): 20000 masks of lanes 0-9, lane 61 in the first 16383 of them
+   and lane 62 in the first 16384, and five more lane-0 masks. *)
 let check_lane_counter_past_127 () =
   let module Lc = Sim.Packed_sim.Lane_counter in
   let lanes = Compiled.lanes in
@@ -244,6 +246,25 @@ let check_lane_counter_past_127 () =
   Lc.count ctr buf ~off:3 ~len:301 got;
   Alcotest.(check (array int))
     "counts" (Array.init lanes (fun l -> if l = 0 then 301 else 300)) got;
+  let big =
+    Array.init 20005 (fun i ->
+        if i >= 20000 then 1
+        else
+          0x3FF
+          lor (Bool.to_int (i < 16383) lsl 61)
+          lor (Bool.to_int (i < 16384) lsl 62))
+  in
+  Lc.count (Lc.create ~max:20005) big ~off:0 ~len:20005 got;
+  Alcotest.(check (array int))
+    "counts past 16383"
+    (Array.init lanes (fun l ->
+         match l with
+         | 0 -> 20005
+         | 61 -> 16383
+         | 62 -> 16384
+         | l when l < 10 -> 20000
+         | _ -> 0))
+    got;
   Alcotest.check_raises "out shorter than lanes"
     (Invalid_argument
        "Packed_sim.Lane_counter.count: array shorter than lanes") (fun () ->
@@ -836,9 +857,9 @@ let check_event_frames name c frames =
    lane (a capture lane), then a quiet frame, so the nodes active in one
    frame are quiet in the next; a short frame followed by a full one and
    a full one by a one-lane frame; one source toggling on every lane
-   (sparse) and every source random (dense). s344 has few bitmap words
-   of positions; the generated circuit has enough for dense and sparse
-   words in one frame. *)
+   (node-by-node marking) and every source random (the whole-frame
+   sweep). s344 has few bitmap words of positions; the generated circuit
+   has many, marked and unmarked in one frame. *)
 let check_event_driven_frames () =
   let rng = Util.Rng.create 31 in
   let word () =
