@@ -160,13 +160,12 @@ val eval_lanes : t -> int array -> unit
     every non-source word that did not change holds the broadcast of
     its node's value on all 63 lanes, so it is right for any later
     frame, whatever that frame's lane count. The nodes to evaluate are
-    marked by {!eval_order} position, 32 positions to a bitmap word. A
-    word with few marks evaluates its marked nodes one by one and
-    marks the consumers of each node that changed; a word with many
-    evaluates all of its nodes in one run and, if any changed, marks
-    every consumer of its nodes; a frame whose sources changed in many
-    places marks every position at once. Evaluating a node whose inputs
-    did not change is harmless: it comes out as its broadcast. *)
+    marked by {!eval_order} position, 32 positions to a bitmap word,
+    and evaluated one by one in that order; each node that changed
+    marks its consumers. The first frame, and a frame in which more
+    than an eighth of the sources changed, evaluates every node in one
+    run of {!eval_lanes}' code instead: a node whose inputs did not
+    change comes out as its broadcast. *)
 
 type events
 (** The state an event-driven run of frames carries from one frame to

@@ -465,12 +465,9 @@ let run_session st c chain policy ~vectors ~on_response =
     vary := 0;
     let active = Sim.Packed_sim.active ps in
     let n_active = Sim.Packed_sim.active_count ps in
-    (* a frame with that many active nodes reaches every group *)
-    if 4 * n_active > Array.length leak_gates then todo := every
-    else
-      for i = 0 to n_active - 1 do
-        todo := !todo lor feeds.(active.(i))
-      done;
+    for i = 0 to n_active - 1 do
+      todo := !todo lor feeds.(active.(i))
+    done;
     for gi = 0 to Array.length groups - 1 do
       let g = groups.(gi) in
       let n_states = Array.length g.tbl in
