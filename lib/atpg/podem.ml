@@ -8,6 +8,8 @@ let m_decisions = Telemetry.Counter.make "atpg.podem.decisions"
 let m_backtracks = Telemetry.Counter.make "atpg.podem.backtracks"
 let m_aborted = Telemetry.Counter.make "atpg.podem.aborted"
 let m_refuted = Telemetry.Counter.make "atpg.podem.refuted"
+let m_evals = Telemetry.Counter.make "atpg.podem.evals"
+let m_iteration_aborts = Telemetry.Counter.make "atpg.podem.iteration_aborts"
 
 type result =
   | Test of Logic.t array
@@ -87,9 +89,52 @@ let controlling =
       | Some Logic.One -> 1
       | Some Logic.X | None -> -1)
 
+(* The code of gate [op] for the fanin codes [v 0 .. v (n-1)], folded
+   pin by pin in fanin order: the reference every table is built from. *)
+let fold_codes op n v =
+  let acc = ref fold_seed.(op) in
+  for k = 0 to n - 1 do
+    acc := fold_tbl.(fold_base.(op) + (5 * !acc) + v k)
+  done;
+  if inverting.(op) then not_tbl.(!acc) else !acc
+
+(* Whole-gate tables, one per logic opcode and arity 1..[max_table_arity]
+   that the gate kind allows: [gate_tbl.(table_base.(5*op + n) + i)] is
+   the code of an [n]-input gate whose fanin codes are the base-5 digits
+   of [i], fanin 0 most significant. [table_base] is -1 where there is
+   no table, which includes every source opcode. *)
+let max_table_arity = 4
+
+let rec pow5 n = if n = 0 then 1 else 5 * pow5 (n - 1)
+
+let table_base, gate_tbl =
+  let base = Array.make (5 * n_opcodes) (-1) and tables = ref [] and size = ref 0 in
+  for op = Compiled.op_output to n_opcodes - 1 do
+    let kind = Compiled.kind_of_opcode op in
+    let widest = Option.value (Gate.max_fanin kind) ~default:max_table_arity in
+    for n = Int.max 1 (Gate.min_fanin kind) to Int.min widest max_table_arity do
+      base.((5 * op) + n) <- !size;
+      tables :=
+        Array.init (pow5 n) (fun i ->
+            fold_codes op n (fun k -> i / pow5 (n - 1 - k) mod 5))
+        :: !tables;
+      size := !size + pow5 n
+    done
+  done;
+  (base, Array.concat (List.rev !tables))
+
+(* Offset of the table of an [n]-input gate [op], or -1. *)
+let table_of op n = if n > max_table_arity then -1 else table_base.((5 * op) + n)
+
+let gate_table kind vs =
+  let t = table_of (Compiled.opcode_of_kind kind) (Array.length vs) in
+  if t < 0 then None
+  else Some five_of_code.(gate_tbl.(t + Array.fold_left (fun i v -> (5 * i) + code_of_five v) 0 vs))
+
 type t = {
   screen : Implication.t;
   opcode : int array;
+  table : int array; (* node id -> offset of its gate table, or -1 *)
   fanin_off : int array;
   fanin : int array;
   fanout_off : int array;
@@ -139,6 +184,7 @@ type t = {
   mutable iterations : int;
   mutable backtracks : int;
   mutable aborted : bool;
+  mutable evals : int; (* node evaluations during implication *)
 }
 
 let make ?guide c =
@@ -162,10 +208,15 @@ let make ?guide c =
     bucket_off.(l + 1) <- bucket_off.(l) + population.(l)
   done;
   let n_sources = Array.length sources in
+  let opcode = Compiled.opcode cc and fanin_off = Compiled.fanin_off cc in
+  let table =
+    Array.init n (fun id -> table_of opcode.(id) (fanin_off.(id + 1) - fanin_off.(id)))
+  in
   {
     screen = Implication.make cc;
-    opcode = Compiled.opcode cc;
-    fanin_off = Compiled.fanin_off cc;
+    opcode;
+    table;
+    fanin_off;
     fanin = Compiled.fanin cc;
     fanout_off = Compiled.fanout_off cc;
     fanout = Compiled.fanout cc;
@@ -202,6 +253,7 @@ let make ?guide c =
     iterations = 0;
     backtracks = 0;
     aborted = false;
+    evals = 0;
   }
 
 (* Record a value change. Implication only ever refines: every table
@@ -209,7 +261,7 @@ let make ?guide c =
    state implied from a subset of the current assignments before a
    source is set again, so a change is always X -> known. The check
    keeps the trail within its [n] slots if that ever stops holding. *)
-let set e id v =
+let[@inline] set e id v =
   if e.values.(id) <> vx then invalid_arg "Podem.set: overwrites a known value";
   e.values.(id) <- v;
   e.trail.(e.trail_len) <- id;
@@ -242,6 +294,7 @@ let reset e fault =
   e.iterations <- 0;
   e.backtracks <- 0;
   e.aborted <- false;
+  e.evals <- 0;
   e.stuck <- (if fault.Fault.stuck then 1 else 0);
   match fault.Fault.site with
   | Fault.Output_line id ->
@@ -255,11 +308,20 @@ let reset e fault =
     e.pin_gate <- gid;
     e.act_node <- e.fanin.(e.pin_edge)
 
-(* Value of one node under the armed fault. Allocates nothing. *)
-let eval_node e id =
+(* Value of one node under the armed fault. Allocates nothing. A gate
+   with a table is one lookup; the faulted gate, whose stuck pin is
+   injected on the way in, and wider gates fold pin by pin. *)
+let[@inline] eval_node e id =
   let op = e.opcode.(id) in
   let v =
     if op <= Compiled.op_dff then e.assigned.(e.source_pos.(id))
+    else if e.table.(id) >= 0 && id <> e.pin_gate then begin
+      let i = ref 0 in
+      for k = e.fanin_off.(id) to e.fanin_off.(id + 1) - 1 do
+        i := (5 * !i) + e.values.(e.fanin.(k))
+      done;
+      gate_tbl.(e.table.(id) + !i)
+    end
     else begin
       let base = fold_base.(op) in
       let stuck5 = 5 * e.stuck in
@@ -274,10 +336,14 @@ let eval_node e id =
   in
   if id = e.out_site then inject_tbl.((5 * e.stuck) + v) else v
 
-let schedule_fanouts e id =
+(* Queue the logic-gate fanouts of [id] that are still X. A known node
+   is settled: implication only turns X into known (see [set]), so
+   evaluating it again could only return the code it holds. *)
+let[@inline] schedule_fanouts e id =
   for k = e.fanout_off.(id) to e.fanout_off.(id + 1) - 1 do
     let succ = e.fanout.(k) in
-    if (not e.pending.(succ)) && e.opcode.(succ) > Compiled.op_dff then begin
+    if e.values.(succ) = vx && (not e.pending.(succ)) && e.opcode.(succ) > Compiled.op_dff
+    then begin
       e.pending.(succ) <- true;
       let l = e.levels.(succ) in
       e.bucket.(e.bucket_off.(l) + e.bucket_len.(l)) <- succ;
@@ -292,6 +358,7 @@ let schedule_fanouts e id =
    drains. *)
 let imply_from e source =
   let v = eval_node e source in
+  e.evals <- e.evals + 1;
   if v <> e.values.(source) then begin
     set e source v;
     schedule_fanouts e source;
@@ -300,6 +367,7 @@ let imply_from e source =
       let off = e.bucket_off.(!l) and len = e.bucket_len.(!l) in
       e.bucket_len.(!l) <- 0;
       e.queued <- e.queued - len;
+      e.evals <- e.evals + len;
       for i = off to off + len - 1 do
         let id = e.bucket.(i) in
         e.pending.(id) <- false;
@@ -463,6 +531,7 @@ let iteration_limit = 400
 let rec explore e ~backtrack_limit =
   e.iterations <- e.iterations + 1;
   if e.iterations > iteration_limit then begin
+    Telemetry.Counter.inc m_iteration_aborts;
     e.aborted <- true;
     false
   end
@@ -495,8 +564,9 @@ let logic_of_code = [| Logic.Zero; Logic.One; Logic.X |]
 
 let search ?(backtrack_limit = 100) e fault =
   reset e fault;
-  if explore e ~backtrack_limit then
-    Test (Array.map (fun v -> logic_of_code.(v)) e.assigned)
+  let found = explore e ~backtrack_limit in
+  Telemetry.Counter.add m_evals e.evals;
+  if found then Test (Array.map (fun v -> logic_of_code.(v)) e.assigned)
   else if e.aborted then begin
     Telemetry.Counter.inc m_aborted;
     Aborted

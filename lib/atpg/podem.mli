@@ -15,9 +15,20 @@
     trail. The search then runs without allocating until it returns.
     Detection is a count of observable D-carrying nodes, and the
     D-frontier comes from the fanouts of the D-carrying nodes.
-    Five-valued gate evaluation folds 5x5 tables built from
-    {!Netlist.Logic.Five}, so the search sees exactly the D-algebra of
-    that module.
+    Implication queues a fanout only while it is X: a known node is
+    settled, since implication never changes a known value. A gate of
+    one to four inputs is evaluated by one lookup in a five-valued
+    table for its opcode and arity ({!gate_table}); the faulted gate
+    and wider gates fold 5x5 tables pin by pin. Every table is built
+    from {!Netlist.Logic.Five} in fanin order, so the search sees
+    exactly the D-algebra of that module.
+
+    Telemetry counters, each named [atpg.podem.<name>]: [faults],
+    [decisions], [backtracks], [aborted], [refuted], [evals] (node
+    evaluations during implication, added once per search) and
+    [iteration_aborts] (aborts ended by the 400-iteration cap rather
+    than the backtrack limit; 0 on all twelve Table I circuits, where
+    every abort ends on the backtrack limit).
 
     Before it searches, {!generate} runs the {!Implication} screen on
     the fault: a contradiction by implication alone proves the fault
@@ -56,3 +67,9 @@ val search : ?backtrack_limit:int -> t -> Fault.t -> result
 (** {!generate} without the implication screen: the search alone, the
     reference the screen is checked against. A fault the screen
     refutes gets [Untestable] or [Aborted] here, never a [Test]. *)
+
+val gate_table : Gate.kind -> Logic.Five.five array -> Logic.Five.five option
+(** [gate_table kind vs] is the table entry {!generate} reads for a
+    [kind] gate with fanin values [vs], or [None] when no table covers
+    that kind and arity (sources, more than four inputs, an arity the
+    kind does not allow); such a gate is folded pin by pin. *)

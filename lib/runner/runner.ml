@@ -478,6 +478,10 @@ let run ?(config = default_config) ?(setup = fun ~stop:_ -> ()) job_list =
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     in
     let drain w = while not w.eof do read_some w done in
+    let rec wait_exit pid =
+      try Unix.waitpid [] pid
+      with Unix.Unix_error (Unix.EINTR, _, _) -> wait_exit pid
+    in
     let spawn i attempt =
       (* anything buffered would otherwise be flushed twice once the
          child exits *)
@@ -582,8 +586,7 @@ let run ?(config = default_config) ?(setup = fun ~stop:_ -> ()) job_list =
                 (fun w -> if w.eof then None else Some w.fd)
                 !running
             in
-            (if fds = [] then Unix.sleepf 0.002
-             else
+            (if fds <> [] then
                let timeout =
                  let next =
                    List.fold_left
@@ -601,9 +604,15 @@ let run ?(config = default_config) ?(setup = fun ~stop:_ -> ()) job_list =
                    (fun w -> if List.mem w.fd readable then read_some w)
                    !running
                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+            (* a worker at EOF has written its reply and closed its
+               pipe on the way to [_exit], so it is waited for at
+               once; the others are only polled *)
             List.iter
               (fun w ->
-                match Unix.waitpid [ Unix.WNOHANG ] w.pid with
+                match
+                  if w.eof then wait_exit w.pid
+                  else Unix.waitpid [ Unix.WNOHANG ] w.pid
+                with
                 | 0, _ -> ()
                 | _, status -> complete w status
                 | exception Unix.Unix_error (Unix.ECHILD, _, _) ->

@@ -32,6 +32,46 @@ let golden name ~tests ~untestable ~aborted ~md5 () =
   Alcotest.(check int) "aborted" aborted a;
   Alcotest.(check string) "cube digest" md5 digest
 
+(* ---------- the gate tables ---------- *)
+
+(* Every fanin tuple of every logic kind at every arity 1..4 the kind
+   allows: the table the search evaluates with gives what
+   [Gate.eval_five] folds in fanin order. Five inputs and sources have
+   no table. *)
+let check_gate_tables () =
+  let five = Netlist.Logic.Five.[| F0; F1; FX; D; Dbar |] in
+  let rec pow5 n = if n = 0 then 1 else 5 * pow5 (n - 1) in
+  let tuples = ref 0 in
+  List.iter
+    (fun kind ->
+      let widest = Option.value (Netlist.Gate.max_fanin kind) ~default:4 in
+      for n = Int.max 1 (Netlist.Gate.min_fanin kind) to Int.min widest 4 do
+        for i = 0 to pow5 n - 1 do
+          let vs = Array.init n (fun k -> five.(i / pow5 (n - 1 - k) mod 5)) in
+          let want = Netlist.Gate.eval_five kind vs in
+          (match Atpg.Podem.gate_table kind vs with
+          | Some got when Netlist.Logic.Five.equal got want -> ()
+          | got ->
+            Alcotest.failf "%s(%s): table %s, fold %s" (Netlist.Gate.to_string kind)
+              (String.concat "," (Array.to_list (Array.map Netlist.Logic.Five.to_string vs)))
+              (Option.fold ~none:"none" ~some:Netlist.Logic.Five.to_string got)
+              (Netlist.Logic.Five.to_string want));
+          incr tuples
+        done
+      done)
+    Netlist.Gate.[ Output; Buf; Not; And; Nand; Or; Nor; Xor; Xnor ];
+  (* 3 one-input kinds x 5, and 6 kinds x (25 + 125 + 625) *)
+  Alcotest.(check int) "tuples" ((3 * 5) + (6 * 775)) !tuples;
+  let none kind vs =
+    Alcotest.(check bool)
+      (Netlist.Gate.to_string kind ^ " has no table")
+      true
+      (Atpg.Podem.gate_table kind vs = None)
+  in
+  none Netlist.Gate.And (Array.make 5 Netlist.Logic.Five.F1);
+  none Netlist.Gate.Dff [| Netlist.Logic.Five.F1 |];
+  none Netlist.Gate.Input [||]
+
 (* ---------- the implication screen ---------- *)
 
 open Netlist
@@ -190,6 +230,7 @@ let suite =
     Alcotest.test_case "golden s1494" `Quick
       (golden "s1494" ~tests:288 ~untestable:1687 ~aborted:251
          ~md5:"c7b7925d3b61d402a82932b7354f0160");
+    Alcotest.test_case "gate tables equal the five-valued fold" `Quick check_gate_tables;
     Alcotest.test_case "implication refutes a redundant OR" `Quick
       check_redundant_or;
     Alcotest.test_case "implication sound on every gate kind" `Quick
