@@ -259,8 +259,12 @@ let make ?guide c =
 (* Record a value change. Implication only ever refines: every table
    is monotone in the order X < known, and the trail pops back to a
    state implied from a subset of the current assignments before a
-   source is set again, so a change is always X -> known. The check
-   keeps the trail within its [n] slots if that ever stops holding. *)
+   source is set again, so a change is always X -> known. Only X gates
+   are evaluated (see [schedule_fanouts]), so the check can fire only
+   for a source; for gates the monotonicity is enforced by the
+   test_podem case "five-valued evaluation is monotone in X", which
+   checks every gate table, the pin fold and the stuck-value injection
+   on every tuple. *)
 let[@inline] set e id v =
   if e.values.(id) <> vx then invalid_arg "Podem.set: overwrites a known value";
   e.values.(id) <- v;

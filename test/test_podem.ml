@@ -34,12 +34,12 @@ let golden name ~tests ~untestable ~aborted ~md5 () =
 
 (* ---------- the gate tables ---------- *)
 
-(* Every fanin tuple of every logic kind at every arity 1..4 the kind
-   allows: the table the search evaluates with gives what
-   [Gate.eval_five] folds in fanin order. Five inputs and sources have
-   no table. *)
-let check_gate_tables () =
-  let five = Netlist.Logic.Five.[| F0; F1; FX; D; Dbar |] in
+let five = Netlist.Logic.Five.[| F0; F1; FX; D; Dbar |]
+let show vs = String.concat "," (Array.to_list (Array.map Netlist.Logic.Five.to_string vs))
+
+(* [f kind vs] on every fanin tuple of every logic kind at every arity
+   1..4 the kind allows; returns the number of tuples. *)
+let iter_gate_tuples f =
   let rec pow5 n = if n = 0 then 1 else 5 * pow5 (n - 1) in
   let tuples = ref 0 in
   List.iter
@@ -47,21 +47,30 @@ let check_gate_tables () =
       let widest = Option.value (Netlist.Gate.max_fanin kind) ~default:4 in
       for n = Int.max 1 (Netlist.Gate.min_fanin kind) to Int.min widest 4 do
         for i = 0 to pow5 n - 1 do
-          let vs = Array.init n (fun k -> five.(i / pow5 (n - 1 - k) mod 5)) in
-          let want = Netlist.Gate.eval_five kind vs in
-          (match Atpg.Podem.gate_table kind vs with
-          | Some got when Netlist.Logic.Five.equal got want -> ()
-          | got ->
-            Alcotest.failf "%s(%s): table %s, fold %s" (Netlist.Gate.to_string kind)
-              (String.concat "," (Array.to_list (Array.map Netlist.Logic.Five.to_string vs)))
-              (Option.fold ~none:"none" ~some:Netlist.Logic.Five.to_string got)
-              (Netlist.Logic.Five.to_string want));
+          f kind (Array.init n (fun k -> five.(i / pow5 (n - 1 - k) mod 5)));
           incr tuples
         done
       done)
     Netlist.Gate.[ Output; Buf; Not; And; Nand; Or; Nor; Xor; Xnor ];
-  (* 3 one-input kinds x 5, and 6 kinds x (25 + 125 + 625) *)
-  Alcotest.(check int) "tuples" ((3 * 5) + (6 * 775)) !tuples;
+  !tuples
+
+(* 3 one-input kinds x 5, and 6 kinds x (25 + 125 + 625) *)
+let n_tuples = (3 * 5) + (6 * 775)
+
+(* The table the search evaluates with gives what [Gate.eval_five]
+   folds in fanin order. Five inputs and sources have no table. *)
+let check_gate_tables () =
+  let tuples =
+    iter_gate_tuples (fun kind vs ->
+        let want = Netlist.Gate.eval_five kind vs in
+        match Atpg.Podem.gate_table kind vs with
+        | Some got when Netlist.Logic.Five.equal got want -> ()
+        | got ->
+          Alcotest.failf "%s(%s): table %s, fold %s" (Netlist.Gate.to_string kind) (show vs)
+            (Option.fold ~none:"none" ~some:Netlist.Logic.Five.to_string got)
+            (Netlist.Logic.Five.to_string want))
+  in
+  Alcotest.(check int) "tuples" n_tuples tuples;
   let none kind vs =
     Alcotest.(check bool)
       (Netlist.Gate.to_string kind ^ " has no table")
@@ -71,6 +80,47 @@ let check_gate_tables () =
   none Netlist.Gate.And (Array.make 5 Netlist.Logic.Five.F1);
   none Netlist.Gate.Dff [| Netlist.Logic.Five.F1 |];
   none Netlist.Gate.Input [||]
+
+(* Implication never evaluates a known node again, which is sound only
+   if five-valued evaluation is monotone in X < known: refining any X
+   input to one of the four known codes leaves a known output as it
+   is. Checked on every gate table and on the pin-by-pin fold, at each
+   X position of every tuple, and on the stuck-value injection
+   [Five.make ~good:(Five.good v) ~faulty:s] that PODEM applies at a
+   faulted pin or output, for both stuck values. *)
+let check_five_monotone () =
+  let open Netlist.Logic in
+  let check name f vs =
+    let out = f vs in
+    if not (Five.equal out Five.FX) then
+      Array.iteri
+        (fun k v ->
+          if Five.equal v Five.FX then
+            List.iter
+              (fun c ->
+                let vs' = Array.copy vs in
+                vs'.(k) <- c;
+                let out' = f vs' in
+                if not (Five.equal out out') then
+                  Alcotest.failf "%s(%s) = %s but %s(%s) = %s" name (show vs)
+                    (Five.to_string out) name (show vs') (Five.to_string out'))
+              Five.[ F0; F1; D; Dbar ])
+        vs
+  in
+  let tuples =
+    iter_gate_tuples (fun kind vs ->
+        let name = Netlist.Gate.to_string kind in
+        check (name ^ " table")
+          (fun vs -> Option.value (Atpg.Podem.gate_table kind vs) ~default:Five.FX)
+          vs;
+        check (name ^ " fold") (Netlist.Gate.eval_five kind) vs)
+  in
+  Alcotest.(check int) "tuples" n_tuples tuples;
+  List.iter
+    (fun stuck ->
+      let inject vs = Five.make ~good:(Five.good vs.(0)) ~faulty:stuck in
+      Array.iter (fun v -> check "inject" inject [| v |]) five)
+    [ Zero; One ]
 
 (* ---------- the implication screen ---------- *)
 
@@ -231,6 +281,8 @@ let suite =
       (golden "s1494" ~tests:288 ~untestable:1687 ~aborted:251
          ~md5:"c7b7925d3b61d402a82932b7354f0160");
     Alcotest.test_case "gate tables equal the five-valued fold" `Quick check_gate_tables;
+    Alcotest.test_case "five-valued evaluation is monotone in X" `Quick
+      check_five_monotone;
     Alcotest.test_case "implication refutes a redundant OR" `Quick
       check_redundant_or;
     Alcotest.test_case "implication sound on every gate kind" `Quick
