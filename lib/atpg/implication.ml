@@ -25,6 +25,13 @@ let controlling =
 
 let inversion = per_op (fun k -> if Gate.inversion k then 1 else 0)
 
+let m_constants = Telemetry.Counter.make "atpg.implication.constants"
+
+(* The constant-line filter: words of fixed-seed random patterns, 63
+   per word. A gate that takes both values on them is never probed. *)
+let filter_words = 4
+let filter_seed = 0x5eed
+
 (* An event [4*id + kind] asks for one rule set at node [id] again:
    the gate rule on the good plane, the gate rule on the faulty plane,
    the rules tying the node's flag to its two values, or the rules
@@ -46,12 +53,24 @@ type t = {
      fault's miter: the dead-end rule's fixpoint, known before any
      fault is armed; such flags are never read *)
   reaches : bool array;
+  levels : int array;
+  (* the non-source nodes sorted by level, and each one's position
+     there ([-1] for a source); [level_start.(l)] is the position of
+     the first node at level [l], or past the end *)
+  by_level : int array;
+  position : int array;
+  level_start : int array;
+  (* the constant lines: the good value every input vector gives a
+     node, or [vx], learned once by [make]. Both planes start every
+     fault from it and [undo] returns them to it. *)
+  base : int array;
   good : int array;
   (* the faulty plane over every node: a node outside the cone mirrors
      its good value, so a gate rule reads one array per plane *)
   faulty : int array;
   flag : int array; (* cone nodes only *)
-  (* per-fault marks, all valid when equal to [stamp] *)
+  (* per-fault (and, while [make] learns, per-probe) marks, all valid
+     when equal to [stamp] *)
   in_cone : int array;
   touched : int array;
   queued : int array; (* per event *)
@@ -69,41 +88,14 @@ type t = {
      derive from its own conclusions, so its assignments do not queue
      it again *)
   mutable current : int;
-  cone : int array; (* breadth-first worklist of the cone sweep *)
+  (* the last position in [by_level] of a node the cone sweep has yet
+     to decide *)
+  mutable cone_end : int;
   (* the fault under test *)
   mutable out_site : int; (* node whose output line is stuck, or -1 *)
   mutable pin_edge : int; (* CSR fanin slot of the stuck pin, or -1 *)
   mutable stuck : int;
 }
-
-let make cc =
-  let n = Compiled.node_count cc in
-  {
-    opcode = Compiled.opcode cc;
-    fanin_off = Compiled.fanin_off cc;
-    fanin = Compiled.fanin cc;
-    fanout_off = Compiled.fanout_off cc;
-    fanout = Compiled.fanout cc;
-    observable = Compiled.observable cc;
-    reaches = Compiled.reaches_observable cc;
-    good = Array.make n vx;
-    faulty = Array.make n vx;
-    flag = Array.make n open_;
-    in_cone = Array.make n 0;
-    touched = Array.make n 0;
-    queued = Array.make (4 * n) 0;
-    stamp = 0;
-    trail = Array.make n 0;
-    trail_len = 0;
-    queue = Array.make (4 * n) 0;
-    queue_head = 0;
-    queue_len = 0;
-    current = -1;
-    cone = Array.make n 0;
-    out_site = -1;
-    pin_edge = -1;
-    stuck = 0;
-  }
 
 let in_cone e id = e.in_cone.(id) = e.stamp
 
@@ -244,16 +236,17 @@ let diff_rule e id =
   end
   else if g <> vx && g = f then set_flag e id cleared
 
-(* A path that is not yet observed must continue through a fanout
-   (every non-DFF fanout of a cone node is in the cone): the last open
-   one is set, and a node with none left is cleared. *)
+(* A path that is not yet observed must continue through a cone
+   fanout (a non-DFF fanout outside the cone is pinned and never
+   differs): the last open one is set, and a node with none left is
+   cleared. *)
 let path_rule e id =
   let fl = e.flag.(id) in
   if fl <> cleared && not e.observable.(id) then begin
     let n_open = ref 0 and last_open = ref (-1) and any_set = ref false in
     for k = e.fanout_off.(id) to e.fanout_off.(id + 1) - 1 do
       let succ = e.fanout.(k) in
-      if e.opcode.(succ) > Compiled.op_dff && e.reaches.(succ) then begin
+      if in_cone e succ && e.reaches.(succ) then begin
         let f = e.flag.(succ) in
         if f = set then any_set := true
         else if f = open_ then begin
@@ -275,34 +268,90 @@ let examine e ev =
     if kind = ev_good then gate_rule e ~faulty:false id
     else if id <> e.out_site then gate_rule e ~faulty:true id
 
-(* The structural fanout cone, breadth-first from the site. *)
-let collect_cone e site =
-  e.in_cone.(site) <- e.stamp;
-  e.cone.(0) <- site;
-  let len = ref 1 and i = ref 0 in
-  while !i < !len do
-    let id = e.cone.(!i) in
-    for k = e.fanout_off.(id) to e.fanout_off.(id + 1) - 1 do
-      let succ = e.fanout.(k) in
-      if e.opcode.(succ) <> Compiled.op_dff && not (in_cone e succ) then begin
-        e.in_cone.(succ) <- e.stamp;
-        e.cone.(!len) <- succ;
-        incr len
-      end
-    done;
-    incr i
+let propagate e =
+  while e.queue_len > 0 do
+    let ev = e.queue.(e.queue_head) in
+    e.queue_head <-
+      (if e.queue_head + 1 = Array.length e.queue then 0 else e.queue_head + 1);
+    e.queue_len <- e.queue_len - 1;
+    e.queued.(ev) <- -1;
+    e.current <- ev;
+    examine e ev
   done
 
 let undo e =
   for i = 0 to e.trail_len - 1 do
     let id = e.trail.(i) in
-    e.good.(id) <- vx;
-    e.faulty.(id) <- vx;
+    let b = e.base.(id) in
+    e.good.(id) <- b;
+    e.faulty.(id) <- b;
     e.flag.(id) <- open_
   done;
   e.trail_len <- 0;
   e.queue_len <- 0;
   e.current <- -1
+
+(* ---------- the cone ---------- *)
+
+(* A cone node's faulty value may differ from its good one, a constant
+   line's too: it leaves [base] on the faulty plane. *)
+let admit e id =
+  e.in_cone.(id) <- e.stamp;
+  if e.base.(id) <> vx then begin
+    touch e id;
+    e.faulty.(id) <- vx
+  end
+
+(* a node waiting for its verdict is marked [-stamp] *)
+let push_fanouts e id =
+  for k = e.fanout_off.(id) to e.fanout_off.(id + 1) - 1 do
+    let succ = e.fanout.(k) in
+    if e.opcode.(succ) <> Compiled.op_dff then begin
+      e.in_cone.(succ) <- -e.stamp;
+      if e.position.(succ) > e.cone_end then e.cone_end <- e.position.(succ)
+    end
+  done
+
+(* The fault's fanout cone, decided node by node in level order from
+   the site (a scan of [by_level] up to the last node marked), so each
+   gate's fanins have their verdicts before it. The sweep stops at a
+   pinned gate: a constant controlling value on a fanin outside the
+   cone gives it its good value on the faulty plane too, and leaving it
+   out adds only facts already implied. By induction on level, every
+   node of the structural cone that is left out has equal values. *)
+let collect_cone e site =
+  admit e site;
+  e.cone_end <- -1;
+  push_fanouts e site;
+  let p = ref e.level_start.(e.levels.(site) + 1) in
+  while !p <= e.cone_end do
+    let id = e.by_level.(!p) in
+    if e.in_cone.(id) = -e.stamp then begin
+      let c = controlling.(e.opcode.(id)) in
+      let lo = e.fanin_off.(id) and hi = e.fanin_off.(id + 1) - 1 in
+      let pinned = ref false and reads_constant = ref false in
+      for k = lo to hi do
+        let b = e.base.(e.fanin.(k)) in
+        if b <> vx && not (in_cone e e.fanin.(k)) then begin
+          reads_constant := true;
+          if b = c then pinned := true
+        end
+      done;
+      if !pinned then
+        (* a fanout that is never on a path: its cone fanins lose a way
+           out *)
+        for k = lo to hi do
+          if in_cone e e.fanin.(k) then enqueue e (event e.fanin.(k) ev_path)
+        done
+      else begin
+        admit e id;
+        (* no event will bring the constant to its faulty rule *)
+        if !reads_constant then enqueue e (event id ev_faulty);
+        push_fanouts e id
+      end
+    end;
+    incr p
+  done
 
 let refutes e fault =
   e.stamp <- e.stamp + 1;
@@ -319,26 +368,152 @@ let refutes e fault =
       e.pin_edge <- e.fanin_off.(gid) + pin;
       e.fanin.(e.pin_edge)
   in
-  collect_cone e site;
   let contradiction =
     try
       if not e.reaches.(site) then raise_notrace Conflict;
+      collect_cone e site;
       (* the stuck pin alone may already fix the site's faulty value *)
       enqueue e (event site ev_faulty);
       assign_good e act_node (1 - e.stuck);
       if e.out_site >= 0 then assign_faulty e site e.stuck;
       set_flag e site set;
-      while e.queue_len > 0 do
-        let ev = e.queue.(e.queue_head) in
-        e.queue_head <-
-          (if e.queue_head + 1 = Array.length e.queue then 0 else e.queue_head + 1);
-        e.queue_len <- e.queue_len - 1;
-        e.queued.(ev) <- -1;
-        e.current <- ev;
-        examine e ev
-      done;
+      propagate e;
       false
     with Conflict -> true
   in
   undo e;
   contradiction
+
+(* ---------- learning the constant lines ---------- *)
+
+(* Asserts good value [v] at [id], with no node in a cone, and implies
+   to a fixpoint: false on a contradiction. The values stay until
+   [undo] or [commit]. *)
+let consistent e id v =
+  e.stamp <- e.stamp + 1;
+  match
+    assign_good e id v;
+    propagate e
+  with
+  | () -> true
+  | exception Conflict -> false
+
+(* the implied values join [base]; outside any cone the faulty plane
+   already mirrors them *)
+let commit e =
+  for i = 0 to e.trail_len - 1 do
+    let id = e.trail.(i) in
+    e.base.(id) <- e.good.(id)
+  done;
+  e.trail_len <- 0;
+  e.current <- -1
+
+(* Failed-literal probing on the good plane, once per circuit (static
+   learning in the sense of SOCRATES, for the screen only). A gate that
+   held one value on every lane of the filter's patterns is probed for
+   the other; when that contradicts [base], the gate is constant at the
+   value it held, which joins [base] with all it implies. A value some
+   input gives cannot fail a probe, so the filter drops no constant.
+   Gates are probed once, in topological order. *)
+let learn_constants e cc =
+  let n = Array.length e.base in
+  let eval_order = Compiled.eval_order cc in
+  (* scratch, until the planes are cleared below: the pattern words on
+     the faulty plane, and on the good plane the values each gate took
+     (bit 0: a lane at 0, bit 1: a lane at 1) *)
+  let words = e.faulty and took = e.good in
+  Array.fill took 0 n 0;
+  let rng = Util.Rng.create filter_seed in
+  for _ = 1 to filter_words do
+    for id = 0 to n - 1 do
+      if e.opcode.(id) <= Compiled.op_dff then
+        words.(id) <- Int64.to_int (Util.Rng.next_int64 rng)
+    done;
+    Compiled.eval_lanes cc words;
+    Array.iter
+      (fun id ->
+        let w = words.(id) in
+        took.(id) <- took.(id) lor (if w <> -1 then 1 else 0) lor if w <> 0 then 2 else 0)
+      eval_order
+  done;
+  (* the probes, [2 * id + value] *)
+  let probes = Array.make (Array.length eval_order) 0 and n_probes = ref 0 in
+  Array.iter
+    (fun id ->
+      if took.(id) <> 3 then begin
+        probes.(!n_probes) <- (id lsl 1) lor if took.(id) = 1 then 1 else 0;
+        incr n_probes
+      end)
+    eval_order;
+  Array.fill e.good 0 n vx;
+  Array.fill e.faulty 0 n vx;
+  for k = 0 to !n_probes - 1 do
+    let id = probes.(k) lsr 1 and v = probes.(k) land 1 in
+    if e.good.(id) = vx then begin
+      let holds = consistent e id v in
+      undo e;
+      (* the filter saw [1 - v], so implying it cannot contradict *)
+      if (not holds) && consistent e id (1 - v) then commit e else undo e
+    end
+  done
+
+(* a source takes both values, so only gates are ever constant *)
+let constants e = Array.fold_left (fun n v -> if v = vx then n else n + 1) 0 e.base
+
+let make cc =
+  let n = Compiled.node_count cc in
+  let levels = Compiled.levels cc and population = Compiled.level_population cc in
+  let n_levels = Array.length population in
+  let level_start = Array.make (n_levels + 1) 0 in
+  for l = 0 to n_levels - 1 do
+    level_start.(l + 1) <- level_start.(l) + population.(l)
+  done;
+  let by_level = Array.make level_start.(n_levels) 0 and position = Array.make n (-1) in
+  let fill = Array.copy level_start in
+  Array.iter
+    (fun id ->
+      let l = levels.(id) in
+      by_level.(fill.(l)) <- id;
+      position.(id) <- fill.(l);
+      fill.(l) <- fill.(l) + 1)
+    (Compiled.eval_order cc);
+  let e =
+    {
+      opcode = Compiled.opcode cc;
+      fanin_off = Compiled.fanin_off cc;
+      fanin = Compiled.fanin cc;
+      fanout_off = Compiled.fanout_off cc;
+      fanout = Compiled.fanout cc;
+      observable = Compiled.observable cc;
+      reaches = Compiled.reaches_observable cc;
+      levels;
+      by_level;
+      position;
+      level_start;
+      base = Array.make n vx;
+      good = Array.make n vx;
+      faulty = Array.make n vx;
+      flag = Array.make n open_;
+      in_cone = Array.make n 0;
+      touched = Array.make n 0;
+      queued = Array.make (4 * n) 0;
+      stamp = 0;
+      trail = Array.make n 0;
+      trail_len = 0;
+      queue = Array.make (4 * n) 0;
+      queue_head = 0;
+      queue_len = 0;
+      current = -1;
+      cone_end = -1;
+      out_site = -1;
+      pin_edge = -1;
+      stuck = 0;
+    }
+  in
+  Telemetry.Span.with_ ~name:"atpg.learn_constants" (fun () -> learn_constants e cc);
+  Telemetry.Counter.add m_constants (constants e);
+  e
+
+let constant e id =
+  let v = e.base.(id) in
+  if v = vx then Logic.X else if v = 1 then Logic.One else Logic.Zero

@@ -108,9 +108,10 @@ let trim t ~keep =
    likewise just cold (/2: ATPG counts whose untestable faults include
    the ones implication refutes; /3: whose detected faults include the
    aborted ones the final test set detects; /4: whose scan chain is a
-   partition into chains). [Flow.prepared] is pure data (no closures),
+   partition into chains; /5: ATPG counts whose untestable faults
+   include the ones the learned constant lines refute). [Flow.prepared] is pure data (no closures),
    so Marshal round-trips it. *)
-let snapshot_magic = "scanpower-registry-snapshot/4"
+let snapshot_magic = "scanpower-registry-snapshot/5"
 
 let snapshot t ~path =
   let entries =

@@ -8,8 +8,11 @@ module Json = Telemetry.Json
    refutes before PODEM searches, and the aborted count excludes them.
    /4: the detected count includes the aborted faults the final test
    set detects, and faults PODEM never reaches are skipped, not
-   detected. *)
-let schema_version = "scanpower.sweep/4"
+   detected.
+   /5: implication starts from the circuit's learned constant lines,
+   so it refutes more faults: untestable rises and aborted falls for
+   the same inputs, and coverage and status with them. *)
+let schema_version = "scanpower.sweep/5"
 
 type params = { seed : int }
 type point = { circuit : Circuit.t; params : params }

@@ -151,7 +151,8 @@ let check_snapshot_corruption () =
     (R.restore r2 ~path);
   (* intact snapshots of previous formats: /2 entries carry ATPG counts
      with the old meaning of detected and aborted, /3 entries a scan
-     chain of the single-chain layout *)
+     chain of the single-chain layout, /4 entries untestable and aborted
+     counts from before the learned constant lines *)
   let nl = String.index full '\n' in
   List.iter
     (fun magic ->
@@ -162,7 +163,10 @@ let check_snapshot_corruption () =
       Alcotest.(check int)
         (magic ^ " snapshot is a cold start")
         0 (R.restore r_old ~path))
-    [ "scanpower-registry-snapshot/2"; "scanpower-registry-snapshot/3" ];
+    [
+      "scanpower-registry-snapshot/2"; "scanpower-registry-snapshot/3";
+      "scanpower-registry-snapshot/4";
+    ];
   (* wrong magic *)
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc "not-a-snapshot/0\n");
