@@ -449,8 +449,8 @@ let ablation_multi_chain () =
         m.Scan.Scan_sim.peak_static_uw)
     [ 1; 2; 4; 7; 21 ]
 
-(* (i) ATPG engines: plain PODEM vs SCOAP-guided PODEM (with and
-   without the implication screen) vs D-algorithm *)
+(* (i) ATPG engines: plain PODEM vs SCOAP-guided PODEM, with and
+   without the implication screen *)
 let ablation_atpg_engines () =
   section "Ablation (i): ATPG engines on the collapsed fault list";
   List.iter
@@ -464,21 +464,11 @@ let ablation_atpg_engines () =
         List.iter
           (fun f ->
             match run f with
-            | `T -> incr t
-            | `U -> incr u
-            | `A -> incr a)
+            | Atpg.Podem.Test _ -> incr t
+            | Atpg.Podem.Untestable -> incr u
+            | Atpg.Podem.Aborted -> incr a)
           faults;
         (!t, !u, !a, Unix.gettimeofday () -. t0)
-      in
-      let podem_tag = function
-        | Atpg.Podem.Test _ -> `T
-        | Atpg.Podem.Untestable -> `U
-        | Atpg.Podem.Aborted -> `A
-      in
-      let dalg_tag = function
-        | Atpg.D_algorithm.Test _ -> `T
-        | Atpg.D_algorithm.Untestable -> `U
-        | Atpg.D_algorithm.Aborted -> `A
       in
       let show tag (t, u, a, secs) =
         Format.printf "  %-14s test %4d | untestable %3d | aborted %3d | %.2fs@."
@@ -486,13 +476,9 @@ let ablation_atpg_engines () =
       in
       Format.printf "%s (%d faults):@." name (List.length faults);
       let plain = Atpg.Podem.make c and guided = Atpg.Podem.make ~guide c in
-      show "podem" (tally (fun f -> podem_tag (Atpg.Podem.generate plain f)));
-      show "podem+scoap"
-        (tally (fun f -> podem_tag (Atpg.Podem.generate guided f)));
-      show "  search only"
-        (tally (fun f -> podem_tag (Atpg.Podem.search guided f)));
-      show "d-algorithm"
-        (tally (fun f -> dalg_tag (Atpg.D_algorithm.generate c f))))
+      show "podem" (tally (Atpg.Podem.generate plain));
+      show "podem+scoap" (tally (Atpg.Podem.generate guided));
+      show "  search only" (tally (Atpg.Podem.search guided)))
     (if fast then [ "s344" ] else [ "s344"; "s382" ])
 
 (* SCANPOWER_BENCH_ONLY=<name>[,<name>...] runs the named stages only

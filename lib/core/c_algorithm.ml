@@ -7,10 +7,9 @@ type outcome = {
   residual_transition_nodes : int;
 }
 
-let find ?backtrack_limit ?(seed = 8) c =
+let find ?(seed = 8) c =
   let res =
-    Controlled_pattern.find ?backtrack_limit ~direction:Justify.Structural c
-      ~muxable:[]
+    Controlled_pattern.find ~direction:Justify.Structural c ~muxable:[]
   in
   let rng = Util.Rng.create seed in
   let pis = Circuit.inputs c in

@@ -5,7 +5,8 @@
     multiplexed pseudo-inputs) and undirected by leakage — exactly the
     comparison the paper's Table I makes. Leftover don't-care primary
     inputs are filled pseudo-randomly (the baseline has no leakage
-    objective). *)
+    objective). Each justification gives up after {!Justify}'s 50
+    backtracks, as in the proposed method. *)
 
 open Netlist
 
@@ -16,4 +17,4 @@ type outcome = {
   residual_transition_nodes : int;
 }
 
-val find : ?backtrack_limit:int -> ?seed:int -> Circuit.t -> outcome
+val find : ?seed:int -> Circuit.t -> outcome

@@ -13,7 +13,7 @@ type outcome = {
   residual_transition_nodes : int;
 }
 
-let find ?(backtrack_limit = 50) ~direction c ~muxable =
+let find ~direction c ~muxable =
   let controlled = Array.to_list (Circuit.inputs c) @ muxable in
   let muxed = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace muxed id ()) muxable;
@@ -21,9 +21,7 @@ let find ?(backtrack_limit = 50) ~direction c ~muxable =
     Array.to_list (Circuit.dffs c)
     |> List.filter (fun id -> not (Hashtbl.mem muxed id))
   in
-  let engine =
-    Justify.create ~backtrack_limit c ~controllable:controlled ~direction
-  in
+  let engine = Justify.create c ~controllable:controlled ~direction in
   (* with no source assigned every line is X: already fully implied *)
   let values = Array.make (Circuit.node_count c) Logic.X in
   let failed = Array.make (Circuit.node_count c) false in

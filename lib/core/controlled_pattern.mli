@@ -8,7 +8,8 @@
     (mc_tg), try to justify its controlling value onto one of its
     don't-care inputs (candidate order and the justification itself
     directed by leakage observability); on failure expose the gate's
-    fanout to the transition set; repeat until the TGS empties. *)
+    fanout to the transition set; repeat until the TGS empties. Each
+    justification gives up after {!Justify}'s 50 backtracks. *)
 
 open Netlist
 
@@ -25,11 +26,7 @@ type outcome = {
 }
 
 val find :
-  ?backtrack_limit:int ->
-  direction:Justify.direction ->
-  Circuit.t ->
-  muxable:int list ->
-  outcome
+  direction:Justify.direction -> Circuit.t -> muxable:int list -> outcome
 (** [muxable] comes from {!Mux_insertion.select}; pass [[]] together
     with [~direction:Structural] to reproduce the input-control
     baseline's search space ([8]). *)

@@ -3,6 +3,9 @@ open Netlist
 let m_attempts = Telemetry.Counter.make "core.justify.attempts"
 let m_backtracks = Telemetry.Counter.make "core.justify.backtracks"
 
+(* backtracks one {!justify} call may take before it gives up *)
+let backtrack_limit = 50
+
 type direction =
   | Leakage_directed of Power.Observability.t
   | Structural
@@ -12,7 +15,6 @@ type t = {
   controllable : bool array;
   inverting : bool array;
   direction : direction;
-  backtrack_limit : int;
   (* per-gate fanins in backtrace order, aligned with the compiled
      fanin offsets: [toward_one] when the gate's inputs are to be
      driven to 1 (or X), [toward_zero] when to 0 *)
@@ -58,7 +60,7 @@ let sorted_fanins comp cmp =
   done;
   order
 
-let create ?(backtrack_limit = 50) c ~controllable ~direction =
+let create c ~controllable ~direction =
   let comp = Compiled.of_circuit c in
   let n = Compiled.node_count comp in
   let flags = Array.make n false in
@@ -84,7 +86,6 @@ let create ?(backtrack_limit = 50) c ~controllable ~direction =
     inverting =
       Array.init n (fun id -> Gate.inversion (Circuit.node c id).Circuit.kind);
     direction;
-    backtrack_limit;
     toward_one;
     toward_zero;
     stamp = Array.make (3 * n) 0;
@@ -203,7 +204,7 @@ let justify t ~values node v =
         else begin
           incr backtracks;
           Telemetry.Counter.inc m_backtracks;
-          if !backtracks > t.backtrack_limit then false
+          if !backtracks > backtrack_limit then false
           else begin
             let value' = Logic.lnot value in
             set_source t work src value';

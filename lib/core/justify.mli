@@ -23,15 +23,10 @@ type direction =
 
 type t
 
-val create :
-  ?backtrack_limit:int ->
-  Circuit.t ->
-  controllable:int list ->
-  direction:direction ->
-  t
+val create : Circuit.t -> controllable:int list -> direction:direction -> t
 (** [controllable] lists the source node ids the engine may assign
-    (primary inputs and multiplexed pseudo-inputs). Default backtrack
-    limit: 50. *)
+    (primary inputs and multiplexed pseudo-inputs). Each {!justify}
+    call gives up after 50 backtracks. *)
 
 val order_candidates : t -> value:Logic.t -> int list -> int list
 (** Sort candidate lines for receiving [value] according to the

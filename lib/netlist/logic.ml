@@ -64,11 +64,6 @@ module Five = struct
     | F0, F0 | F1, F1 | FX, FX | D, D | Dbar, Dbar -> true
     | (F0 | F1 | FX | D | Dbar), _ -> false
 
-  let of_ternary = function
-    | Zero -> F0
-    | One -> F1
-    | X -> FX
-
   let good = function
     | F0 -> Zero
     | F1 -> One
@@ -100,10 +95,6 @@ module Five = struct
   let lxor_ a b = of_pair (xor (good a) (good b)) (xor (faulty a) (faulty b))
 
   let make ~good ~faulty = of_pair good faulty
-
-  let is_d_or_dbar = function
-    | D | Dbar -> true
-    | F0 | F1 | FX -> false
 
   let to_string = function
     | F0 -> "0"

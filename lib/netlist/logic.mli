@@ -52,8 +52,6 @@ module Five : sig
 
   val equal : five -> five -> bool
 
-  val of_ternary : t -> five
-
   val good : five -> t
   (** Value in the fault-free circuit. *)
 
@@ -70,8 +68,6 @@ module Five : sig
 
   val make : good:t -> faulty:t -> five
   (** Compose a five-valued literal from its good/faulty pair. *)
-
-  val is_d_or_dbar : five -> bool
 
   val to_string : five -> string
 

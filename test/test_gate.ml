@@ -92,7 +92,7 @@ let prop_five_good_rail =
     gen_kind_and_inputs (fun (k, inputs) ->
       let fv =
         Gate.eval_five k
-          (Array.map (fun b -> Logic.Five.of_ternary (Logic.of_bool b)) inputs)
+          (Array.map (fun b -> if b then Logic.Five.F1 else Logic.Five.F0) inputs)
       in
       Logic.equal (Logic.Five.good fv) (Logic.of_bool (Gate.eval_bool k inputs)))
 

@@ -118,11 +118,6 @@ let check_five_make () =
   Alcotest.check five "0/1 = D'" F.Dbar (F.make ~good:Logic.Zero ~faulty:Logic.One);
   Alcotest.check five "X/0 = X" F.FX (F.make ~good:Logic.X ~faulty:Logic.Zero)
 
-let check_five_d_detection () =
-  let module F = Logic.Five in
-  Alcotest.check Alcotest.bool "D" true (F.is_d_or_dbar F.D);
-  Alcotest.check Alcotest.bool "F1" false (F.is_d_or_dbar F.F1)
-
 (* Properties: associativity/commutativity of the ternary operators. *)
 let gen3 = QCheck.make (QCheck.Gen.oneofl all3)
 
@@ -161,7 +156,6 @@ let suite =
       check_five_exact_on_definite;
     Alcotest.test_case "five-valued negation" `Quick check_five_not;
     Alcotest.test_case "five-valued make" `Quick check_five_make;
-    Alcotest.test_case "D detection" `Quick check_five_d_detection;
     QCheck_alcotest.to_alcotest prop_and_commutative;
     QCheck_alcotest.to_alcotest prop_or_associative;
     QCheck_alcotest.to_alcotest prop_de_morgan;

@@ -321,6 +321,29 @@ let prop_search_sound =
           (Atpg.Fault.to_string c f));
       true)
 
+(* Mapped s344 has too many sources to enumerate, so its [Untestable]
+   verdicts, screen and search together at the flow's backtrack limit,
+   are checked against 4096 seeded random vectors instead: none of
+   them may detect a fault PODEM proves untestable. *)
+let check_s344_untestable_undetected () =
+  let c = Techmap.Mapper.map (Circuits.by_name "s344") in
+  let podem = Atpg.Podem.make ~guide:(Atpg.Scoap.compute c) c in
+  let untestable =
+    List.filter
+      (fun f ->
+        match Atpg.Podem.generate ~backtrack_limit:25 podem f with
+        | Atpg.Podem.Untestable -> true
+        | Atpg.Podem.Test _ | Atpg.Podem.Aborted -> false)
+      (Atpg.Fault.collapsed_faults c)
+  in
+  Alcotest.(check bool) "proves faults untestable" true (List.length untestable > 100);
+  let vectors = Atpg.Pattern_gen.random_vectors ~seed:7 ~count:4096 c in
+  match Oracle.detected_by c ~faults:untestable ~vectors with
+  | [] -> ()
+  | f :: _ ->
+    Alcotest.failf "s344: PODEM proves %s untestable, but a random vector detects it"
+      (Atpg.Fault.to_string c f)
+
 (* On the ten circuits of the flow-cold benchmark, the search alone,
    as the flow configures it, never finds a test for a refuted fault. *)
 let check_flow_circuits_no_refuted_test () =
@@ -384,6 +407,8 @@ let suite =
       check_flow_circuits_constants;
     QCheck_alcotest.to_alcotest prop_refuted_undetectable;
     QCheck_alcotest.to_alcotest prop_search_sound;
+    Alcotest.test_case "s344 untestable escapes 4096 random vectors" `Quick
+      check_s344_untestable_undetected;
     Alcotest.test_case "no PODEM test for a refuted fault" `Slow
       check_flow_circuits_no_refuted_test;
   ]
