@@ -19,7 +19,9 @@
     {!effective_subset} equals the one-vector-at-a-time reverse walk.
     All entry points accept an optional persistent {!machine} so a
     caller running many rounds over one circuit (ATPG phases, sweeps)
-    pays for compilation and FFR/dominator tables once. *)
+    pays for compilation and the FFR and reachability tables once.
+    Dominators need no table: the event frontier finds them as it
+    collapses. *)
 
 open Netlist
 

@@ -12,7 +12,6 @@ let default_config = { seed = 1; backtrack_limit = 25 }
    constant changes the test set. *)
 let random_batches = 32
 let stale_batches = 5
-let podem_budget = 4000
 let batch_vectors = 64
 let chunk_cubes = 64
 
@@ -20,7 +19,6 @@ let m_vectors = Telemetry.Counter.make "atpg.pattern_gen.vectors"
 let m_detected = Telemetry.Counter.make "atpg.faults.detected"
 let m_untestable = Telemetry.Counter.make "atpg.faults.untestable"
 let m_aborted = Telemetry.Counter.make "atpg.faults.aborted"
-let m_skipped = Telemetry.Counter.make "atpg.faults.skipped"
 
 (* PODEM keeps one process-wide backtrack counter; sampling it around
    each [generate] call turns the aggregate into a per-fault
@@ -95,22 +93,18 @@ let generate ?(config = default_config) c =
      vector is simulated against them here, and the final test set may
      still detect them *)
   let unresolved = ref [] in
-  let budget = ref podem_budget in
   let rec deterministic () =
     match !remaining with
     | [] -> ()
-    | _ when !budget <= 0 -> ()
     | _ ->
       (* build one chunk of up to [chunk_cubes] cubes; collect always
          consumes the faults it visits, so every iteration makes
-         progress. The faults it does not reach once the budget runs
-         out stay queued: they end up [skipped], not counted detected. *)
+         progress *)
       let cubes = ref [] and processed = ref [] in
       let rec collect n = function
         | [] -> []
-        | rest when n = 0 || !budget <= 0 -> rest
+        | rest when n = 0 -> rest
         | f :: rest ->
-          decr budget;
           let bt0 =
             if Telemetry.enabled () then Telemetry.Counter.get m_backtracks
             else 0
@@ -175,10 +169,7 @@ let generate ?(config = default_config) c =
         in
         (vectors, List.length missed))
   in
-  let skipped = List.length !remaining in
-  let detected_total =
-    total_faults - skipped - !untestable - aborted
-  in
+  let detected_total = total_faults - !untestable - aborted in
   let testable = total_faults - !untestable in
   Telemetry.Counter.add m_vectors (List.length vectors);
   Telemetry.Counter.add m_detected detected_total;
@@ -186,7 +177,6 @@ let generate ?(config = default_config) c =
   (* aborted faults are the explicit "ATPG gave up" classification:
      the flow proceeds, but reports and chaos tests key off this *)
   Telemetry.Counter.add m_aborted aborted;
-  Telemetry.Counter.add m_skipped skipped;
   Telemetry.Log.debug "atpg.generate done"
     ~fields:
       [
@@ -202,7 +192,7 @@ let generate ?(config = default_config) c =
     detected = detected_total;
     untestable = !untestable;
     aborted;
-    skipped;
+    skipped = 0;
     coverage =
       (if testable = 0 then 1.0
        else float_of_int detected_total /. float_of_int testable);
@@ -210,7 +200,6 @@ let generate ?(config = default_config) c =
 
 let pp_outcome fmt o =
   Format.fprintf fmt
-    "vectors=%d faults=%d detected=%d untestable=%d aborted=%d skipped=%d coverage=%.2f%%"
+    "vectors=%d faults=%d detected=%d untestable=%d aborted=%d coverage=%.2f%%"
     (List.length o.vectors) o.total_faults o.detected o.untestable o.aborted
-    o.skipped
     (100.0 *. o.coverage)

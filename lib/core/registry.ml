@@ -109,9 +109,11 @@ let trim t ~keep =
    the ones implication refutes; /3: whose detected faults include the
    aborted ones the final test set detects; /4: whose scan chain is a
    partition into chains; /5: ATPG counts whose untestable faults
-   include the ones the learned constant lines refute). [Flow.prepared] is pure data (no closures),
-   so Marshal round-trips it. *)
-let snapshot_magic = "scanpower-registry-snapshot/5"
+   include the ones the learned constant lines refute; /6: test sets
+   where PODEM attempted every fault, with no 4000-attempt budget).
+   [Flow.prepared] is pure data (no closures), so Marshal round-trips
+   it. *)
+let snapshot_magic = "scanpower-registry-snapshot/6"
 
 let snapshot t ~path =
   let entries =

@@ -54,14 +54,11 @@ type t = {
   max_level : int;
   level_population : int array;
   (* structural preprocessing for fault propagation: observables,
-     fanout-free regions and propagation dominators (all with respect
-     to the combinational core — DFF nodes never propagate) *)
+     their reachability and fanout-free regions (all with respect to
+     the combinational core — DFF nodes never propagate) *)
   observable : bool array;
   reaches_observable : bool array;
   ffr_stem : int array;
-  stems : int array;
-  idom : int array;
-  idom_depth : int array;
 }
 
 (* A fault effect is observed at primary-output marker nodes and at
@@ -93,59 +90,23 @@ let compute_ffr n opcode fanout_off fanout topo =
       else ffr_stem.(id) <- ffr_stem.(succ)
     end
   done;
-  let n_stems = ref 0 in
-  Array.iteri (fun id s -> if s = id then incr n_stems) ffr_stem;
-  let stems = Array.make !n_stems 0 in
-  let pos = ref 0 in
-  for id = 0 to n - 1 do
-    if ffr_stem.(id) = id then begin
-      stems.(!pos) <- id;
-      incr pos
-    end
-  done;
-  (ffr_stem, stems)
+  ffr_stem
 
-(* Immediate dominators of the propagation DAG: [idom.(id)] is the one
-   node every path from [id] to an observable passes through first
-   (beyond [id] itself). Observation itself is modelled as a virtual
-   exit node with id [n]: [idom.(id) = n] means the effect fans out
-   irreconvergently (or [id] is itself observable), [-1] means no
-   observable is reachable at all. Computed in reverse topological
-   order as the nearest common ancestor, in the growing dominator
-   tree, of all propagating successors. *)
-let compute_idom n opcode fanout_off fanout topo observable =
-  let exit_id = n in
+(* A node reaches an observable if it is one or some propagating
+   (non-DFF) successor does; reverse topological order sees every
+   successor first. *)
+let compute_reaches n opcode fanout_off fanout topo observable =
   let reaches = Array.make n false in
-  let idom = Array.make (n + 1) (-1) in
-  let depth = Array.make (n + 1) 0 in
-  idom.(exit_id) <- exit_id;
-  let rec nca a b =
-    if a = b then a
-    else if depth.(a) >= depth.(b) then nca idom.(a) b
-    else nca a idom.(b)
-  in
   for k = n - 1 downto 0 do
     let id = topo.(k) in
-    if observable.(id) then begin
-      reaches.(id) <- true;
-      idom.(id) <- exit_id;
-      depth.(id) <- 1
-    end
-    else begin
-      let d = ref (-1) in
-      for i = fanout_off.(id) to fanout_off.(id + 1) - 1 do
-        let succ = fanout.(i) in
-        if opcode.(succ) <> op_dff && reaches.(succ) then
-          d := if !d = -1 then succ else nca !d succ
-      done;
-      if !d >= 0 then begin
-        reaches.(id) <- true;
-        idom.(id) <- !d;
-        depth.(id) <- depth.(!d) + 1
-      end
-    end
+    let r = ref observable.(id) in
+    for i = fanout_off.(id) to fanout_off.(id + 1) - 1 do
+      let succ = fanout.(i) in
+      if opcode.(succ) <> op_dff && reaches.(succ) then r := true
+    done;
+    reaches.(id) <- !r
   done;
-  (reaches, idom, depth)
+  reaches
 
 let of_circuit c =
   let nodes = Circuit.nodes c in
@@ -195,9 +156,9 @@ let of_circuit c =
       eval_order
   in
   let observable = compute_observable n opcode fanin_off fanin in
-  let ffr_stem, stems = compute_ffr n opcode fanout_off fanout topo in
-  let reaches_observable, idom, idom_depth =
-    compute_idom n opcode fanout_off fanout topo observable
+  let ffr_stem = compute_ffr n opcode fanout_off fanout topo in
+  let reaches_observable =
+    compute_reaches n opcode fanout_off fanout topo observable
   in
   {
     circuit = c;
@@ -216,9 +177,6 @@ let of_circuit c =
     observable;
     reaches_observable;
     ffr_stem;
-    stems;
-    idom;
-    idom_depth;
   }
 
 let circuit t = t.circuit
@@ -238,10 +196,6 @@ let is_logic t id = t.opcode.(id) >= op_buf
 let observable t = t.observable
 let reaches_observable t = t.reaches_observable
 let ffr_stem t = t.ffr_stem
-let stems t = t.stems
-let idom t = t.idom
-let idom_depth t = t.idom_depth
-let exit_id t = t.n
 
 (* Tail-recursive folds over a CSR fanin slice: no closures, no
    intermediate arrays. *)

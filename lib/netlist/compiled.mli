@@ -103,24 +103,6 @@ val ffr_stem : t -> int array
     path to the stem, so single-fault sensitization composes exactly
     (critical path tracing is exact within an FFR). *)
 
-val stems : t -> int array
-(** The stem nodes (fixpoints of [ffr_stem]), in id order. *)
-
-val idom : t -> int array
-(** Immediate propagation dominator: [idom.(id)] is the unique first
-    node beyond [id] that every propagation path from [id] to an
-    observable passes through. [exit_id t] (a virtual exit) means the
-    paths reconverge only at observation (or [id] is itself
-    observable); [-1] means no observable is reachable. Length
-    [node_count + 1]: the exit maps to itself. *)
-
-val idom_depth : t -> int array
-(** Depth of each node in the dominator tree (exit = 0); exposes the
-    nearest-common-ancestor order for tests and diagnostics. *)
-
-val exit_id : t -> int
-(** The virtual exit node id used by [idom] (= [node_count]). *)
-
 (** {1 Allocation-free evaluation} *)
 
 val eval_bool : t -> bool array -> int -> bool
